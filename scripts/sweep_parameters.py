@@ -52,7 +52,7 @@ def main() -> int:
             t0 = time.perf_counter()
             report = run_pipeline(stream, delta, gamma, plan)
             wall = time.perf_counter() - t0
-            final = report.final or []
+            final = report.final
             if final:
                 temporal, cardinal = stats_maximum_cliques(final)
                 longest = temporal[0].span.length

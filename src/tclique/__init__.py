@@ -29,7 +29,7 @@ from .errors import (
     TcliqueError,
     VerificationError,
 )
-from .expand import DEFAULT_ORDER, WorkSets, seed_cliques
+from .expand import WorkSets, seed_cliques
 from .linkstream import FormatSpec, LinkStream, TemporalLink, parse_links
 from .oracle import OracleConfig, brute_force_enumerate, check_maximality
 from .partition import PartitionPlan, partition_links, plan_boundaries
@@ -62,7 +62,6 @@ __all__ = [
     "CliqueKey",
     "ConfigError",
     "CycleStats",
-    "DEFAULT_ORDER",
     "FormatSpec",
     "Interval",
     "LinkStream",

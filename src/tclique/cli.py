@@ -204,7 +204,6 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         report_path=Path(args.report) if args.report else None,
         log=print,
     )
-    assert report.final is not None
     _print_maxima(report.final)
     if args.out:
         print(f"result written to {args.out}")

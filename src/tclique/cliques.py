@@ -100,10 +100,6 @@ def make_clique(
     )
 
 
-def canonical_key(clique: Clique) -> CliqueKey:
-    return clique.key()
-
-
 # -- validity -----------------------------------------------------------------
 
 

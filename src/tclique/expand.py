@@ -1,26 +1,25 @@
 """Seed construction and the three clique-growth procedures.
 
 Enumeration works a LIFO worklist of cliques. Every popped clique is offered
-three growth moves — add a vertex from its candidate set, extend the interval
-left, extend the interval right — and joins the maximal set of the cycle when
-none of the moves finds a strictly larger valid clique. Cliques carried over
-from a previous batch are only ever extended to the right (their flag for the
-other two moves is fixed), which the worklist tracks per item.
+the three growth moves in one fixed sequence — add a vertex from its
+candidate set, extend the interval right, extend the interval left — and
+joins the maximal set of the cycle when none of the moves finds a strictly
+larger valid clique. Cliques carried over from a previous batch are only ever
+extended to the right (their flag for the other two moves is fixed), which
+the worklist tracks per item.
 
-Growth moves return True when the clique could NOT be grown that way (the
-"no extension" flag); a clique is maximal within the cycle when all three
-return True.
+Each move reads the stream, delta and gamma from the cycle's `WorkSets` and
+returns True when the clique could NOT be grown that way (the "no extension"
+flag); a clique is maximal within the cycle when all three return True.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from .cliques import Clique, CliqueKey, Interval, is_delta_gamma_clique
 from .linkstream import LinkStream
-
-DEFAULT_ORDER: tuple[str, str, str] = ("vertex", "right", "left")
 
 
 @dataclass(frozen=True)
@@ -141,13 +140,7 @@ def seed_cliques(
 # -- growth procedures ----------------------------------------------------------
 
 
-def expand_vertex_set(
-    clique: Clique,
-    worksets: WorkSets,
-    stream: LinkStream,
-    delta: int,
-    gamma: int,
-) -> bool:
+def expand_vertex_set(clique: Clique, worksets: WorkSets) -> bool:
     """Try every candidate vertex; True iff none produced a valid clique.
 
     Valid growths are enqueued (dedup applies) inheriting the candidate set
@@ -155,6 +148,7 @@ def expand_vertex_set(
     """
     if clique.candidates is None:
         raise ValueError(f"clique {clique} has no candidate set")
+    stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
     members = set(clique.vertices)
     span = (clique.ta, clique.tb)
     grew = False
@@ -169,22 +163,17 @@ def expand_vertex_set(
 
 
 def extend_right(
-    clique: Clique,
-    worksets: WorkSets,
-    stream: LinkStream,
-    delta: int,
-    gamma: int,
-    right_only: bool = False,
-    clamp_end: Optional[int] = None,
+    clique: Clique, worksets: WorkSets, right_only: bool = False
 ) -> bool:
     """Extend the interval right as far as every pair allows.
 
     The new right end is delta past the smallest over pairs of the gamma-th
     largest occurrence in [ta, tb+1]; a pair without gamma occurrences there
-    blocks the move. Online the end is unclamped (that is what feeds the next
-    frontier); pass clamp_end to cap it at an observation end instead. True
-    iff the interval could not grow.
+    blocks the move. The end is never clamped at the observation end: that is
+    what feeds the next frontier, and finalize clamps it. The grown clique
+    inherits `right_only`. True iff the interval could not grow.
     """
+    stream, gamma = worksets.stream, worksets.gamma
     anchor: Optional[int] = None
     window = (clique.ta, clique.tb + 1)
     for pair in clique.pairs():
@@ -192,9 +181,7 @@ def extend_right(
         if last is None:
             return True
         anchor = last if anchor is None else min(anchor, last)
-    new_tb = anchor + delta
-    if clamp_end is not None:
-        new_tb = min(new_tb, clamp_end)
+    new_tb = anchor + worksets.delta
     if new_tb <= clique.tb:
         return True
     worksets.offer(
@@ -204,14 +191,7 @@ def extend_right(
     return False
 
 
-def extend_left(
-    clique: Clique,
-    worksets: WorkSets,
-    stream: LinkStream,
-    delta: int,
-    gamma: int,
-    t_start: int,
-) -> bool:
+def extend_left(clique: Clique, worksets: WorkSets, t_start: int) -> bool:
     """Extend the interval left as far as every pair allows.
 
     The new left end is delta before the largest over pairs of the gamma-th
@@ -219,6 +199,7 @@ def extend_left(
     move counts only when the clamped start strictly precedes the current one
     (a clique already at the boundary cannot grow). True iff no growth.
     """
+    stream, gamma = worksets.stream, worksets.gamma
     anchor: Optional[int] = None
     window = (clique.ta - 1, clique.tb)
     for pair in clique.pairs():
@@ -226,7 +207,7 @@ def extend_left(
         if first is None:
             return True
         anchor = first if anchor is None else max(anchor, first)
-    new_ta = max(anchor - delta, t_start)
+    new_ta = max(anchor - worksets.delta, t_start)
     if new_ta >= clique.ta:
         return True
     worksets.offer(
@@ -240,45 +221,28 @@ def extend_left(
 
 
 def drain(
-    worksets: WorkSets,
-    t_start: int,
-    frontier_threshold: Optional[int],
-    order: Sequence[str] = DEFAULT_ORDER,
-    on_pop: Optional[Callable[[Clique], None]] = None,
+    worksets: WorkSets, t_start: int, frontier_threshold: Optional[int]
 ) -> None:
     """Run the worklist to exhaustion.
 
     Right-only items (carried frontier cliques) receive just the right
-    extension; the other two moves are treated as exhausted for them. Fully
-    processed cliques with no possible growth join `new_maximal`; every popped
-    clique whose right end reaches `frontier_threshold` joins `next_frontier`
-    regardless of its flags.
+    extension; the other two moves are treated as exhausted for them. Every
+    other item gets all three moves, in the fixed sequence vertex, right,
+    left; each move runs even when an earlier one grew the clique, because
+    each enqueues its own growths. Fully processed cliques with no possible
+    growth join `new_maximal`; every popped clique whose right end reaches
+    `frontier_threshold` joins `next_frontier` regardless of its flags.
     """
-    assert sorted(order) == sorted(DEFAULT_ORDER), f"bad procedure order {order}"
-    stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
     while worksets.pending:
         item = worksets.pending.pop()
         clique = item.clique
-        if on_pop is not None:
-            on_pop(clique)
         if item.right_only:
-            no_growth = extend_right(
-                clique, worksets, stream, delta, gamma, right_only=True
-            )
+            no_growth = extend_right(clique, worksets, right_only=True)
         else:
-            flags = {}
-            for move in order:
-                if move == "vertex":
-                    flags[move] = expand_vertex_set(
-                        clique, worksets, stream, delta, gamma
-                    )
-                elif move == "right":
-                    flags[move] = extend_right(clique, worksets, stream, delta, gamma)
-                else:
-                    flags[move] = extend_left(
-                        clique, worksets, stream, delta, gamma, t_start
-                    )
-            no_growth = all(flags.values())
+            no_vertex = expand_vertex_set(clique, worksets)
+            no_right = extend_right(clique, worksets)
+            no_left = extend_left(clique, worksets, t_start)
+            no_growth = no_vertex and no_right and no_left
         if no_growth:
             worksets.new_maximal[clique.key()] = clique
         if frontier_threshold is not None and clique.tb >= frontier_threshold:

@@ -8,6 +8,7 @@ link-count balancing over distinct timestamps, and explicit user boundaries.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,17 +98,19 @@ def partition_links(
     stream: LinkStream, plan: PartitionPlan
 ) -> list[tuple[int, list[TemporalLink]]]:
     """Split the stream per plan into (boundary, links) batches covering every
-    link exactly once."""
+    link exactly once.
+
+    The stream's links are sorted by time, so each batch is the slice up to
+    the boundary's `bisect_right` position: one pass over the stream.
+    """
     bounds = plan_boundaries(stream, plan)
+    links = stream.links
     batches: list[tuple[int, list[TemporalLink]]] = []
-    prev: int | None = None
+    lo = 0
     for b in bounds:
-        if prev is None:
-            chunk = [l for l in stream.links if l.t <= b]
-        else:
-            chunk = [l for l in stream.links if prev < l.t <= b]
-        batches.append((b, chunk))
-        prev = b
+        hi = bisect_right(links, b, lo=lo, key=lambda l: l.t)
+        batches.append((b, list(links[lo:hi])))
+        lo = hi
     assigned = sum(len(chunk) for _, chunk in batches)
     if assigned != stream.n_links:
         raise PartitionError(

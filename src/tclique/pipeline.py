@@ -2,9 +2,10 @@
 
 Offline mode feeds every batch of the plan through the update cycle in
 process; online mode additionally persists a checksummed state file after
-each cycle and can resume a run by loading the newest state found in the
-state directory. Both finish by finalizing the collection against the bounded
-observation window, so their results are identical by construction.
+each cycle, keeping only the newest one, and can resume a run by loading the
+newest state found in the state directory. Both finish by finalizing the
+collection against the bounded observation window, so their results are
+identical by construction.
 """
 
 from __future__ import annotations
@@ -16,18 +17,16 @@ import resource
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .cliques import Clique, format_clique, parse_clique, sort_cliques
-from .errors import ConfigError, StateError, VerificationError
-from .expand import DEFAULT_ORDER
+from .errors import ConfigError, VerificationError
 from .linkstream import LinkStream
 from .oracle import OracleConfig, brute_force_enumerate
 from .partition import PartitionPlan, partition_links
 from .update import (
     BatchState,
     CycleStats,
-    StagingObserver,
     finalize,
     initial_state,
     load_state,
@@ -82,19 +81,18 @@ class CycleRow:
 
 @dataclass
 class RunReport:
-    """Everything a run produced: per-cycle rows, the final clique list (None
-    when the run stopped early), and the closing state."""
+    """Everything a run produced: per-cycle rows, the final clique list, and
+    the closing state. `completed` is always True: a run that returns has
+    consumed every batch of its plan."""
 
     rows: list[CycleRow]
     completed: bool
-    final: Optional[list[Clique]]
+    final: list[Clique]
     state: BatchState
     finalize_seconds: float = 0.0
 
     @property
     def final_count(self) -> int:
-        if self.final is None:
-            raise ValueError("run did not complete")
         return len(self.final)
 
 
@@ -107,19 +105,14 @@ def run_pipeline(
     state_dir: Optional[Path] = None,
     out_path: Optional[Path] = None,
     report_path: Optional[Path] = None,
-    order: Sequence[str] = DEFAULT_ORDER,
-    stop_after: Optional[int] = None,
-    debug: bool = False,
-    staging_observer: Optional[StagingObserver] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> RunReport:
     """Run the batch loop over `stream` per `plan` and finalize.
 
-    Online mode writes state_NNNN.txt into state_dir after each cycle and, on
-    a later invocation, resumes after the newest state found there (its
-    parameters must match). stop_after limits how many batches this
-    invocation processes (simulating an interruption); the run is then left
-    incomplete, with no result file written.
+    Online mode writes state_NNNN.txt into state_dir after each cycle and then
+    deletes the older state files, so only the newest state is kept. A later
+    invocation resumes after the newest state found there (its parameters and
+    boundary must match the plan).
     """
     say = log or (lambda _msg: None)
     if mode not in ("offline", "online"):
@@ -142,56 +135,41 @@ def run_pipeline(
             say(f"resuming after cycle {idx} (boundary {loaded.t_boundary})")
 
     rows: list[CycleRow] = []
-    processed = 0
-    completed = True
     for i in range(start_idx, len(batches)):
-        if stop_after is not None and processed >= stop_after:
-            completed = False
-            break
         boundary, chunk = batches[i]
         begin = time.perf_counter()
-        state, stats = update_batch(
-            state,
-            chunk,
-            boundary,
-            order=order,
-            debug=debug,
-            staging_observer=staging_observer,
-        )
+        state, stats = update_batch(state, chunk, boundary)
         wall = time.perf_counter() - begin
-        row = CycleRow(i + 1, stats, wall, _peak_rss_kb())
-        rows.append(row)
-        processed += 1
+        rows.append(CycleRow(i + 1, stats, wall, _peak_rss_kb()))
         say(
             f"cycle {i + 1}/{len(batches)}: boundary {boundary}, "
             f"{stats.batch_links} links, {stats.n_maximal} maximal, "
             f"{stats.n_frontier} frontier, {wall:.3f}s"
         )
         if mode == "online":
-            _write_state_file(state, state_dir / f"state_{i + 1:04d}.txt")
+            _write_state_file(state, state_dir, i + 1)
 
-    final: Optional[list[Clique]] = None
-    finalize_seconds = 0.0
-    if completed:
-        begin = time.perf_counter()
-        final = finalize(state, stream)
-        finalize_seconds = time.perf_counter() - begin
-        say(f"final: {len(final)} maximal cliques ({finalize_seconds:.3f}s)")
-        if out_path is not None:
-            Path(out_path).write_text(render_result(final))
+    begin = time.perf_counter()
+    final = finalize(state, stream)
+    finalize_seconds = time.perf_counter() - begin
+    say(f"final: {len(final)} maximal cliques ({finalize_seconds:.3f}s)")
+    if out_path is not None:
+        Path(out_path).write_text(render_result(final))
     if report_path is not None:
         _write_report(Path(report_path), rows, final, stream, finalize_seconds)
-    return RunReport(rows, completed, final, state, finalize_seconds)
+    return RunReport(rows, True, final, state, finalize_seconds)
 
 
-def _load_latest_state(state_dir: Path) -> Optional[tuple[int, BatchState]]:
-    best: Optional[tuple[int, Path]] = None
+def _state_files(state_dir: Path) -> Iterator[tuple[int, Path]]:
+    """(cycle, path) of every state_NNNN.txt in the directory."""
     for entry in state_dir.iterdir():
         m = _STATE_FILE.fullmatch(entry.name)
         if m:
-            idx = int(m.group(1))
-            if best is None or idx > best[0]:
-                best = (idx, entry)
+            yield int(m.group(1)), entry
+
+
+def _load_latest_state(state_dir: Path) -> Optional[tuple[int, BatchState]]:
+    best = max(_state_files(state_dir), default=None)
     if best is None:
         return None
     with open(best[1], "r", encoding="utf-8") as fh:
@@ -222,25 +200,25 @@ def _check_resume(
         )
 
 
-def _write_state_file(state: BatchState, path: Path) -> None:
+def _write_state_file(state: BatchState, state_dir: Path, cycle: int) -> None:
+    """Atomically write state_{cycle}.txt, then delete the older state files
+    (the previous one survives until the replace has succeeded)."""
+    path = state_dir / f"state_{cycle:04d}.txt"
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
         save_state(state, fh)
     os.replace(tmp, path)
+    for older, entry in _state_files(state_dir):
+        if older < cycle:
+            entry.unlink()
 
 
 def enumerate_maximal_cliques(
-    stream: LinkStream,
-    delta: int,
-    gamma: int,
-    order: Sequence[str] = DEFAULT_ORDER,
-    debug: bool = False,
+    stream: LinkStream, delta: int, gamma: int
 ) -> list[Clique]:
     """All maximal cliques of a bounded stream in one pass (single batch)."""
     state = initial_state(delta, gamma, stream.t_start)
-    state, _ = update_batch(
-        state, list(stream.links), stream.t_end, order=order, debug=debug
-    )
+    state, _ = update_batch(state, list(stream.links), stream.t_end)
     return finalize(state, stream)
 
 
@@ -265,7 +243,7 @@ def load_result(source: TextIO) -> list[Clique]:
 def _write_report(
     path: Path,
     rows: Sequence[CycleRow],
-    final: Optional[Sequence[Clique]],
+    final: Sequence[Clique],
     stream: LinkStream,
     finalize_seconds: float,
 ) -> None:
@@ -274,21 +252,20 @@ def _write_report(
         writer.writeheader()
         for row in rows:
             writer.writerow(row.as_record())
-        if final is not None:
-            writer.writerow(
-                {
-                    "cycle": "final",
-                    "t_boundary": stream.t_end,
-                    "batch_links": "",
-                    "maximal": len(final),
-                    "frontier": "",
-                    "new_cliques": "",
-                    "checked": "",
-                    "peak_live": "",
-                    "wall_seconds": round(finalize_seconds, 6),
-                    "peak_rss_kb": _peak_rss_kb(),
-                }
-            )
+        writer.writerow(
+            {
+                "cycle": "final",
+                "t_boundary": stream.t_end,
+                "batch_links": "",
+                "maximal": len(final),
+                "frontier": "",
+                "new_cliques": "",
+                "checked": "",
+                "peak_live": "",
+                "wall_seconds": round(finalize_seconds, 6),
+                "peak_rss_kb": _peak_rss_kb(),
+            }
+        )
 
 
 # -- summary statistics -------------------------------------------------------------

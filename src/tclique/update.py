@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Optional, Sequence, TextIO
 
 from .cliques import (
     Clique,
@@ -26,13 +26,11 @@ from .cliques import (
     parse_clique,
 )
 from .errors import ConfigError, StateError, TcliqueError
-from .expand import DEFAULT_ORDER, WorkItem, WorkSets, drain, seed_cliques
+from .expand import WorkItem, WorkSets, drain, seed_cliques
 from .linkstream import LinkStream, TemporalLink
 
 STATE_MAGIC = "tclique-state"
 STATE_VERSION = 1
-
-StagingObserver = Callable[[str, dict[CliqueKey, Clique]], None]
 
 
 @dataclass(frozen=True)
@@ -98,20 +96,16 @@ class CycleStats:
 
 
 def update_batch(
-    state: BatchState,
-    batch: Sequence[TemporalLink],
-    t_next: int,
-    order: Sequence[str] = DEFAULT_ORDER,
-    debug: bool = False,
-    staging_observer: Optional[StagingObserver] = None,
+    state: BatchState, batch: Sequence[TemporalLink], t_next: int
 ) -> tuple[BatchState, CycleStats]:
     """Advance the state across one batch of links ending at boundary t_next.
 
     The batch must contain exactly the links with timestamps in
     (previous boundary, t_next] — and not before t_start on the first cycle.
-    staging_observer, if given, is called with ("pre_removal", cliques) and
-    ("post_removal", cliques) snapshots of the merged collection around the
-    sweep (test hook).
+    The cycle grows the carried frontier cliques to the right, seeds and
+    expands the window around the previous boundary, sweeps the cycle's
+    results for absorbed cliques with `remove_sub_cliques`, and merges the
+    survivors with the carried cliques that no longer reach the boundary.
     """
     t_prev = state.t_boundary
     floor = state.t_start - 1 if t_prev is None else t_prev
@@ -127,7 +121,7 @@ def update_batch(
         tuple(state.link_tail) + tuple(batch),
         observation=(state.t_start, t_next),
     )
-    worksets = WorkSets(working, state.delta, state.gamma, debug=debug)
+    worksets = WorkSets(working, state.delta, state.gamma)
     worksets.seen.update(state.frontier)
 
     # Phase A: carried frontier cliques grow right over the refreshed stream.
@@ -137,7 +131,7 @@ def update_batch(
             WorkItem(replace(clique, candidates=None), right_only=True)
         )
     worksets._note_peak()
-    drain(worksets, state.t_start, t_next, order=order)
+    drain(worksets, state.t_start, t_next)
 
     # Phase B: fresh seeds from the window straddling the previous boundary.
     window_lo = state.t_start if t_prev is None else t_prev - state.delta
@@ -145,7 +139,7 @@ def update_batch(
         working, state.delta, state.gamma, (window_lo, t_next), state.t_start
     ):
         worksets.push_seed(seed)
-    drain(worksets, state.t_start, t_next, order=order)
+    drain(worksets, state.t_start, t_next)
 
     new_cliques = dict(worksets.new_maximal)
     carried = {
@@ -153,12 +147,8 @@ def update_batch(
         for key, clique in state.maximal.items()
         if key not in state.frontier
     }
-    if staging_observer is not None:
-        staging_observer("pre_removal", {**carried, **new_cliques})
     n_checked = remove_sub_cliques(new_cliques, t_prev)
     merged = {**carried, **new_cliques}
-    if staging_observer is not None:
-        staging_observer("post_removal", dict(merged))
 
     tail = tuple(working.links_in((t_next - state.delta, t_next)))
     next_state = BatchState(
@@ -362,7 +352,10 @@ def load_state(source: TextIO) -> BatchState:
     if not lines[4].startswith("t_boundary "):
         raise StateError("missing t_boundary field")
     raw_boundary = lines[4][len("t_boundary "):]
-    t_boundary = None if raw_boundary == "none" else int(raw_boundary)
+    try:
+        t_boundary = None if raw_boundary == "none" else int(raw_boundary)
+    except ValueError as exc:
+        raise StateError(f"bad t_boundary field {lines[4]!r}") from exc
 
     pos = 5
 
@@ -402,9 +395,9 @@ def load_state(source: TextIO) -> BatchState:
             raise StateError(f"bad link_tail line {line!r}")
         try:
             u, v, t = (int(p) for p in parts)
+            tail.append(TemporalLink(u, v, t))
         except ValueError as exc:
             raise StateError(f"bad link_tail line {line!r}") from exc
-        tail.append(TemporalLink(u, v, t))
     try:
         return BatchState(
             delta, gamma, t_start, t_boundary, maximal, frontier, tuple(tail)

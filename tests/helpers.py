@@ -1,26 +1,31 @@
 """Shared test utilities.
 
-Holds the deterministic random-stream corpus used by the acceptance tests and
-an independently written delta-clique enumerator (the gamma=1 special case)
-that cross-checks the engine through a second code path.
+Holds the deterministic random-stream corpus used by the acceptance tests,
+functions that run `update_batch` cycle by cycle (to look at the collection
+around the sub-clique sweep, or to leave a state directory as an interrupted
+online run would), and an independently written delta-clique enumerator (the
+gamma=1 special case) that cross-checks the engine through a second code path.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from pathlib import Path
 
+import tclique.update
 from tclique import (
+    BatchState,
     Clique,
     CliqueKey,
     LinkStream,
     PartitionPlan,
     TemporalLink,
     enumerate_maximal_cliques,
-    finalize,
     initial_state,
     partition_links,
     run_pipeline,
+    save_state,
     update_batch,
 )
 
@@ -49,8 +54,8 @@ def corpus_entry(index: int) -> tuple[LinkStream, int, int]:
     return random_stream(index), rng.randint(2, 6), rng.randint(1, 3)
 
 
-def offline_keys(stream: LinkStream, delta: int, gamma: int, **kw) -> frozenset[CliqueKey]:
-    return frozenset(c.key() for c in enumerate_maximal_cliques(stream, delta, gamma, **kw))
+def offline_keys(stream: LinkStream, delta: int, gamma: int) -> frozenset[CliqueKey]:
+    return frozenset(c.key() for c in enumerate_maximal_cliques(stream, delta, gamma))
 
 
 def random_boundaries(stream: LinkStream, rng: random.Random, max_batches: int = 4) -> tuple[int, ...]:
@@ -71,23 +76,84 @@ def partitioned_keys(
     return frozenset(c.key() for c in report.final)
 
 
-def run_batches(stream: LinkStream, delta: int, gamma: int, boundaries, **kw):
+def run_batches(stream: LinkStream, delta: int, gamma: int, boundaries):
     """Drive update_batch directly over an explicit plan; returns the final
     state (not finalized)."""
     state = initial_state(delta, gamma, stream.t_start)
     plan = PartitionPlan("explicit", boundaries=tuple(boundaries))
     for boundary, chunk in partition_links(stream, plan):
-        state, _ = update_batch(state, chunk, boundary, **kw)
+        state, _ = update_batch(state, chunk, boundary)
     return state
+
+
+def staged_cycles(
+    stream: LinkStream, delta: int, gamma: int, boundaries, monkeypatch
+) -> list[tuple[int, dict[CliqueKey, Clique], dict[CliqueKey, Clique]]]:
+    """Drive update_batch over an explicit plan and return, per cycle,
+    (boundary, pre-sweep collection, post-sweep collection).
+
+    The pre-sweep collection is what the cycle holds before
+    `remove_sub_cliques` runs: the carried cliques (the previous maximal set
+    minus its frontier) plus the cycle's new results, captured by recording
+    the argument of `remove_sub_cliques`. The post-sweep collection is the
+    next state's maximal set.
+    """
+    swept: list[dict[CliqueKey, Clique]] = []
+    sweep = tclique.update.remove_sub_cliques
+
+    def recording_sweep(new_cliques, t_prev):
+        swept.append(dict(new_cliques))
+        return sweep(new_cliques, t_prev)
+
+    cycles = []
+    state = initial_state(delta, gamma, stream.t_start)
+    plan = PartitionPlan("explicit", boundaries=tuple(boundaries))
+    with monkeypatch.context() as patch:
+        patch.setattr(tclique.update, "remove_sub_cliques", recording_sweep)
+        for boundary, chunk in partition_links(stream, plan):
+            carried = {
+                key: clique
+                for key, clique in state.maximal.items()
+                if key not in state.frontier
+            }
+            state, _ = update_batch(state, chunk, boundary)
+            (new_cliques,) = swept
+            swept.clear()
+            cycles.append((boundary, {**carried, **new_cliques}, dict(state.maximal)))
+    return cycles
+
+
+def prefill_state_dir(
+    stream: LinkStream,
+    delta: int,
+    gamma: int,
+    plan: PartitionPlan,
+    state_dir: Path,
+    n_batches: int,
+) -> None:
+    """Leave `state_dir` as an online run interrupted after `n_batches`
+    cycles would: update_batch over the plan's first n_batches batches, the
+    state saved as state_{n_batches:04d}.txt."""
+    state = initial_state(delta, gamma, stream.t_start)
+    for boundary, chunk in partition_links(stream, plan)[:n_batches]:
+        state, _ = update_batch(state, chunk, boundary)
+    Path(state_dir).mkdir(parents=True, exist_ok=True)
+    with open(Path(state_dir) / f"state_{n_batches:04d}.txt", "w", encoding="utf-8") as fh:
+        save_state(state, fh)
+
+
+def state_files(state_dir: Path) -> list[str]:
+    """Names of the files in a state directory, sorted."""
+    return sorted(entry.name for entry in Path(state_dir).iterdir())
 
 
 # -- synthetic states for persistence tests -------------------------------------------
 
 
-def random_state(seed: int) -> "BatchState":
+def random_state(seed: int) -> BatchState:
     """Structurally valid random BatchState (possibly fresh, possibly with
     candidate sets in all three shapes: absent, empty, populated)."""
-    from tclique import BatchState, make_clique
+    from tclique import make_clique
 
     rng = random.Random(seed)
     delta = rng.randint(1, 6)

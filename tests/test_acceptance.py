@@ -31,8 +31,11 @@ from helpers import (
     delta_clique_keys,
     offline_keys,
     partitioned_keys,
+    prefill_state_dir,
     random_boundaries,
     random_state,
+    staged_cycles,
+    state_files,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -122,36 +125,24 @@ def test_acceptance_gamma_one_reduces_to_delta_cliques(corpus):
 # -- 4: staging around the sweep brackets the true set --------------------------------
 
 
-def test_acceptance_staging_supersets_then_exact(corpus):
+def test_acceptance_staging_supersets_then_exact(corpus, monkeypatch):
     checked_cycles = 0
     for idx, (stream, delta, gamma) in enumerate(corpus):
         rng = random.Random(30_000 + idx)
         bounds = random_boundaries(stream, rng, max_batches=3)
-        snapshots: list[tuple[str, frozenset]] = []
-        run_pipeline(
-            stream,
-            delta,
-            gamma,
-            PartitionPlan("explicit", boundaries=bounds),
-            staging_observer=lambda tag, cliques: snapshots.append(
-                (tag, frozenset(cliques.values()))
-            ),
-        )
+        cycles = staged_cycles(stream, delta, gamma, bounds, monkeypatch)
         boundaries = sorted({*bounds, stream.time_bounds()[1]})
-        assert len(snapshots) == 2 * len(boundaries)
-        for cycle, boundary in enumerate(boundaries):
-            pre_tag, pre = snapshots[2 * cycle]
-            post_tag, post = snapshots[2 * cycle + 1]
-            assert (pre_tag, post_tag) == ("pre_removal", "post_removal")
+        assert [boundary for boundary, _, _ in cycles] == boundaries
+        for cycle, (boundary, pre, post) in enumerate(cycles):
             prefix = LinkStream(
                 [l for l in stream.links if l.t <= boundary],
                 observation=(stream.t_start, boundary),
             )
             truth = keyset(brute_force_enumerate(prefix, delta, gamma))
-            assert frozenset(normalize_final(pre, boundary)) >= truth, (
+            assert frozenset(normalize_final(pre.values(), boundary)) >= truth, (
                 f"stream {idx} cycle {cycle}: staged set lost a maximal clique"
             )
-            assert frozenset(normalize_final(post, boundary)) == truth, (
+            assert frozenset(normalize_final(post.values(), boundary)) == truth, (
                 f"stream {idx} cycle {cycle}: swept set differs from the truth"
             )
             checked_cycles += 1
@@ -169,19 +160,13 @@ GREEN = frozenset(
 RED = frozenset({((3, 4), 8, 16)})  # straddles the window boundary
 
 
-def test_acceptance_two_window_decomposition(handoff_stream):
+def test_acceptance_two_window_decomposition(handoff_stream, monkeypatch):
     delta, gamma, boundary = 4, 2, 11
     plan = PartitionPlan("explicit", boundaries=(boundary,))
-    snapshots = []
-    report = run_pipeline(
-        handoff_stream,
-        delta,
-        gamma,
-        plan,
-        staging_observer=lambda tag, cliques: snapshots.append((tag, dict(cliques))),
-    )
-    first_cycle_maximal = frozenset(snapshots[1][1])  # post-removal, cycle 1
+    cycles = staged_cycles(handoff_stream, delta, gamma, (boundary,), monkeypatch)
+    first_cycle_maximal = frozenset(cycles[0][2])  # post-sweep, cycle 1
     assert first_cycle_maximal == BLUE
+    report = run_pipeline(handoff_stream, delta, gamma, plan)
     final = keyset(report.final)
     assert final == BLUE | GREEN | RED
     assert BLUE.isdisjoint(GREEN) and BLUE.isdisjoint(RED) and GREEN.isdisjoint(RED)
@@ -258,14 +243,13 @@ def test_acceptance_state_round_trip_and_resume(handoff_stream, tmp_path):
     straight = tmp_path / "straight.txt"
     run_pipeline(handoff_stream, 4, 2, plan, out_path=straight)
     state_dir = tmp_path / "states"
-    interrupted = run_pipeline(
-        handoff_stream, 4, 2, plan, mode="online", state_dir=state_dir, stop_after=1
-    )
-    assert not interrupted.completed
+    prefill_state_dir(handoff_stream, 4, 2, plan, state_dir, 1)  # interrupted
     resumed_out = tmp_path / "resumed.txt"
-    run_pipeline(
+    resumed = run_pipeline(
         handoff_stream, 4, 2, plan, mode="online", state_dir=state_dir,
         out_path=resumed_out,
     )
+    assert [row.cycle for row in resumed.rows] == [2, 3, 4]
     assert resumed_out.read_bytes() == straight.read_bytes()
+    assert state_files(state_dir) == ["state_0004.txt"]
     print("\nACCEPTANCE state round-trip and resume: PASS (100 states + interruption)")

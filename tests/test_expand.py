@@ -1,7 +1,5 @@
 """Seeds, growth procedures, and the worklist."""
 
-from itertools import permutations
-
 import pytest
 
 from tclique import (
@@ -12,7 +10,6 @@ from tclique import (
     seed_cliques,
 )
 from tclique.expand import (
-    DEFAULT_ORDER,
     WorkItem,
     WorkSets,
     drain,
@@ -21,7 +18,7 @@ from tclique.expand import (
     extend_right,
 )
 from tclique.linkstream import links_from_pairs
-from helpers import offline_keys, random_stream
+from helpers import random_stream
 
 
 def fresh_ws(stream, delta, gamma, debug=True):
@@ -87,7 +84,7 @@ def test_seeds_never_clamp_right():
 
 def test_extend_right_example(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
-    flag = extend_right(make_clique([1, 2], 1, 4), ws, f1_stream, 3, 2)
+    flag = extend_right(make_clique([1, 2], 1, 4), ws)
     assert flag is False
     assert [c.key() for c in enqueued(ws)] == [((1, 2), 1, 7)]
 
@@ -95,32 +92,21 @@ def test_extend_right_example(f1_stream):
 def test_extend_right_blocked(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
     # anchor: last two occurrences of (1,2) within [1,8] start at 4 -> 4+3=7
-    flag = extend_right(make_clique([1, 2], 1, 7), ws, f1_stream, 3, 2)
+    flag = extend_right(make_clique([1, 2], 1, 7), ws)
     assert flag is True and not ws.pending
 
 
 def test_extend_right_past_observation_end(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2, debug=False)
-    flag = extend_right(make_clique([1, 2], 4, 5), ws, f1_stream, 3, 2)
+    flag = extend_right(make_clique([1, 2], 4, 5), ws)
     assert flag is False
     assert [c.key() for c in enqueued(ws)] == [((1, 2), 4, 7)]
-
-
-def test_extend_right_clamped_mode(f1_stream):
-    ws = fresh_ws(f1_stream, 3, 2)
-    flag = extend_right(
-        make_clique([1, 2], 1, 4), ws, f1_stream, 3, 2, clamp_end=5
-    )
-    assert flag is False
-    assert [c.key() for c in enqueued(ws)] == [((1, 2), 1, 5)]
-    ws2 = fresh_ws(f1_stream, 3, 2)
-    assert extend_right(make_clique([1, 2], 1, 5), ws2, f1_stream, 3, 2, clamp_end=5)
 
 
 def test_extend_right_missing_pair_blocks():
     stream = links_from_pairs({(1, 2): [0, 1], (1, 3): [0], (2, 3): [0, 1]})
     ws = fresh_ws(stream, 2, 2, debug=False)
-    assert extend_right(make_clique([1, 2, 3], 0, 0), ws, stream, 2, 2) is True
+    assert extend_right(make_clique([1, 2, 3], 0, 0), ws) is True
 
 
 # -- extend left -----------------------------------------------------------------
@@ -128,7 +114,7 @@ def test_extend_right_missing_pair_blocks():
 
 def test_extend_left_example(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
-    flag = extend_left(make_clique([1, 2], 2, 5), ws, f1_stream, 3, 2, t_start=1)
+    flag = extend_left(make_clique([1, 2], 2, 5), ws, t_start=1)
     assert flag is False
     assert [c.key() for c in enqueued(ws)] == [((1, 2), 1, 5)]
 
@@ -137,14 +123,14 @@ def test_extend_left_clamped_start_counts_as_blocked(f1_stream):
     # anchor would fall before the observation start; after clamping there is
     # no strict growth, so the move reports exhaustion
     ws = fresh_ws(f1_stream, 3, 2)
-    flag = extend_left(make_clique([1, 2], 1, 2), ws, f1_stream, 3, 2, t_start=1)
+    flag = extend_left(make_clique([1, 2], 1, 2), ws, t_start=1)
     assert flag is True and not ws.pending
 
 
 def test_extend_left_partial_clamp():
     stream = links_from_pairs({(1, 2): [2, 3, 9]})
     ws = fresh_ws(stream, 4, 2, debug=False)
-    flag = extend_left(make_clique([1, 2], 3, 6), ws, stream, 4, 2, t_start=2)
+    flag = extend_left(make_clique([1, 2], 3, 6), ws, t_start=2)
     assert flag is False
     assert [c.key() for c in enqueued(ws)] == [((1, 2), 2, 6)]
 
@@ -155,7 +141,7 @@ def test_extend_left_partial_clamp():
 def test_expand_vertex_example(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
     clique = make_clique([1, 2], 2, 5, candidates={3})
-    flag = expand_vertex_set(clique, ws, f1_stream, 3, 2)
+    flag = expand_vertex_set(clique, ws)
     assert flag is False
     grown = enqueued(ws)[0]
     assert grown.key() == ((1, 2, 3), 2, 5)
@@ -164,22 +150,22 @@ def test_expand_vertex_example(f1_stream):
 
 def test_expand_vertex_requires_candidates(f1_stream):
     with pytest.raises(ValueError):
-        expand_vertex_set(make_clique([1, 2], 2, 5), fresh_ws(f1_stream, 3, 2), f1_stream, 3, 2)
+        expand_vertex_set(make_clique([1, 2], 2, 5), fresh_ws(f1_stream, 3, 2))
 
 
 def test_expand_vertex_empty_candidates_is_exhausted(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
     clique = make_clique([1, 2], 1, 2, candidates=())
-    assert expand_vertex_set(clique, ws, f1_stream, 3, 2) is True
+    assert expand_vertex_set(clique, ws) is True
 
 
 def test_flags_independent_of_seen_suppression(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
     clique = make_clique([1, 2], 2, 5, candidates={3})
-    assert expand_vertex_set(clique, ws, f1_stream, 3, 2) is False
+    assert expand_vertex_set(clique, ws) is False
     assert len(ws.pending) == 1
     # second call: growth still exists, enqueue suppressed by the seen set
-    assert expand_vertex_set(clique, ws, f1_stream, 3, 2) is False
+    assert expand_vertex_set(clique, ws) is False
     assert len(ws.pending) == 1
 
 
@@ -197,21 +183,17 @@ def test_right_only_items_skip_other_moves(f1_stream):
     assert ((1, 2), 1, 5) not in ws.seen  # no left move happened
 
 
-def test_drain_rejects_unknown_order(f1_stream):
+def test_every_move_runs_after_an_earlier_one_grows(f1_stream):
+    # {1,2} [2,5] grows by vertex 3, to the right and to the left; the right
+    # and left growths are only reachable from this clique, so they are
+    # enqueued only if drain runs the later moves after the vertex move grew
     ws = fresh_ws(f1_stream, 3, 2)
-    with pytest.raises(AssertionError):
-        drain(ws, 1, None, order=("vertex", "right"))
-
-
-def test_order_independence():
-    for seed in (3, 17, 42):
-        stream = random_stream(seed)
-        delta, gamma = 4, 2
-        results = {
-            order: offline_keys(stream, delta, gamma, order=order)
-            for order in permutations(DEFAULT_ORDER)
-        }
-        assert len(set(results.values())) == 1
+    start = make_clique([1, 2], 2, 5, candidates={3})
+    ws.seen.add(start.key())
+    ws.pending.append(WorkItem(start))
+    drain(ws, t_start=1, frontier_threshold=None)
+    assert {((1, 2, 3), 2, 5), ((1, 2), 2, 7), ((1, 2), 1, 5)} <= ws.seen
+    assert set(ws.new_maximal) == {((1, 2), 1, 7), ((1, 2, 3), 2, 5)}
 
 
 def test_debug_mode_rejects_invalid_enqueue(f1_stream):

@@ -1,7 +1,10 @@
-"""Pipeline runs, persistence, reports, stats, and the CLI."""
+"""Pipeline runs, persistence, reports, stats, the CLI, and the scripts."""
 
 import csv
 import io
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +23,10 @@ from tclique import (
     verify_against_oracle,
 )
 from tclique.cli import main
-from conftest import DATA_DIR
+from conftest import DATA_DIR, load_fixture
+from helpers import prefill_state_dir, state_files
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_offline_and_online_results_are_byte_identical(handoff_stream, tmp_path):
@@ -33,8 +39,25 @@ def test_offline_and_online_results_are_byte_identical(handoff_stream, tmp_path)
         mode="online", state_dir=tmp_path / "state", out_path=on_out,
     )
     assert off_out.read_bytes() == on_out.read_bytes()
-    assert (tmp_path / "state" / "state_0001.txt").exists()
-    assert (tmp_path / "state" / "state_0002.txt").exists()
+    # only the newest state file is kept
+    assert state_files(tmp_path / "state") == ["state_0002.txt"]
+
+
+def test_online_run_keeps_only_the_newest_state_file(handoff_stream, tmp_path):
+    state_dir = tmp_path / "state"
+    report = run_pipeline(
+        handoff_stream, 4, 2, PartitionPlan("ut", 6),
+        mode="online", state_dir=state_dir,
+    )
+    k = len(report.rows)
+    assert k > 2
+    assert state_files(state_dir) == [f"state_{k:04d}.txt"]
+    # rerunning resumes from the kept state, with no batch left to run
+    again = run_pipeline(
+        handoff_stream, 4, 2, PartitionPlan("ut", 6),
+        mode="online", state_dir=state_dir,
+    )
+    assert again.rows == [] and again.final == report.final
 
 
 def test_interrupted_online_run_resumes_to_the_same_bytes(handoff_stream, tmp_path):
@@ -43,12 +66,7 @@ def test_interrupted_online_run_resumes_to_the_same_bytes(handoff_stream, tmp_pa
     run_pipeline(handoff_stream, 4, 2, plan, out_path=whole)
 
     state_dir = tmp_path / "state"
-    partial = run_pipeline(
-        handoff_stream, 4, 2, plan, mode="online", state_dir=state_dir, stop_after=2
-    )
-    assert not partial.completed and partial.final is None
-    assert (state_dir / "state_0002.txt").exists()
-    assert not (state_dir / "state_0003.txt").exists()
+    prefill_state_dir(handoff_stream, 4, 2, plan, state_dir, 2)  # interrupted
 
     resumed_out = tmp_path / "resumed.txt"
     resumed = run_pipeline(
@@ -58,14 +76,13 @@ def test_interrupted_online_run_resumes_to_the_same_bytes(handoff_stream, tmp_pa
     assert resumed.completed
     assert [row.cycle for row in resumed.rows] == [3, 4]  # only the remaining cycles
     assert resumed_out.read_bytes() == whole.read_bytes()
+    assert state_files(state_dir) == ["state_0004.txt"]
 
 
 def test_resume_rejects_parameter_mismatch(handoff_stream, tmp_path):
     plan = PartitionPlan("explicit", boundaries=(11,))
     state_dir = tmp_path / "state"
-    run_pipeline(
-        handoff_stream, 4, 2, plan, mode="online", state_dir=state_dir, stop_after=1
-    )
+    prefill_state_dir(handoff_stream, 4, 2, plan, state_dir, 1)
     with pytest.raises(ConfigError, match="delta"):
         run_pipeline(handoff_stream, 5, 2, plan, mode="online", state_dir=state_dir)
     with pytest.raises(ConfigError, match="plan"):
@@ -230,3 +247,30 @@ def test_cli_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert main(["run", "--help"]) == 0
     capsys.readouterr()
+
+
+# -- scripts ------------------------------------------------------------------------------
+
+
+def test_sweep_parameters_script_writes_its_csv(tmp_path):
+    out = tmp_path / "sweep.csv"
+    done = subprocess.run(
+        [
+            sys.executable, str(REPO_ROOT / "scripts" / "sweep_parameters.py"),
+            str(DATA_DIR / "handoff.txt"), "--deltas", "2", "4", "--gammas", "1", "2",
+            "--out", str(out),
+        ],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["delta"], r["gamma"]) for r in rows] == [
+        ("2", "1"), ("2", "2"), ("4", "1"), ("4", "2"),
+    ]
+    # the script reads the file with its own observation window, [1, 20]
+    stream = load_fixture("handoff.txt")
+    for r in rows:
+        expected = enumerate_maximal_cliques(stream, int(r["delta"]), int(r["gamma"]))
+        assert int(r["n_maximal"]) == len(expected)
+        assert r["cycles"] == "1"

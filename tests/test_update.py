@@ -4,6 +4,7 @@ import hashlib
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tclique import (
     BatchState,
@@ -22,7 +23,13 @@ from tclique import (
     update_batch,
 )
 from tclique.update import remove_sub_cliques
-from helpers import candidate_maps, offline_keys, random_state, run_batches
+from helpers import (
+    candidate_maps,
+    offline_keys,
+    random_state,
+    run_batches,
+    staged_cycles,
+)
 
 
 def keys(cliques):
@@ -105,19 +112,13 @@ def test_frontier_invariant_is_validated():
         BatchState(3, 2, 0, 5, {}, {lagging.key(): lagging}, ())
 
 
-def test_staging_observer_sees_both_snapshots(handoff_stream):
-    snapshots = []
-    run_batches(
-        handoff_stream,
-        4,
-        2,
-        (11, 20),
-        staging_observer=lambda tag, cliques: snapshots.append((tag, set(cliques))),
-    )
-    tags = [tag for tag, _ in snapshots]
-    assert tags == ["pre_removal", "post_removal"] * 2
-    for (pre_tag, pre), (post_tag, post) in zip(snapshots[::2], snapshots[1::2]):
-        assert pre >= post
+def test_staging_observer_sees_both_snapshots(handoff_stream, monkeypatch):
+    # pre-sweep (carried + new) and post-sweep (next maximal) per cycle
+    cycles = staged_cycles(handoff_stream, 4, 2, (11, 20), monkeypatch)
+    assert [boundary for boundary, _, _ in cycles] == [11, 20]
+    for _, pre, post in cycles:
+        assert set(pre) >= set(post)
+    assert cycles[-1][2] == run_batches(handoff_stream, 4, 2, (11, 20)).maximal
 
 
 # -- removal ---------------------------------------------------------------------------
@@ -199,6 +200,55 @@ def test_state_corruption_is_detected(handoff_stream):
         load_state(io.StringIO(body + f"checksum {digest}\n"))
     with pytest.raises(StateError):
         load_state(io.StringIO(""))
+
+
+def signed(body_lines: list[str]) -> str:
+    """State text with a valid checksum over the given body lines."""
+    body = "\n".join(body_lines) + "\n"
+    return body + f"checksum {hashlib.sha256(body.encode('utf-8')).hexdigest()}\n"
+
+
+def test_load_state_wraps_bad_values_in_state_error(handoff_stream):
+    lines = dump_state(run_batches(handoff_stream, 4, 2, (11,))).splitlines()[:-1]
+    assert lines[4].startswith("t_boundary ")
+    with pytest.raises(StateError, match="t_boundary"):
+        load_state(io.StringIO(signed(lines[:4] + ["t_boundary x"] + lines[5:])))
+    # a tail line with u > v is not a canonical link
+    assert lines[-1].count(" ") == 2
+    with pytest.raises(StateError, match="link_tail"):
+        load_state(io.StringIO(signed(lines[:-1] + ["2 1 5"])))
+
+
+STATE_TOKENS = st.sampled_from(
+    ["x", "none", "-", "", "-1", "0", "7", "2 1 5", "1 1 3", "1,2", "1,1 [0,1]",
+     "2,1 [0,1]", "1,2 [5,1]", "1,2 [0,1] | x", "1,2 [0,1] | -", "1,2 [0,1] |",
+     "maximal 99", "frontier -1", "link_tail x", "t_boundary x", "tclique-state v1"]
+)
+STATE_TEXT = st.text(alphabet="0123456789 ,-|[]xnoe", max_size=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(0, 1_000),
+    st.booleans(),
+    st.one_of(STATE_TOKENS, STATE_TEXT),
+)
+def test_mutated_state_raises_only_state_error(seed, line, whole_line, new):
+    """Change one line of a state file, re-sign it so the parser is reached,
+    and load it: it either loads or raises StateError, nothing else."""
+    lines = dump_state(random_state(seed)).splitlines()[:-1]
+    idx = line % len(lines)
+    if whole_line:
+        lines[idx] = new
+    else:  # replace one space-separated token of the line
+        tokens = lines[idx].split(" ")
+        tokens[line % len(tokens)] = new
+        lines[idx] = " ".join(tokens)
+    try:
+        load_state(io.StringIO(signed(lines)))
+    except StateError:
+        pass
 
 
 def test_loaded_state_resumes_identically(handoff_stream):
