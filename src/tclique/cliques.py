@@ -187,11 +187,13 @@ def contains(outer: Clique, inner: Clique) -> bool:
     subset with an interval covered by the outer one. Identical cliques do
     not contain each other.
     """
-    outer_verts = set(outer.vertices)
-    inner_verts = set(inner.vertices)
-    if inner_verts == outer_verts:
-        return outer.span.covers(inner.span) and inner.span != outer.span
-    return inner_verts < outer_verts and outer.span.covers(inner.span)
+    if not outer.span.covers(inner.span):
+        return False
+    if outer.vertices == inner.vertices:  # both strictly sorted
+        return outer.span != inner.span
+    if len(outer.vertices) <= len(inner.vertices):
+        return False
+    return set(outer.vertices).issuperset(inner.vertices)
 
 
 def format_clique(clique: Clique) -> str:

@@ -180,20 +180,36 @@ def remove_sub_cliques(
 
     Only cliques starting at or before the previous boundary can have been
     reported maximal by an earlier cycle and later absorbed, so only those are
-    checked — each against the full collection. No-op before the first
-    boundary exists.
+    checked, each against the cycle's results through `contained_cliques`.
+    No-op before the first boundary exists.
     """
     if t_prev is None:
         return 0
     checked = [c for c in new_cliques.values() if c.ta <= t_prev]
-    doomed = [c for c in checked if _contained_in_any(c, new_cliques.values())]
-    for clique in doomed:
+    for clique in contained_cliques(checked, new_cliques.values()):
         del new_cliques[clique.key()]
     return len(checked)
 
 
-def _contained_in_any(clique: Clique, collection: Iterable[Clique]) -> bool:
-    return any(contains(other, clique) for other in collection)
+def contained_cliques(
+    inner: Iterable[Clique], collection: Iterable[Clique]
+) -> list[Clique]:
+    """The cliques of `inner` that some clique of `collection` contains.
+
+    A posting index maps each vertex to the collection cliques holding it.
+    A container holds every vertex of the inner clique, so it sits in every
+    one of their posting lists; `contains` runs only against the shortest.
+    """
+    postings: dict[int, list[Clique]] = {}
+    for outer in collection:
+        for vertex in outer.vertices:
+            postings.setdefault(vertex, []).append(outer)
+    found = []
+    for clique in inner:
+        shortest = min((postings.get(v, ()) for v in clique.vertices), key=len)
+        if any(contains(outer, clique) for outer in shortest):
+            found.append(clique)
+    return found
 
 
 # -- finalization ------------------------------------------------------------------
@@ -208,12 +224,9 @@ def normalize_final(
     for clique in cliques:
         bounded = Clique(clique.vertices, Interval(clique.ta, min(clique.tb, t_end)))
         clamped[bounded.key()] = bounded
-    survivors = {
-        key: clique
-        for key, clique in clamped.items()
-        if not _contained_in_any(clique, clamped.values())
-    }
-    return survivors
+    for clique in contained_cliques(clamped.values(), clamped.values()):
+        del clamped[clique.key()]
+    return clamped
 
 
 def finalize(state: BatchState, stream: LinkStream) -> list[Clique]:
@@ -398,6 +411,17 @@ def load_state(source: TextIO) -> BatchState:
             tail.append(TemporalLink(u, v, t))
         except ValueError as exc:
             raise StateError(f"bad link_tail line {line!r}") from exc
+    # a repeated line would silently drop an entry from a section
+    for name, section_lines, distinct in (
+        ("maximal", maximal_lines, maximal),
+        ("frontier", frontier_lines, frontier),
+        ("link_tail", tail_lines, set(tail)),
+    ):
+        if len(distinct) != len(section_lines):
+            raise StateError(
+                f"{name} section lists {len(section_lines)} entries but "
+                f"only {len(distinct)} distinct ones"
+            )
     try:
         return BatchState(
             delta, gamma, t_start, t_boundary, maximal, frontier, tuple(tail)

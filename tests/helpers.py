@@ -147,6 +147,24 @@ def state_files(state_dir: Path) -> list[str]:
     return sorted(entry.name for entry in Path(state_dir).iterdir())
 
 
+def group_contact_stream(seed: int, n_meetings: int) -> LinkStream:
+    """Seeded group-contact stream: `n_meetings` meetings, one starting every
+    4-10 ticks of 20 s, of 2-6 vertices drawn from 30, lasting 1-15 ticks,
+    with each pair of the group in contact with probability 0.7 per tick.
+    With so few vertices, each sits in tens to hundreds of cliques."""
+    rng = random.Random(seed)
+    links = set()
+    start = 0
+    for _ in range(n_meetings):
+        start += rng.randint(4, 10)
+        group = sorted(rng.sample(range(1, 31), rng.randint(2, 6)))
+        for tick in range(start, start + rng.randint(1, 15)):
+            for u, v in combinations(group, 2):
+                if rng.random() < 0.7:
+                    links.add(TemporalLink(u, v, tick * 20))
+    return LinkStream(sorted(links, key=lambda l: (l.t, l.u, l.v)))
+
+
 # -- synthetic states for persistence tests -------------------------------------------
 
 

@@ -24,7 +24,7 @@ from tclique import (
 )
 from tclique.cli import main
 from conftest import DATA_DIR, load_fixture
-from helpers import prefill_state_dir, state_files
+from helpers import group_contact_stream, prefill_state_dir, state_files
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -91,6 +91,29 @@ def test_resume_rejects_parameter_mismatch(handoff_stream, tmp_path):
             PartitionPlan("explicit", boundaries=(9,)),
             mode="online", state_dir=state_dir,
         )
+
+
+@pytest.mark.slow
+def test_partitions_agree_on_a_group_contact_stream(tmp_path):
+    """Offline, ut and ulc batches, and an interrupted online run give the
+    same bytes on a 4.6k-link stream whose vertices sit in 44 to 189 final
+    cliques each (long posting lists), far beyond the oracle corpus's sizes."""
+    stream = group_contact_stream(seed=2024, n_meetings=110)
+    assert 3_000 <= stream.n_links <= 5_000
+    delta, gamma = 360, 2
+    whole = render_result(run_pipeline(stream, delta, gamma, PartitionPlan("ut", 1)).final)
+    assert whole.count("\n") > 500
+    for plan in (PartitionPlan("ut", 8), PartitionPlan("ulc", 8)):
+        report = run_pipeline(stream, delta, gamma, plan)
+        assert len(report.rows) == 8
+        assert render_result(report.final) == whole, plan
+
+    plan = PartitionPlan("ut", 8)
+    state_dir = tmp_path / "state"
+    prefill_state_dir(stream, delta, gamma, plan, state_dir, 4)  # interrupted
+    resumed = run_pipeline(stream, delta, gamma, plan, mode="online", state_dir=state_dir)
+    assert [row.cycle for row in resumed.rows] == [5, 6, 7, 8]
+    assert render_result(resumed.final) == whole
 
 
 def test_online_mode_needs_state_dir(handoff_stream):

@@ -4,7 +4,7 @@ import hashlib
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tclique import (
     BatchState,
@@ -13,6 +13,7 @@ from tclique import (
     StateError,
     TemporalLink,
     brute_force_enumerate,
+    contains,
     dump_state,
     finalize,
     initial_state,
@@ -22,7 +23,7 @@ from tclique import (
     save_state,
     update_batch,
 )
-from tclique.update import remove_sub_cliques
+from tclique.update import contained_cliques, remove_sub_cliques
 from helpers import (
     candidate_maps,
     offline_keys,
@@ -144,6 +145,38 @@ def test_remove_sub_cliques_noop_before_first_boundary():
     assert len(collection) == 2
 
 
+def small_cliques(top_vertex: int):
+    """Cliques over vertices 1..top_vertex with spans inside [0, 8]; few
+    enough values that equal vertex sets with nested spans are common."""
+    return st.builds(
+        lambda verts, ta, length: make_clique(verts, ta, ta + length),
+        st.sets(st.integers(1, top_vertex), min_size=2, max_size=4),
+        st.integers(0, 4),
+        st.integers(0, 4),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(small_cliques(5), max_size=12),
+    st.lists(small_cliques(7), max_size=6),  # vertices 6 and 7: in no posting list
+    st.lists(st.integers(0, 50), max_size=6),
+)
+# equal vertex sets, nested spans (both ways round)
+@example([make_clique([1, 2], 0, 8)], [make_clique([1, 2], 2, 5)], [])
+@example([make_clique([1, 2], 2, 5)], [make_clique([1, 2], 0, 8)], [])
+# identical cliques: taken from the collection itself
+@example([make_clique([1, 2, 3], 0, 4), make_clique([1, 2], 1, 3)], [], [0, 1])
+# an inner clique absent from the collection, inside one of its cliques
+@example([make_clique([1, 2, 3], 0, 4)], [make_clique([1, 3], 1, 2)], [])
+# an inner vertex that no collection clique holds
+@example([make_clique([1, 2], 0, 8)], [make_clique([1, 6], 1, 2)], [])
+def test_contained_cliques_matches_brute_force(collection, fresh, picks):
+    inner = fresh + [collection[i % len(collection)] for i in picks if collection]
+    expected = [c for c in inner if any(contains(o, c) for o in collection)]
+    assert contained_cliques(inner, collection) == expected
+
+
 # -- finalize ----------------------------------------------------------------------------
 
 
@@ -217,6 +250,19 @@ def test_load_state_wraps_bad_values_in_state_error(handoff_stream):
     assert lines[-1].count(" ") == 2
     with pytest.raises(StateError, match="link_tail"):
         load_state(io.StringIO(signed(lines[:-1] + ["2 1 5"])))
+
+
+def test_load_state_rejects_repeated_section_lines(handoff_stream):
+    state = initial_state(4, 1, handoff_stream.t_start)
+    state, _ = update_batch(state, [l for l in handoff_stream.links if l.t <= 11], 11)
+    lines = dump_state(state).splitlines()[:-1]
+    for section in ("maximal", "frontier", "link_tail"):
+        head = next(i for i, line in enumerate(lines) if line.startswith(section + " "))
+        assert int(lines[head].split()[1]) >= 2
+        # the second line repeats the first: the count stays, one entry is lost
+        repeated = lines[: head + 2] + [lines[head + 1]] + lines[head + 3 :]
+        with pytest.raises(StateError, match=f"{section} section lists"):
+            load_state(io.StringIO(signed(repeated)))
 
 
 STATE_TOKENS = st.sampled_from(
