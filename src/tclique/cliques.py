@@ -15,6 +15,7 @@ equal on randomized inputs.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional
@@ -141,20 +142,24 @@ def _pair_valid_fast(
     (a) the gamma-th occurrence arrives by ta+delta, and (b) after any
     occurrence s_i with s_i + 1 <= tb - delta, the gamma-th occurrence
     after s_i arrives by s_i + 1 + delta (a missing one fails, which also
-    rejects trailing windows past the last occurrence).
+    rejects trailing windows past the last occurrence). The occurrences in
+    [ta, tb] are read in place, between two bisect positions.
     """
-    occ = stream.occurrences_in(pair, (ta, tb))
-    k = len(occ)
-    if k < gamma:
+    occ = stream.occurrences(pair)
+    lo = bisect_left(occ, ta)
+    hi = bisect_right(occ, tb)
+    if hi - lo < gamma:
         return False
     if tb - ta <= delta:
         return True
-    if occ[gamma - 1] > ta + delta:
+    if occ[lo + gamma - 1] > ta + delta:
         return False
-    for i, s in enumerate(occ):
-        if s + 1 > tb - delta:
+    last_start = tb - delta
+    for i in range(lo, hi):
+        s = occ[i]
+        if s + 1 > last_start:
             break
-        if i + gamma >= k or occ[i + gamma] > s + 1 + delta:
+        if i + gamma >= hi or occ[i + gamma] > s + 1 + delta:
             return False
     return True
 

@@ -11,21 +11,43 @@ the worklist tracks per item.
 Each move reads the stream, delta and gamma from the cycle's `WorkSets` and
 returns True when the clique could NOT be grown that way (the "no extension"
 flag); a clique is maximal within the cycle when all three return True.
+
+Every enqueued clique is valid, so the vertex move checks only the pairs a
+growth adds. A clique without a pool (a seed, or a clique made by an interval
+move) tests each candidate w against all of its members. The vertex move
+enqueues each valid growth Z+{w} with a same-span pool: the sorted tuple of
+all valid growths of Z at that span, shared by the siblings, and w as the
+newest vertex. Popped, such a child tests only the pair (w', w) for each w'
+of the pool: at a fixed span, w' extends Z+{w} iff it extends Z and pairs
+validly with w (the candidate narrowing of Bron-Kerbosch, restricted to one
+span). The growths found, and so the traversal, are those of a full check.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cliques import Clique, CliqueKey, Interval, is_delta_gamma_clique
+from .cliques import (
+    Clique,
+    CliqueKey,
+    Interval,
+    _pair_valid_fast,
+    is_delta_gamma_clique,
+)
 from .linkstream import LinkStream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkItem:
+    """A queued clique. `pool` and `newest` are set on vertex growths only:
+    the valid growths of the parent at this span, and the vertex added."""
+
     clique: Clique
     right_only: bool = False
+    pool: Optional[tuple[int, ...]] = None
+    newest: Optional[int] = None
 
 
 @dataclass
@@ -37,6 +59,7 @@ class WorkSets:
     new_maximal   cliques found maximal within this cycle
     next_frontier popped cliques whose right end reaches the cycle boundary
     peak_live     max of |pending|+|seen|+|new_maximal|+|next_frontier|
+    pair_checks   pair validity checks made by the vertex move
 
     With debug=True every enqueued clique is checked against the validity
     predicate (slow; test use).
@@ -51,6 +74,7 @@ class WorkSets:
     new_maximal: dict[CliqueKey, Clique] = field(default_factory=dict)
     next_frontier: dict[CliqueKey, Clique] = field(default_factory=dict)
     peak_live: int = 0
+    pair_checks: int = 0
 
     def _note_peak(self) -> None:
         live = (
@@ -72,14 +96,20 @@ class WorkSets:
                 self.gamma,
             ), f"enqueued invalid clique {clique}"
 
-    def offer(self, clique: Clique, right_only: bool = False) -> bool:
+    def offer(
+        self,
+        clique: Clique,
+        right_only: bool = False,
+        pool: Optional[tuple[int, ...]] = None,
+        newest: Optional[int] = None,
+    ) -> bool:
         """Enqueue unless the key was ever enqueued before."""
         key = clique.key()
         if key in self.seen:
             return False
         self._debug_check(clique)
         self.seen.add(key)
-        self.pending.append(WorkItem(clique, right_only))
+        self.pending.append(WorkItem(clique, right_only, pool, newest))
         self._note_peak()
         return True
 
@@ -140,26 +170,51 @@ def seed_cliques(
 # -- growth procedures ----------------------------------------------------------
 
 
-def expand_vertex_set(clique: Clique, worksets: WorkSets) -> bool:
+def expand_vertex_set(
+    clique: Clique,
+    worksets: WorkSets,
+    pool: Optional[tuple[int, ...]] = None,
+    newest: Optional[int] = None,
+) -> bool:
     """Try every candidate vertex; True iff none produced a valid clique.
 
-    Valid growths are enqueued (dedup applies) inheriting the candidate set
-    unchanged; the flag reflects validity, not whether the enqueue happened.
+    Without a pool each candidate outside the clique is tested against every
+    member; with one, only the pool vertices outside the clique are tried,
+    each against `newest` alone (see the module docstring). Valid growths are
+    enqueued (dedup applies) inheriting the candidate set unchanged, with
+    the tuple of all of them as their pool; the flag reflects validity, not
+    whether the enqueue happened.
     """
     if clique.candidates is None:
         raise ValueError(f"clique {clique} has no candidate set")
     stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
-    members = set(clique.vertices)
-    span = (clique.ta, clique.tb)
-    grew = False
-    for w in sorted(clique.candidates - members):
-        verts = tuple(sorted(members | {w}))
-        if is_delta_gamma_clique(verts, span, stream, delta, gamma):
-            grew = True
-            worksets.offer(
-                Clique(verts, clique.span, clique.candidates), right_only=False
-            )
-    return not grew
+    ta, tb = clique.ta, clique.tb
+    members = clique.vertices
+    if pool is None:
+        tried, partners = sorted(clique.candidates), members
+    else:
+        tried, partners = pool, (newest,)
+    checks = 0
+    ok = []
+    for w in tried:
+        if w in members:
+            continue
+        for z in partners:
+            checks += 1
+            pair = (w, z) if w < z else (z, w)
+            if not _pair_valid_fast(stream, pair, ta, tb, delta, gamma):
+                break
+        else:
+            ok.append(w)
+    worksets.pair_checks += checks
+    growths = tuple(ok)
+    for w in growths:
+        at = bisect_left(members, w)
+        verts = members[:at] + (w,) + members[at:]
+        worksets.offer(
+            Clique(verts, clique.span, clique.candidates), pool=growths, newest=w
+        )
+    return not growths
 
 
 def extend_right(
@@ -229,7 +284,8 @@ def drain(
     extension; the other two moves are treated as exhausted for them. Every
     other item gets all three moves, in the fixed sequence vertex, right,
     left; each move runs even when an earlier one grew the clique, because
-    each enqueues its own growths. Fully processed cliques with no possible
+    each enqueues its own growths; a vertex growth hands its same-span pool
+    to its own vertex move. Fully processed cliques with no possible
     growth join `new_maximal`; every popped clique whose right end reaches
     `frontier_threshold` joins `next_frontier` regardless of its flags.
     """
@@ -239,7 +295,9 @@ def drain(
         if item.right_only:
             no_growth = extend_right(clique, worksets, right_only=True)
         else:
-            no_vertex = expand_vertex_set(clique, worksets)
+            no_vertex = expand_vertex_set(
+                clique, worksets, item.pool, item.newest
+            )
             no_right = extend_right(clique, worksets)
             no_left = extend_left(clique, worksets, t_start)
             no_growth = no_vertex and no_right and no_left

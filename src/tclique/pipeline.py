@@ -45,6 +45,7 @@ REPORT_COLUMNS = (
     "new_cliques",
     "checked",
     "peak_live",
+    "pair_checks",
     "wall_seconds",
     "peak_rss_kb",
 )
@@ -74,6 +75,7 @@ class CycleRow:
             "new_cliques": s.n_new,
             "checked": s.n_checked,
             "peak_live": s.peak_live,
+            "pair_checks": s.n_pair_checks,
             "wall_seconds": round(self.wall_seconds, 6),
             "peak_rss_kb": self.peak_rss_kb,
         }
@@ -262,6 +264,7 @@ def _write_report(
                 "new_cliques": "",
                 "checked": "",
                 "peak_live": "",
+                "pair_checks": "",
                 "wall_seconds": round(finalize_seconds, 6),
                 "peak_rss_kb": _peak_rss_kb(),
             }

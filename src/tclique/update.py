@@ -39,7 +39,8 @@ class BatchState:
 
     t_boundary is None before the first cycle has run. maximal holds every
     clique confirmed maximal for links up to the boundary; frontier holds the
-    cliques whose right end reached the boundary (re-examined next cycle);
+    cliques whose right end reached the boundary (re-examined next cycle),
+    among them every maximal clique that reaches it;
     link_tail holds the links within delta of the boundary — all the history
     a future batch can still interact with.
     """
@@ -67,6 +68,12 @@ class BatchState:
                         f"frontier clique {clique} ends before boundary "
                         f"{self.t_boundary}"
                     )
+            for key, clique in self.maximal.items():
+                if clique.tb >= self.t_boundary and key not in self.frontier:
+                    raise ConfigError(
+                        f"maximal clique {clique} reaches boundary "
+                        f"{self.t_boundary} but is not in the frontier"
+                    )
             for link in self.link_tail:
                 if not (self.t_boundary - self.delta <= link.t <= self.t_boundary):
                     raise ConfigError(
@@ -90,6 +97,7 @@ class CycleStats:
     n_new: int
     n_checked: int
     peak_live: int
+    n_pair_checks: int
 
 
 # -- one update cycle -------------------------------------------------------------
@@ -168,6 +176,7 @@ def update_batch(
         n_new=len(new_cliques),
         n_checked=n_checked,
         peak_live=worksets.peak_live,
+        n_pair_checks=worksets.pair_checks,
     )
     return next_state, stats
 

@@ -2,9 +2,11 @@
 
 Holds the deterministic random-stream corpus used by the acceptance tests,
 functions that run `update_batch` cycle by cycle (to look at the collection
-around the sub-clique sweep, or to leave a state directory as an interrupted
-online run would), and an independently written delta-clique enumerator (the
-gamma=1 special case) that cross-checks the engine through a second code path.
+around the sub-clique sweep or after every drain, or to leave a state
+directory as an interrupted online run would), a worklist drain with a plain
+full-check vertex move to hold the engine's same-span narrowing against, and
+an independently written delta-clique enumerator (the gamma=1 special case)
+that cross-checks the engine through a second code path.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ from tclique import (
     TemporalLink,
     enumerate_maximal_cliques,
     initial_state,
+    is_delta_gamma_clique,
     partition_links,
     run_pipeline,
     save_state,
     update_batch,
 )
+from tclique.expand import WorkSets, extend_left, extend_right
 
 CORPUS_SIZE = 200
 
@@ -123,6 +127,60 @@ def staged_cycles(
     return cycles
 
 
+def reference_drain(
+    worksets: WorkSets, t_start: int, frontier_threshold: int | None
+) -> None:
+    """`drain` with a plain vertex move: every candidate w is checked by
+    `is_delta_gamma_clique` on members | {w}, and growths carry no pool."""
+    stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
+    while worksets.pending:
+        item = worksets.pending.pop()
+        clique = item.clique
+        if item.right_only:
+            no_growth = extend_right(clique, worksets, right_only=True)
+        else:
+            no_vertex = True
+            members = set(clique.vertices)
+            for w in sorted(clique.candidates - members):
+                verts = tuple(sorted(members | {w}))
+                if is_delta_gamma_clique(verts, (clique.ta, clique.tb), stream, delta, gamma):
+                    no_vertex = False
+                    worksets.offer(Clique(verts, clique.span, clique.candidates))
+            no_right = extend_right(clique, worksets)
+            no_left = extend_left(clique, worksets, t_start)
+            no_growth = no_vertex and no_right and no_left
+        if no_growth:
+            worksets.new_maximal[clique.key()] = clique
+        if frontier_threshold is not None and clique.tb >= frontier_threshold:
+            worksets.next_frontier[clique.key()] = clique
+
+
+def drain_snapshots(
+    stream: LinkStream, delta: int, gamma: int, plan: PartitionPlan, drain_fn, monkeypatch
+) -> list[tuple[frozenset, frozenset, frozenset]]:
+    """Drive update_batch over `plan` with `drain_fn` in place of `drain`;
+    returns the key sets (seen, new_maximal, next_frontier) after every
+    drain (two per cycle: the frontier phase and the seed phase)."""
+    snapshots = []
+
+    def recording_drain(worksets, t_start, frontier_threshold):
+        drain_fn(worksets, t_start, frontier_threshold)
+        snapshots.append(
+            (
+                frozenset(worksets.seen),
+                frozenset(worksets.new_maximal),
+                frozenset(worksets.next_frontier),
+            )
+        )
+
+    state = initial_state(delta, gamma, stream.t_start)
+    with monkeypatch.context() as patch:
+        patch.setattr(tclique.update, "drain", recording_drain)
+        for boundary, chunk in partition_links(stream, plan):
+            state, _ = update_batch(state, chunk, boundary)
+    return snapshots
+
+
 def prefill_state_dir(
     stream: LinkStream,
     delta: int,
@@ -196,10 +254,12 @@ def random_state(seed: int) -> BatchState:
         return make_clique(verts, ta, tb, candidates=cands)
 
     maximal = {}
+    frontier = {}
     for _ in range(rng.randint(0, 6)):
         c = rand_clique(rng.random() < 0.4)
         maximal[c.key()] = c
-    frontier = {}
+        if c.tb >= boundary:  # a maximal clique reaching the boundary is frontier
+            frontier[c.key()] = c
     for _ in range(rng.randint(0, 4)):
         c = rand_clique(True)
         frontier[c.key()] = c

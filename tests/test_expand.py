@@ -4,6 +4,7 @@ import pytest
 
 from tclique import (
     LinkStream,
+    PartitionPlan,
     TemporalLink,
     is_delta_gamma_clique,
     make_clique,
@@ -18,7 +19,7 @@ from tclique.expand import (
     extend_right,
 )
 from tclique.linkstream import links_from_pairs
-from helpers import random_stream
+from helpers import drain_snapshots, group_contact_stream, random_stream, reference_drain
 
 
 def fresh_ws(stream, delta, gamma, debug=True):
@@ -169,6 +170,54 @@ def test_flags_independent_of_seen_suppression(f1_stream):
     assert len(ws.pending) == 1
 
 
+def linked_at_zero(*pairs):
+    """Each listed pair in contact once, at t=0 (valid at gamma=1 on [0,0])."""
+    return links_from_pairs({pair: [0] for pair in pairs})
+
+
+def test_expand_vertex_never_tries_a_vertex_outside_the_pool():
+    # {1,2,4} would be valid, but 4 is not a growth of the parent
+    stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
+    ws = fresh_ws(stream, 2, 1)
+    clique = make_clique([1, 2], 0, 0, candidates={3, 4})
+    assert expand_vertex_set(clique, ws, pool=(2, 3), newest=2) is False
+    assert [c.key() for c in enqueued(ws)] == [((1, 2, 3), 0, 0)]
+    assert ws.pair_checks == 1  # (3, 2) only
+
+
+def test_expand_vertex_drops_a_pool_vertex_that_fails_with_the_newest():
+    # 5 pairs with 1 and 2 but not with the newest vertex 3
+    stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (1, 5), (2, 5))
+    ws = fresh_ws(stream, 2, 1)
+    clique = make_clique([1, 2, 3], 0, 0, candidates={3, 4, 5})
+    assert expand_vertex_set(clique, ws, pool=(3, 4, 5), newest=3) is False
+    assert [c.key() for c in enqueued(ws)] == [((1, 2, 3, 4), 0, 0)]
+    assert ws.pair_checks == 2
+    (child,) = ws.pending
+    assert (child.pool, child.newest) == ((4,), 4)
+
+
+def test_expand_vertex_without_pool_checks_every_member():
+    # 5 pairs with 2 and 3 but not with the oldest member 1
+    stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (2, 5), (3, 5))
+    ws = fresh_ws(stream, 2, 1)
+    clique = make_clique([1, 2, 3], 0, 0, candidates={4, 5})
+    assert expand_vertex_set(clique, ws) is False
+    assert [c.key() for c in enqueued(ws)] == [((1, 2, 3, 4), 0, 0)]
+    assert ws.pair_checks == 3 + 1  # 4 against all three; 5 fails on (1, 5)
+    (child,) = ws.pending
+    assert (child.pool, child.newest) == ((4,), 4)
+
+
+def test_expand_vertex_siblings_share_one_pool():
+    stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4))
+    ws = fresh_ws(stream, 2, 1)
+    expand_vertex_set(make_clique([1, 2], 0, 0, candidates={3, 4}), ws)
+    first, second = ws.pending
+    assert first.pool is second.pool == (3, 4)
+    assert (first.newest, second.newest) == (3, 4)
+
+
 # -- worklist -----------------------------------------------------------------------
 
 
@@ -211,3 +260,26 @@ def test_peak_live_tracks_collections(f1_stream):
     assert ws.peak_live >= len(ws.seen)
     assert set(ws.new_maximal) <= ws.seen
     assert all(c.tb >= 5 for c in ws.next_frontier.values())
+
+
+def test_drain_matches_reference_drain_on_the_corpus(corpus, monkeypatch):
+    # the same-span pool finds exactly the growths of a full validity check,
+    # so the traversal is the same: seen, results and frontier after every drain
+    for idx, (stream, delta, gamma) in enumerate(corpus):
+        for k in (1, 3):
+            plan = PartitionPlan("ut", k)
+            engine = drain_snapshots(stream, delta, gamma, plan, drain, monkeypatch)
+            reference = drain_snapshots(
+                stream, delta, gamma, plan, reference_drain, monkeypatch
+            )
+            assert engine == reference, f"stream {idx}, k={k}"
+
+
+def test_drain_matches_reference_drain_on_a_group_contact_stream(monkeypatch):
+    # about 4k links in 8 batches; meetings of up to 6 vertices give deep pools
+    stream = group_contact_stream(seed=7, n_meetings=110)
+    plan = PartitionPlan("ut", 8)
+    engine = drain_snapshots(stream, 360, 2, plan, drain, monkeypatch)
+    reference = drain_snapshots(stream, 360, 2, plan, reference_drain, monkeypatch)
+    assert engine == reference
+    assert max(len(verts) for seen, _, _ in engine for verts, _, _ in seen) >= 4

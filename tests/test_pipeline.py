@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import tclique.update
 from tclique import (
     ConfigError,
     LinkStream,
@@ -138,6 +139,26 @@ def test_report_rows_are_consistent(handoff_stream, tmp_path):
         for col in ("batch_links", "maximal", "frontier", "new_cliques", "checked", "peak_live"):
             assert int(r[col]) >= 0
         assert float(r["wall_seconds"]) >= 0
+
+
+def test_report_pair_checks_are_the_cycle_counters(handoff_stream, tmp_path, monkeypatch):
+    cycle_worksets = []
+    real_drain = tclique.update.drain
+
+    def recording_drain(worksets, t_start, frontier_threshold):
+        real_drain(worksets, t_start, frontier_threshold)
+        if not cycle_worksets or cycle_worksets[-1] is not worksets:
+            cycle_worksets.append(worksets)
+
+    monkeypatch.setattr(tclique.update, "drain", recording_drain)
+    report_path = tmp_path / "report.csv"
+    run_pipeline(handoff_stream, 4, 2, PartitionPlan("ut", 2), report_path=report_path)
+    with open(report_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    column = [int(r["pair_checks"]) for r in rows[:-1]]
+    assert column == [ws.pair_checks for ws in cycle_worksets]
+    assert sum(column) > 0
+    assert rows[-1]["pair_checks"] == ""
 
 
 def test_result_file_round_trip(handoff_stream, tmp_path):

@@ -113,6 +113,30 @@ def test_frontier_invariant_is_validated():
         BatchState(3, 2, 0, 5, {}, {lagging.key(): lagging}, ())
 
 
+def test_maximal_cliques_reaching_the_boundary_must_be_frontier():
+    reaching = make_clique([1, 2], 0, 50)
+    with pytest.raises(ConfigError, match="not in the frontier"):
+        BatchState(3, 2, 0, 20, {reaching.key(): reaching}, {}, ())
+    both = {reaching.key(): reaching}
+    assert BatchState(3, 2, 0, 20, both, dict(both), ()).maximal == both
+
+
+def test_load_state_rejects_a_maximal_clique_missing_from_the_frontier(
+    handoff_stream,
+):
+    lines = dump_state(run_batches(handoff_stream, 4, 2, (11,))).splitlines()[:-1]
+    assert "t_boundary 20" in lines and "1,2 [12,22] | -" in lines
+    head = next(i for i, line in enumerate(lines) if line.startswith("frontier "))
+    count = int(lines[head].split()[1])
+    # drop the frontier copy of a maximal clique that reaches the boundary
+    body = lines[:head] + [f"frontier {count - 1}"] + [
+        line for line in lines[head + 1 :] if line != "1,2 [12,22] | -"
+    ]
+    assert len(body) == len(lines) - 1
+    with pytest.raises(StateError, match="not in the frontier"):
+        load_state(io.StringIO(signed(body)))
+
+
 def test_staging_observer_sees_both_snapshots(handoff_stream, monkeypatch):
     # pre-sweep (carried + new) and post-sweep (next maximal) per cycle
     cycles = staged_cycles(handoff_stream, 4, 2, (11, 20), monkeypatch)
