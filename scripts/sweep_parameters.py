@@ -55,7 +55,7 @@ def main() -> int:
             final = report.final
             if final:
                 temporal, cardinal = stats_maximum_cliques(final)
-                longest = temporal[0].span.length
+                longest = temporal[0].tb - temporal[0].ta
                 largest = len(cardinal[0].vertices)
             else:
                 longest = largest = 0

@@ -10,8 +10,6 @@ batches arrive, with results identical to recomputing from scratch.
 
 from .cliques import (
     Clique,
-    CliqueKey,
-    Interval,
     contains,
     format_clique,
     is_delta_gamma_clique,
@@ -59,11 +57,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BatchState",
     "Clique",
-    "CliqueKey",
     "ConfigError",
     "CycleStats",
     "FormatSpec",
-    "Interval",
     "LinkStream",
     "OracleBoundsError",
     "OracleConfig",

@@ -176,7 +176,7 @@ def _print_maxima(cliques) -> None:
             text += f" (+{len(items) - 5} more)"
         return text
 
-    span = temporal[0].span.length
+    span = temporal[0].tb - temporal[0].ta
     size = len(cardinal[0].vertices)
     print(f"longest interval ({span}): {_head(temporal)}")
     print(f"largest vertex set ({size}): {_head(cardinal)}")

@@ -16,89 +16,40 @@ equal on randomized inputs.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple
 
 from .linkstream import LinkStream
 
-CliqueKey = tuple[tuple[int, ...], int, int]
 
+class Clique(NamedTuple):
+    """A vertex set with its closed time interval [ta, tb]; the value is its
+    own key.
 
-@dataclass(frozen=True, order=True)
-class Interval:
-    """Closed integer interval [ta, tb]."""
-
-    ta: int
-    tb: int
-
-    def __post_init__(self) -> None:
-        if self.ta > self.tb:
-            raise ValueError(f"interval [{self.ta},{self.tb}] is empty")
-
-    @property
-    def length(self) -> int:
-        return self.tb - self.ta
-
-    def covers(self, other: "Interval") -> bool:
-        return self.ta <= other.ta and other.tb <= self.tb
-
-    def __str__(self) -> str:
-        return f"[{self.ta},{self.tb}]"
-
-
-@dataclass(frozen=True)
-class Clique:
-    """A vertex set with its time interval.
-
-    `candidates` is the optional set of vertices that may still be added to
-    descendants of this clique; it is attached when a seed is created,
-    propagated unchanged, and excluded from equality and hashing (two cliques
-    differing only in candidates are the same clique).
+    The fields are not checked here: the engine builds cliques it knows to be
+    well formed. Cliques from outside come in through `make_clique` and
+    `parse_clique`, which check them.
     """
 
     vertices: tuple[int, ...]
-    span: Interval
-    candidates: Optional[frozenset[int]] = field(
-        default=None, compare=False, hash=False
-    )
-
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 2:
-            raise ValueError("a clique needs at least two vertices")
-        if list(self.vertices) != sorted(set(self.vertices)):
-            raise ValueError("vertices must be strictly sorted")
-
-    @property
-    def ta(self) -> int:
-        return self.span.ta
-
-    @property
-    def tb(self) -> int:
-        return self.span.tb
-
-    def pairs(self) -> Iterable[tuple[int, int]]:
-        return combinations(self.vertices, 2)
-
-    def key(self) -> CliqueKey:
-        return (self.vertices, self.span.ta, self.span.tb)
+    ta: int
+    tb: int
 
     def __str__(self) -> str:
         return format_clique(self)
 
 
-def make_clique(
-    vertices: Iterable[int],
-    ta: int,
-    tb: int,
-    candidates: Optional[Iterable[int]] = None,
-) -> Clique:
-    """Normalizing constructor: sorts vertices, builds the interval."""
-    return Clique(
-        tuple(sorted(set(vertices))),
-        Interval(ta, tb),
-        None if candidates is None else frozenset(candidates),
-    )
+def make_clique(vertices: Iterable[int], ta: int, tb: int) -> Clique:
+    """Checked constructor: at least two strictly sorted vertices and
+    ta <= tb, else ValueError."""
+    verts = tuple(vertices)
+    if len(verts) < 2:
+        raise ValueError("a clique needs at least two vertices")
+    if any(a >= b for a, b in zip(verts, verts[1:])):
+        raise ValueError(f"vertices {verts} are not strictly sorted")
+    if ta > tb:
+        raise ValueError(f"interval [{ta},{tb}] is empty")
+    return Clique(verts, ta, tb)
 
 
 # -- validity -----------------------------------------------------------------
@@ -192,10 +143,10 @@ def contains(outer: Clique, inner: Clique) -> bool:
     subset with an interval covered by the outer one. Identical cliques do
     not contain each other.
     """
-    if not outer.span.covers(inner.span):
+    if not (outer.ta <= inner.ta and inner.tb <= outer.tb):
         return False
     if outer.vertices == inner.vertices:  # both strictly sorted
-        return outer.span != inner.span
+        return outer != inner
     if len(outer.vertices) <= len(inner.vertices):
         return False
     return set(outer.vertices).issuperset(inner.vertices)
@@ -208,13 +159,14 @@ def format_clique(clique: Clique) -> str:
 
 
 def parse_clique(text: str) -> Clique:
-    """Inverse of `format_clique` (candidates are not part of the text form)."""
+    """Inverse of `format_clique`, checked as `make_clique` checks; ValueError
+    on bad text."""
     head, _, span_part = text.strip().partition(" ")
     if not span_part.startswith("[") or not span_part.endswith("]"):
         raise ValueError(f"bad clique text {text!r}")
     ta_text, _, tb_text = span_part[1:-1].partition(",")
-    vertices = tuple(int(v) for v in head.split(","))
-    return Clique(vertices, Interval(int(ta_text), int(tb_text)))
+    vertices = (int(v) for v in head.split(","))
+    return make_clique(vertices, int(ta_text), int(tb_text))
 
 
 def sort_cliques(cliques: Iterable[Clique]) -> list[Clique]:

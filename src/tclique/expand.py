@@ -4,9 +4,10 @@ Enumeration works a LIFO worklist of cliques. Every popped clique is offered
 the three growth moves in one fixed sequence — add a vertex from its
 candidate set, extend the interval right, extend the interval left — and
 joins the maximal set of the cycle when none of the moves finds a strictly
-larger valid clique. Cliques carried over from a previous batch are only ever
-extended to the right (their flag for the other two moves is fixed), which
-the worklist tracks per item.
+larger valid clique. The candidate set is working data of the enumeration:
+it rides on the worklist item, never on the clique, and every growth inherits
+it. Cliques carried over from a previous batch have none, and are only ever
+extended to the right.
 
 Each move reads the stream, delta and gamma from the cycle's `WorkSets` and
 returns True when the clique could NOT be grown that way (the "no extension"
@@ -27,25 +28,22 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
-from .cliques import (
-    Clique,
-    CliqueKey,
-    Interval,
-    _pair_valid_fast,
-    is_delta_gamma_clique,
-)
+from .cliques import Clique, _pair_valid_fast
 from .linkstream import LinkStream
 
 
 @dataclass(frozen=True, slots=True)
 class WorkItem:
-    """A queued clique. `pool` and `newest` are set on vertex growths only:
-    the valid growths of the parent at this span, and the vertex added."""
+    """A queued clique with the vertices that may still join it; `candidates`
+    is None for a carried frontier clique, which may only move right.
+    `pool` and `newest` are set on vertex growths only: the valid growths of
+    the parent at this span, and the vertex added."""
 
     clique: Clique
-    right_only: bool = False
+    candidates: Optional[frozenset[int]]
     pool: Optional[tuple[int, ...]] = None
     newest: Optional[int] = None
 
@@ -55,24 +53,20 @@ class WorkSets:
     """Working collections of one enumeration cycle.
 
     pending       LIFO worklist of cliques awaiting processing
-    seen          key of every clique ever enqueued (dedup barrier)
+    seen          every clique ever enqueued (dedup barrier)
     new_maximal   cliques found maximal within this cycle
     next_frontier popped cliques whose right end reaches the cycle boundary
     peak_live     max of |pending|+|seen|+|new_maximal|+|next_frontier|
     pair_checks   pair validity checks made by the vertex move
-
-    With debug=True every enqueued clique is checked against the validity
-    predicate (slow; test use).
     """
 
     stream: LinkStream
     delta: int
     gamma: int
-    debug: bool = False
     pending: list[WorkItem] = field(default_factory=list)
-    seen: set[CliqueKey] = field(default_factory=set)
-    new_maximal: dict[CliqueKey, Clique] = field(default_factory=dict)
-    next_frontier: dict[CliqueKey, Clique] = field(default_factory=dict)
+    seen: set[Clique] = field(default_factory=set)
+    new_maximal: set[Clique] = field(default_factory=set)
+    next_frontier: set[Clique] = field(default_factory=set)
     peak_live: int = 0
     pair_checks: int = 0
 
@@ -86,40 +80,27 @@ class WorkSets:
         if live > self.peak_live:
             self.peak_live = live
 
-    def _debug_check(self, clique: Clique) -> None:
-        if self.debug:
-            assert is_delta_gamma_clique(
-                clique.vertices,
-                (clique.ta, clique.tb),
-                self.stream,
-                self.delta,
-                self.gamma,
-            ), f"enqueued invalid clique {clique}"
-
     def offer(
         self,
         clique: Clique,
-        right_only: bool = False,
+        candidates: Optional[frozenset[int]],
         pool: Optional[tuple[int, ...]] = None,
         newest: Optional[int] = None,
     ) -> bool:
-        """Enqueue unless the key was ever enqueued before."""
-        key = clique.key()
-        if key in self.seen:
+        """Enqueue unless the clique was ever enqueued before."""
+        if clique in self.seen:
             return False
-        self._debug_check(clique)
-        self.seen.add(key)
-        self.pending.append(WorkItem(clique, right_only, pool, newest))
+        self.seen.add(clique)
+        self.pending.append(WorkItem(clique, candidates, pool, newest))
         self._note_peak()
         return True
 
-    def push_seed(self, clique: Clique) -> None:
-        """Enqueue unconditionally (seeds bypass the dedup barrier: a key that
-        was carried over as frontier must still be re-expanded with its
+    def push_seed(self, clique: Clique, candidates: frozenset[int]) -> None:
+        """Enqueue unconditionally (seeds bypass the dedup barrier: a clique
+        that was carried over as frontier must still be re-expanded with its
         candidate set)."""
-        self._debug_check(clique)
-        self.seen.add(clique.key())
-        self.pending.append(WorkItem(clique, right_only=False))
+        self.seen.add(clique)
+        self.pending.append(WorkItem(clique, candidates))
         self._note_peak()
 
 
@@ -131,21 +112,19 @@ def seed_cliques(
     delta: int,
     gamma: int,
     window: tuple[int, int],
-    t_start: Optional[int] = None,
-) -> list[Clique]:
+    t_start: int,
+) -> list[tuple[Clique, frozenset[int]]]:
     """Pair seeds for one enumeration window.
 
     For each pair with occurrences s_1 < ... < s_k inside `window` and each run
     of gamma occurrences spanning at most delta, two anchor intervals are
     tried: [s_j, s_j+delta] and [s_(j+gamma-1)-delta, s_(j+gamma-1)], the
     latter clamped at the observation start. An interval becomes a seed only
-    when it holds exactly gamma occurrences of the pair; each seed carries the
-    vertices with at least gamma links to a seed endpoint inside its interval
-    as candidates. Duplicates collapse; the list is deterministically ordered.
+    when it holds exactly gamma occurrences of the pair; it comes paired with
+    its candidates, the vertices with at least gamma links to a seed endpoint
+    inside its interval. Duplicates collapse; the pairs are sorted by clique.
     """
-    if t_start is None:
-        t_start = stream.t_start
-    seeds: dict[CliqueKey, Clique] = {}
+    seeds: dict[Clique, frozenset[int]] = {}
     for pair in stream.static_edges:
         occ = stream.occurrences_in(pair, window)
         for j in range(len(occ) - gamma + 1):
@@ -159,41 +138,35 @@ def seed_cliques(
             ):
                 if stream.count_in(pair, (ta, tb)) != gamma:
                     continue
-                key = (pair, ta, tb)
-                if key in seeds:
+                seed = Clique(pair, ta, tb)
+                if seed in seeds:
                     continue
-                cands = stream.neighbors_min_count(pair, (ta, tb), gamma)
-                seeds[key] = Clique(pair, Interval(ta, tb), cands)
-    return [seeds[k] for k in sorted(seeds)]
+                seeds[seed] = stream.neighbors_min_count(pair, (ta, tb), gamma)
+    return sorted(seeds.items())
 
 
 # -- growth procedures ----------------------------------------------------------
 
 
-def expand_vertex_set(
-    clique: Clique,
-    worksets: WorkSets,
-    pool: Optional[tuple[int, ...]] = None,
-    newest: Optional[int] = None,
-) -> bool:
+def expand_vertex_set(item: WorkItem, worksets: WorkSets) -> bool:
     """Try every candidate vertex; True iff none produced a valid clique.
 
     Without a pool each candidate outside the clique is tested against every
     member; with one, only the pool vertices outside the clique are tried,
-    each against `newest` alone (see the module docstring). Valid growths are
-    enqueued (dedup applies) inheriting the candidate set unchanged, with
-    the tuple of all of them as their pool; the flag reflects validity, not
-    whether the enqueue happened.
+    each against the item's newest vertex alone (see the module docstring).
+    Valid growths are enqueued (dedup applies) inheriting the candidate set
+    unchanged, with the tuple of all of them as their pool; the flag reflects
+    validity, not whether the enqueue happened.
     """
-    if clique.candidates is None:
+    clique, candidates = item.clique, item.candidates
+    if candidates is None:
         raise ValueError(f"clique {clique} has no candidate set")
     stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
-    ta, tb = clique.ta, clique.tb
-    members = clique.vertices
-    if pool is None:
-        tried, partners = sorted(clique.candidates), members
+    members, ta, tb = clique
+    if item.pool is None:
+        tried, partners = sorted(candidates), members
     else:
-        tried, partners = pool, (newest,)
+        tried, partners = item.pool, (item.newest,)
     checks = 0
     ok = []
     for w in tried:
@@ -211,98 +184,89 @@ def expand_vertex_set(
     for w in growths:
         at = bisect_left(members, w)
         verts = members[:at] + (w,) + members[at:]
-        worksets.offer(
-            Clique(verts, clique.span, clique.candidates), pool=growths, newest=w
-        )
+        worksets.offer(Clique(verts, ta, tb), candidates, growths, w)
     return not growths
 
 
-def extend_right(
-    clique: Clique, worksets: WorkSets, right_only: bool = False
-) -> bool:
+def extend_right(item: WorkItem, worksets: WorkSets) -> bool:
     """Extend the interval right as far as every pair allows.
 
     The new right end is delta past the smallest over pairs of the gamma-th
     largest occurrence in [ta, tb+1]; a pair without gamma occurrences there
     blocks the move. The end is never clamped at the observation end: that is
     what feeds the next frontier, and finalize clamps it. The grown clique
-    inherits `right_only`. True iff the interval could not grow.
+    inherits the item's candidates, so a carried clique's growth stays
+    right-only. True iff the interval could not grow.
     """
     stream, gamma = worksets.stream, worksets.gamma
+    vertices, ta, tb = item.clique
     anchor: Optional[int] = None
-    window = (clique.ta, clique.tb + 1)
-    for pair in clique.pairs():
+    window = (ta, tb + 1)
+    for pair in combinations(vertices, 2):
         last = stream.last_gamma_occurrence(pair, gamma, window)
         if last is None:
             return True
         anchor = last if anchor is None else min(anchor, last)
     new_tb = anchor + worksets.delta
-    if new_tb <= clique.tb:
+    if new_tb <= tb:
         return True
-    worksets.offer(
-        Clique(clique.vertices, Interval(clique.ta, new_tb), clique.candidates),
-        right_only=right_only,
-    )
+    worksets.offer(Clique(vertices, ta, new_tb), item.candidates)
     return False
 
 
-def extend_left(clique: Clique, worksets: WorkSets, t_start: int) -> bool:
+def extend_left(item: WorkItem, worksets: WorkSets, t_start: int) -> bool:
     """Extend the interval left as far as every pair allows.
 
     The new left end is delta before the largest over pairs of the gamma-th
     smallest occurrence in [ta-1, tb], clamped at the observation start; the
     move counts only when the clamped start strictly precedes the current one
-    (a clique already at the boundary cannot grow). True iff no growth.
+    (a clique already at the boundary cannot grow). The grown clique inherits
+    the item's candidates. True iff no growth.
     """
     stream, gamma = worksets.stream, worksets.gamma
+    vertices, ta, tb = item.clique
     anchor: Optional[int] = None
-    window = (clique.ta - 1, clique.tb)
-    for pair in clique.pairs():
+    window = (ta - 1, tb)
+    for pair in combinations(vertices, 2):
         first = stream.first_gamma_occurrence(pair, gamma, window)
         if first is None:
             return True
         anchor = first if anchor is None else max(anchor, first)
     new_ta = max(anchor - worksets.delta, t_start)
-    if new_ta >= clique.ta:
+    if new_ta >= ta:
         return True
-    worksets.offer(
-        Clique(clique.vertices, Interval(new_ta, clique.tb), clique.candidates),
-        right_only=False,
-    )
+    worksets.offer(Clique(vertices, new_ta, tb), item.candidates)
     return False
 
 
 # -- worklist fixed point --------------------------------------------------------
 
 
-def drain(
-    worksets: WorkSets, t_start: int, frontier_threshold: Optional[int]
-) -> None:
+def drain(worksets: WorkSets, t_start: int, frontier_threshold: int) -> None:
     """Run the worklist to exhaustion.
 
-    Right-only items (carried frontier cliques) receive just the right
-    extension; the other two moves are treated as exhausted for them. Every
-    other item gets all three moves, in the fixed sequence vertex, right,
-    left; each move runs even when an earlier one grew the clique, because
-    each enqueues its own growths; a vertex growth hands its same-span pool
-    to its own vertex move. Fully processed cliques with no possible
-    growth join `new_maximal`; every popped clique whose right end reaches
-    `frontier_threshold` joins `next_frontier` regardless of its flags.
+    Items without candidates (carried frontier cliques) receive just the
+    right extension; the other two moves are treated as exhausted for them.
+    Every other item gets all three moves, in the fixed sequence vertex,
+    right, left; each move runs even when an earlier one grew the clique,
+    because each enqueues its own growths; a vertex growth hands its
+    same-span pool to its own vertex move. Fully processed cliques with no
+    possible growth join `new_maximal`; every popped clique whose right end
+    reaches `frontier_threshold` joins `next_frontier` regardless of its
+    flags.
     """
     while worksets.pending:
         item = worksets.pending.pop()
-        clique = item.clique
-        if item.right_only:
-            no_growth = extend_right(clique, worksets, right_only=True)
+        if item.candidates is None:
+            no_growth = extend_right(item, worksets)
         else:
-            no_vertex = expand_vertex_set(
-                clique, worksets, item.pool, item.newest
-            )
-            no_right = extend_right(clique, worksets)
-            no_left = extend_left(clique, worksets, t_start)
+            no_vertex = expand_vertex_set(item, worksets)
+            no_right = extend_right(item, worksets)
+            no_left = extend_left(item, worksets, t_start)
             no_growth = no_vertex and no_right and no_left
+        clique = item.clique
         if no_growth:
-            worksets.new_maximal[clique.key()] = clique
-        if frontier_threshold is not None and clique.tb >= frontier_threshold:
-            worksets.next_frontier[clique.key()] = clique
+            worksets.new_maximal.add(clique)
+        if clique.tb >= frontier_threshold:
+            worksets.next_frontier.add(clique)
         worksets._note_peak()

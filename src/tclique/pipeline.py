@@ -25,8 +25,10 @@ from .linkstream import LinkStream
 from .oracle import OracleConfig, brute_force_enumerate
 from .partition import PartitionPlan, partition_links
 from .update import (
+    EMPTY_INPUT_DIGEST,
     BatchState,
     CycleStats,
+    chain_input_digest,
     finalize,
     initial_state,
     load_state,
@@ -113,8 +115,8 @@ def run_pipeline(
 
     Online mode writes state_NNNN.txt into state_dir after each cycle and then
     deletes the older state files, so only the newest state is kept. A later
-    invocation resumes after the newest state found there (its parameters and
-    boundary must match the plan).
+    invocation resumes after the newest state found there (its parameters,
+    boundary and input digest must match the plan's first batches).
     """
     say = log or (lambda _msg: None)
     if mode not in ("offline", "online"):
@@ -200,6 +202,14 @@ def _check_resume(
             f"state boundary {loaded.t_boundary} (cycle {idx}) does not match "
             f"the partition plan"
         )
+    digest = EMPTY_INPUT_DIGEST
+    for _, chunk in batches[:idx]:
+        digest = chain_input_digest(digest, chunk)
+    if digest != loaded.input_digest:
+        raise ConfigError(
+            f"the links of the first {idx} batches differ from those the "
+            f"state was built from"
+        )
 
 
 def _write_state_file(state: BatchState, state_dir: Path, cycle: int) -> None:
@@ -280,9 +290,9 @@ def stats_maximum_cliques(
     """The longest-interval cliques and the most-vertices cliques (all ties)."""
     if not cliques:
         raise ValueError("no cliques to summarize")
-    best_span = max(c.span.length for c in cliques)
+    best_span = max(c.tb - c.ta for c in cliques)
     best_size = max(len(c.vertices) for c in cliques)
-    temporal = sort_cliques(c for c in cliques if c.span.length == best_span)
+    temporal = sort_cliques(c for c in cliques if c.tb - c.ta == best_span)
     cardinal = sort_cliques(c for c in cliques if len(c.vertices) == best_size)
     return temporal, cardinal
 
@@ -303,15 +313,14 @@ def verify_against_oracle(
     expected = brute_force_enumerate(
         stream, delta, gamma, config or OracleConfig()
     )
-    got_keys = {c.key() for c in final}
-    want_keys = {c.key() for c in expected}
-    if got_keys != want_keys:
-        missing = sort_cliques(c for c in expected if c.key() not in got_keys)
-        extra = sort_cliques(c for c in final if c.key() not in want_keys)
+    got, want = set(final), set(expected)
+    if got != want:
+        missing = sort_cliques(want - got)
+        extra = sort_cliques(got - want)
         parts = []
         if missing:
             parts.append("missing: " + "; ".join(map(format_clique, missing)))
         if extra:
             parts.append("spurious: " + "; ".join(map(format_clique, extra)))
         raise VerificationError("result differs from exhaustive check — " + " | ".join(parts))
-    return len(want_keys)
+    return len(want)

@@ -8,18 +8,20 @@ full. Cliques made non-maximal by the new links are swept out afterwards, and
 the state keeps only the link tail still able to interact with future
 batches. `finalize` turns the running state into the definitive clique set of
 a bounded observation window and certifies it.
+
+The state also carries a digest of every link consumed, so a resume can tell
+whether its input is the one the state was built from.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, TextIO
 
 from .cliques import (
     Clique,
-    CliqueKey,
-    Interval,
     contains,
     format_clique,
     is_delta_gamma_clique,
@@ -30,7 +32,18 @@ from .expand import WorkItem, WorkSets, drain, seed_cliques
 from .linkstream import LinkStream, TemporalLink
 
 STATE_MAGIC = "tclique-state"
-STATE_VERSION = 1
+STATE_VERSION = 2
+
+EMPTY_INPUT_DIGEST = hashlib.sha256(b"").hexdigest()
+_DIGEST = re.compile(r"[0-9a-f]{64}")
+
+
+def chain_input_digest(previous: str, batch: Iterable[TemporalLink]) -> str:
+    """The input digest after one more batch: sha256 over the previous digest
+    and the batch's links as 'u v t' lines, in canonical (t, u, v) order with
+    duplicates collapsed (the order `LinkStream.links` keeps)."""
+    body = previous + "\n" + "".join(f"{l.u} {l.v} {l.t}\n" for l in batch)
+    return hashlib.sha256(body.encode("ascii")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -42,34 +55,43 @@ class BatchState:
     cliques whose right end reached the boundary (re-examined next cycle),
     among them every maximal clique that reaches it;
     link_tail holds the links within delta of the boundary — all the history
-    a future batch can still interact with.
+    a future batch can still interact with; input_digest chains
+    `chain_input_digest` over every batch consumed.
     """
 
     delta: int
     gamma: int
     t_start: int
     t_boundary: Optional[int]
-    maximal: dict[CliqueKey, Clique]
-    frontier: dict[CliqueKey, Clique]
+    maximal: set[Clique]
+    frontier: set[Clique]
     link_tail: tuple[TemporalLink, ...]
+    input_digest: str
 
     def __post_init__(self) -> None:
         if self.delta <= 0:
             raise ConfigError(f"delta must be positive, got {self.delta}")
         if self.gamma <= 0:
             raise ConfigError(f"gamma must be positive, got {self.gamma}")
+        if not _DIGEST.fullmatch(self.input_digest):
+            raise ConfigError(f"bad input digest {self.input_digest!r}")
         if self.t_boundary is None:
-            if self.maximal or self.frontier or self.link_tail:
+            if (
+                self.maximal
+                or self.frontier
+                or self.link_tail
+                or self.input_digest != EMPTY_INPUT_DIGEST
+            ):
                 raise ConfigError("fresh state must be empty")
         else:
-            for clique in self.frontier.values():
+            for clique in self.frontier:
                 if clique.tb < self.t_boundary:
                     raise ConfigError(
                         f"frontier clique {clique} ends before boundary "
                         f"{self.t_boundary}"
                     )
-            for key, clique in self.maximal.items():
-                if clique.tb >= self.t_boundary and key not in self.frontier:
+            for clique in self.maximal:
+                if clique.tb >= self.t_boundary and clique not in self.frontier:
                     raise ConfigError(
                         f"maximal clique {clique} reaches boundary "
                         f"{self.t_boundary} but is not in the frontier"
@@ -83,7 +105,9 @@ class BatchState:
 
 
 def initial_state(delta: int, gamma: int, t_start: int) -> BatchState:
-    return BatchState(delta, gamma, t_start, None, {}, {}, ())
+    return BatchState(
+        delta, gamma, t_start, None, set(), set(), (), EMPTY_INPUT_DIGEST
+    )
 
 
 @dataclass(frozen=True)
@@ -114,6 +138,7 @@ def update_batch(
     expands the window around the previous boundary, sweeps the cycle's
     results for absorbed cliques with `remove_sub_cliques`, and merges the
     survivors with the carried cliques that no longer reach the boundary.
+    The batch's links join the input digest.
     """
     t_prev = state.t_boundary
     floor = state.t_start - 1 if t_prev is None else t_prev
@@ -132,41 +157,35 @@ def update_batch(
     worksets = WorkSets(working, state.delta, state.gamma)
     worksets.seen.update(state.frontier)
 
-    # Phase A: carried frontier cliques grow right over the refreshed stream.
-    for key in sorted(state.frontier):
-        clique = state.frontier[key]
-        worksets.pending.append(
-            WorkItem(replace(clique, candidates=None), right_only=True)
-        )
+    # Phase A: carried frontier cliques grow right over the refreshed stream;
+    # without candidates they take no other move.
+    worksets.pending.extend(WorkItem(c, None) for c in sorted(state.frontier))
     worksets._note_peak()
     drain(worksets, state.t_start, t_next)
 
     # Phase B: fresh seeds from the window straddling the previous boundary.
     window_lo = state.t_start if t_prev is None else t_prev - state.delta
-    for seed in seed_cliques(
+    for seed, candidates in seed_cliques(
         working, state.delta, state.gamma, (window_lo, t_next), state.t_start
     ):
-        worksets.push_seed(seed)
+        worksets.push_seed(seed, candidates)
     drain(worksets, state.t_start, t_next)
 
-    new_cliques = dict(worksets.new_maximal)
-    carried = {
-        key: clique
-        for key, clique in state.maximal.items()
-        if key not in state.frontier
-    }
+    new_cliques = worksets.new_maximal
     n_checked = remove_sub_cliques(new_cliques, t_prev)
-    merged = {**carried, **new_cliques}
+    merged = (state.maximal - state.frontier) | new_cliques
 
     tail = tuple(working.links_in((t_next - state.delta, t_next)))
+    batch_links = working.links_in((floor + 1, t_next))  # canonical order
     next_state = BatchState(
         state.delta,
         state.gamma,
         state.t_start,
         t_next,
         merged,
-        dict(worksets.next_frontier),
+        worksets.next_frontier,
         tail,
+        chain_input_digest(state.input_digest, batch_links),
     )
     stats = CycleStats(
         t_boundary=t_next,
@@ -181,9 +200,7 @@ def update_batch(
     return next_state, stats
 
 
-def remove_sub_cliques(
-    new_cliques: dict[CliqueKey, Clique], t_prev: Optional[int]
-) -> int:
+def remove_sub_cliques(new_cliques: set[Clique], t_prev: Optional[int]) -> int:
     """Drop cycle results contained in another cycle result; returns how many
     were checked.
 
@@ -194,9 +211,8 @@ def remove_sub_cliques(
     """
     if t_prev is None:
         return 0
-    checked = [c for c in new_cliques.values() if c.ta <= t_prev]
-    for clique in contained_cliques(checked, new_cliques.values()):
-        del new_cliques[clique.key()]
+    checked = [c for c in new_cliques if c.ta <= t_prev]
+    new_cliques.difference_update(contained_cliques(checked, new_cliques))
     return len(checked)
 
 
@@ -224,17 +240,11 @@ def contained_cliques(
 # -- finalization ------------------------------------------------------------------
 
 
-def normalize_final(
-    cliques: Iterable[Clique], t_end: int
-) -> dict[CliqueKey, Clique]:
+def normalize_final(cliques: Iterable[Clique], t_end: int) -> set[Clique]:
     """Clamp right ends to the observation end, dedup, and drop contained
     cliques — the bounded-window view of an online collection."""
-    clamped: dict[CliqueKey, Clique] = {}
-    for clique in cliques:
-        bounded = Clique(clique.vertices, Interval(clique.ta, min(clique.tb, t_end)))
-        clamped[bounded.key()] = bounded
-    for clique in contained_cliques(clamped.values(), clamped.values()):
-        del clamped[clique.key()]
+    clamped = {Clique(v, ta, min(tb, t_end)) for v, ta, tb in cliques}
+    clamped.difference_update(contained_cliques(clamped, clamped))
     return clamped
 
 
@@ -246,8 +256,7 @@ def finalize(state: BatchState, stream: LinkStream) -> list[Clique]:
         raise ConfigError(
             f"state starts at {state.t_start}, stream at {t_start}"
         )
-    final = normalize_final(state.maximal.values(), t_end)
-    result = [final[key] for key in sorted(final)]
+    result = sorted(normalize_final(state.maximal, t_end))
     for clique in result:
         if not _certify_maximal(clique, stream, state.delta, state.gamma):
             raise TcliqueError(f"internal error: {clique} failed certification")
@@ -292,32 +301,6 @@ def _certify_maximal(
 # -- state persistence -------------------------------------------------------------
 
 
-def _clique_line(clique: Clique) -> str:
-    line = format_clique(clique)
-    if clique.candidates is None:
-        return line
-    if not clique.candidates:
-        return line + " | -"
-    return line + " | " + ",".join(str(v) for v in sorted(clique.candidates))
-
-
-def _parse_clique_line(line: str, label: str) -> Clique:
-    body, sep, cands = line.partition(" | ")
-    try:
-        clique = parse_clique(body)
-    except ValueError as exc:
-        raise StateError(f"bad {label} clique line {line!r}: {exc}") from exc
-    if not sep:
-        return clique
-    if cands == "-":
-        return replace(clique, candidates=frozenset())
-    try:
-        members = frozenset(int(tok) for tok in cands.split(","))
-    except ValueError as exc:
-        raise StateError(f"bad candidate list in {line!r}") from exc
-    return replace(clique, candidates=members)
-
-
 def dump_state(state: BatchState) -> str:
     """Serialize a state to its canonical checksummed text form."""
     lines = [
@@ -326,11 +309,12 @@ def dump_state(state: BatchState) -> str:
         f"gamma {state.gamma}",
         f"t_start {state.t_start}",
         f"t_boundary {'none' if state.t_boundary is None else state.t_boundary}",
+        f"input_digest {state.input_digest}",
         f"maximal {len(state.maximal)}",
     ]
-    lines.extend(_clique_line(state.maximal[key]) for key in sorted(state.maximal))
+    lines.extend(map(format_clique, sorted(state.maximal)))
     lines.append(f"frontier {len(state.frontier)}")
-    lines.extend(_clique_line(state.frontier[key]) for key in sorted(state.frontier))
+    lines.extend(map(format_clique, sorted(state.frontier)))
     lines.append(f"link_tail {len(state.link_tail)}")
     tail = sorted(state.link_tail, key=lambda l: (l.t, l.u, l.v))
     lines.extend(f"{l.u} {l.v} {l.t}" for l in tail)
@@ -357,7 +341,10 @@ def load_state(source: TextIO) -> BatchState:
     else:
         raise StateError("state file missing checksum (truncated?)")
     if lines[0] != f"{STATE_MAGIC} v{STATE_VERSION}":
-        raise StateError(f"unsupported state header {lines[0]!r}")
+        raise StateError(
+            f"unsupported state header {lines[0]!r}: only v{STATE_VERSION} "
+            f"states are read; start the run again"
+        )
 
     def _int_field(idx: int, name: str) -> int:
         prefix = name + " "
@@ -378,8 +365,11 @@ def load_state(source: TextIO) -> BatchState:
         t_boundary = None if raw_boundary == "none" else int(raw_boundary)
     except ValueError as exc:
         raise StateError(f"bad t_boundary field {lines[4]!r}") from exc
+    if not lines[5].startswith("input_digest "):
+        raise StateError("missing input_digest field")
+    input_digest = lines[5][len("input_digest "):]
 
-    pos = 5
+    pos = 6
 
     def _section(name: str) -> list[str]:
         nonlocal pos
@@ -402,14 +392,17 @@ def load_state(source: TextIO) -> BatchState:
     if pos != len(lines) - 1:
         raise StateError("trailing garbage after link_tail section")
 
-    maximal = {}
-    for line in maximal_lines:
-        clique = _parse_clique_line(line, "maximal")
-        maximal[clique.key()] = clique
-    frontier = {}
-    for line in frontier_lines:
-        clique = _parse_clique_line(line, "frontier")
-        frontier[clique.key()] = clique
+    def _cliques(name: str, section_lines: list[str]) -> set[Clique]:
+        cliques = set()
+        for line in section_lines:
+            try:
+                cliques.add(parse_clique(line))
+            except ValueError as exc:
+                raise StateError(f"bad {name} clique line {line!r}: {exc}") from exc
+        return cliques
+
+    maximal = _cliques("maximal", maximal_lines)
+    frontier = _cliques("frontier", frontier_lines)
     tail = []
     for line in tail_lines:
         parts = line.split()
@@ -433,7 +426,14 @@ def load_state(source: TextIO) -> BatchState:
             )
     try:
         return BatchState(
-            delta, gamma, t_start, t_boundary, maximal, frontier, tuple(tail)
+            delta,
+            gamma,
+            t_start,
+            t_boundary,
+            maximal,
+            frontier,
+            tuple(tail),
+            input_digest,
         )
     except ConfigError as exc:
         raise StateError(f"inconsistent state contents: {exc}") from exc

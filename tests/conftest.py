@@ -41,6 +41,6 @@ def corpus() -> list:
 @pytest.fixture(scope="session")
 def corpus_oracles(corpus) -> list[frozenset]:
     return [
-        frozenset(c.key() for c in brute_force_enumerate(stream, delta, gamma))
+        frozenset(brute_force_enumerate(stream, delta, gamma))
         for stream, delta, gamma in corpus
     ]

@@ -3,14 +3,16 @@
 Holds the deterministic random-stream corpus used by the acceptance tests,
 functions that run `update_batch` cycle by cycle (to look at the collection
 around the sub-clique sweep or after every drain, or to leave a state
-directory as an interrupted online run would), a worklist drain with a plain
-full-check vertex move to hold the engine's same-span narrowing against, and
-an independently written delta-clique enumerator (the gamma=1 special case)
-that cross-checks the engine through a second code path.
+directory as an interrupted online run would), a `WorkSets` that checks every
+clique it is offered, a worklist drain with a plain full-check vertex move to
+hold the engine's same-span narrowing against, and an independently written
+delta-clique enumerator (the gamma=1 special case) that cross-checks the
+engine through a second code path.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations
 from pathlib import Path
@@ -19,13 +21,13 @@ import tclique.update
 from tclique import (
     BatchState,
     Clique,
-    CliqueKey,
     LinkStream,
     PartitionPlan,
     TemporalLink,
     enumerate_maximal_cliques,
     initial_state,
     is_delta_gamma_clique,
+    make_clique,
     partition_links,
     run_pipeline,
     save_state,
@@ -58,8 +60,8 @@ def corpus_entry(index: int) -> tuple[LinkStream, int, int]:
     return random_stream(index), rng.randint(2, 6), rng.randint(1, 3)
 
 
-def offline_keys(stream: LinkStream, delta: int, gamma: int) -> frozenset[CliqueKey]:
-    return frozenset(c.key() for c in enumerate_maximal_cliques(stream, delta, gamma))
+def offline_keys(stream: LinkStream, delta: int, gamma: int) -> frozenset[Clique]:
+    return frozenset(enumerate_maximal_cliques(stream, delta, gamma))
 
 
 def random_boundaries(stream: LinkStream, rng: random.Random, max_batches: int = 4) -> tuple[int, ...]:
@@ -74,10 +76,10 @@ def random_boundaries(stream: LinkStream, rng: random.Random, max_batches: int =
 
 def partitioned_keys(
     stream: LinkStream, delta: int, gamma: int, boundaries: tuple[int, ...]
-) -> frozenset[CliqueKey]:
+) -> frozenset[Clique]:
     plan = PartitionPlan("explicit", boundaries=boundaries)
     report = run_pipeline(stream, delta, gamma, plan)
-    return frozenset(c.key() for c in report.final)
+    return frozenset(report.final)
 
 
 def run_batches(stream: LinkStream, delta: int, gamma: int, boundaries):
@@ -92,7 +94,7 @@ def run_batches(stream: LinkStream, delta: int, gamma: int, boundaries):
 
 def staged_cycles(
     stream: LinkStream, delta: int, gamma: int, boundaries, monkeypatch
-) -> list[tuple[int, dict[CliqueKey, Clique], dict[CliqueKey, Clique]]]:
+) -> list[tuple[int, set[Clique], set[Clique]]]:
     """Drive update_batch over an explicit plan and return, per cycle,
     (boundary, pre-sweep collection, post-sweep collection).
 
@@ -102,11 +104,11 @@ def staged_cycles(
     the argument of `remove_sub_cliques`. The post-sweep collection is the
     next state's maximal set.
     """
-    swept: list[dict[CliqueKey, Clique]] = []
+    swept: list[set[Clique]] = []
     sweep = tclique.update.remove_sub_cliques
 
     def recording_sweep(new_cliques, t_prev):
-        swept.append(dict(new_cliques))
+        swept.append(set(new_cliques))
         return sweep(new_cliques, t_prev)
 
     cycles = []
@@ -115,51 +117,68 @@ def staged_cycles(
     with monkeypatch.context() as patch:
         patch.setattr(tclique.update, "remove_sub_cliques", recording_sweep)
         for boundary, chunk in partition_links(stream, plan):
-            carried = {
-                key: clique
-                for key, clique in state.maximal.items()
-                if key not in state.frontier
-            }
+            carried = state.maximal - state.frontier
             state, _ = update_batch(state, chunk, boundary)
             (new_cliques,) = swept
             swept.clear()
-            cycles.append((boundary, {**carried, **new_cliques}, dict(state.maximal)))
+            cycles.append((boundary, carried | new_cliques, set(state.maximal)))
     return cycles
 
 
-def reference_drain(
-    worksets: WorkSets, t_start: int, frontier_threshold: int | None
-) -> None:
+class CheckingWorkSets(WorkSets):
+    """`WorkSets` that asserts every clique offered or seeded is well formed
+    (at least two strictly sorted vertices, ta <= tb) and a valid
+    (delta,gamma)-clique: the checks the engine's plain `Clique` gives up."""
+
+    def _check(self, clique: Clique) -> None:
+        vertices, ta, tb = clique
+        assert type(vertices) is tuple and len(vertices) >= 2, clique
+        assert all(a < b for a, b in zip(vertices, vertices[1:])), clique
+        assert ta <= tb, clique
+        assert is_delta_gamma_clique(
+            vertices, (ta, tb), self.stream, self.delta, self.gamma
+        ), f"enqueued invalid clique {clique}"
+
+    def offer(self, clique, candidates, pool=None, newest=None):
+        self._check(clique)
+        return super().offer(clique, candidates, pool, newest)
+
+    def push_seed(self, clique, candidates):
+        self._check(clique)
+        super().push_seed(clique, candidates)
+
+
+def reference_drain(worksets: WorkSets, t_start: int, frontier_threshold: int) -> None:
     """`drain` with a plain vertex move: every candidate w is checked by
     `is_delta_gamma_clique` on members | {w}, and growths carry no pool."""
     stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
     while worksets.pending:
         item = worksets.pending.pop()
-        clique = item.clique
-        if item.right_only:
-            no_growth = extend_right(clique, worksets, right_only=True)
+        clique, candidates = item.clique, item.candidates
+        if candidates is None:
+            no_growth = extend_right(item, worksets)
         else:
             no_vertex = True
             members = set(clique.vertices)
-            for w in sorted(clique.candidates - members):
+            for w in sorted(candidates - members):
                 verts = tuple(sorted(members | {w}))
                 if is_delta_gamma_clique(verts, (clique.ta, clique.tb), stream, delta, gamma):
                     no_vertex = False
-                    worksets.offer(Clique(verts, clique.span, clique.candidates))
-            no_right = extend_right(clique, worksets)
-            no_left = extend_left(clique, worksets, t_start)
+                    worksets.offer(Clique(verts, clique.ta, clique.tb), candidates)
+            no_right = extend_right(item, worksets)
+            no_left = extend_left(item, worksets, t_start)
             no_growth = no_vertex and no_right and no_left
         if no_growth:
-            worksets.new_maximal[clique.key()] = clique
-        if frontier_threshold is not None and clique.tb >= frontier_threshold:
-            worksets.next_frontier[clique.key()] = clique
+            worksets.new_maximal.add(clique)
+        if clique.tb >= frontier_threshold:
+            worksets.next_frontier.add(clique)
 
 
 def drain_snapshots(
     stream: LinkStream, delta: int, gamma: int, plan: PartitionPlan, drain_fn, monkeypatch
 ) -> list[tuple[frozenset, frozenset, frozenset]]:
     """Drive update_batch over `plan` with `drain_fn` in place of `drain`;
-    returns the key sets (seen, new_maximal, next_frontier) after every
+    returns the clique sets (seen, new_maximal, next_frontier) after every
     drain (two per cycle: the frontier phase and the seed phase)."""
     snapshots = []
 
@@ -200,6 +219,21 @@ def prefill_state_dir(
         save_state(state, fh)
 
 
+def signed(body_lines: list[str]) -> str:
+    """State text with a valid checksum over the given body lines."""
+    body = "\n".join(body_lines) + "\n"
+    return body + f"checksum {hashlib.sha256(body.encode('utf-8')).hexdigest()}\n"
+
+
+def as_v1_state(text: str) -> str:
+    """A v2 state file rewritten in the retired v1 form: no input digest, and
+    a candidate list after every clique line; signed so that only the format
+    can refuse it."""
+    lines = [line for line in text.splitlines()[:-1] if not line.startswith("input_digest ")]
+    lines[0] = "tclique-state v1"
+    return signed([line + " | 3,5" if line.endswith("]") else line for line in lines])
+
+
 def state_files(state_dir: Path) -> list[str]:
     """Names of the files in a state directory, sorted."""
     return sorted(entry.name for entry in Path(state_dir).iterdir())
@@ -227,10 +261,8 @@ def group_contact_stream(seed: int, n_meetings: int) -> LinkStream:
 
 
 def random_state(seed: int) -> BatchState:
-    """Structurally valid random BatchState (possibly fresh, possibly with
-    candidate sets in all three shapes: absent, empty, populated)."""
-    from tclique import make_clique
-
+    """Structurally valid random BatchState (possibly fresh), with a random
+    input digest."""
     rng = random.Random(seed)
     delta = rng.randint(1, 6)
     gamma = rng.randint(1, 3)
@@ -248,21 +280,17 @@ def random_state(seed: int) -> BatchState:
             tb = t_start + rng.randint(0, max(boundary - t_start, 1))
         ta = max(t_start, tb - rng.randint(0, 12))
         tb = max(ta, tb)
-        cands = rng.choice(
-            [None, frozenset(), frozenset(rng.sample(range(10, 15), rng.randint(1, 3)))]
-        )
-        return make_clique(verts, ta, tb, candidates=cands)
+        return make_clique(sorted(verts), ta, tb)
 
-    maximal = {}
-    frontier = {}
+    maximal = set()
+    frontier = set()
     for _ in range(rng.randint(0, 6)):
         c = rand_clique(rng.random() < 0.4)
-        maximal[c.key()] = c
+        maximal.add(c)
         if c.tb >= boundary:  # a maximal clique reaching the boundary is frontier
-            frontier[c.key()] = c
+            frontier.add(c)
     for _ in range(rng.randint(0, 4)):
-        c = rand_clique(True)
-        frontier[c.key()] = c
+        frontier.add(rand_clique(True))
     tail = tuple(
         sorted(
             (
@@ -274,14 +302,8 @@ def random_state(seed: int) -> BatchState:
             key=lambda l: (l.t, l.u, l.v),
         )
     )
-    return BatchState(delta, gamma, t_start, boundary, maximal, frontier, tail)
-
-
-def candidate_maps(state) -> tuple[dict, dict]:
-    return (
-        {k: c.candidates for k, c in state.maximal.items()},
-        {k: c.candidates for k, c in state.frontier.items()},
-    )
+    digest = f"{rng.getrandbits(256):064x}"
+    return BatchState(delta, gamma, t_start, boundary, maximal, frontier, tail, digest)
 
 
 # -- independent delta-clique enumeration (gamma = 1) --------------------------------
@@ -301,7 +323,7 @@ def _next_occurrence_table(stream: LinkStream, pair, horizon_end: int) -> dict[i
     return table
 
 
-def delta_clique_keys(stream: LinkStream, delta: int) -> frozenset[CliqueKey]:
+def delta_clique_keys(stream: LinkStream, delta: int) -> frozenset[tuple]:
     """All maximal delta-cliques (every pair interacts within every window of
     length delta inside the interval), enumerated from first principles."""
     t_lo, t_hi = stream.observation

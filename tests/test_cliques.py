@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from tclique import (
     Clique,
-    Interval,
     contains,
     format_clique,
     is_delta_gamma_clique,
@@ -18,35 +17,41 @@ from tclique.linkstream import links_from_pairs
 
 
 def test_interval_basics():
-    iv = Interval(2, 7)
-    assert iv.length == 5
-    assert iv.covers(Interval(3, 6))
-    assert not iv.covers(Interval(1, 6))
-    assert str(iv) == "[2,7]"
+    # the interval of a clique is its closed span [ta, tb]
+    iv = make_clique([1, 2], 2, 7)
+    assert iv.tb - iv.ta == 5
+    assert contains(iv, make_clique([1, 2], 3, 6))
+    assert not contains(iv, make_clique([1, 2], 1, 6))
+    assert str(iv).endswith(" [2,7]")
+    assert make_clique([1, 2], 4, 4).tb - make_clique([1, 2], 4, 4).ta == 0
     with pytest.raises(ValueError):
-        Interval(5, 4)
+        make_clique([1, 2], 5, 4)
 
 
 def test_clique_invariants():
-    with pytest.raises(ValueError):
-        make_clique([1], 0, 5)
-    with pytest.raises(ValueError):
-        Clique((2, 1), Interval(0, 5))
-    with pytest.raises(ValueError):
-        Clique((1, 1, 2), Interval(0, 5))
+    # a repeated vertex, unsorted vertices, a single vertex, an empty interval
+    for text in ("1,1 [2,3]", "2,1 [2,3]", "1 [2,3]", "1,2 [5,3]", "1,2,2 [0,5]"):
+        with pytest.raises(ValueError):
+            parse_clique(text)
+        head, span = text.split(" ")
+        ta, tb = (int(t) for t in span[1:-1].split(","))
+        with pytest.raises(ValueError):
+            make_clique([int(v) for v in head.split(",")], ta, tb)
 
 
 def test_canonical_key_examples():
-    assert make_clique([2, 1], 3, 6).key() == make_clique([1, 2], 3, 6).key()
-    a = make_clique([1, 2], 3, 6, candidates={5})
-    b = make_clique([1, 2], 3, 6, candidates={7, 8})
-    assert a.key() == b.key()
-    assert a == b  # candidates excluded from equality
-    assert make_clique([1, 2], 3, 6).key() != make_clique([1, 2], 3, 7).key()
+    # a clique is the plain value (vertices, ta, tb): equal values are one key
+    a = make_clique([1, 2], 3, 6)
+    assert a == Clique((1, 2), 3, 6) == ((1, 2), 3, 6)
+    assert hash(a) == hash(((1, 2), 3, 6))
+    assert len({a, make_clique((1, 2), 3, 6), parse_clique("1,2 [3,6]")}) == 1
+    assert a != make_clique([1, 2], 3, 7)
+    assert (a.vertices, a.ta, a.tb) == ((1, 2), 3, 6)
+    assert str(a) == "1,2 [3,6]"
 
 
 def test_text_form_round_trip():
-    c = make_clique([3, 1, 2], 2, 5)
+    c = make_clique([1, 2, 3], 2, 5)
     assert format_clique(c) == "1,2,3 [2,5]"
     assert parse_clique("1,2,3 [2,5]") == c
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import pytest
 
 from tclique import (
+    Clique,
     LinkStream,
     PartitionPlan,
     TemporalLink,
@@ -19,11 +20,26 @@ from tclique.expand import (
     extend_right,
 )
 from tclique.linkstream import links_from_pairs
-from helpers import drain_snapshots, group_contact_stream, random_stream, reference_drain
+from helpers import (
+    CheckingWorkSets,
+    drain_snapshots,
+    group_contact_stream,
+    random_stream,
+    reference_drain,
+)
 
 
-def fresh_ws(stream, delta, gamma, debug=True):
-    return WorkSets(stream, delta, gamma, debug=debug)
+def fresh_ws(stream, delta, gamma, checking=True):
+    """A WorkSets for driving the moves; the checking one asserts that every
+    clique enqueued is a valid (delta,gamma)-clique."""
+    cls = CheckingWorkSets if checking else WorkSets
+    return cls(stream, delta, gamma)
+
+
+def item(vertices, ta, tb, candidates=frozenset(), pool=None, newest=None):
+    """A worklist item; candidates=None makes a carried, right-only one."""
+    cands = None if candidates is None else frozenset(candidates)
+    return WorkItem(make_clique(vertices, ta, tb), cands, pool, newest)
 
 
 def enqueued(ws):
@@ -34,12 +50,13 @@ def enqueued(ws):
 
 
 def test_f1_seed_examples(f1_stream):
-    seeds = seed_cliques(f1_stream, 3, 2, (1, 5))
+    seeds = [seed for seed, _ in seed_cliques(f1_stream, 3, 2, (1, 5), 1)]
+    assert seeds == sorted(seeds)
     by_pair = {}
     for s in seeds:
         by_pair.setdefault(s.vertices, []).append((s.ta, s.tb))
     assert by_pair[(1, 2)] == [(1, 2), (4, 7)]
-    assert {s.key() for s in seeds} == {
+    assert set(seeds) == {
         ((1, 2), 1, 2),
         ((1, 2), 4, 7),
         ((1, 3), 1, 4),
@@ -52,32 +69,33 @@ def test_seeds_hold_exactly_gamma_occurrences_and_are_valid():
     for seed_idx in range(8):
         stream = random_stream(seed_idx)
         for delta, gamma in ((2, 1), (4, 2), (5, 3)):
-            for s in seed_cliques(stream, delta, gamma, stream.observation):
+            window = stream.observation
+            for s, cands in seed_cliques(stream, delta, gamma, window, stream.t_start):
                 assert stream.count_in(s.vertices, (s.ta, s.tb)) == gamma
                 assert is_delta_gamma_clique(
                     s.vertices, (s.ta, s.tb), stream, delta, gamma
                 )
-                assert s.candidates is not None
-                assert not set(s.vertices) & s.candidates
+                assert isinstance(cands, frozenset)
+                assert not set(s.vertices) & cands
 
 
 def test_seed_candidates_follow_window_frequency(f1_stream):
-    seeds = {s.key(): s for s in seed_cliques(f1_stream, 3, 2, (1, 5))}
-    assert seeds[((1, 3), 2, 5)].candidates == frozenset({2})
-    assert seeds[((1, 2), 1, 2)].candidates == frozenset()
+    seeds = dict(seed_cliques(f1_stream, 3, 2, (1, 5), 1))
+    assert seeds[((1, 3), 2, 5)] == frozenset({2})
+    assert seeds[((1, 2), 1, 2)] == frozenset()
 
 
 def test_seed_left_clamp_respects_observation_start():
     # occurrences early in the window would push the anchor before t_start
     stream = links_from_pairs({(1, 2): [1, 3]})
-    seeds = seed_cliques(stream, 4, 2, (1, 3))
-    assert {(s.ta, s.tb) for s in seeds} == {(1, 5), (1, 3)}
+    seeds = seed_cliques(stream, 4, 2, (1, 3), stream.t_start)
+    assert {(s.ta, s.tb) for s, _ in seeds} == {(1, 5), (1, 3)}
 
 
 def test_seeds_never_clamp_right():
     stream = links_from_pairs({(1, 2): [8, 9]})  # observation ends at 9
-    seeds = seed_cliques(stream, 3, 2, (8, 9))
-    assert ((1, 2), 8, 11) in {s.key() for s in seeds}
+    seeds = seed_cliques(stream, 3, 2, (8, 9), stream.t_start)
+    assert ((1, 2), 8, 11) in {s for s, _ in seeds}
 
 
 # -- extend right ----------------------------------------------------------------
@@ -85,29 +103,29 @@ def test_seeds_never_clamp_right():
 
 def test_extend_right_example(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
-    flag = extend_right(make_clique([1, 2], 1, 4), ws)
+    flag = extend_right(item([1, 2], 1, 4), ws)
     assert flag is False
-    assert [c.key() for c in enqueued(ws)] == [((1, 2), 1, 7)]
+    assert enqueued(ws) == [((1, 2), 1, 7)]
 
 
 def test_extend_right_blocked(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
     # anchor: last two occurrences of (1,2) within [1,8] start at 4 -> 4+3=7
-    flag = extend_right(make_clique([1, 2], 1, 7), ws)
+    flag = extend_right(item([1, 2], 1, 7), ws)
     assert flag is True and not ws.pending
 
 
 def test_extend_right_past_observation_end(f1_stream):
-    ws = fresh_ws(f1_stream, 3, 2, debug=False)
-    flag = extend_right(make_clique([1, 2], 4, 5), ws)
+    ws = fresh_ws(f1_stream, 3, 2, checking=False)
+    flag = extend_right(item([1, 2], 4, 5), ws)
     assert flag is False
-    assert [c.key() for c in enqueued(ws)] == [((1, 2), 4, 7)]
+    assert enqueued(ws) == [((1, 2), 4, 7)]
 
 
 def test_extend_right_missing_pair_blocks():
     stream = links_from_pairs({(1, 2): [0, 1], (1, 3): [0], (2, 3): [0, 1]})
-    ws = fresh_ws(stream, 2, 2, debug=False)
-    assert extend_right(make_clique([1, 2, 3], 0, 0), ws) is True
+    ws = fresh_ws(stream, 2, 2, checking=False)
+    assert extend_right(item([1, 2, 3], 0, 0), ws) is True
 
 
 # -- extend left -----------------------------------------------------------------
@@ -115,25 +133,25 @@ def test_extend_right_missing_pair_blocks():
 
 def test_extend_left_example(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
-    flag = extend_left(make_clique([1, 2], 2, 5), ws, t_start=1)
+    flag = extend_left(item([1, 2], 2, 5), ws, t_start=1)
     assert flag is False
-    assert [c.key() for c in enqueued(ws)] == [((1, 2), 1, 5)]
+    assert enqueued(ws) == [((1, 2), 1, 5)]
 
 
 def test_extend_left_clamped_start_counts_as_blocked(f1_stream):
     # anchor would fall before the observation start; after clamping there is
     # no strict growth, so the move reports exhaustion
     ws = fresh_ws(f1_stream, 3, 2)
-    flag = extend_left(make_clique([1, 2], 1, 2), ws, t_start=1)
+    flag = extend_left(item([1, 2], 1, 2), ws, t_start=1)
     assert flag is True and not ws.pending
 
 
 def test_extend_left_partial_clamp():
     stream = links_from_pairs({(1, 2): [2, 3, 9]})
-    ws = fresh_ws(stream, 4, 2, debug=False)
-    flag = extend_left(make_clique([1, 2], 3, 6), ws, t_start=2)
+    ws = fresh_ws(stream, 4, 2, checking=False)
+    flag = extend_left(item([1, 2], 3, 6), ws, t_start=2)
     assert flag is False
-    assert [c.key() for c in enqueued(ws)] == [((1, 2), 2, 6)]
+    assert enqueued(ws) == [((1, 2), 2, 6)]
 
 
 # -- vertex expansion --------------------------------------------------------------
@@ -141,32 +159,30 @@ def test_extend_left_partial_clamp():
 
 def test_expand_vertex_example(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
-    clique = make_clique([1, 2], 2, 5, candidates={3})
-    flag = expand_vertex_set(clique, ws)
+    flag = expand_vertex_set(item([1, 2], 2, 5, candidates={3}), ws)
     assert flag is False
-    grown = enqueued(ws)[0]
-    assert grown.key() == ((1, 2, 3), 2, 5)
+    (grown,) = ws.pending
+    assert grown.clique == ((1, 2, 3), 2, 5)
     assert grown.candidates == frozenset({3})  # inherited unchanged
 
 
 def test_expand_vertex_requires_candidates(f1_stream):
     with pytest.raises(ValueError):
-        expand_vertex_set(make_clique([1, 2], 2, 5), fresh_ws(f1_stream, 3, 2))
+        expand_vertex_set(item([1, 2], 2, 5, candidates=None), fresh_ws(f1_stream, 3, 2))
 
 
 def test_expand_vertex_empty_candidates_is_exhausted(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
-    clique = make_clique([1, 2], 1, 2, candidates=())
-    assert expand_vertex_set(clique, ws) is True
+    assert expand_vertex_set(item([1, 2], 1, 2, candidates=()), ws) is True
 
 
 def test_flags_independent_of_seen_suppression(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
-    clique = make_clique([1, 2], 2, 5, candidates={3})
-    assert expand_vertex_set(clique, ws) is False
+    start = item([1, 2], 2, 5, candidates={3})
+    assert expand_vertex_set(start, ws) is False
     assert len(ws.pending) == 1
     # second call: growth still exists, enqueue suppressed by the seen set
-    assert expand_vertex_set(clique, ws) is False
+    assert expand_vertex_set(start, ws) is False
     assert len(ws.pending) == 1
 
 
@@ -179,9 +195,9 @@ def test_expand_vertex_never_tries_a_vertex_outside_the_pool():
     # {1,2,4} would be valid, but 4 is not a growth of the parent
     stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
     ws = fresh_ws(stream, 2, 1)
-    clique = make_clique([1, 2], 0, 0, candidates={3, 4})
-    assert expand_vertex_set(clique, ws, pool=(2, 3), newest=2) is False
-    assert [c.key() for c in enqueued(ws)] == [((1, 2, 3), 0, 0)]
+    start = item([1, 2], 0, 0, candidates={3, 4}, pool=(2, 3), newest=2)
+    assert expand_vertex_set(start, ws) is False
+    assert enqueued(ws) == [((1, 2, 3), 0, 0)]
     assert ws.pair_checks == 1  # (3, 2) only
 
 
@@ -189,9 +205,9 @@ def test_expand_vertex_drops_a_pool_vertex_that_fails_with_the_newest():
     # 5 pairs with 1 and 2 but not with the newest vertex 3
     stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (1, 5), (2, 5))
     ws = fresh_ws(stream, 2, 1)
-    clique = make_clique([1, 2, 3], 0, 0, candidates={3, 4, 5})
-    assert expand_vertex_set(clique, ws, pool=(3, 4, 5), newest=3) is False
-    assert [c.key() for c in enqueued(ws)] == [((1, 2, 3, 4), 0, 0)]
+    start = item([1, 2, 3], 0, 0, candidates={3, 4, 5}, pool=(3, 4, 5), newest=3)
+    assert expand_vertex_set(start, ws) is False
+    assert enqueued(ws) == [((1, 2, 3, 4), 0, 0)]
     assert ws.pair_checks == 2
     (child,) = ws.pending
     assert (child.pool, child.newest) == ((4,), 4)
@@ -201,9 +217,8 @@ def test_expand_vertex_without_pool_checks_every_member():
     # 5 pairs with 2 and 3 but not with the oldest member 1
     stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (2, 5), (3, 5))
     ws = fresh_ws(stream, 2, 1)
-    clique = make_clique([1, 2, 3], 0, 0, candidates={4, 5})
-    assert expand_vertex_set(clique, ws) is False
-    assert [c.key() for c in enqueued(ws)] == [((1, 2, 3, 4), 0, 0)]
+    assert expand_vertex_set(item([1, 2, 3], 0, 0, candidates={4, 5}), ws) is False
+    assert enqueued(ws) == [((1, 2, 3, 4), 0, 0)]
     assert ws.pair_checks == 3 + 1  # 4 against all three; 5 fails on (1, 5)
     (child,) = ws.pending
     assert (child.pool, child.newest) == ((4,), 4)
@@ -212,7 +227,7 @@ def test_expand_vertex_without_pool_checks_every_member():
 def test_expand_vertex_siblings_share_one_pool():
     stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4))
     ws = fresh_ws(stream, 2, 1)
-    expand_vertex_set(make_clique([1, 2], 0, 0, candidates={3, 4}), ws)
+    expand_vertex_set(item([1, 2], 0, 0, candidates={3, 4}), ws)
     first, second = ws.pending
     assert first.pool is second.pool == (3, 4)
     assert (first.newest, second.newest) == (3, 4)
@@ -223,13 +238,14 @@ def test_expand_vertex_siblings_share_one_pool():
 
 def test_right_only_items_skip_other_moves(f1_stream):
     # {1,2} [2,5] could take vertex 3 and extend left, but a carried frontier
-    # clique is only ever grown rightward
+    # clique (one without candidates) is only ever grown rightward
     ws = fresh_ws(f1_stream, 3, 2)
-    ws.seen.add(((1, 2), 2, 5))
-    ws.pending.append(WorkItem(make_clique([1, 2], 2, 5), right_only=True))
-    drain(ws, t_start=1, frontier_threshold=None)
-    assert all(len(key[0]) == 2 for key in ws.seen)
-    assert ((1, 2), 1, 5) not in ws.seen  # no left move happened
+    carried = item([1, 2], 2, 5, candidates=None)
+    ws.seen.add(carried.clique)
+    ws.pending.append(carried)
+    drain(ws, t_start=1, frontier_threshold=5)
+    assert ws.seen == {((1, 2), 2, 5), ((1, 2), 2, 7)}  # no vertex or left move
+    assert ws.new_maximal == {((1, 2), 2, 7)}
 
 
 def test_every_move_runs_after_an_earlier_one_grows(f1_stream):
@@ -237,29 +253,37 @@ def test_every_move_runs_after_an_earlier_one_grows(f1_stream):
     # and left growths are only reachable from this clique, so they are
     # enqueued only if drain runs the later moves after the vertex move grew
     ws = fresh_ws(f1_stream, 3, 2)
-    start = make_clique([1, 2], 2, 5, candidates={3})
-    ws.seen.add(start.key())
-    ws.pending.append(WorkItem(start))
-    drain(ws, t_start=1, frontier_threshold=None)
+    start = item([1, 2], 2, 5, candidates={3})
+    ws.seen.add(start.clique)
+    ws.pending.append(start)
+    drain(ws, t_start=1, frontier_threshold=5)
     assert {((1, 2, 3), 2, 5), ((1, 2), 2, 7), ((1, 2), 1, 5)} <= ws.seen
-    assert set(ws.new_maximal) == {((1, 2), 1, 7), ((1, 2, 3), 2, 5)}
+    assert ws.new_maximal == {((1, 2), 1, 7), ((1, 2, 3), 2, 5)}
 
 
 def test_debug_mode_rejects_invalid_enqueue(f1_stream):
-    ws = fresh_ws(f1_stream, 3, 2, debug=True)
-    with pytest.raises(AssertionError):
-        ws.offer(make_clique([1, 2], 1, 5, candidates=frozenset()))
-        ws.offer(make_clique([2, 3], 1, 5, candidates=frozenset()))
+    # the checking WorkSets of the tests: a valid clique passes, an invalid
+    # or malformed one fails its assertion
+    ws = fresh_ws(f1_stream, 3, 2)
+    assert ws.offer(make_clique([1, 2], 1, 5), frozenset())
+    with pytest.raises(AssertionError, match="invalid"):
+        ws.offer(make_clique([2, 3], 1, 5), frozenset())
+    for malformed in (((1,), 1, 5), ((2, 1), 1, 5), ((1, 1), 1, 5), ((1, 2), 5, 1)):
+        with pytest.raises(AssertionError):
+            ws.offer(Clique(*malformed), frozenset())
+        with pytest.raises(AssertionError):
+            ws.push_seed(Clique(*malformed), frozenset())
+    assert ws.seen == {((1, 2), 1, 5)}
 
 
 def test_peak_live_tracks_collections(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
-    for seed in seed_cliques(f1_stream, 3, 2, (1, 5)):
-        ws.push_seed(seed)
+    for seed, cands in seed_cliques(f1_stream, 3, 2, (1, 5), 1):
+        ws.push_seed(seed, cands)
     drain(ws, t_start=1, frontier_threshold=5)
     assert ws.peak_live >= len(ws.seen)
-    assert set(ws.new_maximal) <= ws.seen
-    assert all(c.tb >= 5 for c in ws.next_frontier.values())
+    assert ws.new_maximal <= ws.seen
+    assert all(c.tb >= 5 for c in ws.next_frontier)
 
 
 def test_drain_matches_reference_drain_on_the_corpus(corpus, monkeypatch):

@@ -25,7 +25,7 @@ from tclique import (
 )
 from tclique.cli import main
 from conftest import DATA_DIR, load_fixture
-from helpers import group_contact_stream, prefill_state_dir, state_files
+from helpers import as_v1_state, group_contact_stream, prefill_state_dir, state_files
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -92,6 +92,37 @@ def test_resume_rejects_parameter_mismatch(handoff_stream, tmp_path):
             PartitionPlan("explicit", boundaries=(9,)),
             mode="online", state_dir=state_dir,
         )
+
+
+HANDOFF_ONLINE = [
+    "run", "--format", "uvt", "--delta", "4", "--gamma", "2", "--t-end", "21",
+    "--scheme", "explicit", "--boundaries", "5,11,16", "--mode", "online",
+]
+HANDOFF_PLAN = PartitionPlan("explicit", boundaries=(5, 11, 16))
+
+
+def test_cli_resume_refuses_a_changed_input(handoff_stream, tmp_path, capsys):
+    source = (DATA_DIR / "handoff.txt").read_text()
+    assert "\n1 2 6\n" in source
+    changed = tmp_path / "changed.txt"
+    changed.write_text(source.replace("\n1 2 6\n", "\n1 2 5\n", 1))  # into batch 1
+    for name, path, code in (("same", DATA_DIR / "handoff.txt", 0), ("changed", changed, 2)):
+        state_dir = tmp_path / name
+        prefill_state_dir(handoff_stream, 4, 2, HANDOFF_PLAN, state_dir, 2)
+        argv = HANDOFF_ONLINE + ["--input", str(path), "--state-dir", str(state_dir)]
+        assert main(argv) == code, name
+    assert "differ from those the state was built from" in capsys.readouterr().err
+    assert state_files(tmp_path / "changed") == ["state_0002.txt"]  # left as it was
+
+
+def test_cli_refuses_a_v1_state(handoff_stream, tmp_path, capsys):
+    state_dir = tmp_path / "state"
+    prefill_state_dir(handoff_stream, 4, 2, HANDOFF_PLAN, state_dir, 2)
+    path = state_dir / "state_0002.txt"
+    path.write_text(as_v1_state(path.read_text()))
+    argv = HANDOFF_ONLINE + ["--input", str(DATA_DIR / "handoff.txt"), "--state-dir", str(state_dir)]
+    assert main(argv) == 2
+    assert "start the run again" in capsys.readouterr().err
 
 
 @pytest.mark.slow
@@ -165,7 +196,7 @@ def test_result_file_round_trip(handoff_stream, tmp_path):
     final = enumerate_maximal_cliques(handoff_stream, 4, 2)
     text = render_result(final)
     again = load_result(io.StringIO(text))
-    assert {c.key() for c in again} == {c.key() for c in final}
+    assert set(again) == set(final)
     assert render_result(again) == text
 
 

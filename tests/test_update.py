@@ -23,18 +23,24 @@ from tclique import (
     save_state,
     update_batch,
 )
-from tclique.update import contained_cliques, remove_sub_cliques
+from tclique.update import (
+    EMPTY_INPUT_DIGEST,
+    chain_input_digest,
+    contained_cliques,
+    remove_sub_cliques,
+)
 from helpers import (
-    candidate_maps,
+    as_v1_state,
     offline_keys,
     random_state,
     run_batches,
+    signed,
     staged_cycles,
 )
 
 
 def keys(cliques):
-    return {c.key() for c in cliques}
+    return set(cliques)
 
 
 # -- update_batch --------------------------------------------------------------------
@@ -97,40 +103,62 @@ def test_link_tail_is_the_trailing_window(handoff_stream):
 def test_frontier_members_reach_the_boundary(handoff_stream):
     state = mid_stream_state(handoff_stream)
     assert state.frontier, "fixture is built to leave a frontier"
-    assert all(c.tb >= 11 for c in state.frontier.values())
+    assert all(c.tb >= 11 for c in state.frontier)
+
+
+NO_INPUT = EMPTY_INPUT_DIGEST
 
 
 def test_fresh_state_must_be_empty():
     with pytest.raises(ConfigError):
-        BatchState(3, 2, 0, None, {}, {}, (TemporalLink(1, 2, 1),))
+        BatchState(3, 2, 0, None, set(), set(), (TemporalLink(1, 2, 1),), NO_INPUT)
     with pytest.raises(ConfigError):
-        BatchState(0, 2, 0, None, {}, {}, ())
+        BatchState(0, 2, 0, None, set(), set(), (), NO_INPUT)
+    consumed = chain_input_digest(NO_INPUT, [TemporalLink(1, 2, 1)])
+    with pytest.raises(ConfigError, match="fresh"):
+        BatchState(3, 2, 0, None, set(), set(), (), consumed)
+    with pytest.raises(ConfigError, match="digest"):
+        BatchState(3, 2, 0, 5, set(), set(), (), "abc")
 
 
 def test_frontier_invariant_is_validated():
     lagging = make_clique([1, 2], 0, 3)
     with pytest.raises(ConfigError, match="boundary"):
-        BatchState(3, 2, 0, 5, {}, {lagging.key(): lagging}, ())
+        BatchState(3, 2, 0, 5, set(), {lagging}, (), NO_INPUT)
 
 
 def test_maximal_cliques_reaching_the_boundary_must_be_frontier():
     reaching = make_clique([1, 2], 0, 50)
     with pytest.raises(ConfigError, match="not in the frontier"):
-        BatchState(3, 2, 0, 20, {reaching.key(): reaching}, {}, ())
-    both = {reaching.key(): reaching}
-    assert BatchState(3, 2, 0, 20, both, dict(both), ()).maximal == both
+        BatchState(3, 2, 0, 20, {reaching}, set(), (), NO_INPUT)
+    assert BatchState(3, 2, 0, 20, {reaching}, {reaching}, (), NO_INPUT).maximal == {
+        reaching
+    }
+
+
+def test_input_digest_chains_the_batches_consumed(handoff_stream):
+    links = handoff_stream.links
+    state = run_batches(handoff_stream, 4, 2, (11, 20))
+    first = [l for l in links if l.t <= 11]
+    second = [l for l in links if 11 < l.t <= 20]
+    expected = chain_input_digest(chain_input_digest(NO_INPUT, first), second)
+    assert state.input_digest == expected
+    # the digest depends on the links, not on the order a batch lists them in
+    state, _ = update_batch(initial_state(4, 2, 1), first[::-1], 11)
+    assert state.input_digest == chain_input_digest(NO_INPUT, first)
+    assert chain_input_digest(NO_INPUT, first[1:]) != state.input_digest
 
 
 def test_load_state_rejects_a_maximal_clique_missing_from_the_frontier(
     handoff_stream,
 ):
     lines = dump_state(run_batches(handoff_stream, 4, 2, (11,))).splitlines()[:-1]
-    assert "t_boundary 20" in lines and "1,2 [12,22] | -" in lines
+    assert "t_boundary 20" in lines and "1,2 [12,22]" in lines
     head = next(i for i, line in enumerate(lines) if line.startswith("frontier "))
     count = int(lines[head].split()[1])
     # drop the frontier copy of a maximal clique that reaches the boundary
     body = lines[:head] + [f"frontier {count - 1}"] + [
-        line for line in lines[head + 1 :] if line != "1,2 [12,22] | -"
+        line for line in lines[head + 1 :] if line != "1,2 [12,22]"
     ]
     assert len(body) == len(lines) - 1
     with pytest.raises(StateError, match="not in the frontier"):
@@ -142,7 +170,7 @@ def test_staging_observer_sees_both_snapshots(handoff_stream, monkeypatch):
     cycles = staged_cycles(handoff_stream, 4, 2, (11, 20), monkeypatch)
     assert [boundary for boundary, _, _ in cycles] == [11, 20]
     for _, pre, post in cycles:
-        assert set(pre) >= set(post)
+        assert pre >= post
     assert cycles[-1][2] == run_batches(handoff_stream, 4, 2, (11, 20)).maximal
 
 
@@ -155,16 +183,16 @@ def test_remove_sub_cliques_mechanics():
     c = make_clique([1, 2, 3], 4, 6)
     d = make_clique([1, 3], 4, 6)  # strict vertex subset of c, same span
     e = make_clique([1, 2], 8, 14)  # starts after the boundary: not checked
-    collection = {x.key(): x for x in (a, b, c, d, e)}
+    collection = {a, b, c, d, e}
     checked = remove_sub_cliques(collection, t_prev=6)
     assert checked == 4  # everything starting at or before 6
-    assert set(collection) == {a.key(), c.key(), e.key()}
+    assert collection == {a, c, e}
 
 
 def test_remove_sub_cliques_noop_before_first_boundary():
     a = make_clique([1, 2], 0, 9)
     b = make_clique([1, 2], 2, 5)
-    collection = {x.key(): x for x in (a, b)}
+    collection = {a, b}
     assert remove_sub_cliques(collection, t_prev=None) == 0
     assert len(collection) == 2
 
@@ -211,7 +239,7 @@ def test_normalize_clamps_dedups_and_prunes():
         make_clique([1, 2], 13, 20),  # contained once clamped
     ]
     final = normalize_final(raw, t_end=21)
-    assert set(final) == {((1, 2), 12, 21)}
+    assert final == {((1, 2), 12, 21)}
 
 
 def test_finalize_checks_observation_start(f1_stream):
@@ -229,7 +257,6 @@ def test_state_round_trip_is_identity():
         text = dump_state(state)
         again = load_state(io.StringIO(text))
         assert again == state
-        assert candidate_maps(again) == candidate_maps(state)
         assert dump_state(again) == text  # byte-stable
 
 
@@ -237,9 +264,9 @@ def test_real_state_round_trips(handoff_stream):
     state = run_batches(handoff_stream, 4, 2, (11,))
     buf = io.StringIO()
     save_state(state, buf)
-    again = load_state(io.StringIO(buf.getvalue()))
-    assert again == state
-    assert candidate_maps(again) == candidate_maps(state)
+    text = buf.getvalue()
+    assert " | " not in text  # clique lines carry no candidate lists
+    assert load_state(io.StringIO(text)) == state
 
 
 def test_state_corruption_is_detected(handoff_stream):
@@ -251,7 +278,7 @@ def test_state_corruption_is_detected(handoff_stream):
     with pytest.raises(StateError):
         load_state(io.StringIO(truncated))
     # a well-formed file (valid checksum) from an unknown format version
-    body = text[: text.rindex("checksum ")].replace("v1", "v9", 1)
+    body = text[: text.rindex("checksum ")].replace("v2", "v9", 1)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     with pytest.raises(StateError, match="header|version"):
         load_state(io.StringIO(body + f"checksum {digest}\n"))
@@ -259,10 +286,22 @@ def test_state_corruption_is_detected(handoff_stream):
         load_state(io.StringIO(""))
 
 
-def signed(body_lines: list[str]) -> str:
-    """State text with a valid checksum over the given body lines."""
-    body = "\n".join(body_lines) + "\n"
-    return body + f"checksum {hashlib.sha256(body.encode('utf-8')).hexdigest()}\n"
+def test_load_state_refuses_a_v1_state(handoff_stream):
+    text = dump_state(run_batches(handoff_stream, 4, 2, (11,)))
+    v1 = as_v1_state(text)
+    assert "1,2 [12,22] | 3,5" in v1.splitlines()
+    with pytest.raises(StateError, match="v1.*start the run again"):
+        load_state(io.StringIO(v1))
+
+
+def test_load_state_checks_the_input_digest_line(handoff_stream):
+    lines = dump_state(run_batches(handoff_stream, 4, 2, (11,))).splitlines()[:-1]
+    assert lines[5].startswith("input_digest ") and len(lines[5].split()[1]) == 64
+    for bad in ("input_digest x", "input_digest " + "A" * 64, "input_digest "):
+        with pytest.raises(StateError, match="digest"):
+            load_state(io.StringIO(signed(lines[:5] + [bad] + lines[6:])))
+    with pytest.raises(StateError, match="input_digest"):
+        load_state(io.StringIO(signed(lines[:5] + lines[6:])))
 
 
 def test_load_state_wraps_bad_values_in_state_error(handoff_stream):
@@ -291,10 +330,12 @@ def test_load_state_rejects_repeated_section_lines(handoff_stream):
 
 STATE_TOKENS = st.sampled_from(
     ["x", "none", "-", "", "-1", "0", "7", "2 1 5", "1 1 3", "1,2", "1,1 [0,1]",
-     "2,1 [0,1]", "1,2 [5,1]", "1,2 [0,1] | x", "1,2 [0,1] | -", "1,2 [0,1] |",
-     "maximal 99", "frontier -1", "link_tail x", "t_boundary x", "tclique-state v1"]
+     "2,1 [0,1]", "1,2 [5,1]", "1 [0,1]", "1,2 [0,1] | x", "1,2 [0,1] | -",
+     "1,2 [0,1] |", "1,2 [0,1] | 3,5", "maximal 99", "frontier -1", "link_tail x",
+     "t_boundary x", "tclique-state v1", "tclique-state v2", "input_digest x",
+     "input_digest " + "0" * 64, "input_digest " + "f" * 63]
 )
-STATE_TEXT = st.text(alphabet="0123456789 ,-|[]xnoe", max_size=24)
+STATE_TEXT = st.text(alphabet="0123456789abcdef ,-|[]xnoe", max_size=24)
 
 
 @settings(max_examples=300, deadline=None)
@@ -305,8 +346,9 @@ STATE_TEXT = st.text(alphabet="0123456789 ,-|[]xnoe", max_size=24)
     st.one_of(STATE_TOKENS, STATE_TEXT),
 )
 def test_mutated_state_raises_only_state_error(seed, line, whole_line, new):
-    """Change one line of a state file, re-sign it so the parser is reached,
-    and load it: it either loads or raises StateError, nothing else."""
+    """Change one line of a v2 state file (input digest line included),
+    re-sign it so the parser is reached, and load it: it either loads or
+    raises StateError, nothing else."""
     lines = dump_state(random_state(seed)).splitlines()[:-1]
     idx = line % len(lines)
     if whole_line:
