@@ -160,13 +160,20 @@ def format_clique(clique: Clique) -> str:
 
 def parse_clique(text: str) -> Clique:
     """Inverse of `format_clique`, checked as `make_clique` checks; ValueError
-    on bad text."""
-    head, _, span_part = text.strip().partition(" ")
+    on bad text.
+
+    Only the canonical form is read, the one `format_clique` writes back
+    byte for byte: no plus sign, leading zero, underscore or extra space.
+    """
+    head, _, span_part = text.partition(" ")
     if not span_part.startswith("[") or not span_part.endswith("]"):
         raise ValueError(f"bad clique text {text!r}")
     ta_text, _, tb_text = span_part[1:-1].partition(",")
     vertices = (int(v) for v in head.split(","))
-    return make_clique(vertices, int(ta_text), int(tb_text))
+    clique = make_clique(vertices, int(ta_text), int(tb_text))
+    if format_clique(clique) != text:
+        raise ValueError(f"clique text {text!r} is not in canonical form")
+    return clique
 
 
 def sort_cliques(cliques: Iterable[Clique]) -> list[Clique]:

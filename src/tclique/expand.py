@@ -58,6 +58,7 @@ class WorkSets:
     next_frontier popped cliques whose right end reaches the cycle boundary
     peak_live     max of |pending|+|seen|+|new_maximal|+|next_frontier|
     pair_checks   pair validity checks made by the vertex move
+    seeds         seeds pushed
     """
 
     stream: LinkStream
@@ -69,6 +70,7 @@ class WorkSets:
     next_frontier: set[Clique] = field(default_factory=set)
     peak_live: int = 0
     pair_checks: int = 0
+    seeds: int = 0
 
     def _note_peak(self) -> None:
         live = (
@@ -99,6 +101,7 @@ class WorkSets:
         """Enqueue unconditionally (seeds bypass the dedup barrier: a clique
         that was carried over as frontier must still be re-expanded with its
         candidate set)."""
+        self.seeds += 1
         self.seen.add(clique)
         self.pending.append(WorkItem(clique, candidates))
         self._note_peak()

@@ -48,6 +48,7 @@ REPORT_COLUMNS = (
     "checked",
     "peak_live",
     "pair_checks",
+    "seeds",
     "wall_seconds",
     "peak_rss_kb",
 )
@@ -78,6 +79,7 @@ class CycleRow:
             "checked": s.n_checked,
             "peak_live": s.peak_live,
             "pair_checks": s.n_pair_checks,
+            "seeds": s.n_seeds,
             "wall_seconds": round(self.wall_seconds, 6),
             "peak_rss_kb": self.peak_rss_kb,
         }
@@ -275,6 +277,7 @@ def _write_report(
                 "checked": "",
                 "peak_live": "",
                 "pair_checks": "",
+                "seeds": "",
                 "wall_seconds": round(finalize_seconds, 6),
                 "peak_rss_kb": _peak_rss_kb(),
             }

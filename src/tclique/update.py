@@ -3,10 +3,11 @@
 Each call to `update_batch` consumes one batch of links up to a new time
 boundary and reworks the clique collection in two phases: carried-over
 frontier cliques are re-extended to the right over the refreshed stream, then
-fresh pair seeds from the window around the previous boundary are expanded in
-full. Cliques made non-maximal by the new links are swept out afterwards, and
-the state keeps only the link tail still able to interact with future
-batches. `finalize` turns the running state into the definitive clique set of
+fresh pair seeds from the window around the previous boundary that reach past
+it are expanded in full. Cliques made non-maximal by the new links are swept
+out afterwards, the frontier drops the cliques a same-vertex frontier clique
+covers, and the state keeps only the link tail still able to interact with
+future batches. `finalize` turns the running state into the definitive clique set of
 a bounded observation window and certifies it.
 
 The state also carries a digest of every link consumed, so a resume can tell
@@ -53,7 +54,8 @@ class BatchState:
     t_boundary is None before the first cycle has run. maximal holds every
     clique confirmed maximal for links up to the boundary; frontier holds the
     cliques whose right end reached the boundary (re-examined next cycle),
-    among them every maximal clique that reaches it;
+    except those whose span a frontier clique with the same vertex set
+    covers, and among them every maximal clique that reaches it;
     link_tail holds the links within delta of the boundary — all the history
     a future batch can still interact with; input_digest chains
     `chain_input_digest` over every batch consumed.
@@ -122,6 +124,7 @@ class CycleStats:
     n_checked: int
     peak_live: int
     n_pair_checks: int
+    n_seeds: int
 
 
 # -- one update cycle -------------------------------------------------------------
@@ -138,7 +141,8 @@ def update_batch(
     expands the window around the previous boundary, sweeps the cycle's
     results for absorbed cliques with `remove_sub_cliques`, and merges the
     survivors with the carried cliques that no longer reach the boundary.
-    The batch's links join the input digest.
+    The next frontier is what `prune_frontier` keeps of the popped cliques
+    that reach t_next. The batch's links join the input digest.
     """
     t_prev = state.t_boundary
     floor = state.t_start - 1 if t_prev is None else t_prev
@@ -163,12 +167,14 @@ def update_batch(
     worksets._note_peak()
     drain(worksets, state.t_start, t_next)
 
-    # Phase B: fresh seeds from the window straddling the previous boundary.
+    # Phase B: fresh seeds from the window straddling the previous boundary,
+    # past the first cycle only those reaching past it (see `_seed_is_new`).
     window_lo = state.t_start if t_prev is None else t_prev - state.delta
     for seed, candidates in seed_cliques(
         working, state.delta, state.gamma, (window_lo, t_next), state.t_start
     ):
-        worksets.push_seed(seed, candidates)
+        if _seed_is_new(seed, t_prev):
+            worksets.push_seed(seed, candidates)
     drain(worksets, state.t_start, t_next)
 
     new_cliques = worksets.new_maximal
@@ -183,7 +189,7 @@ def update_batch(
         state.t_start,
         t_next,
         merged,
-        worksets.next_frontier,
+        prune_frontier(worksets.next_frontier),
         tail,
         chain_input_digest(state.input_digest, batch_links),
     )
@@ -196,8 +202,66 @@ def update_batch(
         n_checked=n_checked,
         peak_live=worksets.peak_live,
         n_pair_checks=worksets.pair_checks,
+        n_seeds=worksets.seeds,
     )
     return next_state, stats
+
+
+def _seed_is_new(seed: Clique, t_prev: Optional[int]) -> bool:
+    """False for a seed that lies at or before the previous boundary on any
+    cycle after the first; such a seed is skipped.
+
+    Its interval [ta, tb] with tb <= t_prev reads only links up to t_prev.
+    Its gamma occurrences sit in [t_prev - delta, t_prev], inside the
+    previous cycle's window, so the previous cycle tried the same interval
+    over the same links, or over more of them where [ta, tb] reaches back
+    before the link tail. Expanding it again can gain only what a new link
+    (t > t_prev) makes possible, and a move can read such a link only from
+    a clique whose interval reaches t_prev:
+    - a right move that carries a clique across t_prev reads links up to
+      tb + 1 <= t_prev, so the previous cycle made the same move and filed
+      the result in its frontier, which phase A carries right;
+    - a vertex growth that a new link makes valid needs a pair with an
+      occurrence after t_prev; that pair's gamma-run ending at such an
+      occurrence yields a seed with tb > t_prev, which is kept.
+    Everything else the expansion reaches ends before t_prev, reads only old
+    links, and the previous cycle already reported it.
+    """
+    return t_prev is None or seed.tb > t_prev
+
+
+def prune_frontier(frontier: Iterable[Clique]) -> set[Clique]:
+    """The frontier without the cliques whose span another frontier clique
+    with the same vertex set covers.
+
+    Dropping a covered clique c = (X, [ta, tb]) keeps every result:
+    - phase A only moves a frontier clique right;
+    - `extend_right` anchors on the gamma-th largest occurrence in
+      [ta, tb+1]; the cover's window holds a superset of those occurrences,
+      so its anchor is no earlier and the cover reaches at least as far;
+    - by induction, every clique grown from c lies within one grown from
+      its cover;
+    - c is never a result, since its cover contains it (a move of the cycle
+      grew it, or it starts by the previous boundary and the sweep dropped
+      it), so a maximal clique that reaches the boundary is still in the
+      frontier;
+    - c is no longer in `seen` next cycle, so phase B may revisit it, which
+      costs time but cannot lose a result.
+    """
+    by_vertices: dict[tuple[int, ...], list[Clique]] = {}
+    for clique in frontier:
+        by_vertices.setdefault(clique.vertices, []).append(clique)
+    kept = set()
+    for group in by_vertices.values():
+        # by ta, widest first: a clique is covered iff an earlier one
+        # reaches at least as far right
+        group.sort(key=lambda c: (c.ta, -c.tb))
+        reach = None
+        for clique in group:
+            if reach is None or clique.tb > reach:
+                kept.add(clique)
+                reach = clique.tb
+    return kept
 
 
 def remove_sub_cliques(new_cliques: set[Clique], t_prev: Optional[int]) -> int:

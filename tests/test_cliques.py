@@ -37,6 +37,13 @@ def test_clique_invariants():
         ta, tb = (int(t) for t in span[1:-1].split(","))
         with pytest.raises(ValueError):
             make_clique([int(v) for v in head.split(",")], ta, tb)
+    # numbers int() reads but format_clique never writes
+    for text in ("1,2 [0,1_0]", "+1,02 [ 0,1]", "01,2 [0,1]", "1,2 [+0,1]",
+                 "1,2 [-0,1]", " 1,2 [0,1]", "1,2 [0,1] ", "1,2  [0,1]"):
+        with pytest.raises(ValueError):
+            parse_clique(text)
+    # a negative time is canonical
+    assert parse_clique("1,2 [-3,-1]") == make_clique([1, 2], -3, -1)
 
 
 def test_canonical_key_examples():

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +26,14 @@ from tclique import (
 )
 from tclique.cli import main
 from conftest import DATA_DIR, load_fixture
-from helpers import as_v1_state, group_contact_stream, prefill_state_dir, state_files
+from helpers import (
+    as_v1_state,
+    group_contact_stream,
+    prefill_state_dir,
+    random_boundaries,
+    random_stream,
+    state_files,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -148,6 +156,27 @@ def test_partitions_agree_on_a_group_contact_stream(tmp_path):
     assert render_result(resumed.final) == whole
 
 
+@pytest.mark.slow
+def test_short_batches_agree_with_one_batch():
+    """Batches shorter than delta, the regime of the frontier prune and the
+    seed filter: 600 random streams (delta 1-8, gamma 1-3) give the same
+    result in one batch, in one batch per tick from the first link to the
+    last, and under a random explicit plan of up to 8 batches."""
+    for seed in range(600):
+        stream = random_stream(50_000 + seed)
+        rng = random.Random(seed)
+        delta, gamma = rng.randint(1, 8), rng.randint(1, 3)
+        t_min, t_max, _ = stream.time_bounds()
+        whole = run_pipeline(stream, delta, gamma, PartitionPlan("ut", 1)).final
+        for boundaries in (
+            tuple(range(t_min, t_max + 1)),
+            random_boundaries(stream, rng, 8),
+        ):
+            plan = PartitionPlan("explicit", boundaries=boundaries)
+            final = run_pipeline(stream, delta, gamma, plan).final
+            assert final == whole, (seed, delta, gamma, boundaries)
+
+
 def test_online_mode_needs_state_dir(handoff_stream):
     with pytest.raises(ConfigError):
         run_pipeline(handoff_stream, 4, 2, PartitionPlan("ut", 2), mode="online")
@@ -190,6 +219,36 @@ def test_report_pair_checks_are_the_cycle_counters(handoff_stream, tmp_path, mon
     assert column == [ws.pair_checks for ws in cycle_worksets]
     assert sum(column) > 0
     assert rows[-1]["pair_checks"] == ""
+
+
+def test_report_seeds_are_the_cycle_counters(handoff_stream, tmp_path, monkeypatch):
+    # the column counts the seeds pushed, not what seed_cliques returns
+    cycle_worksets, offered = [], []
+    real_drain = tclique.update.drain
+    real_seed_cliques = tclique.update.seed_cliques
+
+    def recording_drain(worksets, t_start, frontier_threshold):
+        real_drain(worksets, t_start, frontier_threshold)
+        if not cycle_worksets or cycle_worksets[-1] is not worksets:
+            cycle_worksets.append(worksets)
+
+    def recording_seed_cliques(*args):
+        seeds = real_seed_cliques(*args)
+        offered.append(len(seeds))
+        return seeds
+
+    monkeypatch.setattr(tclique.update, "drain", recording_drain)
+    monkeypatch.setattr(tclique.update, "seed_cliques", recording_seed_cliques)
+    report_path = tmp_path / "report.csv"
+    run_pipeline(handoff_stream, 4, 2, PartitionPlan("ut", 4), report_path=report_path)
+    with open(report_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    column = [int(r["seeds"]) for r in rows[:-1]]
+    assert column == [ws.seeds for ws in cycle_worksets]
+    assert column[0] == offered[0]  # the first cycle pushes every seed
+    assert all(pushed <= n for pushed, n in zip(column, offered))
+    assert column != offered  # a later cycle skipped a seed behind its boundary
+    assert rows[-1]["seeds"] == ""
 
 
 def test_result_file_round_trip(handoff_stream, tmp_path):

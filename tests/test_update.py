@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +11,7 @@ from tclique import (
     BatchState,
     ConfigError,
     LinkStream,
+    PartitionPlan,
     StateError,
     TemporalLink,
     brute_force_enumerate,
@@ -20,18 +22,22 @@ from tclique import (
     load_state,
     make_clique,
     normalize_final,
+    partition_links,
     save_state,
     update_batch,
 )
+import tclique.update
 from tclique.update import (
     EMPTY_INPUT_DIGEST,
     chain_input_digest,
     contained_cliques,
+    prune_frontier,
     remove_sub_cliques,
 )
 from helpers import (
     as_v1_state,
     offline_keys,
+    random_boundaries,
     random_state,
     run_batches,
     signed,
@@ -229,6 +235,69 @@ def test_contained_cliques_matches_brute_force(collection, fresh, picks):
     assert contained_cliques(inner, collection) == expected
 
 
+# -- frontier pruning -----------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(small_cliques(4), max_size=14))
+# nested spans, both ways round
+@example([make_clique([1, 2], 0, 8), make_clique([1, 2], 2, 5)])
+@example([make_clique([1, 2], 2, 5), make_clique([1, 2], 0, 8)])
+# equal ta, different tb; equal tb, different ta
+@example([make_clique([1, 2], 3, 4), make_clique([1, 2], 3, 7)])
+@example([make_clique([1, 2], 1, 7), make_clique([1, 2], 3, 7)])
+# overlapping spans, neither covering the other
+@example([make_clique([1, 2], 0, 5), make_clique([1, 2], 2, 8)])
+# disjoint vertex sets, and a vertex subset: only equal sets prune
+@example([make_clique([1, 2], 0, 8), make_clique([3, 4], 2, 5)])
+@example([make_clique([1, 2, 3], 0, 8), make_clique([1, 2], 2, 5)])
+def test_prune_frontier_matches_brute_force(frontier):
+    frontier = set(frontier)
+    expected = {
+        c
+        for c in frontier
+        if not any(
+            o != c and o.vertices == c.vertices and o.ta <= c.ta and c.tb <= o.tb
+            for o in frontier
+        )
+    }
+    assert prune_frontier(frontier) == expected
+
+
+def test_pruned_cliques_never_reach_the_maximal_set(corpus, monkeypatch):
+    """After every cycle, on the corpus in ut and random explicit batches:
+    no clique the prune dropped is in `maximal`, each has a cover in the
+    kept frontier, and every maximal clique reaching the boundary is in it."""
+    dropped = []
+
+    def recording_prune(frontier):
+        kept = prune_frontier(frontier)
+        dropped.append(set(frontier) - kept)
+        return kept
+
+    monkeypatch.setattr(tclique.update, "prune_frontier", recording_prune)
+    n_dropped = 0
+    for idx, (stream, delta, gamma) in enumerate(corpus):
+        rng = random.Random(40_000 + idx)
+        t_min, t_max, _ = stream.time_bounds()
+        plans = (tuple(range(t_min, t_max + 1)), random_boundaries(stream, rng, 8))
+        for boundaries in plans:
+            state = initial_state(delta, gamma, stream.t_start)
+            plan = PartitionPlan("explicit", boundaries=boundaries)
+            for boundary, chunk in partition_links(stream, plan):
+                state, _ = update_batch(state, chunk, boundary)
+                (gone,) = dropped
+                dropped.clear()
+                n_dropped += len(gone)
+                assert gone.isdisjoint(state.maximal), (idx, boundary)
+                for c in gone:
+                    assert any(contains(o, c) for o in state.frontier), (idx, c)
+                for c in state.maximal:
+                    if c.tb >= boundary:
+                        assert c in state.frontier, (idx, boundary, c)
+    assert n_dropped > 0
+
+
 # -- finalize ----------------------------------------------------------------------------
 
 
@@ -315,6 +384,14 @@ def test_load_state_wraps_bad_values_in_state_error(handoff_stream):
         load_state(io.StringIO(signed(lines[:-1] + ["2 1 5"])))
 
 
+def test_load_state_rejects_non_canonical_clique_lines(handoff_stream):
+    lines = dump_state(run_batches(handoff_stream, 4, 2, (11,))).splitlines()[:-1]
+    idx = lines.index("1,2 [12,22]")
+    for bad in ("1,2 [12,2_2]", "+1,02 [ 12,22]", "1,2 [12,22] "):
+        with pytest.raises(StateError, match="bad maximal clique line"):
+            load_state(io.StringIO(signed(lines[:idx] + [bad] + lines[idx + 1 :])))
+
+
 def test_load_state_rejects_repeated_section_lines(handoff_stream):
     state = initial_state(4, 1, handoff_stream.t_start)
     state, _ = update_batch(state, [l for l in handoff_stream.links if l.t <= 11], 11)
@@ -333,7 +410,8 @@ STATE_TOKENS = st.sampled_from(
      "2,1 [0,1]", "1,2 [5,1]", "1 [0,1]", "1,2 [0,1] | x", "1,2 [0,1] | -",
      "1,2 [0,1] |", "1,2 [0,1] | 3,5", "maximal 99", "frontier -1", "link_tail x",
      "t_boundary x", "tclique-state v1", "tclique-state v2", "input_digest x",
-     "input_digest " + "0" * 64, "input_digest " + "f" * 63]
+     "input_digest " + "0" * 64, "input_digest " + "f" * 63, "1,2 [0,1_0]",
+     "+1,02 [ 0,1]", "01,2 [0,1]", "1,2 [-0,1]", "1_0"]
 )
 STATE_TEXT = st.text(alphabet="0123456789abcdef ,-|[]xnoe", max_size=24)
 
