@@ -7,8 +7,8 @@ fresh pair seeds from the window around the previous boundary that reach past
 it are expanded in full. Cliques made non-maximal by the new links are swept
 out afterwards, the frontier drops the cliques a same-vertex frontier clique
 covers, and the state keeps only the link tail still able to interact with
-future batches. `finalize` turns the running state into the definitive clique set of
-a bounded observation window and certifies it.
+future batches. `finalize` turns the running state into the definitive clique
+set of a bounded observation window and certifies it.
 
 The state also carries a digest of every link consumed, so a resume can tell
 whether its input is the one the state was built from.
