@@ -137,7 +137,7 @@ def _load_stream(args: argparse.Namespace) -> LinkStream:
     if args.t_start is not None or args.t_end is not None:
         lo = stream.t_start if args.t_start is None else args.t_start
         hi = stream.t_end if args.t_end is None else args.t_end
-        stream = LinkStream(stream.links, observation=(lo, hi))
+        stream = LinkStream(stream.links, (lo, hi), stream.dropped_self_loops)
     return stream
 
 
@@ -188,10 +188,12 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error("--mode online needs --state-dir")
     plan = _make_plan(args, parser)
     stream = _load_stream(args)
+    dropped = stream.dropped_self_loops
     print(
         f"{stream.n_links} links, {stream.n_vertices} vertices, "
         f"{stream.n_static_edges} static edges, observation "
         f"[{stream.t_start},{stream.t_end}]"
+        + (f", {dropped} self-loops dropped" if dropped else "")
     )
     report = run_pipeline(
         stream,

@@ -264,9 +264,16 @@ def parse_links(
     return LinkStream(links, observation=observation, dropped_self_loops=dropped)
 
 
-def dump_canonical(stream: LinkStream) -> str:
-    """Canonical text form: 'u v t' lines ascending by (t, u, v)."""
-    return "".join(f"{l.u} {l.v} {l.t}\n" for l in stream.links)
+def format_link(link: TemporalLink) -> str:
+    """Canonical text form of one link: 'u v t'."""
+    return f"{link.u} {link.v} {link.t}"
+
+
+def parse_link(text: str) -> TemporalLink:
+    """Inverse of `format_link`; ValueError on bad text. Numbers are read
+    as `int` reads them, so '+2' passes."""
+    u, v, t = text.split(" ")
+    return TemporalLink(int(u), int(v), int(t))
 
 
 def links_from_pairs(

@@ -15,14 +15,14 @@ import os
 import re
 import resource
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .cliques import Clique, format_clique, parse_clique, sort_cliques
 from .errors import ConfigError, VerificationError
 from .linkstream import LinkStream
-from .oracle import OracleConfig, brute_force_enumerate
+from .oracle import brute_force_enumerate
 from .partition import PartitionPlan, partition_links
 from .update import (
     EMPTY_INPUT_DIGEST,
@@ -40,15 +40,7 @@ _STATE_FILE = re.compile(r"state_(\d{4})\.txt$")
 
 REPORT_COLUMNS = (
     "cycle",
-    "t_boundary",
-    "batch_links",
-    "maximal",
-    "frontier",
-    "new_cliques",
-    "checked",
-    "peak_live",
-    "pair_checks",
-    "seeds",
+    *(f.name for f in fields(CycleStats)),
     "wall_seconds",
     "peak_rss_kb",
 )
@@ -68,18 +60,9 @@ class CycleRow:
     peak_rss_kb: int
 
     def as_record(self) -> dict[str, object]:
-        s = self.stats
         return {
             "cycle": self.cycle,
-            "t_boundary": s.t_boundary,
-            "batch_links": s.batch_links,
-            "maximal": s.n_maximal,
-            "frontier": s.n_frontier,
-            "new_cliques": s.n_new,
-            "checked": s.n_checked,
-            "peak_live": s.peak_live,
-            "pair_checks": s.n_pair_checks,
-            "seeds": s.n_seeds,
+            **asdict(self.stats),
             "wall_seconds": round(self.wall_seconds, 6),
             "peak_rss_kb": self.peak_rss_kb,
         }
@@ -96,10 +79,6 @@ class RunReport:
     final: list[Clique]
     state: BatchState
     finalize_seconds: float = 0.0
-
-    @property
-    def final_count(self) -> int:
-        return len(self.final)
 
 
 def run_pipeline(
@@ -149,8 +128,8 @@ def run_pipeline(
         rows.append(CycleRow(i + 1, stats, wall, _peak_rss_kb()))
         say(
             f"cycle {i + 1}/{len(batches)}: boundary {boundary}, "
-            f"{stats.batch_links} links, {stats.n_maximal} maximal, "
-            f"{stats.n_frontier} frontier, {wall:.3f}s"
+            f"{stats.batch_links} links, {stats.maximal} maximal, "
+            f"{stats.frontier} frontier, {wall:.3f}s"
         )
         if mode == "online":
             _write_state_file(state, state_dir, i + 1)
@@ -262,7 +241,7 @@ def _write_report(
     finalize_seconds: float,
 ) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS, restval="")
         writer.writeheader()
         for row in rows:
             writer.writerow(row.as_record())
@@ -270,14 +249,7 @@ def _write_report(
             {
                 "cycle": "final",
                 "t_boundary": stream.t_end,
-                "batch_links": "",
                 "maximal": len(final),
-                "frontier": "",
-                "new_cliques": "",
-                "checked": "",
-                "peak_live": "",
-                "pair_checks": "",
-                "seeds": "",
                 "wall_seconds": round(finalize_seconds, 6),
                 "peak_rss_kb": _peak_rss_kb(),
             }
@@ -308,14 +280,11 @@ def verify_against_oracle(
     delta: int,
     gamma: int,
     final: Sequence[Clique],
-    config: Optional[OracleConfig] = None,
 ) -> int:
     """Compare a final clique list against exhaustive enumeration; raises
     VerificationError on any difference, returns the clique count when equal.
     OracleBoundsError propagates when the instance is too large to check."""
-    expected = brute_force_enumerate(
-        stream, delta, gamma, config or OracleConfig()
-    )
+    expected = brute_force_enumerate(stream, delta, gamma)
     got, want = set(final), set(expected)
     if got != want:
         missing = sort_cliques(want - got)

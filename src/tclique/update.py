@@ -19,7 +19,8 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, TextIO
+from itertools import zip_longest
+from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from .cliques import (
     Clique,
@@ -30,7 +31,7 @@ from .cliques import (
 )
 from .errors import ConfigError, StateError, TcliqueError
 from .expand import WorkItem, WorkSets, drain, seed_cliques
-from .linkstream import LinkStream, TemporalLink
+from .linkstream import LinkStream, TemporalLink, format_link, parse_link
 
 STATE_MAGIC = "tclique-state"
 STATE_VERSION = 2
@@ -41,9 +42,9 @@ _DIGEST = re.compile(r"[0-9a-f]{64}")
 
 def chain_input_digest(previous: str, batch: Iterable[TemporalLink]) -> str:
     """The input digest after one more batch: sha256 over the previous digest
-    and the batch's links as 'u v t' lines, in canonical (t, u, v) order with
-    duplicates collapsed (the order `LinkStream.links` keeps)."""
-    body = previous + "\n" + "".join(f"{l.u} {l.v} {l.t}\n" for l in batch)
+    and the batch's links as `format_link` lines, in canonical (t, u, v)
+    order with duplicates collapsed (the order `LinkStream.links` keeps)."""
+    body = previous + "\n" + "".join(format_link(l) + "\n" for l in batch)
     return hashlib.sha256(body.encode("ascii")).hexdigest()
 
 
@@ -114,17 +115,18 @@ def initial_state(delta: int, gamma: int, t_start: int) -> BatchState:
 
 @dataclass(frozen=True)
 class CycleStats:
-    """Per-cycle accounting for reports."""
+    """Per-cycle accounting for reports; the fields, in order, are the
+    report's columns."""
 
     t_boundary: int
     batch_links: int
-    n_maximal: int
-    n_frontier: int
-    n_new: int
-    n_checked: int
+    maximal: int
+    frontier: int
+    new_cliques: int
+    checked: int
     peak_live: int
-    n_pair_checks: int
-    n_seeds: int
+    pair_checks: int
+    seeds: int
 
 
 # -- one update cycle -------------------------------------------------------------
@@ -178,7 +180,7 @@ def update_batch(
     drain(worksets, state.t_start, t_next)
 
     new_cliques = worksets.new_maximal
-    n_checked = remove_sub_cliques(new_cliques, t_prev)
+    checked = remove_sub_cliques(new_cliques, t_prev)
     merged = (state.maximal - state.frontier) | new_cliques
 
     tail = tuple(working.links_in((t_next - state.delta, t_next)))
@@ -196,13 +198,13 @@ def update_batch(
     stats = CycleStats(
         t_boundary=t_next,
         batch_links=len(batch),
-        n_maximal=len(merged),
-        n_frontier=len(next_state.frontier),
-        n_new=len(new_cliques),
-        n_checked=n_checked,
+        maximal=len(merged),
+        frontier=len(next_state.frontier),
+        new_cliques=len(new_cliques),
+        checked=checked,
         peak_live=worksets.peak_live,
-        n_pair_checks=worksets.pair_checks,
-        n_seeds=worksets.seeds,
+        pair_checks=worksets.pair_checks,
+        seeds=worksets.seeds,
     )
     return next_state, stats
 
@@ -375,13 +377,12 @@ def dump_state(state: BatchState) -> str:
         f"t_boundary {'none' if state.t_boundary is None else state.t_boundary}",
         f"input_digest {state.input_digest}",
         f"maximal {len(state.maximal)}",
+        *map(format_clique, sorted(state.maximal)),
+        f"frontier {len(state.frontier)}",
+        *map(format_clique, sorted(state.frontier)),
+        f"link_tail {len(state.link_tail)}",
+        *map(format_link, sorted(state.link_tail, key=lambda l: (l.t, l.u, l.v))),
     ]
-    lines.extend(map(format_clique, sorted(state.maximal)))
-    lines.append(f"frontier {len(state.frontier)}")
-    lines.extend(map(format_clique, sorted(state.frontier)))
-    lines.append(f"link_tail {len(state.link_tail)}")
-    tail = sorted(state.link_tail, key=lambda l: (l.t, l.u, l.v))
-    lines.extend(f"{l.u} {l.v} {l.t}" for l in tail)
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return body + f"checksum {digest}\n"
@@ -392,112 +393,70 @@ def save_state(state: BatchState, sink: TextIO) -> None:
 
 
 def load_state(source: TextIO) -> BatchState:
-    """Parse and verify a serialized state; StateError on any corruption."""
+    """Parse and verify a serialized state; StateError on any corruption.
+
+    After the checksum and header checks the fields and sections are read in
+    order, and the text is accepted only if `dump_state` writes the state it
+    describes back byte for byte: sorted sections without repeats, canonical
+    numbers, nothing after the link tail and a final newline.
+    """
     text = source.read()
     lines = text.splitlines()
-    if not lines:
-        raise StateError("empty state file")
-    if lines[-1].startswith("checksum "):
-        body = "\n".join(lines[:-1]) + "\n"
-        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        if lines[-1] != f"checksum {digest}":
-            raise StateError("state checksum mismatch")
-    else:
+    if not lines or not lines[-1].startswith("checksum "):
         raise StateError("state file missing checksum (truncated?)")
+    body = "\n".join(lines[:-1]) + "\n"
+    if lines[-1] != f"checksum {hashlib.sha256(body.encode('utf-8')).hexdigest()}":
+        raise StateError("state checksum mismatch")
     if lines[0] != f"{STATE_MAGIC} v{STATE_VERSION}":
         raise StateError(
             f"unsupported state header {lines[0]!r}: only v{STATE_VERSION} "
             f"states are read; start the run again"
         )
 
-    def _int_field(idx: int, name: str) -> int:
-        prefix = name + " "
-        if idx >= len(lines) or not lines[idx].startswith(prefix):
-            raise StateError(f"missing {name} field")
+    rows = iter(lines[1:-1])
+
+    def field(name: str, parse: Callable[[str], object] = str):
+        line = next(rows, "")
+        if not line.startswith(name + " "):
+            raise StateError(f"missing {name} line")
         try:
-            return int(lines[idx][len(prefix):])
+            return parse(line[len(name) + 1 :])
         except ValueError as exc:
-            raise StateError(f"bad {name} field {lines[idx]!r}") from exc
+            raise StateError(f"bad {name} line {line!r}") from exc
 
-    delta = _int_field(1, "delta")
-    gamma = _int_field(2, "gamma")
-    t_start = _int_field(3, "t_start")
-    if not lines[4].startswith("t_boundary "):
-        raise StateError("missing t_boundary field")
-    raw_boundary = lines[4][len("t_boundary "):]
-    try:
-        t_boundary = None if raw_boundary == "none" else int(raw_boundary)
-    except ValueError as exc:
-        raise StateError(f"bad t_boundary field {lines[4]!r}") from exc
-    if not lines[5].startswith("input_digest "):
-        raise StateError("missing input_digest field")
-    input_digest = lines[5][len("input_digest "):]
-
-    pos = 6
-
-    def _section(name: str) -> list[str]:
-        nonlocal pos
-        prefix = name + " "
-        if pos >= len(lines) or not lines[pos].startswith(prefix):
-            raise StateError(f"missing {name} section")
-        try:
-            count = int(lines[pos][len(prefix):])
-        except ValueError as exc:
-            raise StateError(f"bad {name} count {lines[pos]!r}") from exc
-        start = pos + 1
-        if start + count > len(lines) - 1:  # last line is the checksum
-            raise StateError(f"truncated {name} section")
-        pos = start + count
-        return lines[start : start + count]
-
-    maximal_lines = _section("maximal")
-    frontier_lines = _section("frontier")
-    tail_lines = _section("link_tail")
-    if pos != len(lines) - 1:
-        raise StateError("trailing garbage after link_tail section")
-
-    def _cliques(name: str, section_lines: list[str]) -> set[Clique]:
-        cliques = set()
-        for line in section_lines:
+    def section(name: str, parse: Callable[[str], object]) -> list:
+        """The section's distinct entries in file order: a repeat shrinks
+        the count `dump_state` writes, so the final check refuses it."""
+        entries = {}
+        for _ in range(field(name, int)):
+            line = next(rows, "")
             try:
-                cliques.add(parse_clique(line))
+                entries[parse(line)] = None
             except ValueError as exc:
-                raise StateError(f"bad {name} clique line {line!r}: {exc}") from exc
-        return cliques
+                raise StateError(f"bad {name} line {line!r}: {exc}") from exc
+        return list(entries)
 
-    maximal = _cliques("maximal", maximal_lines)
-    frontier = _cliques("frontier", frontier_lines)
-    tail = []
-    for line in tail_lines:
-        parts = line.split()
-        if len(parts) != 3:
-            raise StateError(f"bad link_tail line {line!r}")
-        try:
-            u, v, t = (int(p) for p in parts)
-            tail.append(TemporalLink(u, v, t))
-        except ValueError as exc:
-            raise StateError(f"bad link_tail line {line!r}") from exc
-    # a repeated line would silently drop an entry from a section
-    for name, section_lines, distinct in (
-        ("maximal", maximal_lines, maximal),
-        ("frontier", frontier_lines, frontier),
-        ("link_tail", tail_lines, set(tail)),
-    ):
-        if len(distinct) != len(section_lines):
-            raise StateError(
-                f"{name} section lists {len(section_lines)} entries but "
-                f"only {len(distinct)} distinct ones"
-            )
     try:
-        return BatchState(
-            delta,
-            gamma,
-            t_start,
-            t_boundary,
-            maximal,
-            frontier,
-            tuple(tail),
-            input_digest,
+        state = BatchState(  # keyword arguments evaluate in the file's order
+            delta=field("delta", int),
+            gamma=field("gamma", int),
+            t_start=field("t_start", int),
+            t_boundary=field(
+                "t_boundary", lambda v: None if v == "none" else int(v)
+            ),
+            input_digest=field("input_digest"),
+            maximal=set(section("maximal", parse_clique)),
+            frontier=set(section("frontier", parse_clique)),
+            link_tail=tuple(section("link_tail", parse_link)),
         )
     except ConfigError as exc:
         raise StateError(f"inconsistent state contents: {exc}") from exc
+    written = dump_state(state).splitlines(keepends=True)
+    pairs = zip_longest(written, text.splitlines(keepends=True), fillvalue="")
+    for at, (ours, theirs) in enumerate(pairs, start=1):
+        if ours != theirs:
+            raise StateError(
+                f"state line {at} is not what dump_state writes: {theirs!r}, "
+                f"expected {ours!r}"
+            )
+    return state

@@ -184,9 +184,9 @@ def test_acceptance_dataset_reference_counts():
     stream = need_dataset("infectious.txt")
     plan = PartitionPlan("ut", 2)
     low = run_pipeline(stream, 360, 2, plan)
-    assert low.final_count == 4199
+    assert len(low.final) == 4199
     high = run_pipeline(stream, 360, 8, plan)
-    assert high.final_count == 569
+    assert len(high.final) == 569
     print("\nACCEPTANCE dataset reference counts: PASS (4199 and 569)")
 
 
@@ -205,7 +205,7 @@ def test_acceptance_dataset_count_trends():
         frontiers = []
         for delta in (180, 360, 720):
             report = run_pipeline(stream, delta, 3, plan)
-            frontiers.append(report.rows[0].stats.n_frontier)
+            frontiers.append(report.rows[0].stats.frontier)
         assert frontiers == sorted(frontiers), (name, frontiers)
     print("\nACCEPTANCE dataset count trends: PASS")
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tclique import FormatSpec, LinkStream, ParseError, TemporalLink, parse_links
-from tclique.linkstream import dump_canonical, links_from_pairs
+from tclique.linkstream import format_link, links_from_pairs, parse_link
 
 
 def test_f1_basic_counts(f1_stream):
@@ -125,8 +125,9 @@ occurrence_sets = st.dictionaries(
 def test_roundtrip_through_canonical_text(pairs):
     stream = links_from_pairs(pairs)
     spec = FormatSpec(column_order="uvt")
-    again = parse_links(io.StringIO(dump_canonical(stream)), spec)
-    assert again.links == stream.links
+    text = "".join(format_link(l) + "\n" for l in stream.links)
+    assert parse_links(io.StringIO(text), spec).links == stream.links
+    assert tuple(map(parse_link, text.splitlines())) == stream.links
 
 
 @given(occurrence_sets, st.integers(0, 20), st.integers(0, 20), st.integers(1, 4))

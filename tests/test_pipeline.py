@@ -190,6 +190,11 @@ def test_report_rows_are_consistent(handoff_stream, tmp_path):
         out_path=out_path, report_path=report_path,
     )
     with open(report_path, newline="") as fh:
+        assert fh.readline() == (
+            "cycle,t_boundary,batch_links,maximal,frontier,new_cliques,checked,"
+            "peak_live,pair_checks,seeds,wall_seconds,peak_rss_kb\r\n"
+        )
+        fh.seek(0)
         rows = list(csv.DictReader(fh))
     assert [r["cycle"] for r in rows[:-1]] == ["1", "2"]
     assert rows[-1]["cycle"] == "final"
@@ -338,6 +343,21 @@ def test_cli_run_online_and_observation_override(tmp_path):
     ]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert "1,2 [12,21]" in out_a.read_text().splitlines()
+
+
+@pytest.mark.parametrize("window", [[], ["--t-end", "9"]])
+def test_cli_run_counts_dropped_self_loops(tmp_path, capsys, window):
+    links = tmp_path / "loops.txt"
+    links.write_text("1 1 2\n2 1 2\n3 1 2\n1 2 2\n4 3 3\n5 1 2\n")
+    code = main([
+        "run", "--input", str(links), "--delta", "2", "--gamma", "1", *window,
+    ])
+    assert code == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.endswith(", 2 self-loops dropped")
+    assert main(["run", "--input", str(DATA_DIR / "f1.txt"), "--format", "uvt",
+                 "--delta", "3", "--gamma", "2", *window]) == 0
+    assert "self-loops" not in capsys.readouterr().out
 
 
 def test_cli_usage_errors_exit_1(tmp_path, capsys):

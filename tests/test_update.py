@@ -58,8 +58,8 @@ def test_single_batch_equals_reference(f1_stream):
     final = finalize(state, f1_stream)
     assert keys(final) == keys(brute_force_enumerate(f1_stream, 3, 2))
     assert stats.batch_links == 8
-    assert stats.n_maximal == len(state.maximal)
-    assert stats.n_new >= 1 and stats.n_checked == 0  # first cycle checks nothing
+    assert stats.maximal == len(state.maximal)
+    assert stats.new_cliques >= 1 and stats.checked == 0  # first cycle checks nothing
 
 
 def test_two_batches_on_handoff_fixture(handoff_stream):
@@ -388,7 +388,7 @@ def test_load_state_rejects_non_canonical_clique_lines(handoff_stream):
     lines = dump_state(run_batches(handoff_stream, 4, 2, (11,))).splitlines()[:-1]
     idx = lines.index("1,2 [12,22]")
     for bad in ("1,2 [12,2_2]", "+1,02 [ 12,22]", "1,2 [12,22] "):
-        with pytest.raises(StateError, match="bad maximal clique line"):
+        with pytest.raises(StateError, match="bad maximal line"):
             load_state(io.StringIO(signed(lines[:idx] + [bad] + lines[idx + 1 :])))
 
 
@@ -398,11 +398,38 @@ def test_load_state_rejects_repeated_section_lines(handoff_stream):
     lines = dump_state(state).splitlines()[:-1]
     for section in ("maximal", "frontier", "link_tail"):
         head = next(i for i, line in enumerate(lines) if line.startswith(section + " "))
-        assert int(lines[head].split()[1]) >= 2
-        # the second line repeats the first: the count stays, one entry is lost
-        repeated = lines[: head + 2] + [lines[head + 1]] + lines[head + 3 :]
-        with pytest.raises(StateError, match=f"{section} section lists"):
+        count = int(lines[head].split()[1])
+        assert count >= 1
+        # the first entry is listed twice and counted twice; dump_state
+        # writes it once, so the section's own count line differs
+        repeated = (
+            lines[:head] + [f"{section} {count + 1}"] + [lines[head + 1]]
+            + lines[head + 1 :]
+        )
+        with pytest.raises(StateError, match=f"line {head + 1} .*: '{section} "):
             load_state(io.StringIO(signed(repeated)))
+
+
+def test_load_state_accepts_only_what_dump_state_writes(handoff_stream):
+    """Each text parses, but dump_state would not write it back: a
+    non-canonical number, unsorted sections, or no final newline."""
+    lines = dump_state(run_batches(handoff_stream, 4, 2, (11,))).splitlines()[:-1]
+    assert load_state(io.StringIO(signed(lines))).delta == 4
+    assert lines[1] == "delta 4" and lines[4] == "t_boundary 20"
+    assert lines[-1] == "2 3 20"
+    head = lines.index("maximal 7")
+    swapped = lines[: head + 1] + [lines[head + 2], lines[head + 1]] + lines[head + 3 :]
+    for at, changed in (
+        (2, lines[:1] + ["delta 0_4"] + lines[2:]),
+        (5, lines[:4] + ["t_boundary 020"] + lines[5:]),
+        (len(lines), lines[:-1] + ["2 3 +20"]),
+        (head + 2, swapped),
+    ):
+        with pytest.raises(StateError, match=f"state line {at} is not what dump_state"):
+            load_state(io.StringIO(signed(changed)))
+    unterminated = signed(lines)[:-1]
+    with pytest.raises(StateError, match=f"state line {len(lines) + 1} "):
+        load_state(io.StringIO(unterminated))
 
 
 STATE_TOKENS = st.sampled_from(
@@ -425,8 +452,9 @@ STATE_TEXT = st.text(alphabet="0123456789abcdef ,-|[]xnoe", max_size=24)
 )
 def test_mutated_state_raises_only_state_error(seed, line, whole_line, new):
     """Change one line of a v2 state file (input digest line included),
-    re-sign it so the parser is reached, and load it: it either loads or
-    raises StateError, nothing else."""
+    re-sign it so the parser is reached, and load it: it either raises
+    StateError, nothing else, or loads a state that dumps back to the exact
+    text."""
     lines = dump_state(random_state(seed)).splitlines()[:-1]
     idx = line % len(lines)
     if whole_line:
@@ -435,10 +463,12 @@ def test_mutated_state_raises_only_state_error(seed, line, whole_line, new):
         tokens = lines[idx].split(" ")
         tokens[line % len(tokens)] = new
         lines[idx] = " ".join(tokens)
+    text = signed(lines)
     try:
-        load_state(io.StringIO(signed(lines)))
+        state = load_state(io.StringIO(text))
     except StateError:
-        pass
+        return
+    assert dump_state(state) == text
 
 
 def test_loaded_state_resumes_identically(handoff_stream):
