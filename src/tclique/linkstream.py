@@ -270,10 +270,13 @@ def format_link(link: TemporalLink) -> str:
 
 
 def parse_link(text: str) -> TemporalLink:
-    """Inverse of `format_link`; ValueError on bad text. Numbers are read
-    as `int` reads them, so '+2' passes."""
+    """Inverse of `format_link`; ValueError on bad text. Only the text that
+    `format_link` writes back is read: no plus sign, leading zero or '_'."""
     u, v, t = text.split(" ")
-    return TemporalLink(int(u), int(v), int(t))
+    link = TemporalLink(int(u), int(v), int(t))
+    if format_link(link) != text:
+        raise ValueError(f"link text {text!r} is not in canonical form")
+    return link
 
 
 def links_from_pairs(

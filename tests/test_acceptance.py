@@ -198,7 +198,7 @@ def test_acceptance_dataset_count_trends():
     for name in ("infectious.txt", "hypertext.txt"):
         stream = need_dataset(name)
         finals = [
-            run_pipeline(stream, 360, gamma, plan).final_count
+            len(run_pipeline(stream, 360, gamma, plan).final)
             for gamma in (2, 4, 8)
         ]
         assert finals == sorted(finals, reverse=True), (name, finals)

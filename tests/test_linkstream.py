@@ -130,6 +130,13 @@ def test_roundtrip_through_canonical_text(pairs):
     assert tuple(map(parse_link, text.splitlines())) == stream.links
 
 
+def test_parse_link_reads_only_canonical_text():
+    assert parse_link("2 3 20") == TemporalLink(2, 3, 20)
+    for bad in ("2 3 +20", "02 3 20", "2 3 2_0", "2  3 20", "2 3 20 ", "3 2 20"):
+        with pytest.raises(ValueError):
+            parse_link(bad)
+
+
 @given(occurrence_sets, st.integers(0, 20), st.integers(0, 20), st.integers(1, 4))
 def test_gamma_occurrence_queries_agree_with_slicing(pairs, a, b, gamma):
     stream = links_from_pairs(pairs)

@@ -399,7 +399,7 @@ def test_load_state_rejects_repeated_section_lines(handoff_stream):
     for section in ("maximal", "frontier", "link_tail"):
         head = next(i for i, line in enumerate(lines) if line.startswith(section + " "))
         count = int(lines[head].split()[1])
-        assert count >= 1
+        assert count >= 2
         # the first entry is listed twice and counted twice; dump_state
         # writes it once, so the section's own count line differs
         repeated = (
@@ -408,11 +408,22 @@ def test_load_state_rejects_repeated_section_lines(handoff_stream):
         )
         with pytest.raises(StateError, match=f"line {head + 1} .*: '{section} "):
             load_state(io.StringIO(signed(repeated)))
+        # the second entry repeats the first and the count stays, so one
+        # entry is lost: a frontier without that clique breaks BatchState's
+        # invariant, and elsewhere the count line again differs
+        lost = lines[: head + 2] + [lines[head + 1]] + lines[head + 3 :]
+        expected = (
+            "inconsistent state contents" if section == "frontier"
+            else f"line {head + 1} .*: '{section} "
+        )
+        with pytest.raises(StateError, match=expected):
+            load_state(io.StringIO(signed(lost)))
 
 
 def test_load_state_accepts_only_what_dump_state_writes(handoff_stream):
-    """Each text parses, but dump_state would not write it back: a
-    non-canonical number, unsorted sections, or no final newline."""
+    """Each text is refused because dump_state would not write it back: a
+    non-canonical number, unsorted sections, or no final newline. A link
+    tail line is refused already by parse_link."""
     lines = dump_state(run_batches(handoff_stream, 4, 2, (11,))).splitlines()[:-1]
     assert load_state(io.StringIO(signed(lines))).delta == 4
     assert lines[1] == "delta 4" and lines[4] == "t_boundary 20"
@@ -422,11 +433,12 @@ def test_load_state_accepts_only_what_dump_state_writes(handoff_stream):
     for at, changed in (
         (2, lines[:1] + ["delta 0_4"] + lines[2:]),
         (5, lines[:4] + ["t_boundary 020"] + lines[5:]),
-        (len(lines), lines[:-1] + ["2 3 +20"]),
         (head + 2, swapped),
     ):
         with pytest.raises(StateError, match=f"state line {at} is not what dump_state"):
             load_state(io.StringIO(signed(changed)))
+    with pytest.raises(StateError, match="bad link_tail line '2 3 \\+20'"):
+        load_state(io.StringIO(signed(lines[:-1] + ["2 3 +20"])))
     unterminated = signed(lines)[:-1]
     with pytest.raises(StateError, match=f"state line {len(lines) + 1} "):
         load_state(io.StringIO(unterminated))
