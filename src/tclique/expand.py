@@ -9,9 +9,11 @@ it rides on the worklist item, never on the clique, and every growth inherits
 it. Cliques carried over from a previous batch have none, and are only ever
 extended to the right.
 
-Each move reads the stream, delta and gamma from the cycle's `WorkSets` and
-returns True when the clique could NOT be grown that way (the "no extension"
-flag); a clique is maximal within the cycle when all three return True.
+Each move reads the stream, delta and gamma from the cycle's `WorkSets`, and
+every bound from the stream: it is the cycle's window, observed over
+[t_start, boundary]. A move returns True when the clique could NOT be grown
+that way (the "no extension" flag); a clique is maximal within the cycle when
+all three return True.
 
 Every enqueued clique is valid, so the vertex move checks only the pairs a
 growth adds. A clique without a pool (a seed, or a clique made by an interval
@@ -111,25 +113,38 @@ class WorkSets:
 
 
 def seed_cliques(
-    stream: LinkStream,
-    delta: int,
-    gamma: int,
-    window: tuple[int, int],
-    t_start: int,
+    stream: LinkStream, delta: int, gamma: int, t_prev: int
 ) -> list[tuple[Clique, frozenset[int]]]:
-    """Pair seeds for one enumeration window.
+    """Pair seeds of one cycle's working stream that reach past `t_prev`.
 
-    For each pair with occurrences s_1 < ... < s_k inside `window` and each run
+    For each pair with occurrences s_1 < ... < s_k in the stream and each run
     of gamma occurrences spanning at most delta, two anchor intervals are
     tried: [s_j, s_j+delta] and [s_(j+gamma-1)-delta, s_(j+gamma-1)], the
     latter clamped at the observation start. An interval becomes a seed only
-    when it holds exactly gamma occurrences of the pair; it comes paired with
-    its candidates, the vertices with at least gamma links to a seed endpoint
-    inside its interval. Duplicates collapse; the pairs are sorted by clique.
+    when it holds exactly gamma occurrences of the pair and ends after the
+    previous boundary t_prev; it comes paired with its candidates, the
+    vertices with at least gamma links to a seed endpoint inside its
+    interval. Duplicates collapse; the pairs are sorted by clique.
+
+    On the first cycle t_prev is t_start - 1 and every seed is kept. Later,
+    a seed [ta, tb] with tb <= t_prev is skipped before its candidates are
+    computed. It reads only links up to t_prev, its gamma occurrences sit in
+    [t_prev - delta, t_prev], inside the previous cycle's stream, so that
+    cycle tried the same interval over the same links, or over more where
+    [ta, tb] reaches back before the link tail. Expanding it again can gain
+    only what a new link (t > t_prev) makes possible, and only a clique whose
+    interval reaches t_prev can read one:
+    - a right move carrying a clique across t_prev reads links up to
+      tb + 1 <= t_prev, so the previous cycle made the same move and filed
+      the result in its frontier, which phase A carries right;
+    - a vertex growth a new link makes valid needs a pair with an occurrence
+      after t_prev, whose gamma-run ending there yields a kept seed.
+    Everything else the expansion reaches ends before t_prev, reads only old
+    links, and the previous cycle already reported it.
     """
     seeds: dict[Clique, frozenset[int]] = {}
     for pair in stream.static_edges:
-        occ = stream.occurrences_in(pair, window)
+        occ = stream.occurrences(pair)
         for j in range(len(occ) - gamma + 1):
             s_lo = occ[j]
             s_hi = occ[j + gamma - 1]
@@ -137,9 +152,9 @@ def seed_cliques(
                 continue
             for ta, tb in (
                 (s_lo, s_lo + delta),
-                (max(s_hi - delta, t_start), s_hi),
+                (max(s_hi - delta, stream.t_start), s_hi),
             ):
-                if stream.count_in(pair, (ta, tb)) != gamma:
+                if tb <= t_prev or stream.count_in(pair, (ta, tb)) != gamma:
                     continue
                 seed = Clique(pair, ta, tb)
                 if seed in seeds:
@@ -217,7 +232,7 @@ def extend_right(item: WorkItem, worksets: WorkSets) -> bool:
     return False
 
 
-def extend_left(item: WorkItem, worksets: WorkSets, t_start: int) -> bool:
+def extend_left(item: WorkItem, worksets: WorkSets) -> bool:
     """Extend the interval left as far as every pair allows.
 
     The new left end is delta before the largest over pairs of the gamma-th
@@ -235,7 +250,7 @@ def extend_left(item: WorkItem, worksets: WorkSets, t_start: int) -> bool:
         if first is None:
             return True
         anchor = first if anchor is None else max(anchor, first)
-    new_ta = max(anchor - worksets.delta, t_start)
+    new_ta = max(anchor - worksets.delta, worksets.stream.t_start)
     if new_ta >= ta:
         return True
     worksets.offer(Clique(vertices, new_ta, tb), item.candidates)
@@ -245,7 +260,7 @@ def extend_left(item: WorkItem, worksets: WorkSets, t_start: int) -> bool:
 # -- worklist fixed point --------------------------------------------------------
 
 
-def drain(worksets: WorkSets, t_start: int, frontier_threshold: int) -> None:
+def drain(worksets: WorkSets) -> None:
     """Run the worklist to exhaustion.
 
     Items without candidates (carried frontier cliques) receive just the
@@ -255,9 +270,10 @@ def drain(worksets: WorkSets, t_start: int, frontier_threshold: int) -> None:
     because each enqueues its own growths; a vertex growth hands its
     same-span pool to its own vertex move. Fully processed cliques with no
     possible growth join `new_maximal`; every popped clique whose right end
-    reaches `frontier_threshold` joins `next_frontier` regardless of its
-    flags.
+    reaches the working stream's observation end (the cycle boundary) joins
+    `next_frontier` regardless of its flags.
     """
+    boundary = worksets.stream.t_end
     while worksets.pending:
         item = worksets.pending.pop()
         if item.candidates is None:
@@ -265,11 +281,11 @@ def drain(worksets: WorkSets, t_start: int, frontier_threshold: int) -> None:
         else:
             no_vertex = expand_vertex_set(item, worksets)
             no_right = extend_right(item, worksets)
-            no_left = extend_left(item, worksets, t_start)
+            no_left = extend_left(item, worksets)
             no_growth = no_vertex and no_right and no_left
         clique = item.clique
         if no_growth:
             worksets.new_maximal.add(clique)
-        if clique.tb >= frontier_threshold:
+        if clique.tb >= boundary:
             worksets.next_frontier.add(clique)
         worksets._note_peak()

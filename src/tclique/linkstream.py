@@ -3,10 +3,10 @@
 A temporal network is a set of timestamped contacts (u, v, t) between
 unordered vertex pairs, observed during a closed interval [t_start, t_end].
 `LinkStream` stores the contacts canonically (u < v, duplicates collapsed)
-and answers the windowed occurrence queries the clique procedures need:
-all occurrences of a pair inside a window, the gamma-th smallest/largest
-occurrence inside a window, and the vertices with at least gamma links to
-a seed vertex inside a window.
+and answers the occurrence queries the clique procedures need: all
+occurrences of a pair, their count inside a window, the gamma-th
+smallest/largest occurrence inside a window, and the vertices with at least
+gamma links to a seed vertex inside a window.
 """
 
 from __future__ import annotations
@@ -162,12 +162,6 @@ class LinkStream:
         """All timestamps of a canonical pair (empty if never linked)."""
         assert pair[0] < pair[1], "pair must be canonical (u < v)"
         return self._pair_index.get(pair, ())
-
-    def occurrences_in(self, pair: tuple[int, int], window: tuple[int, int]) -> list[int]:
-        """Occurrence timestamps of `pair` inside the closed `window`."""
-        ts = self.occurrences(pair)
-        lo, hi = window
-        return list(ts[bisect_left(ts, lo) : bisect_right(ts, hi)])
 
     def count_in(self, pair: tuple[int, int], window: tuple[int, int]) -> int:
         ts = self.occurrences(pair)

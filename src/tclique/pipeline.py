@@ -32,6 +32,7 @@ from .update import (
     finalize,
     initial_state,
     load_state,
+    require_written_back,
     save_state,
     update_batch,
 )
@@ -224,13 +225,20 @@ def render_result(cliques: Iterable[Clique]) -> str:
 
 
 def load_result(source: TextIO) -> list[Clique]:
-    """Parse a result file back into cliques."""
-    out = []
-    for raw in source:
-        line = raw.strip()
-        if line:
-            out.append(parse_clique(line))
-    return out
+    """Parse a result file back into cliques. The text is accepted only if
+    `render_result` writes the distinct cliques back byte for byte, else
+    ValueError naming the first line that differs or does not parse."""
+    text = source.read()
+    cliques = []
+    for at, line in enumerate(text.splitlines(), start=1):
+        try:
+            cliques.append(parse_clique(line))
+        except ValueError as exc:
+            raise ValueError(f"result line {at}: {exc}") from exc
+    require_written_back(
+        text, render_result(set(cliques)), "result", "render_result", ValueError
+    )
+    return cliques
 
 
 def _write_report(

@@ -1,14 +1,15 @@
 """Incremental maintenance of the maximal clique set across link batches.
 
 Each call to `update_batch` consumes one batch of links up to a new time
-boundary and reworks the clique collection in two phases: carried-over
-frontier cliques are re-extended to the right over the refreshed stream, then
-fresh pair seeds from the window around the previous boundary that reach past
-it are expanded in full. Cliques made non-maximal by the new links are swept
-out afterwards, the frontier drops the cliques a same-vertex frontier clique
-covers, and the state keeps only the link tail still able to interact with
-future batches. `finalize` turns the running state into the definitive clique
-set of a bounded observation window and certifies it.
+boundary. Its working stream, the state's link tail plus the batch observed
+over [t_start, new boundary], is the cycle's window and gives every bound of
+the cycle. Carried-over frontier cliques are re-extended to the right over
+it, then its pair seeds that reach past the previous boundary are expanded
+in full. Cliques made non-maximal by the new links are swept out afterwards,
+the frontier drops the cliques a same-vertex frontier clique covers, and the
+state keeps only the link tail still able to interact with future batches.
+`finalize` turns the running state into the definitive clique set of a
+bounded observation window and certifies it.
 
 The state also carries a digest of every link consumed, so a resume can tell
 whether its input is the one the state was built from.
@@ -52,20 +53,20 @@ def chain_input_digest(previous: str, batch: Iterable[TemporalLink]) -> str:
 class BatchState:
     """Resumable snapshot between two update cycles.
 
-    t_boundary is None before the first cycle has run. maximal holds every
-    clique confirmed maximal for links up to the boundary; frontier holds the
-    cliques whose right end reached the boundary (re-examined next cycle),
-    except those whose span a frontier clique with the same vertex set
-    covers, and among them every maximal clique that reaches it;
-    link_tail holds the links within delta of the boundary — all the history
-    a future batch can still interact with; input_digest chains
-    `chain_input_digest` over every batch consumed.
+    t_boundary is t_start - 1, and the state empty, before the first cycle
+    has run. maximal holds every clique confirmed maximal for links up to
+    the boundary; frontier holds the cliques whose right end reached the
+    boundary (re-examined next cycle), except those whose span a frontier
+    clique with the same vertex set covers, and among them every maximal
+    clique that reaches it; link_tail holds the links within delta of the
+    boundary — all the history a future batch can still interact with;
+    input_digest chains `chain_input_digest` over every batch consumed.
     """
 
     delta: int
     gamma: int
     t_start: int
-    t_boundary: Optional[int]
+    t_boundary: int
     maximal: set[Clique]
     frontier: set[Clique]
     link_tail: tuple[TemporalLink, ...]
@@ -78,38 +79,38 @@ class BatchState:
             raise ConfigError(f"gamma must be positive, got {self.gamma}")
         if not _DIGEST.fullmatch(self.input_digest):
             raise ConfigError(f"bad input digest {self.input_digest!r}")
-        if self.t_boundary is None:
-            if (
-                self.maximal
-                or self.frontier
-                or self.link_tail
-                or self.input_digest != EMPTY_INPUT_DIGEST
-            ):
-                raise ConfigError("fresh state must be empty")
-        else:
-            for clique in self.frontier:
-                if clique.tb < self.t_boundary:
-                    raise ConfigError(
-                        f"frontier clique {clique} ends before boundary "
-                        f"{self.t_boundary}"
-                    )
-            for clique in self.maximal:
-                if clique.tb >= self.t_boundary and clique not in self.frontier:
-                    raise ConfigError(
-                        f"maximal clique {clique} reaches boundary "
-                        f"{self.t_boundary} but is not in the frontier"
-                    )
-            for link in self.link_tail:
-                if not (self.t_boundary - self.delta <= link.t <= self.t_boundary):
-                    raise ConfigError(
-                        f"tail link {link} outside ({self.t_boundary - self.delta},"
-                        f" {self.t_boundary}]"
-                    )
+        if self.t_boundary < self.t_start - 1:
+            raise ConfigError(f"boundary {self.t_boundary} is before t_start - 1")
+        if self.t_boundary == self.t_start - 1 and (
+            self.maximal
+            or self.frontier
+            or self.link_tail
+            or self.input_digest != EMPTY_INPUT_DIGEST
+        ):
+            raise ConfigError("fresh state must be empty")
+        for clique in self.frontier:
+            if clique.tb < self.t_boundary:
+                raise ConfigError(
+                    f"frontier clique {clique} ends before boundary "
+                    f"{self.t_boundary}"
+                )
+        for clique in self.maximal:
+            if clique.tb >= self.t_boundary and clique not in self.frontier:
+                raise ConfigError(
+                    f"maximal clique {clique} reaches boundary "
+                    f"{self.t_boundary} but is not in the frontier"
+                )
+        for link in self.link_tail:
+            if not (self.t_boundary - self.delta <= link.t <= self.t_boundary):
+                raise ConfigError(
+                    f"tail link {link} outside ({self.t_boundary - self.delta},"
+                    f" {self.t_boundary}]"
+                )
 
 
 def initial_state(delta: int, gamma: int, t_start: int) -> BatchState:
     return BatchState(
-        delta, gamma, t_start, None, set(), set(), (), EMPTY_INPUT_DIGEST
+        delta, gamma, t_start, t_start - 1, set(), set(), (), EMPTY_INPUT_DIGEST
     )
 
 
@@ -138,22 +139,20 @@ def update_batch(
     """Advance the state across one batch of links ending at boundary t_next.
 
     The batch must contain exactly the links with timestamps in
-    (previous boundary, t_next] — and not before t_start on the first cycle.
-    The cycle grows the carried frontier cliques to the right, seeds and
-    expands the window around the previous boundary, sweeps the cycle's
-    results for absorbed cliques with `remove_sub_cliques`, and merges the
-    survivors with the carried cliques that no longer reach the boundary.
-    The next frontier is what `prune_frontier` keeps of the popped cliques
-    that reach t_next. The batch's links join the input digest.
+    (previous boundary, t_next]. The cycle grows the carried frontier
+    cliques to the right, seeds and expands the working stream, sweeps the
+    cycle's results for absorbed cliques with `remove_sub_cliques`, and
+    merges the survivors with the carried cliques that no longer reach the
+    boundary. The next frontier is what `prune_frontier` keeps of the popped
+    cliques that reach t_next. The batch's links join the input digest.
     """
     t_prev = state.t_boundary
-    floor = state.t_start - 1 if t_prev is None else t_prev
-    if t_next <= floor:
-        raise ConfigError(f"boundary {t_next} does not advance past {floor}")
+    if t_next <= t_prev:
+        raise ConfigError(f"boundary {t_next} does not advance past {t_prev}")
     for link in batch:
-        if not (floor < link.t <= t_next):
+        if not (t_prev < link.t <= t_next):
             raise ConfigError(
-                f"batch link {link} outside ({floor}, {t_next}]"
+                f"batch link {link} outside ({t_prev}, {t_next}]"
             )
 
     working = LinkStream(
@@ -167,24 +166,19 @@ def update_batch(
     # without candidates they take no other move.
     worksets.pending.extend(WorkItem(c, None) for c in sorted(state.frontier))
     worksets._note_peak()
-    drain(worksets, state.t_start, t_next)
+    drain(worksets)
 
-    # Phase B: fresh seeds from the window straddling the previous boundary,
-    # past the first cycle only those reaching past it (see `_seed_is_new`).
-    window_lo = state.t_start if t_prev is None else t_prev - state.delta
-    for seed, candidates in seed_cliques(
-        working, state.delta, state.gamma, (window_lo, t_next), state.t_start
-    ):
-        if _seed_is_new(seed, t_prev):
-            worksets.push_seed(seed, candidates)
-    drain(worksets, state.t_start, t_next)
+    # Phase B: fresh seeds of the working stream that reach past t_prev.
+    for seed, candidates in seed_cliques(working, state.delta, state.gamma, t_prev):
+        worksets.push_seed(seed, candidates)
+    drain(worksets)
 
     new_cliques = worksets.new_maximal
     checked = remove_sub_cliques(new_cliques, t_prev)
     merged = (state.maximal - state.frontier) | new_cliques
 
     tail = tuple(working.links_in((t_next - state.delta, t_next)))
-    batch_links = working.links_in((floor + 1, t_next))  # canonical order
+    batch_links = working.links_in((t_prev + 1, t_next))  # canonical order
     next_state = BatchState(
         state.delta,
         state.gamma,
@@ -207,29 +201,6 @@ def update_batch(
         seeds=worksets.seeds,
     )
     return next_state, stats
-
-
-def _seed_is_new(seed: Clique, t_prev: Optional[int]) -> bool:
-    """False for a seed that lies at or before the previous boundary on any
-    cycle after the first; such a seed is skipped.
-
-    Its interval [ta, tb] with tb <= t_prev reads only links up to t_prev.
-    Its gamma occurrences sit in [t_prev - delta, t_prev], inside the
-    previous cycle's window, so the previous cycle tried the same interval
-    over the same links, or over more of them where [ta, tb] reaches back
-    before the link tail. Expanding it again can gain only what a new link
-    (t > t_prev) makes possible, and a move can read such a link only from
-    a clique whose interval reaches t_prev:
-    - a right move that carries a clique across t_prev reads links up to
-      tb + 1 <= t_prev, so the previous cycle made the same move and filed
-      the result in its frontier, which phase A carries right;
-    - a vertex growth that a new link makes valid needs a pair with an
-      occurrence after t_prev; that pair's gamma-run ending at such an
-      occurrence yields a seed with tb > t_prev, which is kept.
-    Everything else the expansion reaches ends before t_prev, reads only old
-    links, and the previous cycle already reported it.
-    """
-    return t_prev is None or seed.tb > t_prev
 
 
 def prune_frontier(frontier: Iterable[Clique]) -> set[Clique]:
@@ -266,18 +237,18 @@ def prune_frontier(frontier: Iterable[Clique]) -> set[Clique]:
     return kept
 
 
-def remove_sub_cliques(new_cliques: set[Clique], t_prev: Optional[int]) -> int:
+def remove_sub_cliques(new_cliques: set[Clique], t_prev: int) -> int:
     """Drop cycle results contained in another cycle result; returns how many
     were checked.
 
     Only cliques starting at or before the previous boundary can have been
     reported maximal by an earlier cycle and later absorbed, so only those are
     checked, each against the cycle's results through `contained_cliques`.
-    No-op before the first boundary exists.
+    With none (always so on the first cycle) no posting index is built.
     """
-    if t_prev is None:
-        return 0
     checked = [c for c in new_cliques if c.ta <= t_prev]
+    if not checked:
+        return 0
     new_cliques.difference_update(contained_cliques(checked, new_cliques))
     return len(checked)
 
@@ -374,7 +345,7 @@ def dump_state(state: BatchState) -> str:
         f"delta {state.delta}",
         f"gamma {state.gamma}",
         f"t_start {state.t_start}",
-        f"t_boundary {'none' if state.t_boundary is None else state.t_boundary}",
+        f"t_boundary {state.t_boundary}",
         f"input_digest {state.input_digest}",
         f"maximal {len(state.maximal)}",
         *map(format_clique, sorted(state.maximal)),
@@ -441,9 +412,7 @@ def load_state(source: TextIO) -> BatchState:
             delta=field("delta", int),
             gamma=field("gamma", int),
             t_start=field("t_start", int),
-            t_boundary=field(
-                "t_boundary", lambda v: None if v == "none" else int(v)
-            ),
+            t_boundary=field("t_boundary", int),
             input_digest=field("input_digest"),
             maximal=set(section("maximal", parse_clique)),
             frontier=set(section("frontier", parse_clique)),
@@ -451,12 +420,22 @@ def load_state(source: TextIO) -> BatchState:
         )
     except ConfigError as exc:
         raise StateError(f"inconsistent state contents: {exc}") from exc
-    written = dump_state(state).splitlines(keepends=True)
-    pairs = zip_longest(written, text.splitlines(keepends=True), fillvalue="")
-    for at, (ours, theirs) in enumerate(pairs, start=1):
-        if ours != theirs:
-            raise StateError(
-                f"state line {at} is not what dump_state writes: {theirs!r}, "
+    require_written_back(text, dump_state(state), "state", "dump_state", StateError)
+    return state
+
+
+def require_written_back(
+    text: str, written: str, kind: str, writer: str, error: type[Exception]
+) -> None:
+    """Raise `error` unless `text` equals `written`, what `writer` writes for
+    the value read from it, naming the first line that differs (a line past
+    either end reads '')."""
+    pairs = zip_longest(
+        text.splitlines(keepends=True), written.splitlines(keepends=True), fillvalue=""
+    )
+    for at, (theirs, ours) in enumerate(pairs, start=1):
+        if theirs != ours:
+            raise error(
+                f"{kind} line {at} is not what {writer} writes: {theirs!r}, "
                 f"expected {ours!r}"
             )
-    return state

@@ -148,9 +148,10 @@ class CheckingWorkSets(WorkSets):
         super().push_seed(clique, candidates)
 
 
-def reference_drain(worksets: WorkSets, t_start: int, frontier_threshold: int) -> None:
+def reference_drain(worksets: WorkSets) -> None:
     """`drain` with a plain vertex move: every candidate w is checked by
-    `is_delta_gamma_clique` on members | {w}, and growths carry no pool."""
+    `is_delta_gamma_clique` on members | {w}, and growths carry no pool.
+    Like `drain`, it takes the frontier threshold from the stream's end."""
     stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
     while worksets.pending:
         item = worksets.pending.pop()
@@ -166,11 +167,11 @@ def reference_drain(worksets: WorkSets, t_start: int, frontier_threshold: int) -
                     no_vertex = False
                     worksets.offer(Clique(verts, clique.ta, clique.tb), candidates)
             no_right = extend_right(item, worksets)
-            no_left = extend_left(item, worksets, t_start)
+            no_left = extend_left(item, worksets)
             no_growth = no_vertex and no_right and no_left
         if no_growth:
             worksets.new_maximal.add(clique)
-        if clique.tb >= frontier_threshold:
+        if clique.tb >= stream.t_end:
             worksets.next_frontier.add(clique)
 
 
@@ -182,8 +183,8 @@ def drain_snapshots(
     drain (two per cycle: the frontier phase and the seed phase)."""
     snapshots = []
 
-    def recording_drain(worksets, t_start, frontier_threshold):
-        drain_fn(worksets, t_start, frontier_threshold)
+    def recording_drain(worksets):
+        drain_fn(worksets)
         snapshots.append(
             (
                 frozenset(worksets.seen),

@@ -1,6 +1,7 @@
 """Seeds, growth procedures, and the worklist."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tclique import (
     Clique,
@@ -50,7 +51,7 @@ def enqueued(ws):
 
 
 def test_f1_seed_examples(f1_stream):
-    seeds = [seed for seed, _ in seed_cliques(f1_stream, 3, 2, (1, 5), 1)]
+    seeds = [seed for seed, _ in seed_cliques(f1_stream, 3, 2, f1_stream.t_start - 1)]
     assert seeds == sorted(seeds)
     by_pair = {}
     for s in seeds:
@@ -69,8 +70,7 @@ def test_seeds_hold_exactly_gamma_occurrences_and_are_valid():
     for seed_idx in range(8):
         stream = random_stream(seed_idx)
         for delta, gamma in ((2, 1), (4, 2), (5, 3)):
-            window = stream.observation
-            for s, cands in seed_cliques(stream, delta, gamma, window, stream.t_start):
+            for s, cands in seed_cliques(stream, delta, gamma, stream.t_start - 1):
                 assert stream.count_in(s.vertices, (s.ta, s.tb)) == gamma
                 assert is_delta_gamma_clique(
                     s.vertices, (s.ta, s.tb), stream, delta, gamma
@@ -79,22 +79,40 @@ def test_seeds_hold_exactly_gamma_occurrences_and_are_valid():
                 assert not set(s.vertices) & cands
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 3))
+def test_seeds_past_t_prev_are_the_first_cycle_seeds_ending_after_it(
+    index, delta, gamma
+):
+    # a seed is filtered on its right end alone: the rest, candidate sets
+    # included, is what the first cycle (t_prev = t_start - 1) returns
+    stream = random_stream(index)
+    every = seed_cliques(stream, delta, gamma, stream.t_start - 1)
+    for t_prev in range(stream.t_start, stream.t_end + 1):
+        expected = [(seed, cands) for seed, cands in every if seed.tb > t_prev]
+        assert seed_cliques(stream, delta, gamma, t_prev) == expected, t_prev
+
+
 def test_seed_candidates_follow_window_frequency(f1_stream):
-    seeds = dict(seed_cliques(f1_stream, 3, 2, (1, 5), 1))
+    seeds = dict(seed_cliques(f1_stream, 3, 2, f1_stream.t_start - 1))
     assert seeds[((1, 3), 2, 5)] == frozenset({2})
     assert seeds[((1, 2), 1, 2)] == frozenset()
 
 
 def test_seed_left_clamp_respects_observation_start():
-    # occurrences early in the window would push the anchor before t_start
+    # occurrences early in the stream would push the anchor before t_start;
+    # the clamp is the observation start, not the first link
     stream = links_from_pairs({(1, 2): [1, 3]})
-    seeds = seed_cliques(stream, 4, 2, (1, 3), stream.t_start)
+    seeds = seed_cliques(stream, 4, 2, stream.t_start - 1)
     assert {(s.ta, s.tb) for s, _ in seeds} == {(1, 5), (1, 3)}
+    wider = links_from_pairs({(1, 2): [1, 3]}, observation=(0, 3))
+    seeds = seed_cliques(wider, 4, 2, wider.t_start - 1)
+    assert {(s.ta, s.tb) for s, _ in seeds} == {(1, 5), (0, 3)}
 
 
 def test_seeds_never_clamp_right():
     stream = links_from_pairs({(1, 2): [8, 9]})  # observation ends at 9
-    seeds = seed_cliques(stream, 3, 2, (8, 9), stream.t_start)
+    seeds = seed_cliques(stream, 3, 2, stream.t_start - 1)
     assert ((1, 2), 8, 11) in {s for s, _ in seeds}
 
 
@@ -133,7 +151,7 @@ def test_extend_right_missing_pair_blocks():
 
 def test_extend_left_example(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
-    flag = extend_left(item([1, 2], 2, 5), ws, t_start=1)
+    flag = extend_left(item([1, 2], 2, 5), ws)
     assert flag is False
     assert enqueued(ws) == [((1, 2), 1, 5)]
 
@@ -142,16 +160,17 @@ def test_extend_left_clamped_start_counts_as_blocked(f1_stream):
     # anchor would fall before the observation start; after clamping there is
     # no strict growth, so the move reports exhaustion
     ws = fresh_ws(f1_stream, 3, 2)
-    flag = extend_left(item([1, 2], 1, 2), ws, t_start=1)
+    flag = extend_left(item([1, 2], 1, 2), ws)
     assert flag is True and not ws.pending
 
 
 def test_extend_left_partial_clamp():
-    stream = links_from_pairs({(1, 2): [2, 3, 9]})
-    ws = fresh_ws(stream, 4, 2, checking=False)
-    flag = extend_left(item([1, 2], 3, 6), ws, t_start=2)
-    assert flag is False
-    assert enqueued(ws) == [((1, 2), 2, 6)]
+    # the anchor 3 - 4 is clamped at the observation start
+    for start in (2, 0):
+        stream = links_from_pairs({(1, 2): [2, 3, 9]}, observation=(start, 9))
+        ws = fresh_ws(stream, 4, 2, checking=False)
+        assert extend_left(item([1, 2], 3, 6), ws) is False
+        assert enqueued(ws) == [((1, 2), start, 6)]
 
 
 # -- vertex expansion --------------------------------------------------------------
@@ -243,9 +262,19 @@ def test_right_only_items_skip_other_moves(f1_stream):
     carried = item([1, 2], 2, 5, candidates=None)
     ws.seen.add(carried.clique)
     ws.pending.append(carried)
-    drain(ws, t_start=1, frontier_threshold=5)
+    drain(ws)
     assert ws.seen == {((1, 2), 2, 5), ((1, 2), 2, 7)}  # no vertex or left move
     assert ws.new_maximal == {((1, 2), 2, 7)}
+
+
+def test_drain_takes_the_frontier_threshold_from_the_stream_end(f1_stream):
+    # the same links observed up to 5 and up to 7: only cliques reaching the
+    # observation end (the cycle boundary) join the next frontier
+    for end, frontier in ((5, {((1, 2), 2, 5), ((1, 2), 2, 7)}), (7, {((1, 2), 2, 7)})):
+        ws = fresh_ws(LinkStream(f1_stream.links, observation=(1, end)), 3, 2)
+        ws.offer(make_clique([1, 2], 2, 5), None)
+        drain(ws)
+        assert ws.next_frontier == frontier, end
 
 
 def test_every_move_runs_after_an_earlier_one_grows(f1_stream):
@@ -256,7 +285,7 @@ def test_every_move_runs_after_an_earlier_one_grows(f1_stream):
     start = item([1, 2], 2, 5, candidates={3})
     ws.seen.add(start.clique)
     ws.pending.append(start)
-    drain(ws, t_start=1, frontier_threshold=5)
+    drain(ws)
     assert {((1, 2, 3), 2, 5), ((1, 2), 2, 7), ((1, 2), 1, 5)} <= ws.seen
     assert ws.new_maximal == {((1, 2), 1, 7), ((1, 2, 3), 2, 5)}
 
@@ -278,9 +307,9 @@ def test_debug_mode_rejects_invalid_enqueue(f1_stream):
 
 def test_peak_live_tracks_collections(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
-    for seed, cands in seed_cliques(f1_stream, 3, 2, (1, 5), 1):
+    for seed, cands in seed_cliques(f1_stream, 3, 2, f1_stream.t_start - 1):
         ws.push_seed(seed, cands)
-    drain(ws, t_start=1, frontier_threshold=5)
+    drain(ws)
     assert ws.peak_live >= len(ws.seen)
     assert ws.new_maximal <= ws.seen
     assert all(c.tb >= 5 for c in ws.next_frontier)

@@ -157,6 +157,28 @@ def test_partitions_agree_on_a_group_contact_stream(tmp_path):
 
 
 @pytest.mark.slow
+def test_partitions_agree_on_a_20k_link_group_contact_stream(tmp_path):
+    """One batch, a random explicit plan of up to 8 batches, and the same
+    plan run online, interrupted halfway and resumed, give the same bytes on
+    a 20k-link stream, the size of the benchmark's offline workload."""
+    stream = group_contact_stream(seed=2025, n_meetings=500)
+    assert 18_000 <= stream.n_links <= 22_000
+    delta, gamma = 360, 2
+    whole = render_result(run_pipeline(stream, delta, gamma, PartitionPlan("ut", 1)).final)
+    assert whole.count("\n") > 3_000
+    boundaries = random_boundaries(stream, random.Random(2025), 8)
+    plan = PartitionPlan("explicit", boundaries=boundaries)
+    assert render_result(run_pipeline(stream, delta, gamma, plan).final) == whole
+
+    k, done = len(boundaries), len(boundaries) // 2
+    state_dir = tmp_path / "state"
+    prefill_state_dir(stream, delta, gamma, plan, state_dir, done)  # interrupted
+    resumed = run_pipeline(stream, delta, gamma, plan, mode="online", state_dir=state_dir)
+    assert [row.cycle for row in resumed.rows] == list(range(done + 1, k + 1))
+    assert render_result(resumed.final) == whole
+
+
+@pytest.mark.slow
 def test_short_batches_agree_with_one_batch():
     """Batches shorter than delta, the regime of the frontier prune and the
     seed filter: 600 random streams (delta 1-8, gamma 1-3) give the same
@@ -210,8 +232,8 @@ def test_report_pair_checks_are_the_cycle_counters(handoff_stream, tmp_path, mon
     cycle_worksets = []
     real_drain = tclique.update.drain
 
-    def recording_drain(worksets, t_start, frontier_threshold):
-        real_drain(worksets, t_start, frontier_threshold)
+    def recording_drain(worksets):
+        real_drain(worksets)
         if not cycle_worksets or cycle_worksets[-1] is not worksets:
             cycle_worksets.append(worksets)
 
@@ -227,19 +249,22 @@ def test_report_pair_checks_are_the_cycle_counters(handoff_stream, tmp_path, mon
 
 
 def test_report_seeds_are_the_cycle_counters(handoff_stream, tmp_path, monkeypatch):
-    # the column counts the seeds pushed, not what seed_cliques returns
-    cycle_worksets, offered = [], []
+    # the column counts the seeds pushed, every seed seed_cliques returns;
+    # past the first cycle that is fewer than the working stream holds
+    cycle_worksets, offered, unfiltered = [], [], []
     real_drain = tclique.update.drain
     real_seed_cliques = tclique.update.seed_cliques
 
-    def recording_drain(worksets, t_start, frontier_threshold):
-        real_drain(worksets, t_start, frontier_threshold)
+    def recording_drain(worksets):
+        real_drain(worksets)
         if not cycle_worksets or cycle_worksets[-1] is not worksets:
             cycle_worksets.append(worksets)
 
-    def recording_seed_cliques(*args):
-        seeds = real_seed_cliques(*args)
+    def recording_seed_cliques(stream, delta, gamma, t_prev):
+        seeds = real_seed_cliques(stream, delta, gamma, t_prev)
         offered.append(len(seeds))
+        every = real_seed_cliques(stream, delta, gamma, stream.t_start - 1)
+        unfiltered.append(len(every))
         return seeds
 
     monkeypatch.setattr(tclique.update, "drain", recording_drain)
@@ -250,9 +275,10 @@ def test_report_seeds_are_the_cycle_counters(handoff_stream, tmp_path, monkeypat
         rows = list(csv.DictReader(fh))
     column = [int(r["seeds"]) for r in rows[:-1]]
     assert column == [ws.seeds for ws in cycle_worksets]
-    assert column[0] == offered[0]  # the first cycle pushes every seed
-    assert all(pushed <= n for pushed, n in zip(column, offered))
-    assert column != offered  # a later cycle skipped a seed behind its boundary
+    assert column == offered
+    assert column[0] == unfiltered[0]  # the first cycle keeps every seed
+    assert all(pushed <= n for pushed, n in zip(column, unfiltered))
+    assert column != unfiltered  # a later cycle skipped a seed behind its boundary
     assert rows[-1]["seeds"] == ""
 
 
@@ -262,6 +288,22 @@ def test_result_file_round_trip(handoff_stream, tmp_path):
     again = load_result(io.StringIO(text))
     assert set(again) == set(final)
     assert render_result(again) == text
+
+
+def test_load_result_accepts_only_what_render_result_writes():
+    text = "1,2 [1,5]\n2,3 [4,5]\n"
+    assert render_result(load_result(io.StringIO(text))) == text
+    assert load_result(io.StringIO("")) == []
+    for at, bad in (
+        (1, "  2,3 [4,5]\n\n1,2 [1,5]  \n"),  # padded, a blank line, unsorted
+        (1, "2,3 [4,5]\n1,2 [1,5]\n"),  # unsorted
+        (2, "1,2 [1,5]\n\n2,3 [4,5]\n"),  # a blank line
+        (2, "1,2 [1,5]\n2,3 [4,5]"),  # no final newline
+        (2, "1,2 [1,5]\n1,2 [1,5]\n"),  # a repeat
+        (1, "1,2 [1,5]\r\n"),
+    ):
+        with pytest.raises(ValueError, match=f"^result line {at}\\b"):
+            load_result(io.StringIO(bad))
 
 
 def test_empty_stream_yields_empty_result():

@@ -116,13 +116,19 @@ NO_INPUT = EMPTY_INPUT_DIGEST
 
 
 def test_fresh_state_must_be_empty():
-    with pytest.raises(ConfigError):
-        BatchState(3, 2, 0, None, set(), set(), (TemporalLink(1, 2, 1),), NO_INPUT)
-    with pytest.raises(ConfigError):
-        BatchState(0, 2, 0, None, set(), set(), (), NO_INPUT)
+    # before the first cycle the boundary is t_start - 1, never lower
+    assert initial_state(3, 2, 0).t_boundary == -1
+    with pytest.raises(ConfigError, match="fresh"):
+        BatchState(3, 2, 0, -1, set(), set(), (TemporalLink(1, 2, -1),), NO_INPUT)
+    with pytest.raises(ConfigError, match="fresh"):
+        BatchState(3, 2, 0, -1, {make_clique([1, 2], 0, 3)}, set(), (), NO_INPUT)
+    with pytest.raises(ConfigError, match="delta"):
+        BatchState(0, 2, 0, -1, set(), set(), (), NO_INPUT)
     consumed = chain_input_digest(NO_INPUT, [TemporalLink(1, 2, 1)])
     with pytest.raises(ConfigError, match="fresh"):
-        BatchState(3, 2, 0, None, set(), set(), (), consumed)
+        BatchState(3, 2, 0, -1, set(), set(), (), consumed)
+    with pytest.raises(ConfigError, match="before t_start - 1"):
+        BatchState(3, 2, 0, -2, set(), set(), (), NO_INPUT)
     with pytest.raises(ConfigError, match="digest"):
         BatchState(3, 2, 0, 5, set(), set(), (), "abc")
 
@@ -195,11 +201,14 @@ def test_remove_sub_cliques_mechanics():
     assert collection == {a, c, e}
 
 
-def test_remove_sub_cliques_noop_before_first_boundary():
+def test_remove_sub_cliques_noop_before_first_boundary(monkeypatch):
+    # no clique starts by t_prev (so on every first cycle): nothing is
+    # checked, and no posting index is built
     a = make_clique([1, 2], 0, 9)
     b = make_clique([1, 2], 2, 5)
     collection = {a, b}
-    assert remove_sub_cliques(collection, t_prev=None) == 0
+    monkeypatch.setattr(tclique.update, "contained_cliques", None)
+    assert remove_sub_cliques(collection, t_prev=-1) == 0
     assert len(collection) == 2
 
 
@@ -376,8 +385,9 @@ def test_load_state_checks_the_input_digest_line(handoff_stream):
 def test_load_state_wraps_bad_values_in_state_error(handoff_stream):
     lines = dump_state(run_batches(handoff_stream, 4, 2, (11,))).splitlines()[:-1]
     assert lines[4].startswith("t_boundary ")
-    with pytest.raises(StateError, match="t_boundary"):
-        load_state(io.StringIO(signed(lines[:4] + ["t_boundary x"] + lines[5:])))
+    for bad in ("t_boundary x", "t_boundary none"):
+        with pytest.raises(StateError, match="t_boundary"):
+            load_state(io.StringIO(signed(lines[:4] + [bad] + lines[5:])))
     # a tail line with u > v is not a canonical link
     assert lines[-1].count(" ") == 2
     with pytest.raises(StateError, match="link_tail"):
