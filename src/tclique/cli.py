@@ -4,7 +4,7 @@
 incremental clique engine, and writes the final clique list plus an optional
 per-cycle CSV report. `tclique oracle` runs the exhaustive reference
 enumeration on small inputs. Exit codes: 0 success, 1 usage error, 2 data or
-state error, 3 verification mismatch.
+state error, 3 verification mismatch or a result that fails certification.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: usage problems exit 1, data problems
-(parse/partition/state) exit 2, verification mismatches exit 3.
+(parse/partition/state) exit 2, verification or certification failures 3.
 """
 
 
@@ -30,4 +30,4 @@ class OracleBoundsError(TcliqueError):
 
 
 class VerificationError(TcliqueError):
-    """Pipeline output disagrees with the brute-force reference."""
+    """A result fails certification or disagrees with exhaustive search."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Iterable, Optional, TextIO
 
 from .errors import ParseError
 
@@ -135,20 +135,6 @@ class LinkStream:
 
     def neighbors_of(self, vertex: int) -> frozenset[int]:
         return self._neighbors.get(vertex, frozenset())
-
-    def __len__(self) -> int:
-        return len(self._links)
-
-    def __iter__(self) -> Iterator[TemporalLink]:
-        return iter(self._links)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinkStream):
-            return NotImplemented
-        return self._links == other._links and self.observation == other.observation
-
-    def __hash__(self) -> int:
-        return hash((self._links, self.observation))
 
     def __repr__(self) -> str:
         return (
@@ -272,14 +258,3 @@ def parse_link(text: str) -> TemporalLink:
         raise ValueError(f"link text {text!r} is not in canonical form")
     return link
 
-
-def links_from_pairs(
-    pair_times: dict[tuple[int, int], Sequence[int]],
-    observation: tuple[int, int] | None = None,
-) -> LinkStream:
-    """Build a stream from {(u,v): [timestamps]} (test/fixture convenience)."""
-    out = []
-    for (u, v), ts in pair_times.items():
-        for t in ts:
-            out.append(TemporalLink(min(u, v), max(u, v), t))
-    return LinkStream(out, observation=observation)

@@ -1,11 +1,12 @@
 """End-to-end runs: batch loop, state files, result/report writers, stats.
 
 Offline mode feeds every batch of the plan through the update cycle in
-process; online mode additionally persists a checksummed state file after
-each cycle, keeping only the newest one, and can resume a run by loading the
-newest state found in the state directory. Both finish by finalizing the
-collection against the bounded observation window, so their results are
-identical by construction.
+process, keeping each cycle's closed cliques in a list; online mode appends
+them to closed.txt and then writes a checksummed state file, keeping only
+the newest one, and can resume a run from the newest state found in the
+state directory and the closed cliques it counts. Both finish by finalizing
+the closed cliques and the last frontier against the bounded observation
+window, so their results are identical by construction.
 """
 
 from __future__ import annotations
@@ -20,14 +21,15 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .cliques import Clique, format_clique, parse_clique, sort_cliques
-from .errors import ConfigError, VerificationError
+from .errors import ConfigError, StateError, VerificationError
 from .linkstream import LinkStream
 from .oracle import brute_force_enumerate
 from .partition import PartitionPlan, partition_links
 from .update import (
-    EMPTY_INPUT_DIGEST,
+    EMPTY_DIGEST,
     BatchState,
     CycleStats,
+    chain_closed_digest,
     chain_input_digest,
     finalize,
     initial_state,
@@ -38,6 +40,7 @@ from .update import (
 )
 
 _STATE_FILE = re.compile(r"state_(\d{4})\.txt$")
+_CLOSED_FILE = "closed.txt"
 
 REPORT_COLUMNS = (
     "cycle",
@@ -95,10 +98,11 @@ def run_pipeline(
 ) -> RunReport:
     """Run the batch loop over `stream` per `plan` and finalize.
 
-    Online mode writes state_NNNN.txt into state_dir after each cycle and then
-    deletes the older state files, so only the newest state is kept. A later
-    invocation resumes after the newest state found there (its parameters,
-    boundary and input digest must match the plan's first batches).
+    Online mode appends each cycle's closed cliques to state_dir/closed.txt,
+    then writes state_NNNN.txt and deletes the older state files, so only the
+    newest state is kept. A later invocation resumes after the newest state
+    found there (its parameters, boundary and input digest must match the
+    plan's first batches), reading back the closed cliques it counts.
     """
     say = log or (lambda _msg: None)
     if mode not in ("offline", "online"):
@@ -108,6 +112,7 @@ def run_pipeline(
 
     batches = partition_links(stream, plan)
     state = initial_state(delta, gamma, stream.t_start)
+    closed: list[Clique] = []
     start_idx = 0
     if mode == "online":
         state_dir = Path(state_dir)
@@ -116,15 +121,15 @@ def run_pipeline(
         if resumed is not None:
             idx, loaded = resumed
             _check_resume(loaded, delta, gamma, stream.t_start, batches, idx)
-            state = loaded
-            start_idx = idx
+            state, start_idx = loaded, idx
             say(f"resuming after cycle {idx} (boundary {loaded.t_boundary})")
+        closed = _resume_closed(state_dir / _CLOSED_FILE, state)
 
     rows: list[CycleRow] = []
     for i in range(start_idx, len(batches)):
         boundary, chunk = batches[i]
         begin = time.perf_counter()
-        state, stats = update_batch(state, chunk, boundary)
+        state, cycle_closed, stats = update_batch(state, chunk, boundary)
         wall = time.perf_counter() - begin
         rows.append(CycleRow(i + 1, stats, wall, _peak_rss_kb()))
         say(
@@ -132,11 +137,14 @@ def run_pipeline(
             f"{stats.batch_links} links, {stats.maximal} maximal, "
             f"{stats.frontier} frontier, {wall:.3f}s"
         )
+        closed.extend(cycle_closed)
         if mode == "online":
+            with open(state_dir / _CLOSED_FILE, "a", encoding="utf-8") as fh:
+                fh.write(render_result(cycle_closed))
             _write_state_file(state, state_dir, i + 1)
 
     begin = time.perf_counter()
-    final = finalize(state, stream)
+    final = finalize(state, closed, stream)
     finalize_seconds = time.perf_counter() - begin
     say(f"final: {len(final)} maximal cliques ({finalize_seconds:.3f}s)")
     if out_path is not None:
@@ -184,7 +192,7 @@ def _check_resume(
             f"state boundary {loaded.t_boundary} (cycle {idx}) does not match "
             f"the partition plan"
         )
-    digest = EMPTY_INPUT_DIGEST
+    digest = EMPTY_DIGEST
     for _, chunk in batches[:idx]:
         digest = chain_input_digest(digest, chunk)
     if digest != loaded.input_digest:
@@ -192,6 +200,29 @@ def _check_resume(
             f"the links of the first {idx} batches differ from those the "
             f"state was built from"
         )
+
+
+def _resume_closed(path: Path, state: BatchState) -> list[Clique]:
+    """The closed cliques `state` counts, read from the first `state.closed`
+    lines of `path`, which is cut after them: later lines come from a cycle
+    whose state was never written, or are torn, and that cycle runs again.
+    StateError if a counted line is missing, not canonical or changed."""
+    data = path.read_bytes() if path.exists() else b""
+    if data.count(b"\n") < state.closed:
+        raise StateError(f"{path.name} has fewer than the {state.closed} counted lines")
+    lines = data.split(b"\n")[: state.closed]
+    cliques = []
+    for at, line in enumerate(lines, start=1):
+        try:
+            cliques.append(parse_clique(line.decode("ascii")))
+        except ValueError as exc:
+            raise StateError(f"{path.name} line {at}: {exc}") from exc
+    digest = chain_closed_digest(EMPTY_DIGEST, map(format_clique, cliques))
+    if digest != state.closed_digest:
+        raise StateError(f"{path.name} does not match the state's closed digest")
+    with open(path, "ab") as fh:
+        fh.truncate(sum(len(line) + 1 for line in lines))
+    return cliques
 
 
 def _write_state_file(state: BatchState, state_dir: Path, cycle: int) -> None:
@@ -212,8 +243,8 @@ def enumerate_maximal_cliques(
 ) -> list[Clique]:
     """All maximal cliques of a bounded stream in one pass (single batch)."""
     state = initial_state(delta, gamma, stream.t_start)
-    state, _ = update_batch(state, list(stream.links), stream.t_end)
-    return finalize(state, stream)
+    state, closed, _ = update_batch(state, list(stream.links), stream.t_end)
+    return finalize(state, closed, stream)
 
 
 # -- outputs -----------------------------------------------------------------------

@@ -5,14 +5,15 @@ boundary. Its working stream, the state's link tail plus the batch observed
 over [t_start, new boundary], is the cycle's window and gives every bound of
 the cycle. Carried-over frontier cliques are re-extended to the right over
 it, then its pair seeds that reach past the previous boundary are expanded
-in full. Cliques made non-maximal by the new links are swept out afterwards,
-the frontier drops the cliques a same-vertex frontier clique covers, and the
-state keeps only the link tail still able to interact with future batches.
-`finalize` turns the running state into the definitive clique set of a
-bounded observation window and certifies it.
+in full. Cliques made non-maximal by the new links are swept out afterwards.
+The results that end before the new boundary are closed: no later link
+changes them, so they are handed to the caller and leave the state, which
+keeps only the frontier and the link tail still able to interact with future
+batches. `finalize` turns the closed cliques and the last frontier into the
+definitive clique set of a bounded observation window and certifies it.
 
-The state also carries a digest of every link consumed, so a resume can tell
-whether its input is the one the state was built from.
+The state also carries digests of every link consumed and of every clique
+closed, so a resume can check its input and the file the cliques went to.
 """
 
 from __future__ import annotations
@@ -29,15 +30,16 @@ from .cliques import (
     format_clique,
     is_delta_gamma_clique,
     parse_clique,
+    sort_cliques,
 )
-from .errors import ConfigError, StateError, TcliqueError
+from .errors import ConfigError, StateError, VerificationError
 from .expand import WorkItem, WorkSets, drain, seed_cliques
 from .linkstream import LinkStream, TemporalLink, format_link, parse_link
 
 STATE_MAGIC = "tclique-state"
-STATE_VERSION = 2
+STATE_VERSION = 3
 
-EMPTY_INPUT_DIGEST = hashlib.sha256(b"").hexdigest()
+EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()
 _DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
@@ -49,43 +51,53 @@ def chain_input_digest(previous: str, batch: Iterable[TemporalLink]) -> str:
     return hashlib.sha256(body.encode("ascii")).hexdigest()
 
 
+def chain_closed_digest(previous: str, lines: Iterable[str]) -> str:
+    """The closed digest after more closed cliques: sha256 folded over their
+    `format_clique` lines one by one, so the lines alone give it back."""
+    for line in lines:
+        previous = hashlib.sha256(f"{previous}\n{line}\n".encode("ascii")).hexdigest()
+    return previous
+
+
 @dataclass(frozen=True)
 class BatchState:
-    """Resumable snapshot between two update cycles.
+    """Resumable snapshot between two update cycles: what can still change.
 
     t_boundary is t_start - 1, and the state empty, before the first cycle
-    has run. maximal holds every clique confirmed maximal for links up to
-    the boundary; frontier holds the cliques whose right end reached the
-    boundary (re-examined next cycle), except those whose span a frontier
-    clique with the same vertex set covers, and among them every maximal
-    clique that reaches it; link_tail holds the links within delta of the
-    boundary — all the history a future batch can still interact with;
-    input_digest chains `chain_input_digest` over every batch consumed.
+    has run. input_digest chains `chain_input_digest` over every batch
+    consumed; closed counts the cliques closed so far, and closed_digest
+    chains `chain_closed_digest` over them in order. frontier holds the
+    cliques whose right end reached the boundary (re-examined next cycle),
+    except those whose span a frontier clique with the same vertex set
+    covers; link_tail holds the links within delta of the boundary — all the
+    history a future batch can still interact with.
     """
 
     delta: int
     gamma: int
     t_start: int
     t_boundary: int
-    maximal: set[Clique]
+    input_digest: str
+    closed: int
+    closed_digest: str
     frontier: set[Clique]
     link_tail: tuple[TemporalLink, ...]
-    input_digest: str
 
     def __post_init__(self) -> None:
         if self.delta <= 0:
             raise ConfigError(f"delta must be positive, got {self.delta}")
         if self.gamma <= 0:
             raise ConfigError(f"gamma must be positive, got {self.gamma}")
-        if not _DIGEST.fullmatch(self.input_digest):
-            raise ConfigError(f"bad input digest {self.input_digest!r}")
+        for name in ("input_digest", "closed_digest"):
+            if not _DIGEST.fullmatch(getattr(self, name)):
+                raise ConfigError(f"bad {name} {getattr(self, name)!r}")
+        if self.closed < 0:
+            raise ConfigError(f"negative closed count {self.closed}")
         if self.t_boundary < self.t_start - 1:
             raise ConfigError(f"boundary {self.t_boundary} is before t_start - 1")
+        held = (self.input_digest, self.closed, self.closed_digest)
         if self.t_boundary == self.t_start - 1 and (
-            self.maximal
-            or self.frontier
-            or self.link_tail
-            or self.input_digest != EMPTY_INPUT_DIGEST
+            self.frontier or self.link_tail or held != (EMPTY_DIGEST, 0, EMPTY_DIGEST)
         ):
             raise ConfigError("fresh state must be empty")
         for clique in self.frontier:
@@ -93,12 +105,6 @@ class BatchState:
                 raise ConfigError(
                     f"frontier clique {clique} ends before boundary "
                     f"{self.t_boundary}"
-                )
-        for clique in self.maximal:
-            if clique.tb >= self.t_boundary and clique not in self.frontier:
-                raise ConfigError(
-                    f"maximal clique {clique} reaches boundary "
-                    f"{self.t_boundary} but is not in the frontier"
                 )
         for link in self.link_tail:
             if not (self.t_boundary - self.delta <= link.t <= self.t_boundary):
@@ -110,14 +116,14 @@ class BatchState:
 
 def initial_state(delta: int, gamma: int, t_start: int) -> BatchState:
     return BatchState(
-        delta, gamma, t_start, t_start - 1, set(), set(), (), EMPTY_INPUT_DIGEST
+        delta, gamma, t_start, t_start - 1, EMPTY_DIGEST, 0, EMPTY_DIGEST, set(), ()
     )
 
 
 @dataclass(frozen=True)
 class CycleStats:
-    """Per-cycle accounting for reports; the fields, in order, are the
-    report's columns."""
+    """Per-cycle accounting; the fields, in order, are the report's columns.
+    `maximal` counts the cliques closed before the cycle and its results."""
 
     t_boundary: int
     batch_links: int
@@ -135,16 +141,17 @@ class CycleStats:
 
 def update_batch(
     state: BatchState, batch: Sequence[TemporalLink], t_next: int
-) -> tuple[BatchState, CycleStats]:
+) -> tuple[BatchState, list[Clique], CycleStats]:
     """Advance the state across one batch of links ending at boundary t_next.
 
     The batch must contain exactly the links with timestamps in
     (previous boundary, t_next]. The cycle grows the carried frontier
-    cliques to the right, seeds and expands the working stream, sweeps the
-    cycle's results for absorbed cliques with `remove_sub_cliques`, and
-    merges the survivors with the carried cliques that no longer reach the
-    boundary. The next frontier is what `prune_frontier` keeps of the popped
-    cliques that reach t_next. The batch's links join the input digest.
+    cliques to the right, seeds and expands the working stream, and sweeps
+    the cycle's results for absorbed cliques with `remove_sub_cliques`. The
+    results that end before t_next, all in [previous boundary, t_next), are
+    closed: returned in `sort_cliques` order and folded into the closed
+    digest. Those that reach t_next are in the next frontier, what
+    `prune_frontier` keeps of the popped cliques that reach t_next.
     """
     t_prev = state.t_boundary
     if t_next <= t_prev:
@@ -173,9 +180,9 @@ def update_batch(
         worksets.push_seed(seed, candidates)
     drain(worksets)
 
-    new_cliques = worksets.new_maximal
-    checked = remove_sub_cliques(new_cliques, t_prev)
-    merged = (state.maximal - state.frontier) | new_cliques
+    results = worksets.new_maximal
+    checked = remove_sub_cliques(results, t_prev)
+    closed = sort_cliques(c for c in results if c.tb < t_next)
 
     tail = tuple(working.links_in((t_next - state.delta, t_next)))
     batch_links = working.links_in((t_prev + 1, t_next))  # canonical order
@@ -184,23 +191,24 @@ def update_batch(
         state.gamma,
         state.t_start,
         t_next,
-        merged,
+        chain_input_digest(state.input_digest, batch_links),
+        state.closed + len(closed),
+        chain_closed_digest(state.closed_digest, map(format_clique, closed)),
         prune_frontier(worksets.next_frontier),
         tail,
-        chain_input_digest(state.input_digest, batch_links),
     )
     stats = CycleStats(
         t_boundary=t_next,
         batch_links=len(batch),
-        maximal=len(merged),
+        maximal=state.closed + len(results),
         frontier=len(next_state.frontier),
-        new_cliques=len(new_cliques),
+        new_cliques=len(results),
         checked=checked,
         peak_live=worksets.peak_live,
         pair_checks=worksets.pair_checks,
         seeds=worksets.seeds,
     )
-    return next_state, stats
+    return next_state, closed, stats
 
 
 def prune_frontier(frontier: Iterable[Clique]) -> set[Clique]:
@@ -216,8 +224,8 @@ def prune_frontier(frontier: Iterable[Clique]) -> set[Clique]:
       its cover;
     - c is never a result, since its cover contains it (a move of the cycle
       grew it, or it starts by the previous boundary and the sweep dropped
-      it), so a maximal clique that reaches the boundary is still in the
-      frontier;
+      it), so every result that reaches the boundary is still in the
+      frontier, to be found again next cycle or by `finalize`;
     - c is no longer in `seen` next cycle, so phase B may revisit it, which
       costs time but cannot lose a result.
     """
@@ -285,18 +293,31 @@ def normalize_final(cliques: Iterable[Clique], t_end: int) -> set[Clique]:
     return clamped
 
 
-def finalize(state: BatchState, stream: LinkStream) -> list[Clique]:
+def finalize(
+    state: BatchState, closed: Iterable[Clique], stream: LinkStream
+) -> list[Clique]:
     """Definitive maximal cliques of `stream` from a state that has consumed
-    all of its links; every result is re-certified maximal."""
+    all of its links and the closed cliques every cycle returned; every
+    result is certified maximal, else VerificationError.
+
+    The closed cliques and the last frontier are enough: a cycle's result is
+    closed or reaches the boundary, and then is in the frontier the next
+    cycle starts from (`prune_frontier`). A frontier clique that is no
+    result was grown by a move or swept as contained in a result; that
+    growth or container was popped too and reaches the boundary, so it is in
+    the frontier or covered by a frontier clique. Such steps end at a
+    result, so after clamping the non-result lies inside, or equals, a kept
+    clique, and `normalize_final` drops it. Certification is the backstop.
+    """
     t_start, t_end = stream.observation
     if t_start != state.t_start:
         raise ConfigError(
             f"state starts at {state.t_start}, stream at {t_start}"
         )
-    result = sorted(normalize_final(state.maximal, t_end))
+    result = sorted(normalize_final([*closed, *state.frontier], t_end))
     for clique in result:
         if not _certify_maximal(clique, stream, state.delta, state.gamma):
-            raise TcliqueError(f"internal error: {clique} failed certification")
+            raise VerificationError(f"{clique} failed certification")
     return result
 
 
@@ -347,8 +368,8 @@ def dump_state(state: BatchState) -> str:
         f"t_start {state.t_start}",
         f"t_boundary {state.t_boundary}",
         f"input_digest {state.input_digest}",
-        f"maximal {len(state.maximal)}",
-        *map(format_clique, sorted(state.maximal)),
+        f"closed {state.closed}",
+        f"closed_digest {state.closed_digest}",
         f"frontier {len(state.frontier)}",
         *map(format_clique, sorted(state.frontier)),
         f"link_tail {len(state.link_tail)}",
@@ -414,7 +435,8 @@ def load_state(source: TextIO) -> BatchState:
             t_start=field("t_start", int),
             t_boundary=field("t_boundary", int),
             input_digest=field("input_digest"),
-            maximal=set(section("maximal", parse_clique)),
+            closed=field("closed", int),
+            closed_digest=field("closed_digest"),
             frontier=set(section("frontier", parse_clique)),
             link_tail=tuple(section("link_tail", parse_link)),
         )

@@ -1,7 +1,7 @@
 """Shared test utilities.
 
 Holds the deterministic random-stream corpus used by the acceptance tests,
-functions that run `update_batch` cycle by cycle (to look at the collection
+a stream built from per-pair timestamps, functions that run `update_batch` cycle by cycle (to look at the collection
 around the sub-clique sweep or after every drain, or to leave a state
 directory as an interrupted online run would), a `WorkSets` that checks every
 clique it is offered, a worklist drain with a plain full-check vertex move to
@@ -29,6 +29,7 @@ from tclique import (
     is_delta_gamma_clique,
     make_clique,
     partition_links,
+    render_result,
     run_pipeline,
     save_state,
     update_batch,
@@ -60,6 +61,19 @@ def corpus_entry(index: int) -> tuple[LinkStream, int, int]:
     return random_stream(index), rng.randint(2, 6), rng.randint(1, 3)
 
 
+def links_from_pairs(
+    pair_times: dict[tuple[int, int], list[int]],
+    observation: tuple[int, int] | None = None,
+) -> LinkStream:
+    """Build a stream from {(u,v): [timestamps]}."""
+    links = [
+        TemporalLink(min(u, v), max(u, v), t)
+        for (u, v), ts in pair_times.items()
+        for t in ts
+    ]
+    return LinkStream(links, observation=observation)
+
+
 def offline_keys(stream: LinkStream, delta: int, gamma: int) -> frozenset[Clique]:
     return frozenset(enumerate_maximal_cliques(stream, delta, gamma))
 
@@ -82,14 +96,18 @@ def partitioned_keys(
     return frozenset(report.final)
 
 
-def run_batches(stream: LinkStream, delta: int, gamma: int, boundaries):
+def run_batches(
+    stream: LinkStream, delta: int, gamma: int, boundaries
+) -> tuple[BatchState, list[Clique]]:
     """Drive update_batch directly over an explicit plan; returns the final
-    state (not finalized)."""
+    state (not finalized) and the closed cliques of every cycle."""
     state = initial_state(delta, gamma, stream.t_start)
+    closed: list[Clique] = []
     plan = PartitionPlan("explicit", boundaries=tuple(boundaries))
     for boundary, chunk in partition_links(stream, plan):
-        state, _ = update_batch(state, chunk, boundary)
-    return state
+        state, cycle_closed, _ = update_batch(state, chunk, boundary)
+        closed.extend(cycle_closed)
+    return state, closed
 
 
 def staged_cycles(
@@ -98,11 +116,11 @@ def staged_cycles(
     """Drive update_batch over an explicit plan and return, per cycle,
     (boundary, pre-sweep collection, post-sweep collection).
 
-    The pre-sweep collection is what the cycle holds before
-    `remove_sub_cliques` runs: the carried cliques (the previous maximal set
-    minus its frontier) plus the cycle's new results, captured by recording
-    the argument of `remove_sub_cliques`. The post-sweep collection is the
-    next state's maximal set.
+    The pre-sweep collection is the closed cliques of the earlier cycles,
+    the cycle's results before `remove_sub_cliques` runs (captured by
+    recording its argument) and the next frontier. The post-sweep collection
+    is every closed clique so far and the next frontier: what `finalize`
+    would normalize at this boundary.
     """
     swept: list[set[Clique]] = []
     sweep = tclique.update.remove_sub_cliques
@@ -112,16 +130,20 @@ def staged_cycles(
         return sweep(new_cliques, t_prev)
 
     cycles = []
+    closed: set[Clique] = set()
     state = initial_state(delta, gamma, stream.t_start)
     plan = PartitionPlan("explicit", boundaries=tuple(boundaries))
     with monkeypatch.context() as patch:
         patch.setattr(tclique.update, "remove_sub_cliques", recording_sweep)
         for boundary, chunk in partition_links(stream, plan):
-            carried = state.maximal - state.frontier
-            state, _ = update_batch(state, chunk, boundary)
-            (new_cliques,) = swept
+            earlier = set(closed)
+            state, cycle_closed, _ = update_batch(state, chunk, boundary)
+            closed.update(cycle_closed)
+            (results,) = swept
             swept.clear()
-            cycles.append((boundary, carried | new_cliques, set(state.maximal)))
+            cycles.append(
+                (boundary, earlier | results | state.frontier, closed | state.frontier)
+            )
     return cycles
 
 
@@ -197,7 +219,7 @@ def drain_snapshots(
     with monkeypatch.context() as patch:
         patch.setattr(tclique.update, "drain", recording_drain)
         for boundary, chunk in partition_links(stream, plan):
-            state, _ = update_batch(state, chunk, boundary)
+            state, _, _ = update_batch(state, chunk, boundary)
     return snapshots
 
 
@@ -210,13 +232,17 @@ def prefill_state_dir(
     n_batches: int,
 ) -> None:
     """Leave `state_dir` as an online run interrupted after `n_batches`
-    cycles would: update_batch over the plan's first n_batches batches, the
-    state saved as state_{n_batches:04d}.txt."""
+    cycles would: update_batch over the plan's first n_batches batches, their
+    closed cliques appended to closed.txt cycle by cycle, and the state saved
+    as state_{n_batches:04d}.txt."""
     state = initial_state(delta, gamma, stream.t_start)
-    for boundary, chunk in partition_links(stream, plan)[:n_batches]:
-        state, _ = update_batch(state, chunk, boundary)
-    Path(state_dir).mkdir(parents=True, exist_ok=True)
-    with open(Path(state_dir) / f"state_{n_batches:04d}.txt", "w", encoding="utf-8") as fh:
+    state_dir = Path(state_dir)
+    state_dir.mkdir(parents=True, exist_ok=True)
+    with open(state_dir / "closed.txt", "w", encoding="utf-8") as fh:
+        for boundary, chunk in partition_links(stream, plan)[:n_batches]:
+            state, closed, _ = update_batch(state, chunk, boundary)
+            fh.write(render_result(closed))
+    with open(state_dir / f"state_{n_batches:04d}.txt", "w", encoding="utf-8") as fh:
         save_state(state, fh)
 
 
@@ -226,11 +252,26 @@ def signed(body_lines: list[str]) -> str:
     return body + f"checksum {hashlib.sha256(body.encode('utf-8')).hexdigest()}\n"
 
 
+def as_v2_state(text: str) -> str:
+    """A state file rewritten in the retired v2 form: a `maximal` section
+    (here empty) in place of the closed count and digest; signed so that
+    only the format can refuse it."""
+    lines = []
+    for line in text.splitlines()[:-1]:
+        if line.startswith("closed "):
+            lines.append("maximal 0")
+        elif not line.startswith("closed_digest "):
+            lines.append(line)
+    lines[0] = "tclique-state v2"
+    return signed(lines)
+
+
 def as_v1_state(text: str) -> str:
-    """A v2 state file rewritten in the retired v1 form: no input digest, and
-    a candidate list after every clique line; signed so that only the format
-    can refuse it."""
-    lines = [line for line in text.splitlines()[:-1] if not line.startswith("input_digest ")]
+    """A state file rewritten in the retired v1 form: the v2 form without an
+    input digest, and a candidate list after every clique line; signed so
+    that only the format can refuse it."""
+    v2 = as_v2_state(text).splitlines()[:-1]
+    lines = [line for line in v2 if not line.startswith("input_digest ")]
     lines[0] = "tclique-state v1"
     return signed([line + " | 3,5" if line.endswith("]") else line for line in lines])
 
@@ -262,8 +303,8 @@ def group_contact_stream(seed: int, n_meetings: int) -> LinkStream:
 
 
 def random_state(seed: int) -> BatchState:
-    """Structurally valid random BatchState (possibly fresh), with a random
-    input digest."""
+    """Structurally valid random BatchState (possibly fresh), with random
+    digests and closed count."""
     rng = random.Random(seed)
     delta = rng.randint(1, 6)
     gamma = rng.randint(1, 3)
@@ -272,26 +313,12 @@ def random_state(seed: int) -> BatchState:
         return initial_state(delta, gamma, t_start)
     boundary = t_start + rng.randint(1, 30)
 
-    def rand_clique(right_of_boundary: bool):
-        n = rng.randint(2, 4)
-        verts = rng.sample(range(1, 9), n)
-        if right_of_boundary:
-            tb = boundary + rng.randint(0, 8)
-        else:
-            tb = t_start + rng.randint(0, max(boundary - t_start, 1))
-        ta = max(t_start, tb - rng.randint(0, 12))
-        tb = max(ta, tb)
-        return make_clique(sorted(verts), ta, tb)
+    def frontier_clique():
+        verts = rng.sample(range(1, 9), rng.randint(2, 4))
+        tb = boundary + rng.randint(0, 8)
+        return make_clique(sorted(verts), max(t_start, tb - rng.randint(0, 12)), tb)
 
-    maximal = set()
-    frontier = set()
-    for _ in range(rng.randint(0, 6)):
-        c = rand_clique(rng.random() < 0.4)
-        maximal.add(c)
-        if c.tb >= boundary:  # a maximal clique reaching the boundary is frontier
-            frontier.add(c)
-    for _ in range(rng.randint(0, 4)):
-        frontier.add(rand_clique(True))
+    frontier = {frontier_clique() for _ in range(rng.randint(0, 6))}
     tail = tuple(
         sorted(
             (
@@ -304,7 +331,11 @@ def random_state(seed: int) -> BatchState:
         )
     )
     digest = f"{rng.getrandbits(256):064x}"
-    return BatchState(delta, gamma, t_start, boundary, maximal, frontier, tail, digest)
+    closed = rng.randint(0, 2_000)
+    closed_digest = f"{rng.getrandbits(256):064x}"
+    return BatchState(
+        delta, gamma, t_start, boundary, digest, closed, closed_digest, frontier, tail
+    )
 
 
 # -- independent delta-clique enumeration (gamma = 1) --------------------------------

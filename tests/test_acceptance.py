@@ -163,7 +163,9 @@ def test_acceptance_two_window_decomposition(handoff_stream, monkeypatch):
     delta, gamma, boundary = 4, 2, 11
     plan = PartitionPlan("explicit", boundaries=(boundary,))
     cycles = staged_cycles(handoff_stream, delta, gamma, (boundary,), monkeypatch)
-    first_cycle_maximal = frozenset(cycles[0][2])  # post-sweep, cycle 1
+    # post-sweep, cycle 1: the closed cliques and the frontier, without the
+    # frontier cliques that a kept clique contains
+    first_cycle_maximal = frozenset(normalize_final(cycles[0][2], handoff_stream.t_end))
     assert first_cycle_maximal == BLUE
     report = run_pipeline(handoff_stream, delta, gamma, plan)
     final = keyset(report.final)
@@ -250,5 +252,5 @@ def test_acceptance_state_round_trip_and_resume(handoff_stream, tmp_path):
     )
     assert [row.cycle for row in resumed.rows] == [2, 3, 4]
     assert resumed_out.read_bytes() == straight.read_bytes()
-    assert state_files(state_dir) == ["state_0004.txt"]
+    assert state_files(state_dir) == ["closed.txt", "state_0004.txt"]
     print("\nACCEPTANCE state round-trip and resume: PASS (100 states + interruption)")

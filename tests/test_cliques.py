@@ -13,7 +13,7 @@ from tclique import (
     parse_clique,
     sort_cliques,
 )
-from tclique.linkstream import links_from_pairs
+from helpers import links_from_pairs
 
 
 def test_interval_basics():

@@ -20,11 +20,11 @@ from tclique.expand import (
     extend_left,
     extend_right,
 )
-from tclique.linkstream import links_from_pairs
 from helpers import (
     CheckingWorkSets,
     drain_snapshots,
     group_contact_stream,
+    links_from_pairs,
     random_stream,
     reference_drain,
 )

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tclique import FormatSpec, LinkStream, ParseError, TemporalLink, parse_links
-from tclique.linkstream import format_link, links_from_pairs, parse_link
+from tclique.linkstream import format_link, parse_link
+from helpers import links_from_pairs
 
 
 def test_f1_basic_counts(f1_stream):

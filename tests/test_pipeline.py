@@ -1,6 +1,7 @@
 """Pipeline runs, persistence, reports, stats, the CLI, and the scripts."""
 
 import csv
+import dataclasses
 import io
 import random
 import subprocess
@@ -14,11 +15,15 @@ from tclique import (
     ConfigError,
     LinkStream,
     PartitionPlan,
+    StateError,
     TemporalLink,
     VerificationError,
+    dump_state,
     enumerate_maximal_cliques,
     load_result,
+    load_state,
     make_clique,
+    parse_clique,
     render_result,
     run_pipeline,
     stats_maximum_cliques,
@@ -26,8 +31,10 @@ from tclique import (
 )
 from tclique.cli import main
 from conftest import DATA_DIR, load_fixture
+from tclique.update import EMPTY_DIGEST, chain_closed_digest
 from helpers import (
     as_v1_state,
+    as_v2_state,
     group_contact_stream,
     prefill_state_dir,
     random_boundaries,
@@ -49,7 +56,7 @@ def test_offline_and_online_results_are_byte_identical(handoff_stream, tmp_path)
     )
     assert off_out.read_bytes() == on_out.read_bytes()
     # only the newest state file is kept
-    assert state_files(tmp_path / "state") == ["state_0002.txt"]
+    assert state_files(tmp_path / "state") == ["closed.txt", "state_0002.txt"]
 
 
 def test_online_run_keeps_only_the_newest_state_file(handoff_stream, tmp_path):
@@ -60,7 +67,7 @@ def test_online_run_keeps_only_the_newest_state_file(handoff_stream, tmp_path):
     )
     k = len(report.rows)
     assert k > 2
-    assert state_files(state_dir) == [f"state_{k:04d}.txt"]
+    assert state_files(state_dir) == ["closed.txt", f"state_{k:04d}.txt"]
     # rerunning resumes from the kept state, with no batch left to run
     again = run_pipeline(
         handoff_stream, 4, 2, PartitionPlan("ut", 6),
@@ -85,7 +92,7 @@ def test_interrupted_online_run_resumes_to_the_same_bytes(handoff_stream, tmp_pa
     assert resumed.completed
     assert [row.cycle for row in resumed.rows] == [3, 4]  # only the remaining cycles
     assert resumed_out.read_bytes() == whole.read_bytes()
-    assert state_files(state_dir) == ["state_0004.txt"]
+    assert state_files(state_dir) == ["closed.txt", "state_0004.txt"]
 
 
 def test_resume_rejects_parameter_mismatch(handoff_stream, tmp_path):
@@ -117,10 +124,13 @@ def test_cli_resume_refuses_a_changed_input(handoff_stream, tmp_path, capsys):
     for name, path, code in (("same", DATA_DIR / "handoff.txt", 0), ("changed", changed, 2)):
         state_dir = tmp_path / name
         prefill_state_dir(handoff_stream, 4, 2, HANDOFF_PLAN, state_dir, 2)
+        closed = (state_dir / "closed.txt").read_text()
         argv = HANDOFF_ONLINE + ["--input", str(path), "--state-dir", str(state_dir)]
         assert main(argv) == code, name
     assert "differ from those the state was built from" in capsys.readouterr().err
-    assert state_files(tmp_path / "changed") == ["state_0002.txt"]  # left as it was
+    # left as it was
+    assert state_files(state_dir) == ["closed.txt", "state_0002.txt"]
+    assert (state_dir / "closed.txt").read_text() == closed
 
 
 def test_cli_refuses_a_v1_state(handoff_stream, tmp_path, capsys):
@@ -131,6 +141,123 @@ def test_cli_refuses_a_v1_state(handoff_stream, tmp_path, capsys):
     argv = HANDOFF_ONLINE + ["--input", str(DATA_DIR / "handoff.txt"), "--state-dir", str(state_dir)]
     assert main(argv) == 2
     assert "start the run again" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_v2_state(handoff_stream, tmp_path, capsys):
+    state_dir = tmp_path / "state"
+    prefill_state_dir(handoff_stream, 4, 2, HANDOFF_PLAN, state_dir, 2)
+    path = state_dir / "state_0002.txt"
+    path.write_text(as_v2_state(path.read_text()))
+    argv = HANDOFF_ONLINE + ["--input", str(DATA_DIR / "handoff.txt"), "--state-dir", str(state_dir)]
+    assert main(argv) == 2
+    assert "only v3 states are read; start the run again" in capsys.readouterr().err
+
+
+def test_online_closed_file_holds_each_closed_clique_once(handoff_stream, tmp_path):
+    for name, stream, delta, plan in (
+        ("handoff", handoff_stream, 4, PartitionPlan("ut", 6)),
+        ("groups", group_contact_stream(seed=7, n_meetings=40), 360, PartitionPlan("ut", 30)),
+    ):
+        state_dir = tmp_path / name
+        report = run_pipeline(stream, delta, 2, plan, mode="online", state_dir=state_dir)
+        lines = (state_dir / "closed.txt").read_text().splitlines()
+        assert len(lines) == report.state.closed > 0, name
+        assert len(set(lines)) == len(lines), name
+        assert chain_closed_digest(EMPTY_DIGEST, lines) == report.state.closed_digest
+        # every closed clique is final: normalizing drops none of them
+        assert set(map(parse_clique, lines)) <= set(report.final), name
+
+
+def test_resume_cuts_closed_lines_past_the_count(handoff_stream, tmp_path):
+    """Lines past the state's count, from a cycle whose state was never
+    written or torn, are cut: the resumed run writes the same result bytes
+    and the same closed.txt as a run that was never interrupted."""
+    straight = tmp_path / "straight"
+    whole = run_pipeline(
+        handoff_stream, 4, 2, HANDOFF_PLAN, mode="online", state_dir=straight,
+        out_path=tmp_path / "whole.txt",
+    )
+    texts = {}
+    for n in (2, 3):
+        prefill_state_dir(handoff_stream, 4, 2, HANDOFF_PLAN, tmp_path / f"after_{n}", n)
+        texts[n] = (tmp_path / f"after_{n}" / "closed.txt").read_text()
+    assert texts[3].startswith(texts[2]) and texts[3] != texts[2]
+    for name, n_batches, text in (
+        ("unsaved cycle", 2, texts[3]),
+        ("torn line", 2, texts[2] + "1,2 [1"),
+        ("unsaved cycle and torn line", 2, texts[3] + "2,3 [4,"),
+        ("no state", 0, "junk\n1,2 [1,5]\n"),
+    ):
+        state_dir = tmp_path / name
+        state_dir.mkdir()
+        if n_batches:
+            prefill_state_dir(handoff_stream, 4, 2, HANDOFF_PLAN, state_dir, n_batches)
+        (state_dir / "closed.txt").write_text(text)
+        out = tmp_path / f"{name}.txt"
+        resumed = run_pipeline(
+            handoff_stream, 4, 2, HANDOFF_PLAN, mode="online", state_dir=state_dir,
+            out_path=out,
+        )
+        assert out.read_bytes() == (tmp_path / "whole.txt").read_bytes(), name
+        assert resumed.state == whole.state, name
+        assert (state_dir / "closed.txt").read_bytes() == (
+            straight / "closed.txt"
+        ).read_bytes(), name
+
+
+def test_resume_refuses_a_closed_file_that_does_not_match(handoff_stream, tmp_path, capsys):
+    state_dir = tmp_path / "state"
+    prefill_state_dir(handoff_stream, 4, 2, HANDOFF_PLAN, state_dir, 3)
+    closed = state_dir / "closed.txt"
+    text = closed.read_text()
+    lines = text.splitlines(keepends=True)
+    assert len(lines) == 3
+    for bad, message in (
+        ("".join(lines[:-1]), "fewer than the 3 counted lines"),
+        (text[:-1], "fewer than the 3 counted lines"),  # the last counted line is torn
+        ("1,2 [0,1]\n" + "".join(lines[1:]), "does not match the state's closed digest"),
+        ("".join(lines[::-1]), "does not match the state's closed digest"),
+        ("1,2 [0,01]\n" + "".join(lines[1:]), "closed.txt line 1"),
+        (lines[0] + lines[1].rstrip("\n") + " \n" + lines[2], "closed.txt line 2"),
+        (None, "fewer than the 3 counted lines"),
+    ):
+        if bad is None:
+            closed.unlink()
+        else:
+            closed.write_text(bad)
+        with pytest.raises(StateError, match=message):
+            run_pipeline(
+                handoff_stream, 4, 2, HANDOFF_PLAN, mode="online", state_dir=state_dir
+            )
+    closed.write_text(text[:-1])
+    argv = HANDOFF_ONLINE + ["--input", str(DATA_DIR / "handoff.txt"), "--state-dir", str(state_dir)]
+    assert main(argv) == 2
+    assert "closed.txt has fewer than" in capsys.readouterr().err
+
+
+def test_cli_resume_exits_3_when_a_closed_clique_fails_certification(
+    handoff_stream, tmp_path, capsys
+):
+    """A clique that is not a (delta,gamma)-clique, slipped into closed.txt
+    with the state's count and digest forged to match, is refused by
+    finalize's certification."""
+    state_dir = tmp_path / "state"
+    prefill_state_dir(handoff_stream, 4, 2, HANDOFF_PLAN, state_dir, 2)
+    path = state_dir / "state_0002.txt"
+    with open(path, encoding="utf-8") as fh:
+        state = load_state(fh)
+    bogus = "1,4 [2,3]"  # vertices 1 and 4 never link
+    with open(state_dir / "closed.txt", "a", encoding="utf-8") as fh:
+        fh.write(bogus + "\n")
+    forged = dataclasses.replace(
+        state,
+        closed=state.closed + 1,
+        closed_digest=chain_closed_digest(state.closed_digest, [bogus]),
+    )
+    path.write_text(dump_state(forged))
+    argv = HANDOFF_ONLINE + ["--input", str(DATA_DIR / "handoff.txt"), "--state-dir", str(state_dir)]
+    assert main(argv) == 3
+    assert "verification failed: 1,4 [2,3] failed certification" in capsys.readouterr().err
 
 
 @pytest.mark.slow

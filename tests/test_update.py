@@ -14,9 +14,11 @@ from tclique import (
     PartitionPlan,
     StateError,
     TemporalLink,
+    VerificationError,
     brute_force_enumerate,
     contains,
     dump_state,
+    format_clique,
     finalize,
     initial_state,
     load_state,
@@ -24,11 +26,13 @@ from tclique import (
     normalize_final,
     partition_links,
     save_state,
+    sort_cliques,
     update_batch,
 )
 import tclique.update
 from tclique.update import (
-    EMPTY_INPUT_DIGEST,
+    EMPTY_DIGEST,
+    chain_closed_digest,
     chain_input_digest,
     contained_cliques,
     prune_frontier,
@@ -36,6 +40,7 @@ from tclique.update import (
 )
 from helpers import (
     as_v1_state,
+    as_v2_state,
     offline_keys,
     random_boundaries,
     random_state,
@@ -54,17 +59,18 @@ def keys(cliques):
 
 def test_single_batch_equals_reference(f1_stream):
     state = initial_state(3, 2, 1)
-    state, stats = update_batch(state, list(f1_stream.links), 5)
-    final = finalize(state, f1_stream)
+    state, closed, stats = update_batch(state, list(f1_stream.links), 5)
+    final = finalize(state, closed, f1_stream)
     assert keys(final) == keys(brute_force_enumerate(f1_stream, 3, 2))
     assert stats.batch_links == 8
-    assert stats.maximal == len(state.maximal)
+    assert state.closed == len(closed)
+    assert stats.maximal == stats.new_cliques  # nothing was closed before
     assert stats.new_cliques >= 1 and stats.checked == 0  # first cycle checks nothing
 
 
 def test_two_batches_on_handoff_fixture(handoff_stream):
-    state = run_batches(handoff_stream, 4, 2, (11, 20))
-    final = finalize(state, handoff_stream)
+    state, closed = run_batches(handoff_stream, 4, 2, (11, 20))
+    final = finalize(state, closed, handoff_stream)
     assert keys(final) == keys(brute_force_enumerate(handoff_stream, 4, 2))
 
 
@@ -72,31 +78,31 @@ def test_batch_links_must_fit_window(f1_stream):
     state = initial_state(3, 2, 1)
     with pytest.raises(ConfigError, match="outside"):
         update_batch(state, [TemporalLink(1, 2, 9)], 5)
-    state, _ = update_batch(state, [l for l in f1_stream.links if l.t <= 3], 3)
+    state, _, _ = update_batch(state, [l for l in f1_stream.links if l.t <= 3], 3)
     with pytest.raises(ConfigError, match="outside"):
         update_batch(state, [TemporalLink(1, 2, 2)], 5)  # belongs to the past
 
 
 def test_boundary_must_advance(f1_stream):
     state = initial_state(3, 2, 1)
-    state, _ = update_batch(state, [l for l in f1_stream.links if l.t <= 3], 3)
+    state, _, _ = update_batch(state, [l for l in f1_stream.links if l.t <= 3], 3)
     with pytest.raises(ConfigError, match="advance"):
         update_batch(state, [], 3)
 
 
 def test_empty_batches_are_harmless(f1_stream):
     state = initial_state(3, 2, 1)
-    state, _ = update_batch(state, list(f1_stream.links), 5)
-    state, stats = update_batch(state, [], 9)
+    state, first, _ = update_batch(state, list(f1_stream.links), 5)
+    state, second, stats = update_batch(state, [], 9)
     stream9 = LinkStream(f1_stream.links, observation=(1, 9))
-    assert keys(finalize(state, stream9)) == offline_keys(stream9, 3, 2)
+    assert keys(finalize(state, first + second, stream9)) == offline_keys(stream9, 3, 2)
     assert stats.batch_links == 0
 
 
 def mid_stream_state(handoff_stream):
     state = initial_state(4, 2, handoff_stream.t_start)
     batch = [l for l in handoff_stream.links if l.t <= 11]
-    state, _ = update_batch(state, batch, 11)
+    state, _, _ = update_batch(state, batch, 11)
     return state
 
 
@@ -112,78 +118,97 @@ def test_frontier_members_reach_the_boundary(handoff_stream):
     assert all(c.tb >= 11 for c in state.frontier)
 
 
-NO_INPUT = EMPTY_INPUT_DIGEST
+NO_INPUT = EMPTY_DIGEST
 
 
 def test_fresh_state_must_be_empty():
     # before the first cycle the boundary is t_start - 1, never lower
     assert initial_state(3, 2, 0).t_boundary == -1
-    with pytest.raises(ConfigError, match="fresh"):
-        BatchState(3, 2, 0, -1, set(), set(), (TemporalLink(1, 2, -1),), NO_INPUT)
-    with pytest.raises(ConfigError, match="fresh"):
-        BatchState(3, 2, 0, -1, {make_clique([1, 2], 0, 3)}, set(), (), NO_INPUT)
-    with pytest.raises(ConfigError, match="delta"):
-        BatchState(0, 2, 0, -1, set(), set(), (), NO_INPUT)
+    frontier = {make_clique([1, 2], 0, 3)}
+    tail = (TemporalLink(1, 2, -1),)
     consumed = chain_input_digest(NO_INPUT, [TemporalLink(1, 2, 1)])
-    with pytest.raises(ConfigError, match="fresh"):
-        BatchState(3, 2, 0, -1, set(), set(), (), consumed)
+    closed = chain_closed_digest(NO_INPUT, ["1,2 [0,3]"])
+    for fields in (
+        (NO_INPUT, 0, NO_INPUT, set(), tail),
+        (NO_INPUT, 0, NO_INPUT, frontier, ()),
+        (consumed, 0, NO_INPUT, set(), ()),
+        (NO_INPUT, 1, NO_INPUT, set(), ()),
+        (NO_INPUT, 0, closed, set(), ()),
+    ):
+        with pytest.raises(ConfigError, match="fresh"):
+            BatchState(3, 2, 0, -1, *fields)
+    with pytest.raises(ConfigError, match="delta"):
+        BatchState(0, 2, 0, -1, NO_INPUT, 0, NO_INPUT, set(), ())
     with pytest.raises(ConfigError, match="before t_start - 1"):
-        BatchState(3, 2, 0, -2, set(), set(), (), NO_INPUT)
-    with pytest.raises(ConfigError, match="digest"):
-        BatchState(3, 2, 0, 5, set(), set(), (), "abc")
+        BatchState(3, 2, 0, -2, NO_INPUT, 0, NO_INPUT, set(), ())
+    with pytest.raises(ConfigError, match="input_digest"):
+        BatchState(3, 2, 0, 5, "abc", 0, NO_INPUT, set(), ())
+    with pytest.raises(ConfigError, match="closed_digest"):
+        BatchState(3, 2, 0, 5, NO_INPUT, 0, "abc", set(), ())
+    with pytest.raises(ConfigError, match="negative closed count"):
+        BatchState(3, 2, 0, 5, NO_INPUT, -1, NO_INPUT, set(), ())
 
 
 def test_frontier_invariant_is_validated():
     lagging = make_clique([1, 2], 0, 3)
     with pytest.raises(ConfigError, match="boundary"):
-        BatchState(3, 2, 0, 5, set(), {lagging}, (), NO_INPUT)
-
-
-def test_maximal_cliques_reaching_the_boundary_must_be_frontier():
-    reaching = make_clique([1, 2], 0, 50)
-    with pytest.raises(ConfigError, match="not in the frontier"):
-        BatchState(3, 2, 0, 20, {reaching}, set(), (), NO_INPUT)
-    assert BatchState(3, 2, 0, 20, {reaching}, {reaching}, (), NO_INPUT).maximal == {
-        reaching
-    }
+        BatchState(3, 2, 0, 5, NO_INPUT, 0, NO_INPUT, {lagging}, ())
 
 
 def test_input_digest_chains_the_batches_consumed(handoff_stream):
     links = handoff_stream.links
-    state = run_batches(handoff_stream, 4, 2, (11, 20))
+    state, _ = run_batches(handoff_stream, 4, 2, (11, 20))
     first = [l for l in links if l.t <= 11]
     second = [l for l in links if 11 < l.t <= 20]
     expected = chain_input_digest(chain_input_digest(NO_INPUT, first), second)
     assert state.input_digest == expected
     # the digest depends on the links, not on the order a batch lists them in
-    state, _ = update_batch(initial_state(4, 2, 1), first[::-1], 11)
+    state, _, _ = update_batch(initial_state(4, 2, 1), first[::-1], 11)
     assert state.input_digest == chain_input_digest(NO_INPUT, first)
     assert chain_input_digest(NO_INPUT, first[1:]) != state.input_digest
 
 
-def test_load_state_rejects_a_maximal_clique_missing_from_the_frontier(
-    handoff_stream,
-):
-    lines = dump_state(run_batches(handoff_stream, 4, 2, (11,))).splitlines()[:-1]
-    assert "t_boundary 20" in lines and "1,2 [12,22]" in lines
-    head = next(i for i, line in enumerate(lines) if line.startswith("frontier "))
-    count = int(lines[head].split()[1])
-    # drop the frontier copy of a maximal clique that reaches the boundary
-    body = lines[:head] + [f"frontier {count - 1}"] + [
-        line for line in lines[head + 1 :] if line != "1,2 [12,22]"
-    ]
-    assert len(body) == len(lines) - 1
-    with pytest.raises(StateError, match="not in the frontier"):
-        load_state(io.StringIO(signed(body)))
+def test_closed_count_and_digest_chain_the_closed_cliques(handoff_stream):
+    state, closed = run_batches(handoff_stream, 4, 2, (5, 11, 16))
+    assert state.closed == len(closed) > 0
+    lines = [format_clique(c) for c in closed]
+    assert state.closed_digest == chain_closed_digest(NO_INPUT, lines)
+    # folded line by line: the digest does not depend on the cycles' split
+    head = chain_closed_digest(NO_INPUT, lines[:2])
+    assert chain_closed_digest(head, lines[2:]) == state.closed_digest
+    assert chain_closed_digest(NO_INPUT, lines[::-1]) != state.closed_digest
+
+
+def test_closed_cliques_end_between_the_boundaries(corpus):
+    """Each cycle's closed cliques end in [t_prev, t_next), so no two cycles
+    close the same clique, and none is still in the frontier; on the corpus
+    in ut batches of one tick and random explicit batches."""
+    n_closed = 0
+    for idx, (stream, delta, gamma) in enumerate(corpus):
+        rng = random.Random(45_000 + idx)
+        t_min, t_max, _ = stream.time_bounds()
+        for boundaries in (tuple(range(t_min, t_max + 1)), random_boundaries(stream, rng, 8)):
+            state = initial_state(delta, gamma, stream.t_start)
+            plan = PartitionPlan("explicit", boundaries=boundaries)
+            for boundary, chunk in partition_links(stream, plan):
+                t_prev = state.t_boundary
+                state, closed, _ = update_batch(state, chunk, boundary)
+                assert all(t_prev <= c.tb < boundary for c in closed), (idx, boundary)
+                assert sort_cliques(closed) == closed
+                assert len(set(closed)) == len(closed)
+                n_closed += len(closed)
+    assert n_closed > 0
 
 
 def test_staging_observer_sees_both_snapshots(handoff_stream, monkeypatch):
-    # pre-sweep (carried + new) and post-sweep (next maximal) per cycle
+    # pre-sweep (closed before, the cycle's results and the frontier) and
+    # post-sweep (closed so far and the frontier) per cycle
     cycles = staged_cycles(handoff_stream, 4, 2, (11, 20), monkeypatch)
     assert [boundary for boundary, _, _ in cycles] == [11, 20]
     for _, pre, post in cycles:
         assert pre >= post
-    assert cycles[-1][2] == run_batches(handoff_stream, 4, 2, (11, 20)).maximal
+    state, closed = run_batches(handoff_stream, 4, 2, (11, 20))
+    assert cycles[-1][2] == set(closed) | state.frontier
 
 
 # -- removal ---------------------------------------------------------------------------
@@ -275,16 +300,22 @@ def test_prune_frontier_matches_brute_force(frontier):
 
 def test_pruned_cliques_never_reach_the_maximal_set(corpus, monkeypatch):
     """After every cycle, on the corpus in ut and random explicit batches:
-    no clique the prune dropped is in `maximal`, each has a cover in the
-    kept frontier, and every maximal clique reaching the boundary is in it."""
-    dropped = []
+    no clique the prune dropped is among the cycle's results, each has a
+    cover in the kept frontier, and every result reaching the boundary is in
+    it. The cycle's results are the set `remove_sub_cliques` sweeps."""
+    dropped, results = [], []
 
     def recording_prune(frontier):
         kept = prune_frontier(frontier)
         dropped.append(set(frontier) - kept)
         return kept
 
+    def recording_sweep(new_cliques, t_prev):
+        results.append(new_cliques)  # swept in place
+        return remove_sub_cliques(new_cliques, t_prev)
+
     monkeypatch.setattr(tclique.update, "prune_frontier", recording_prune)
+    monkeypatch.setattr(tclique.update, "remove_sub_cliques", recording_sweep)
     n_dropped = 0
     for idx, (stream, delta, gamma) in enumerate(corpus):
         rng = random.Random(40_000 + idx)
@@ -294,14 +325,15 @@ def test_pruned_cliques_never_reach_the_maximal_set(corpus, monkeypatch):
             state = initial_state(delta, gamma, stream.t_start)
             plan = PartitionPlan("explicit", boundaries=boundaries)
             for boundary, chunk in partition_links(stream, plan):
-                state, _ = update_batch(state, chunk, boundary)
-                (gone,) = dropped
+                state, _, _ = update_batch(state, chunk, boundary)
+                (gone,), (found,) = dropped, results
                 dropped.clear()
+                results.clear()
                 n_dropped += len(gone)
-                assert gone.isdisjoint(state.maximal), (idx, boundary)
+                assert gone.isdisjoint(found), (idx, boundary)
                 for c in gone:
                     assert any(contains(o, c) for o in state.frontier), (idx, c)
-                for c in state.maximal:
+                for c in found:
                     if c.tb >= boundary:
                         assert c in state.frontier, (idx, boundary, c)
     assert n_dropped > 0
@@ -323,7 +355,15 @@ def test_normalize_clamps_dedups_and_prunes():
 def test_finalize_checks_observation_start(f1_stream):
     state = initial_state(3, 2, 0)  # stream starts at 1
     with pytest.raises(ConfigError):
-        finalize(state, f1_stream)
+        finalize(state, [], f1_stream)
+
+
+def test_finalize_raises_verification_error_on_a_failing_clique(f1_stream):
+    state, closed, _ = update_batch(initial_state(3, 2, 1), list(f1_stream.links), 5)
+    assert finalize(state, closed, f1_stream)
+    bogus = make_clique([1, 9], 1, 2)  # vertex 9 never links: not a clique
+    with pytest.raises(VerificationError, match=r"1,9 \[1,2\] failed certification"):
+        finalize(state, closed + [bogus], f1_stream)
 
 
 # -- state files ---------------------------------------------------------------------------
@@ -339,7 +379,7 @@ def test_state_round_trip_is_identity():
 
 
 def test_real_state_round_trips(handoff_stream):
-    state = run_batches(handoff_stream, 4, 2, (11,))
+    state = run_batches(handoff_stream, 4, 2, (11,))[0]
     buf = io.StringIO()
     save_state(state, buf)
     text = buf.getvalue()
@@ -348,7 +388,7 @@ def test_real_state_round_trips(handoff_stream):
 
 
 def test_state_corruption_is_detected(handoff_stream):
-    state = run_batches(handoff_stream, 4, 2, (11,))
+    state = run_batches(handoff_stream, 4, 2, (11,))[0]
     text = dump_state(state)
     with pytest.raises(StateError, match="checksum"):
         load_state(io.StringIO(text.replace("delta 4", "delta 5", 1)))
@@ -356,7 +396,7 @@ def test_state_corruption_is_detected(handoff_stream):
     with pytest.raises(StateError):
         load_state(io.StringIO(truncated))
     # a well-formed file (valid checksum) from an unknown format version
-    body = text[: text.rindex("checksum ")].replace("v2", "v9", 1)
+    body = text[: text.rindex("checksum ")].replace("v3", "v9", 1)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     with pytest.raises(StateError, match="header|version"):
         load_state(io.StringIO(body + f"checksum {digest}\n"))
@@ -365,15 +405,23 @@ def test_state_corruption_is_detected(handoff_stream):
 
 
 def test_load_state_refuses_a_v1_state(handoff_stream):
-    text = dump_state(run_batches(handoff_stream, 4, 2, (11,)))
+    text = dump_state(run_batches(handoff_stream, 4, 2, (11,))[0])
     v1 = as_v1_state(text)
     assert "1,2 [12,22] | 3,5" in v1.splitlines()
     with pytest.raises(StateError, match="v1.*start the run again"):
         load_state(io.StringIO(v1))
 
 
+def test_load_state_refuses_a_v2_state(handoff_stream):
+    text = dump_state(run_batches(handoff_stream, 4, 2, (11,))[0])
+    v2 = as_v2_state(text)
+    assert "maximal 0" in v2.splitlines()
+    with pytest.raises(StateError, match="v2.*only v3 states are read.*start the run again"):
+        load_state(io.StringIO(v2))
+
+
 def test_load_state_checks_the_input_digest_line(handoff_stream):
-    lines = dump_state(run_batches(handoff_stream, 4, 2, (11,))).splitlines()[:-1]
+    lines = dump_state(run_batches(handoff_stream, 4, 2, (11,))[0]).splitlines()[:-1]
     assert lines[5].startswith("input_digest ") and len(lines[5].split()[1]) == 64
     for bad in ("input_digest x", "input_digest " + "A" * 64, "input_digest "):
         with pytest.raises(StateError, match="digest"):
@@ -382,8 +430,23 @@ def test_load_state_checks_the_input_digest_line(handoff_stream):
         load_state(io.StringIO(signed(lines[:5] + lines[6:])))
 
 
+def test_load_state_checks_the_closed_lines(handoff_stream):
+    lines = dump_state(run_batches(handoff_stream, 4, 2, (11,))[0]).splitlines()[:-1]
+    assert lines[6].startswith("closed ") and lines[7].startswith("closed_digest ")
+    for at, bad, message in (
+        (6, "closed -1", "negative closed count"),
+        (6, "closed x", "bad closed line"),
+        (6, "closed_digest " + "0" * 64, "missing closed line"),
+        (7, "closed_digest x", "closed_digest"),
+        (7, "closed_digest " + "A" * 64, "closed_digest"),
+        (7, "closed 3", "missing closed_digest line"),
+    ):
+        with pytest.raises(StateError, match=message):
+            load_state(io.StringIO(signed(lines[:at] + [bad] + lines[at + 1 :])))
+
+
 def test_load_state_wraps_bad_values_in_state_error(handoff_stream):
-    lines = dump_state(run_batches(handoff_stream, 4, 2, (11,))).splitlines()[:-1]
+    lines = dump_state(run_batches(handoff_stream, 4, 2, (11,))[0]).splitlines()[:-1]
     assert lines[4].startswith("t_boundary ")
     for bad in ("t_boundary x", "t_boundary none"):
         with pytest.raises(StateError, match="t_boundary"):
@@ -395,18 +458,18 @@ def test_load_state_wraps_bad_values_in_state_error(handoff_stream):
 
 
 def test_load_state_rejects_non_canonical_clique_lines(handoff_stream):
-    lines = dump_state(run_batches(handoff_stream, 4, 2, (11,))).splitlines()[:-1]
+    lines = dump_state(run_batches(handoff_stream, 4, 2, (11,))[0]).splitlines()[:-1]
     idx = lines.index("1,2 [12,22]")
     for bad in ("1,2 [12,2_2]", "+1,02 [ 12,22]", "1,2 [12,22] "):
-        with pytest.raises(StateError, match="bad maximal line"):
+        with pytest.raises(StateError, match="bad frontier line"):
             load_state(io.StringIO(signed(lines[:idx] + [bad] + lines[idx + 1 :])))
 
 
 def test_load_state_rejects_repeated_section_lines(handoff_stream):
     state = initial_state(4, 1, handoff_stream.t_start)
-    state, _ = update_batch(state, [l for l in handoff_stream.links if l.t <= 11], 11)
+    state, _, _ = update_batch(state, [l for l in handoff_stream.links if l.t <= 11], 11)
     lines = dump_state(state).splitlines()[:-1]
-    for section in ("maximal", "frontier", "link_tail"):
+    for section in ("frontier", "link_tail"):
         head = next(i for i, line in enumerate(lines) if line.startswith(section + " "))
         count = int(lines[head].split()[1])
         assert count >= 2
@@ -419,14 +482,9 @@ def test_load_state_rejects_repeated_section_lines(handoff_stream):
         with pytest.raises(StateError, match=f"line {head + 1} .*: '{section} "):
             load_state(io.StringIO(signed(repeated)))
         # the second entry repeats the first and the count stays, so one
-        # entry is lost: a frontier without that clique breaks BatchState's
-        # invariant, and elsewhere the count line again differs
+        # entry is lost and the count line again differs
         lost = lines[: head + 2] + [lines[head + 1]] + lines[head + 3 :]
-        expected = (
-            "inconsistent state contents" if section == "frontier"
-            else f"line {head + 1} .*: '{section} "
-        )
-        with pytest.raises(StateError, match=expected):
+        with pytest.raises(StateError, match=f"line {head + 1} .*: '{section} "):
             load_state(io.StringIO(signed(lost)))
 
 
@@ -434,11 +492,12 @@ def test_load_state_accepts_only_what_dump_state_writes(handoff_stream):
     """Each text is refused because dump_state would not write it back: a
     non-canonical number, unsorted sections, or no final newline. A link
     tail line is refused already by parse_link."""
-    lines = dump_state(run_batches(handoff_stream, 4, 2, (11,))).splitlines()[:-1]
+    lines = dump_state(run_batches(handoff_stream, 4, 2, (11,))[0]).splitlines()[:-1]
     assert load_state(io.StringIO(signed(lines))).delta == 4
     assert lines[1] == "delta 4" and lines[4] == "t_boundary 20"
     assert lines[-1] == "2 3 20"
-    head = lines.index("maximal 7")
+    head = next(i for i, line in enumerate(lines) if line.startswith("frontier "))
+    assert int(lines[head].split()[1]) >= 2
     swapped = lines[: head + 1] + [lines[head + 2], lines[head + 1]] + lines[head + 3 :]
     for at, changed in (
         (2, lines[:1] + ["delta 0_4"] + lines[2:]),
@@ -457,8 +516,11 @@ def test_load_state_accepts_only_what_dump_state_writes(handoff_stream):
 STATE_TOKENS = st.sampled_from(
     ["x", "none", "-", "", "-1", "0", "7", "2 1 5", "1 1 3", "1,2", "1,1 [0,1]",
      "2,1 [0,1]", "1,2 [5,1]", "1 [0,1]", "1,2 [0,1] | x", "1,2 [0,1] | -",
-     "1,2 [0,1] |", "1,2 [0,1] | 3,5", "maximal 99", "frontier -1", "link_tail x",
-     "t_boundary x", "tclique-state v1", "tclique-state v2", "input_digest x",
+     "1,2 [0,1] |", "1,2 [0,1] | 3,5", "maximal 99", "maximal 0", "frontier -1",
+     "link_tail x", "t_boundary x", "tclique-state v1", "tclique-state v2",
+     "tclique-state v3", "input_digest x", "closed 99", "closed -1", "closed 01",
+     "closed x", "closed_digest x", "closed_digest " + "0" * 64,
+     "closed_digest " + "e" * 65,
      "input_digest " + "0" * 64, "input_digest " + "f" * 63, "1,2 [0,1_0]",
      "+1,02 [ 0,1]", "01,2 [0,1]", "1,2 [-0,1]", "1_0"]
 )
@@ -473,7 +535,7 @@ STATE_TEXT = st.text(alphabet="0123456789abcdef ,-|[]xnoe", max_size=24)
     st.one_of(STATE_TOKENS, STATE_TEXT),
 )
 def test_mutated_state_raises_only_state_error(seed, line, whole_line, new):
-    """Change one line of a v2 state file (input digest line included),
+    """Change one line of a v3 state file (digest and count lines included),
     re-sign it so the parser is reached, and load it: it either raises
     StateError, nothing else, or loads a state that dumps back to the exact
     text."""
@@ -494,12 +556,17 @@ def test_mutated_state_raises_only_state_error(seed, line, whole_line, new):
 
 
 def test_loaded_state_resumes_identically(handoff_stream):
-    direct = run_batches(handoff_stream, 4, 2, (11, 20))
-    half = mid_stream_state(handoff_stream)
+    direct, direct_closed = run_batches(handoff_stream, 4, 2, (11, 20))
+    half, first, _ = update_batch(
+        initial_state(4, 2, handoff_stream.t_start),
+        [l for l in handoff_stream.links if l.t <= 11],
+        11,
+    )
     revived = load_state(io.StringIO(dump_state(half)))
     tail_links = [l for l in handoff_stream.links if l.t > 11]
-    resumed, _ = update_batch(revived, tail_links, 20)
+    resumed, second, _ = update_batch(revived, tail_links, 20)
     assert resumed == direct
-    assert keys(finalize(resumed, handoff_stream)) == keys(
-        finalize(direct, handoff_stream)
+    assert first + second == direct_closed
+    assert finalize(resumed, first + second, handoff_stream) == finalize(
+        direct, direct_closed, handoff_stream
     )
