@@ -159,7 +159,11 @@ def seed_cliques(
                 seed = Clique(pair, ta, tb)
                 if seed in seeds:
                     continue
-                seeds[seed] = stream.neighbors_min_count(pair, (ta, tb), gamma)
+                u, v = pair
+                seeds[seed] = (
+                    stream.partners(u, (ta, tb), gamma)
+                    | stream.partners(v, (ta, tb), gamma)
+                ) - {u, v}
     return sorted(seeds.items())
 
 

@@ -5,8 +5,8 @@ unordered vertex pairs, observed during a closed interval [t_start, t_end].
 `LinkStream` stores the contacts canonically (u < v, duplicates collapsed)
 and answers the occurrence queries the clique procedures need: all
 occurrences of a pair, their count inside a window, the gamma-th
-smallest/largest occurrence inside a window, and the vertices with at least
-gamma links to a seed vertex inside a window.
+smallest/largest occurrence inside a window, and, from each vertex's contact
+timeline, the partners with at least gamma contacts of it inside a window.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterable, Optional, TextIO
 from .errors import ParseError
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TemporalLink:
     """One undirected timestamped contact, stored with u < v."""
 
@@ -56,6 +56,10 @@ class LinkStream:
     closed interval [t_start, t_end] the network was watched over; it
     defaults to [t_min, t_max] and may be widened explicitly (boundary
     guards for interval extension use it).
+
+    Each vertex keeps a contact timeline: two parallel lists, the times of
+    its contacts in increasing order and the partner of each. A window query
+    bisects the times once and reads the partners in that slice.
     """
 
     def __init__(
@@ -68,13 +72,27 @@ class LinkStream:
             sorted(set(links), key=lambda l: (l.t, l.u, l.v))
         )
         pair_index: dict[tuple[int, int], list[int]] = {}
-        neighbors: dict[int, set[int]] = {}
+        # the timelines stay lists: a tuple copy would double the peak memory
+        # of construction
+        times: dict[int, list[int]] = {}
+        partners: dict[int, list[int]] = {}
         for link in self._links:
-            pair_index.setdefault((link.u, link.v), []).append(link.t)
-            neighbors.setdefault(link.u, set()).add(link.v)
-            neighbors.setdefault(link.v, set()).add(link.u)
+            u, v, t = link.u, link.v, link.t
+            pair_index.setdefault((u, v), []).append(t)
+            # both ends written out: every cycle builds a working stream
+            if u in times:
+                times[u].append(t)
+                partners[u].append(v)
+            else:
+                times[u], partners[u] = [t], [v]
+            if v in times:
+                times[v].append(t)
+                partners[v].append(u)
+            else:
+                times[v], partners[v] = [t], [u]
         self._pair_index = {pair: tuple(ts) for pair, ts in pair_index.items()}
-        self._neighbors = {ver: frozenset(adj) for ver, adj in neighbors.items()}
+        self._times = times
+        self._partners = partners
         self._t_min = self._links[0].t if self._links else None
         self._t_max = self._links[-1].t if self._links else None
         self.dropped_self_loops = dropped_self_loops
@@ -105,11 +123,11 @@ class LinkStream:
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self._neighbors))
+        return tuple(sorted(self._times))
 
     @property
     def n_vertices(self) -> int:
-        return len(self._neighbors)
+        return len(self._times)
 
     @property
     def static_edges(self) -> tuple[tuple[int, int], ...]:
@@ -132,9 +150,6 @@ class LinkStream:
         if not self._links:
             raise ValueError("empty stream has no time bounds")
         return (self._t_min, self._t_max, self._t_max - self._t_min)
-
-    def neighbors_of(self, vertex: int) -> frozenset[int]:
-        return self._neighbors.get(vertex, frozenset())
 
     def __repr__(self) -> str:
         return (
@@ -178,21 +193,20 @@ class LinkStream:
             return None
         return ts[hi - gamma]
 
-    def neighbors_min_count(
-        self, seed: Iterable[int], window: tuple[int, int], gamma: int
+    def partners(
+        self, vertex: int, window: tuple[int, int], gamma: int
     ) -> frozenset[int]:
-        """Vertices outside `seed` with >= gamma links to some seed member
-        inside the closed window."""
-        members = set(seed)
-        found: set[int] = set()
-        for s in members:
-            for w in self._neighbors.get(s, ()):
-                if w in members or w in found:
-                    continue
-                pair = (min(s, w), max(s, w))
-                if self.count_in(pair, window) >= gamma:
-                    found.add(w)
-        return frozenset(found)
+        """The vertices with at least gamma contacts of `vertex` inside the
+        closed window: one bisection of its timeline, then a count of the
+        partners in the slice."""
+        times = self._times.get(vertex)
+        if times is None:
+            return frozenset()
+        counts: dict[int, int] = {}
+        lo, hi = bisect_left(times, window[0]), bisect_right(times, window[1])
+        for w in self._partners[vertex][lo:hi]:
+            counts[w] = counts.get(w, 0) + 1
+        return frozenset([w for w, n in counts.items() if n >= gamma])
 
     # -- slicing -------------------------------------------------------------
 

@@ -5,12 +5,13 @@ boundary. Its working stream, the state's link tail plus the batch observed
 over [t_start, new boundary], is the cycle's window and gives every bound of
 the cycle. Carried-over frontier cliques are re-extended to the right over
 it, then its pair seeds that reach past the previous boundary are expanded
-in full. Cliques made non-maximal by the new links are swept out afterwards.
-The results that end before the new boundary are closed: no later link
-changes them, so they are handed to the caller and leave the state, which
-keeps only the frontier and the link tail still able to interact with future
-batches. `finalize` turns the closed cliques and the last frontier into the
-definitive clique set of a bounded observation window and certifies it.
+in full. Every result contained in another result of the cycle is swept
+out afterwards. The results that end before the new boundary are closed:
+final cliques that no later link changes, so they are handed to the caller
+and leave the state, which keeps only the frontier and the link tail still
+able to interact with future batches. `finalize` turns the closed cliques
+and the last frontier into the definitive clique set of a bounded
+observation window and certifies it.
 
 The state also carries digests of every link consumed and of every clique
 closed, so a resume can check its input and the file the cliques went to.
@@ -22,7 +23,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable, Iterable, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 from .cliques import (
     Clique,
@@ -149,9 +150,10 @@ def update_batch(
     cliques to the right, seeds and expands the working stream, and sweeps
     the cycle's results for absorbed cliques with `remove_sub_cliques`. The
     results that end before t_next, all in [previous boundary, t_next), are
-    closed: returned in `sort_cliques` order and folded into the closed
-    digest. Those that reach t_next are in the next frontier, what
-    `prune_frontier` keeps of the popped cliques that reach t_next.
+    closed, final cliques no later link changes: returned in `sort_cliques`
+    order and folded into the closed digest. Those that reach t_next are in
+    the next frontier, what `prune_frontier` keeps of the popped cliques that
+    reach t_next.
     """
     t_prev = state.t_boundary
     if t_next <= t_prev:
@@ -181,7 +183,7 @@ def update_batch(
     drain(worksets)
 
     results = worksets.new_maximal
-    checked = remove_sub_cliques(results, t_prev)
+    checked = remove_sub_cliques(results)
     closed = sort_cliques(c for c in results if c.tb < t_next)
 
     tail = tuple(working.links_in((t_next - state.delta, t_next)))
@@ -223,9 +225,9 @@ def prune_frontier(frontier: Iterable[Clique]) -> set[Clique]:
     - by induction, every clique grown from c lies within one grown from
       its cover;
     - c is never a result, since its cover contains it (a move of the cycle
-      grew it, or it starts by the previous boundary and the sweep dropped
-      it), so every result that reaches the boundary is still in the
-      frontier, to be found again next cycle or by `finalize`;
+      grew it, or the sweep dropped it), so every result that reaches the
+      boundary is still in the frontier, to be found again next cycle or by
+      `finalize`;
     - c is no longer in `seen` next cycle, so phase B may revisit it, which
       costs time but cannot lose a result.
     """
@@ -245,20 +247,13 @@ def prune_frontier(frontier: Iterable[Clique]) -> set[Clique]:
     return kept
 
 
-def remove_sub_cliques(new_cliques: set[Clique], t_prev: int) -> int:
-    """Drop cycle results contained in another cycle result; returns how many
-    were checked.
-
-    Only cliques starting at or before the previous boundary can have been
-    reported maximal by an earlier cycle and later absorbed, so only those are
-    checked, each against the cycle's results through `contained_cliques`.
-    With none (always so on the first cycle) no posting index is built.
-    """
-    checked = [c for c in new_cliques if c.ta <= t_prev]
-    if not checked:
-        return 0
-    new_cliques.difference_update(contained_cliques(checked, new_cliques))
-    return len(checked)
+def remove_sub_cliques(new_cliques: set[Clique]) -> int:
+    """Drop cycle results contained in another cycle result, checking each
+    against all of them through `contained_cliques`; returns how many were
+    checked, every result of the cycle."""
+    checked = len(new_cliques)
+    new_cliques.difference_update(contained_cliques(new_cliques, new_cliques))
+    return checked
 
 
 def contained_cliques(
@@ -338,22 +333,26 @@ def _certify_maximal(
     ):
         return False
     members = set(clique.vertices)
-    cands: Optional[set[int]] = None
-    for z in clique.vertices:
-        adj = {
-            w
-            for w in stream.neighbors_of(z)
-            if w not in members
-            and stream.count_in((min(z, w), max(z, w)), (ta, tb)) >= gamma
-        }
-        cands = adj if cands is None else cands & adj
-        if not cands:
-            break
-    for w in sorted(cands or ()):
+    for w in sorted(_vertex_candidates(clique, stream, gamma)):
         verts = tuple(sorted(members | {w}))
         if is_delta_gamma_clique(verts, (ta, tb), stream, delta, gamma):
             return False
     return True
+
+
+def _vertex_candidates(
+    clique: Clique, stream: LinkStream, gamma: int
+) -> frozenset[int]:
+    """The vertices outside the clique with at least gamma contacts of every
+    member inside its span: the only ones that can join it at that span."""
+    span = (clique.ta, clique.tb)
+    first, *rest = clique.vertices
+    cands = stream.partners(first, span, gamma) - set(clique.vertices)
+    for z in rest:
+        if not cands:
+            break
+        cands &= stream.partners(z, span, gamma)
+    return cands
 
 
 # -- state persistence -------------------------------------------------------------

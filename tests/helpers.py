@@ -5,7 +5,8 @@ a stream built from per-pair timestamps, functions that run `update_batch` cycle
 around the sub-clique sweep or after every drain, or to leave a state
 directory as an interrupted online run would), a `WorkSets` that checks every
 clique it is offered, a worklist drain with a plain full-check vertex move to
-hold the engine's same-span narrowing against, and an independently written
+hold the engine's same-span narrowing against, a static-neighbour scan to
+hold the contact-timeline candidate sets against, and an independently written
 delta-clique enumerator (the gamma=1 special case) that cross-checks the
 engine through a second code path.
 """
@@ -74,6 +75,34 @@ def links_from_pairs(
     return LinkStream(links, observation=observation)
 
 
+def static_scan_partners(
+    stream: LinkStream, vertex: int, window: tuple[int, int], gamma: int
+) -> set[int]:
+    """Every static neighbour of `vertex` with at least gamma links to it in
+    the closed window, each counted by `count_in`: the reference for
+    `LinkStream.partners`."""
+    neighbours = {
+        u if v == vertex else v for u, v in stream.static_edges if vertex in (u, v)
+    }
+    return {
+        w
+        for w in neighbours
+        if stream.count_in((min(vertex, w), max(vertex, w)), window) >= gamma
+    }
+
+
+def static_scan_candidates(clique: Clique, stream: LinkStream, gamma: int) -> set[int]:
+    """The vertices outside the clique that the static scan finds with at
+    least gamma links to every member inside its span."""
+    members = set(clique.vertices)
+    span = (clique.ta, clique.tb)
+    found = None
+    for z in clique.vertices:
+        adj = static_scan_partners(stream, z, span, gamma) - members
+        found = adj if found is None else found & adj
+    return found
+
+
 def offline_keys(stream: LinkStream, delta: int, gamma: int) -> frozenset[Clique]:
     return frozenset(enumerate_maximal_cliques(stream, delta, gamma))
 
@@ -125,9 +154,9 @@ def staged_cycles(
     swept: list[set[Clique]] = []
     sweep = tclique.update.remove_sub_cliques
 
-    def recording_sweep(new_cliques, t_prev):
+    def recording_sweep(new_cliques):
         swept.append(set(new_cliques))
-        return sweep(new_cliques, t_prev)
+        return sweep(new_cliques)
 
     cycles = []
     closed: set[Clique] = set()

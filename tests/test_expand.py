@@ -27,6 +27,7 @@ from helpers import (
     links_from_pairs,
     random_stream,
     reference_drain,
+    static_scan_partners,
 )
 
 
@@ -97,6 +98,22 @@ def test_seed_candidates_follow_window_frequency(f1_stream):
     seeds = dict(seed_cliques(f1_stream, 3, 2, f1_stream.t_start - 1))
     assert seeds[((1, 3), 2, 5)] == frozenset({2})
     assert seeds[((1, 2), 1, 2)] == frozenset()
+
+
+def test_seed_candidates_match_the_static_scan(corpus):
+    # the candidates read from the contact timelines are the vertices the
+    # static-neighbour scan finds with gamma links to either endpoint
+    n_candidates = 0
+    for stream, delta, gamma in corpus:
+        for seed, cands in seed_cliques(stream, delta, gamma, stream.t_start - 1):
+            (u, v), span = seed.vertices, (seed.ta, seed.tb)
+            expected = (
+                static_scan_partners(stream, u, span, gamma)
+                | static_scan_partners(stream, v, span, gamma)
+            ) - {u, v}
+            assert cands == expected, seed
+            n_candidates += len(cands)
+    assert n_candidates > 0
 
 
 def test_seed_left_clamp_respects_observation_start():

@@ -1,13 +1,15 @@
 """Link stream parsing, indexing, and window queries."""
 
 import io
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tclique import FormatSpec, LinkStream, ParseError, TemporalLink, parse_links
 from tclique.linkstream import format_link, parse_link
-from helpers import links_from_pairs
+from helpers import links_from_pairs, random_stream
 
 
 def test_f1_basic_counts(f1_stream):
@@ -27,8 +29,13 @@ def test_f1_window_queries(f1_stream):
     assert s.last_gamma_occurrence((1, 2), 2, (1, 5)) == 4
     assert s.last_gamma_occurrence((1, 2), 4, (1, 5)) == 1
     assert s.last_gamma_occurrence((1, 3), 2, (1, 10)) == 2
-    assert s.neighbors_min_count((1, 2), (2, 5), 2) == frozenset({3})
-    assert s.neighbors_min_count((1, 2), (1, 2), 2) == frozenset()
+    # the seed (1,2)'s candidates: partners of either endpoint, less both
+    assert s.partners(1, (2, 5), 2) == frozenset({2, 3})
+    assert s.partners(2, (2, 5), 2) == frozenset({1, 3})
+    assert (s.partners(1, (2, 5), 2) | s.partners(2, (2, 5), 2)) - {1, 2} == {3}
+    assert s.partners(1, (1, 2), 2) == frozenset({2})
+    assert (s.partners(1, (1, 2), 2) | s.partners(2, (1, 2), 2)) - {1, 2} == set()
+    assert s.partners(9, (1, 5), 1) == frozenset()
 
 
 def test_links_normalize_endpoints():
@@ -96,6 +103,7 @@ def test_observation_rules():
         LinkStream([])  # empty stream needs explicit window
     empty = LinkStream([], observation=(0, 4))
     assert empty.n_links == 0 and empty.observation == (0, 4)
+    assert empty.vertices == () and empty.partners(1, (0, 4), 1) == frozenset()
     with pytest.raises(ValueError):
         empty.time_bounds()
 
@@ -152,3 +160,32 @@ def test_gamma_occurrence_queries_agree_with_slicing(pairs, a, b, gamma):
         else:
             assert first is None and last is None
         assert stream.count_in(pair, (lo, hi)) == len(occ)
+
+
+def brute_force_partners(stream, vertex, window, gamma):
+    lo, hi = window
+    counts = Counter(
+        l.v if l.u == vertex else l.u
+        for l in stream.links
+        if vertex in (l.u, l.v) and lo <= l.t <= hi
+    )
+    return frozenset(w for w, n in counts.items() if n >= gamma)
+
+
+def test_partners_match_a_brute_force_count():
+    # random windows (some past either end of the stream, some inverted, so
+    # empty), vertices (0, 7 and 8 never appear) and gamma
+    for index in range(60):
+        stream = random_stream(index)
+        ends = {x for l in stream.links for x in (l.u, l.v)}
+        assert stream.vertices == tuple(sorted(ends))
+        assert stream.n_vertices == len(stream.vertices)
+        rng = random.Random(20_000 + index)
+        for _ in range(40):
+            vertex = rng.randint(0, 8)
+            lo = rng.randint(stream.t_start - 4, stream.t_end + 4)
+            window = (lo, lo + rng.randint(-2, 12))
+            gamma = rng.randint(1, 4)
+            expected = brute_force_partners(stream, vertex, window, gamma)
+            got = stream.partners(vertex, window, gamma)
+            assert got == expected, (index, vertex, window, gamma)

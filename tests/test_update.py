@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tclique import (
     BatchState,
+    Clique,
     ConfigError,
     LinkStream,
     PartitionPlan,
@@ -32,6 +33,7 @@ from tclique import (
 import tclique.update
 from tclique.update import (
     EMPTY_DIGEST,
+    _vertex_candidates,
     chain_closed_digest,
     chain_input_digest,
     contained_cliques,
@@ -47,6 +49,7 @@ from helpers import (
     run_batches,
     signed,
     staged_cycles,
+    static_scan_candidates,
 )
 
 
@@ -65,7 +68,8 @@ def test_single_batch_equals_reference(f1_stream):
     assert stats.batch_links == 8
     assert state.closed == len(closed)
     assert stats.maximal == stats.new_cliques  # nothing was closed before
-    assert stats.new_cliques >= 1 and stats.checked == 0  # first cycle checks nothing
+    # the sweep checks every result of the cycle, the first one's too
+    assert stats.checked >= stats.new_cliques >= 1
 
 
 def test_two_batches_on_handoff_fixture(handoff_stream):
@@ -181,14 +185,21 @@ def test_closed_count_and_digest_chain_the_closed_cliques(handoff_stream):
 
 def test_closed_cliques_end_between_the_boundaries(corpus):
     """Each cycle's closed cliques end in [t_prev, t_next), so no two cycles
-    close the same clique, and none is still in the frontier; on the corpus
-    in ut batches of one tick and random explicit batches."""
+    close the same clique, and none is still in the frontier; every one is
+    final, in `finalize`'s result. On the corpus in one batch, in ut batches
+    of one tick and in random explicit batches."""
     n_closed = 0
     for idx, (stream, delta, gamma) in enumerate(corpus):
         rng = random.Random(45_000 + idx)
         t_min, t_max, _ = stream.time_bounds()
-        for boundaries in (tuple(range(t_min, t_max + 1)), random_boundaries(stream, rng, 8)):
+        plans = (
+            (t_max,),
+            tuple(range(t_min, t_max + 1)),
+            random_boundaries(stream, rng, 8),
+        )
+        for boundaries in plans:
             state = initial_state(delta, gamma, stream.t_start)
+            all_closed = []
             plan = PartitionPlan("explicit", boundaries=boundaries)
             for boundary, chunk in partition_links(stream, plan):
                 t_prev = state.t_boundary
@@ -196,7 +207,10 @@ def test_closed_cliques_end_between_the_boundaries(corpus):
                 assert all(t_prev <= c.tb < boundary for c in closed), (idx, boundary)
                 assert sort_cliques(closed) == closed
                 assert len(set(closed)) == len(closed)
-                n_closed += len(closed)
+                all_closed.extend(closed)
+            final = set(finalize(state, all_closed, stream))
+            assert final.issuperset(all_closed), (idx, boundaries)
+            n_closed += len(all_closed)
     assert n_closed > 0
 
 
@@ -219,22 +233,24 @@ def test_remove_sub_cliques_mechanics():
     b = make_clique([1, 2], 2, 5)  # same vertices, strictly inside
     c = make_clique([1, 2, 3], 4, 6)
     d = make_clique([1, 3], 4, 6)  # strict vertex subset of c, same span
-    e = make_clique([1, 2], 8, 14)  # starts after the boundary: not checked
+    e = make_clique([1, 2], 8, 14)  # overlaps a, inside neither
     collection = {a, b, c, d, e}
-    checked = remove_sub_cliques(collection, t_prev=6)
-    assert checked == 4  # everything starting at or before 6
+    checked = remove_sub_cliques(collection)
+    assert checked == 5  # every result of the cycle
     assert collection == {a, c, e}
 
 
-def test_remove_sub_cliques_noop_before_first_boundary(monkeypatch):
-    # no clique starts by t_prev (so on every first cycle): nothing is
-    # checked, and no posting index is built
-    a = make_clique([1, 2], 0, 9)
-    b = make_clique([1, 2], 2, 5)
+def test_remove_sub_cliques_sweeps_every_result():
+    # no boundary spares a clique: one starting late is checked and dropped
+    # like any other, and an empty collection checks nothing
+    a = make_clique([1, 2, 3], 10, 20)
+    b = make_clique([2, 3], 15, 18)
     collection = {a, b}
-    monkeypatch.setattr(tclique.update, "contained_cliques", None)
-    assert remove_sub_cliques(collection, t_prev=-1) == 0
-    assert len(collection) == 2
+    assert remove_sub_cliques(collection) == 2
+    assert collection == {a}
+    empty: set = set()
+    assert remove_sub_cliques(empty) == 0
+    assert empty == set()
 
 
 def small_cliques(top_vertex: int):
@@ -310,9 +326,9 @@ def test_pruned_cliques_never_reach_the_maximal_set(corpus, monkeypatch):
         dropped.append(set(frontier) - kept)
         return kept
 
-    def recording_sweep(new_cliques, t_prev):
+    def recording_sweep(new_cliques):
         results.append(new_cliques)  # swept in place
-        return remove_sub_cliques(new_cliques, t_prev)
+        return remove_sub_cliques(new_cliques)
 
     monkeypatch.setattr(tclique.update, "prune_frontier", recording_prune)
     monkeypatch.setattr(tclique.update, "remove_sub_cliques", recording_sweep)
@@ -364,6 +380,25 @@ def test_finalize_raises_verification_error_on_a_failing_clique(f1_stream):
     bogus = make_clique([1, 9], 1, 2)  # vertex 9 never links: not a clique
     with pytest.raises(VerificationError, match=r"1,9 \[1,2\] failed certification"):
         finalize(state, closed + [bogus], f1_stream)
+
+
+def test_certification_candidates_match_the_static_scan(corpus, corpus_oracles):
+    # the vertices certification tries are the static scan's, never fewer:
+    # on every result of the corpus and every clique one vertex short of it
+    n_candidates = 0
+    for (stream, _, gamma), results in zip(corpus, corpus_oracles):
+        for clique in results:
+            verts, ta, tb = clique
+            smaller = [
+                Clique(verts[:i] + verts[i + 1 :], ta, tb)
+                for i in range(len(verts))
+                if len(verts) > 2
+            ]
+            for c in [clique, *smaller]:
+                expected = static_scan_candidates(c, stream, gamma)
+                assert _vertex_candidates(c, stream, gamma) == expected, c
+                n_candidates += len(expected)
+    assert n_candidates > 0
 
 
 # -- state files ---------------------------------------------------------------------------
