@@ -9,15 +9,16 @@ occurrences in [tau, min(tau+delta, tb)].
 Two checkers are provided. `is_delta_gamma_clique_direct` evaluates the
 definition literally and is the single source of truth; the reference
 enumerator uses it. `is_delta_gamma_clique` is an O(occurrences) gap-based
-equivalent used by the enumeration engine; the test suite holds the two
-equal on randomized inputs.
+equivalent; its one-pair kernel `pair_valid` reads a pair's occurrence tuple
+and also serves the engine's vertex move. The test suite holds the two
+checkers equal on randomized inputs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .linkstream import LinkStream
 
@@ -83,10 +84,11 @@ def is_delta_gamma_clique_direct(
     )
 
 
-def _pair_valid_fast(
-    stream: LinkStream, pair: tuple[int, int], ta: int, tb: int, delta: int, gamma: int
+def pair_valid(
+    occ: Sequence[int], ta: int, tb: int, delta: int, gamma: int
 ) -> bool:
-    """Gap-based equivalent of `_pair_valid_direct`.
+    """Gap-based equivalent of `_pair_valid_direct`, over `occ`, the pair's
+    occurrence times in increasing order (empty if it never links).
 
     For spans no longer than delta a single window remains and the count
     decides. Otherwise the windows of the definition are all satisfied iff
@@ -96,7 +98,6 @@ def _pair_valid_fast(
     rejects trailing windows past the last occurrence). The occurrences in
     [ta, tb] are read in place, between two bisect positions.
     """
-    occ = stream.occurrences(pair)
     lo = bisect_left(occ, ta)
     hi = bisect_right(occ, tb)
     if hi - lo < gamma:
@@ -128,7 +129,7 @@ def is_delta_gamma_clique(
         raise ValueError("a clique needs at least two vertices")
     ta, tb = span
     return all(
-        _pair_valid_fast(stream, pair, ta, tb, delta, gamma)
+        pair_valid(stream.occurrences(pair), ta, tb, delta, gamma)
         for pair in combinations(verts, 2)
     )
 

@@ -4,16 +4,17 @@ A temporal network is a set of timestamped contacts (u, v, t) between
 unordered vertex pairs, observed during a closed interval [t_start, t_end].
 `LinkStream` stores the contacts canonically (u < v, duplicates collapsed)
 and answers the occurrence queries the clique procedures need: all
-occurrences of a pair, their count inside a window, the gamma-th
-smallest/largest occurrence inside a window, and, from each vertex's contact
-timeline, the partners with at least gamma contacts of it inside a window.
+occurrences of a pair (one pair at a time, or the whole pair table for the
+growth moves, which read many pairs per clique), their count inside a
+window, and, from each vertex's contact timeline, the partners with at least
+gamma contacts of it inside a window.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, Mapping, Optional, TextIO
 
 from .errors import ParseError
 
@@ -164,34 +165,17 @@ class LinkStream:
         assert pair[0] < pair[1], "pair must be canonical (u < v)"
         return self._pair_index.get(pair, ())
 
+    @property
+    def pair_occurrences(self) -> Mapping[tuple[int, int], tuple[int, ...]]:
+        """Every linked canonical pair's occurrence tuple, for callers that
+        read many pairs: `.get(pair, ())` is `occurrences(pair)` without the
+        call. Read-only, like the stream."""
+        return self._pair_index
+
     def count_in(self, pair: tuple[int, int], window: tuple[int, int]) -> int:
         ts = self.occurrences(pair)
         lo, hi = window
         return bisect_right(ts, hi) - bisect_left(ts, lo)
-
-    def first_gamma_occurrence(
-        self, pair: tuple[int, int], gamma: int, window: tuple[int, int]
-    ) -> Optional[int]:
-        """The gamma-th smallest occurrence in the window, or None."""
-        assert gamma >= 1
-        ts = self.occurrences(pair)
-        lo = bisect_left(ts, window[0])
-        hi = bisect_right(ts, window[1])
-        if hi - lo < gamma:
-            return None
-        return ts[lo + gamma - 1]
-
-    def last_gamma_occurrence(
-        self, pair: tuple[int, int], gamma: int, window: tuple[int, int]
-    ) -> Optional[int]:
-        """The gamma-th largest occurrence in the window, or None."""
-        assert gamma >= 1
-        ts = self.occurrences(pair)
-        lo = bisect_left(ts, window[0])
-        hi = bisect_right(ts, window[1])
-        if hi - lo < gamma:
-            return None
-        return ts[hi - gamma]
 
     def partners(
         self, vertex: int, window: tuple[int, int], gamma: int

@@ -219,7 +219,7 @@ def prune_frontier(frontier: Iterable[Clique]) -> set[Clique]:
 
     Dropping a covered clique c = (X, [ta, tb]) keeps every result:
     - phase A only moves a frontier clique right;
-    - `extend_right` anchors on the gamma-th largest occurrence in
+    - the right move anchors on the gamma-th largest occurrence in
       [ta, tb+1]; the cover's window holds a superset of those occurrences,
       so its anchor is no earlier and the cover reaches at least as far;
     - by induction, every clique grown from c lies within one grown from

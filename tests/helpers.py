@@ -1,14 +1,15 @@
 """Shared test utilities.
 
 Holds the deterministic random-stream corpus used by the acceptance tests,
-a stream built from per-pair timestamps, functions that run `update_batch` cycle by cycle (to look at the collection
-around the sub-clique sweep or after every drain, or to leave a state
-directory as an interrupted online run would), a `WorkSets` that checks every
-clique it is offered, a worklist drain with a plain full-check vertex move to
-hold the engine's same-span narrowing against, a static-neighbour scan to
-hold the contact-timeline candidate sets against, and an independently written
-delta-clique enumerator (the gamma=1 special case) that cross-checks the
-engine through a second code path.
+a stream built from per-pair timestamps, functions that run `update_batch`
+cycle by cycle (to look at the collection around the sub-clique sweep or
+after every drain, or to leave a state directory as an interrupted online
+run would), a `WorkSets` that checks every clique it is offered, a worklist
+drain with plain moves (a full-check vertex move, and interval moves over
+all pairs) to hold the engine's same-span families against, a
+static-neighbour scan to hold the contact-timeline candidate sets against,
+and an independently written delta-clique enumerator (the gamma=1 special
+case) that cross-checks the engine through a second code path.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from tclique import (
     save_state,
     update_batch,
 )
-from tclique.expand import WorkSets, extend_left, extend_right
+from tclique.expand import WorkItem, WorkSets
 
 CORPUS_SIZE = 200
 
@@ -190,25 +191,51 @@ class CheckingWorkSets(WorkSets):
             vertices, (ta, tb), self.stream, self.delta, self.gamma
         ), f"enqueued invalid clique {clique}"
 
-    def offer(self, clique, candidates, pool=None, newest=None):
+    def offer(self, clique, candidates, *family):
         self._check(clique)
-        return super().offer(clique, candidates, pool, newest)
+        return super().offer(clique, candidates, *family)
 
     def push_seed(self, clique, candidates):
         self._check(clique)
         super().push_seed(clique, candidates)
 
 
+def plain_interval_moves(item: WorkItem, worksets: WorkSets) -> bool:
+    """The two interval moves written out plainly: each end from all of the
+    clique's pairs, over list-filtered occurrences; right, then left unless
+    the item is carried. True iff neither grew."""
+    stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
+    vertices, ta, tb = item.clique
+    lasts, firsts = [], []
+    for pair in combinations(vertices, 2):
+        occ = stream.occurrences(pair)
+        right = [t for t in occ if ta <= t <= tb + 1]
+        left = [t for t in occ if ta - 1 <= t <= tb]
+        lasts.append(right[-gamma] if len(right) >= gamma else None)
+        firsts.append(left[gamma - 1] if len(left) >= gamma else None)
+    grew = False
+    if None not in lasts and min(lasts) + delta > tb:
+        worksets.offer(Clique(vertices, ta, min(lasts) + delta), item.candidates)
+        grew = True
+    if item.candidates is not None and None not in firsts:
+        new_ta = max(max(firsts) - delta, stream.t_start)
+        if new_ta < ta:
+            worksets.offer(Clique(vertices, new_ta, tb), item.candidates)
+            grew = True
+    return not grew
+
+
 def reference_drain(worksets: WorkSets) -> None:
-    """`drain` with a plain vertex move: every candidate w is checked by
-    `is_delta_gamma_clique` on members | {w}, and growths carry no pool.
-    Like `drain`, it takes the frontier threshold from the stream's end."""
+    """`drain` with plain moves: every candidate w is checked by
+    `is_delta_gamma_clique` on members | {w}, growths carry no pool, reach
+    or table, and the interval moves are `plain_interval_moves`. Like
+    `drain`, it takes the frontier threshold from the stream's end."""
     stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
     while worksets.pending:
         item = worksets.pending.pop()
         clique, candidates = item.clique, item.candidates
         if candidates is None:
-            no_growth = extend_right(item, worksets)
+            no_growth = plain_interval_moves(item, worksets)
         else:
             no_vertex = True
             members = set(clique.vertices)
@@ -217,9 +244,8 @@ def reference_drain(worksets: WorkSets) -> None:
                 if is_delta_gamma_clique(verts, (clique.ta, clique.tb), stream, delta, gamma):
                     no_vertex = False
                     worksets.offer(Clique(verts, clique.ta, clique.tb), candidates)
-            no_right = extend_right(item, worksets)
-            no_left = extend_left(item, worksets)
-            no_growth = no_vertex and no_right and no_left
+            no_interval = plain_interval_moves(item, worksets)
+            no_growth = no_vertex and no_interval
         if no_growth:
             worksets.new_maximal.add(clique)
         if clique.tb >= stream.t_end:

@@ -17,8 +17,8 @@ from tclique.expand import (
     WorkSets,
     drain,
     expand_vertex_set,
-    extend_left,
-    extend_right,
+    extend_interval,
+    interval_reach,
 )
 from helpers import (
     CheckingWorkSets,
@@ -39,9 +39,20 @@ def fresh_ws(stream, delta, gamma, checking=True):
 
 
 def item(vertices, ta, tb, candidates=frozenset(), pool=None, newest=None):
-    """A worklist item; candidates=None makes a carried, right-only one."""
+    """A worklist item; candidates=None makes a carried, right-only one. A
+    pooled item heads a family of its own: no inherited reach, a fresh
+    table."""
     cands = None if candidates is None else frozenset(candidates)
-    return WorkItem(make_clique(vertices, ta, tb), cands, pool, newest)
+    table = None if pool is None else {}
+    return WorkItem(make_clique(vertices, ta, tb), cands, pool, newest, None, table)
+
+
+def interval_move(it, ws):
+    return extend_interval(it, ws, interval_reach(it, ws))
+
+
+def vertex_move(it, ws):
+    return expand_vertex_set(it, ws, interval_reach(it, ws))
 
 
 def enqueued(ws):
@@ -133,12 +144,12 @@ def test_seeds_never_clamp_right():
     assert ((1, 2), 8, 11) in {s for s, _ in seeds}
 
 
-# -- extend right ----------------------------------------------------------------
+# -- interval moves ----------------------------------------------------------------
 
 
 def test_extend_right_example(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
-    flag = extend_right(item([1, 2], 1, 4), ws)
+    flag = interval_move(item([1, 2], 1, 4, candidates=None), ws)
     assert flag is False
     assert enqueued(ws) == [((1, 2), 1, 7)]
 
@@ -146,39 +157,45 @@ def test_extend_right_example(f1_stream):
 def test_extend_right_blocked(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
     # anchor: last two occurrences of (1,2) within [1,8] start at 4 -> 4+3=7
-    flag = extend_right(item([1, 2], 1, 7), ws)
+    flag = interval_move(item([1, 2], 1, 7, candidates=None), ws)
     assert flag is True and not ws.pending
 
 
 def test_extend_right_past_observation_end(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2, checking=False)
-    flag = extend_right(item([1, 2], 4, 5), ws)
+    flag = interval_move(item([1, 2], 4, 5, candidates=None), ws)
     assert flag is False
     assert enqueued(ws) == [((1, 2), 4, 7)]
 
 
 def test_extend_right_missing_pair_blocks():
-    stream = links_from_pairs({(1, 2): [0, 1], (1, 3): [0], (2, 3): [0, 1]})
+    # (1,3) has one occurrence, short of gamma in either window, while the
+    # other two pairs would let the interval grow both ways
+    stream = links_from_pairs({(1, 2): [-1, 0, 1], (1, 3): [0], (2, 3): [-1, 0, 1]})
     ws = fresh_ws(stream, 2, 2, checking=False)
-    assert extend_right(item([1, 2, 3], 0, 0), ws) is True
-
-
-# -- extend left -----------------------------------------------------------------
+    assert interval_move(item([1, 2], 0, 0), ws) is False
+    assert enqueued(ws) == [((1, 2), 0, 2), ((1, 2), -1, 0)]
+    for candidates in (None, frozenset()):
+        ws = fresh_ws(stream, 2, 2, checking=False)
+        assert interval_move(item([1, 2, 3], 0, 0, candidates=candidates), ws) is True
+        assert not ws.pending
 
 
 def test_extend_left_example(f1_stream):
+    # the right growth is offered first, then the left one
     ws = fresh_ws(f1_stream, 3, 2)
-    flag = extend_left(item([1, 2], 2, 5), ws)
+    flag = interval_move(item([1, 2], 2, 5), ws)
     assert flag is False
-    assert enqueued(ws) == [((1, 2), 1, 5)]
+    assert enqueued(ws) == [((1, 2), 2, 7), ((1, 2), 1, 5)]
 
 
 def test_extend_left_clamped_start_counts_as_blocked(f1_stream):
     # anchor would fall before the observation start; after clamping there is
-    # no strict growth, so the move reports exhaustion
+    # no strict growth, so only the right move grows
     ws = fresh_ws(f1_stream, 3, 2)
-    flag = extend_left(item([1, 2], 1, 2), ws)
-    assert flag is True and not ws.pending
+    flag = interval_move(item([1, 2], 1, 2), ws)
+    assert flag is False
+    assert enqueued(ws) == [((1, 2), 1, 4)]
 
 
 def test_extend_left_partial_clamp():
@@ -186,7 +203,7 @@ def test_extend_left_partial_clamp():
     for start in (2, 0):
         stream = links_from_pairs({(1, 2): [2, 3, 9]}, observation=(start, 9))
         ws = fresh_ws(stream, 4, 2, checking=False)
-        assert extend_left(item([1, 2], 3, 6), ws) is False
+        assert interval_move(item([1, 2], 3, 6), ws) is False
         assert enqueued(ws) == [((1, 2), start, 6)]
 
 
@@ -195,7 +212,7 @@ def test_extend_left_partial_clamp():
 
 def test_expand_vertex_example(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
-    flag = expand_vertex_set(item([1, 2], 2, 5, candidates={3}), ws)
+    flag = vertex_move(item([1, 2], 2, 5, candidates={3}), ws)
     assert flag is False
     (grown,) = ws.pending
     assert grown.clique == ((1, 2, 3), 2, 5)
@@ -204,21 +221,21 @@ def test_expand_vertex_example(f1_stream):
 
 def test_expand_vertex_requires_candidates(f1_stream):
     with pytest.raises(ValueError):
-        expand_vertex_set(item([1, 2], 2, 5, candidates=None), fresh_ws(f1_stream, 3, 2))
+        vertex_move(item([1, 2], 2, 5, candidates=None), fresh_ws(f1_stream, 3, 2))
 
 
 def test_expand_vertex_empty_candidates_is_exhausted(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
-    assert expand_vertex_set(item([1, 2], 1, 2, candidates=()), ws) is True
+    assert vertex_move(item([1, 2], 1, 2, candidates=()), ws) is True
 
 
 def test_flags_independent_of_seen_suppression(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
     start = item([1, 2], 2, 5, candidates={3})
-    assert expand_vertex_set(start, ws) is False
+    assert vertex_move(start, ws) is False
     assert len(ws.pending) == 1
     # second call: growth still exists, enqueue suppressed by the seen set
-    assert expand_vertex_set(start, ws) is False
+    assert vertex_move(start, ws) is False
     assert len(ws.pending) == 1
 
 
@@ -232,7 +249,7 @@ def test_expand_vertex_never_tries_a_vertex_outside_the_pool():
     stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
     ws = fresh_ws(stream, 2, 1)
     start = item([1, 2], 0, 0, candidates={3, 4}, pool=(2, 3), newest=2)
-    assert expand_vertex_set(start, ws) is False
+    assert vertex_move(start, ws) is False
     assert enqueued(ws) == [((1, 2, 3), 0, 0)]
     assert ws.pair_checks == 1  # (3, 2) only
 
@@ -242,7 +259,7 @@ def test_expand_vertex_drops_a_pool_vertex_that_fails_with_the_newest():
     stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (1, 5), (2, 5))
     ws = fresh_ws(stream, 2, 1)
     start = item([1, 2, 3], 0, 0, candidates={3, 4, 5}, pool=(3, 4, 5), newest=3)
-    assert expand_vertex_set(start, ws) is False
+    assert vertex_move(start, ws) is False
     assert enqueued(ws) == [((1, 2, 3, 4), 0, 0)]
     assert ws.pair_checks == 2
     (child,) = ws.pending
@@ -253,7 +270,7 @@ def test_expand_vertex_without_pool_checks_every_member():
     # 5 pairs with 2 and 3 but not with the oldest member 1
     stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (2, 5), (3, 5))
     ws = fresh_ws(stream, 2, 1)
-    assert expand_vertex_set(item([1, 2, 3], 0, 0, candidates={4, 5}), ws) is False
+    assert vertex_move(item([1, 2, 3], 0, 0, candidates={4, 5}), ws) is False
     assert enqueued(ws) == [((1, 2, 3, 4), 0, 0)]
     assert ws.pair_checks == 3 + 1  # 4 against all three; 5 fails on (1, 5)
     (child,) = ws.pending
@@ -263,10 +280,27 @@ def test_expand_vertex_without_pool_checks_every_member():
 def test_expand_vertex_siblings_share_one_pool():
     stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4))
     ws = fresh_ws(stream, 2, 1)
-    expand_vertex_set(item([1, 2], 0, 0, candidates={3, 4}), ws)
+    parent = item([1, 2], 0, 0, candidates={3, 4})
+    reach = interval_reach(parent, ws)
+    expand_vertex_set(parent, ws, reach)
     first, second = ws.pending
     assert first.pool is second.pool == (3, 4)
     assert (first.newest, second.newest) == (3, 4)
+    assert first.reach is second.reach is reach
+    assert first.table is second.table == {}
+
+
+def test_expand_vertex_answers_a_pair_from_the_family_table():
+    stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
+    ws = fresh_ws(stream, 2, 1)
+    start = item([1, 2, 3], 0, 0, candidates={3, 4}, pool=(3, 4), newest=3)
+    assert vertex_move(start, ws) is False
+    assert start.table == {(3, 4): True}
+    # a table entry is the family's answer: the pair is not read again, and
+    # the test still counts
+    start.table[(3, 4)] = False
+    assert vertex_move(start, ws) is True
+    assert ws.pair_checks == 2
 
 
 # -- worklist -----------------------------------------------------------------------
@@ -333,8 +367,9 @@ def test_peak_live_tracks_collections(f1_stream):
 
 
 def test_drain_matches_reference_drain_on_the_corpus(corpus, monkeypatch):
-    # the same-span pool finds exactly the growths of a full validity check,
-    # so the traversal is the same: seen, results and frontier after every drain
+    # a same-span family (pool, inherited interval ends, validity table)
+    # finds exactly the growths of plain moves over all pairs, so the
+    # traversal is the same: seen, results and frontier after every drain
     for idx, (stream, delta, gamma) in enumerate(corpus):
         for k in (1, 3):
             plan = PartitionPlan("ut", k)

@@ -3,11 +3,13 @@
 import io
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tclique import FormatSpec, LinkStream, ParseError, TemporalLink, parse_links
+from tclique import Clique, FormatSpec, LinkStream, ParseError, TemporalLink, parse_links
+from tclique.expand import WorkItem, WorkSets, interval_reach
 from tclique.linkstream import format_link, parse_link
 from helpers import links_from_pairs, random_stream
 
@@ -23,12 +25,16 @@ def test_f1_basic_counts(f1_stream):
 def test_f1_window_queries(f1_stream):
     s = f1_stream
     assert s.occurrences((1, 2)) == (1, 2, 4, 5)
-    assert s.first_gamma_occurrence((1, 2), 2, (1, 5)) == 2
-    assert s.first_gamma_occurrence((1, 2), 5, (1, 5)) is None
-    assert s.first_gamma_occurrence((2, 3), 2, (2, 5)) == 5
-    assert s.last_gamma_occurrence((1, 2), 2, (1, 5)) == 4
-    assert s.last_gamma_occurrence((1, 2), 4, (1, 5)) == 1
-    assert s.last_gamma_occurrence((1, 3), 2, (1, 10)) == 2
+    assert s.pair_occurrences[(1, 2)] == (1, 2, 4, 5)
+    # the interval ends, delta = 3 past the gamma-th largest occurrence in
+    # [ta, tb+1] and before the gamma-th smallest in [ta-1, tb]; a pair
+    # short of gamma occurrences pins the end at the span's own
+    assert reach(s, (1, 2), (2, 5), 2) == (4 + 3, 2 - 3)
+    assert reach(s, (1, 2), (2, 5), 5) == (5, 2)
+    assert reach(s, (2, 3), (3, 5), 2) == (5, 5 - 3)
+    assert reach(s, (1, 2), (1, 4), 2) == (4 + 3, 2 - 3)
+    assert reach(s, (1, 2), (1, 4), 4) == (1 + 3, 1)
+    assert reach(s, (1, 3), (1, 9), 2) == (2 + 3, 4 - 3)
     # the seed (1,2)'s candidates: partners of either endpoint, less both
     assert s.partners(1, (2, 5), 2) == frozenset({2, 3})
     assert s.partners(2, (2, 5), 2) == frozenset({1, 3})
@@ -146,20 +152,49 @@ def test_parse_link_reads_only_canonical_text():
             parse_link(bad)
 
 
-@given(occurrence_sets, st.integers(0, 20), st.integers(0, 20), st.integers(1, 4))
-def test_gamma_occurrence_queries_agree_with_slicing(pairs, a, b, gamma):
+@given(
+    occurrence_sets,
+    st.integers(0, 20),
+    st.integers(0, 20),
+    st.integers(1, 4),
+    st.integers(1, 6),
+)
+def test_gamma_occurrence_queries_agree_with_slicing(pairs, a, b, gamma, delta):
+    # the interval kernel against list slicing: each pair alone, then every
+    # vertex pair of the stream at once (unlinked ones pin both ends), then
+    # each vertex as the newest of a growth that inherits the rest's reach
     stream = links_from_pairs(pairs)
-    lo, hi = min(a, b), max(a, b)
-    for pair in stream.static_edges:
-        occ = [t for t in stream.occurrences(pair) if lo <= t <= hi]
-        first = stream.first_gamma_occurrence(pair, gamma, (lo, hi))
-        last = stream.last_gamma_occurrence(pair, gamma, (lo, hi))
-        if len(occ) >= gamma:
-            assert first == occ[gamma - 1]
-            assert last == occ[len(occ) - gamma]
-        else:
-            assert first is None and last is None
-        assert stream.count_in(pair, (lo, hi)) == len(occ)
+    ta, tb = min(a, b), max(a, b)
+    ws = WorkSets(stream, delta, gamma)
+    vertices = stream.vertices
+    rights, lefts = [], []
+    for pair in combinations(vertices, 2):
+        occ = stream.occurrences(pair)
+        right = [t for t in occ if ta <= t <= tb + 1]
+        left = [t for t in occ if ta - 1 <= t <= tb]
+        rights.append(right[-gamma] + delta if len(right) >= gamma else tb)
+        lefts.append(left[gamma - 1] - delta if len(left) >= gamma else ta)
+        assert reach(stream, pair, (ta, tb), gamma, delta) == (rights[-1], lefts[-1])
+        inside = [t for t in occ if ta <= t <= tb]
+        assert stream.count_in(pair, (ta, tb)) == len(inside)
+    whole = Clique(vertices, ta, tb)
+    expected = (min(rights), max(lefts))
+    assert interval_reach(WorkItem(whole, frozenset()), ws) == expected
+    # a carried item moves right only: its right end is the same
+    assert interval_reach(WorkItem(whole, None), ws)[0] == min(rights)
+    if len(vertices) < 3:
+        return
+    for newest in vertices:
+        rest = Clique(tuple(v for v in vertices if v != newest), ta, tb)
+        parent = interval_reach(WorkItem(rest, frozenset()), ws)
+        child = WorkItem(whole, frozenset(), (newest,), newest, parent, {})
+        assert interval_reach(child, ws) == expected
+
+
+def reach(stream, pair, span, gamma, delta=3):
+    """The interval kernel on the clique of one pair over `span`."""
+    item = WorkItem(Clique(pair, *span), frozenset())
+    return interval_reach(item, WorkSets(stream, delta, gamma))
 
 
 def brute_force_partners(stream, vertex, window, gamma):

@@ -260,6 +260,32 @@ def test_cli_resume_exits_3_when_a_closed_clique_fails_certification(
     assert "verification failed: 1,4 [2,3] failed certification" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "forged",
+    [
+        "98,99 [1,11]",  # the pair never links
+        "1,3 [10,11]",  # one link, at 12, up to the right move's end: gamma is 2
+    ],
+)
+def test_cli_resume_exits_3_when_a_forged_frontier_clique_fails_certification(
+    forged, handoff_stream, tmp_path, capsys
+):
+    """A frontier clique that is not a (delta,gamma)-clique, put into a
+    re-signed state, is carried right by the resumed cycle without a lookup
+    or index error and then refused by finalize's certification."""
+    state_dir = tmp_path / "state"
+    prefill_state_dir(handoff_stream, 4, 2, HANDOFF_PLAN, state_dir, 2)
+    path = state_dir / "state_0002.txt"
+    with open(path, encoding="utf-8") as fh:
+        state = load_state(fh)
+    clique = parse_clique(forged)
+    assert clique not in state.frontier and clique.tb == state.t_boundary
+    path.write_text(dump_state(dataclasses.replace(state, frontier=state.frontier | {clique})))
+    argv = HANDOFF_ONLINE + ["--input", str(DATA_DIR / "handoff.txt"), "--state-dir", str(state_dir)]
+    assert main(argv) == 3
+    assert f"verification failed: {forged} failed certification" in capsys.readouterr().err
+
+
 @pytest.mark.slow
 def test_partitions_agree_on_a_group_contact_stream(tmp_path):
     """Offline, ut and ulc batches, and an interrupted online run give the

@@ -43,6 +43,7 @@ from tclique.update import (
 from helpers import (
     as_v1_state,
     as_v2_state,
+    group_contact_stream,
     offline_keys,
     random_boundaries,
     random_state,
@@ -70,6 +71,30 @@ def test_single_batch_equals_reference(f1_stream):
     assert stats.maximal == stats.new_cliques  # nothing was closed before
     # the sweep checks every result of the cycle, the first one's too
     assert stats.checked >= stats.new_cliques >= 1
+
+
+def test_cycle_counters_of_a_group_contact_stream():
+    # per cycle (peak_live, pair_checks, seeds, frontier, new_cliques,
+    # checked) over eight batches; an engine change that keeps the traversal
+    # keeps every one of them
+    stream = group_contact_stream(seed=7, n_meetings=110)
+    state = initial_state(360, 2, stream.t_start)
+    counters = []
+    for boundary, chunk in partition_links(stream, PartitionPlan("ut", 8)):
+        state, _, s = update_batch(state, chunk, boundary)
+        counters.append(
+            (s.peak_live, s.pair_checks, s.seeds, s.frontier, s.new_cliques, s.checked)
+        )
+    assert counters == [
+        (1569, 4948, 174, 56, 107, 107),
+        (1734, 5846, 220, 26, 162, 212),
+        (2901, 9315, 256, 119, 195, 209),
+        (1850, 4142, 142, 61, 149, 222),
+        (1029, 2843, 146, 9, 90, 131),
+        (1150, 2513, 143, 53, 90, 91),
+        (1906, 5579, 198, 82, 118, 153),
+        (1302, 3312, 151, 40, 109, 173),
+    ]
 
 
 def test_two_batches_on_handoff_fixture(handoff_stream):
