@@ -8,15 +8,28 @@ occurrences in [tau, min(tau+delta, tb)].
 
 Two checkers are provided. `is_delta_gamma_clique_direct` evaluates the
 definition literally and is the single source of truth; the reference
-enumerator uses it. `is_delta_gamma_clique` is an O(occurrences) gap-based
-equivalent; its one-pair kernel `pair_valid` reads a pair's occurrence tuple
-and also serves the engine's vertex move. The test suite holds the two
-checkers equal on randomized inputs.
+enumerator uses it. `is_delta_gamma_clique` is a gap-based equivalent; its
+one-pair kernel `pair_valid` also serves the engine's vertex move. The test
+suite holds the two checkers equal on randomized inputs.
+
+The kernel costs two bisections plus a lookup: one bisection of the pair's
+occurrences, and one of its entry in the gap index (`LinkStream.gap_index`,
+kept with the stream per (delta, gamma) and built once per pair). With
+occurrences s_0 < ... < s_(k-1), call position i bad when i + gamma >= k or
+s_(i+gamma) > s_i + 1 + delta: whether i is bad depends on neither ta nor
+tb. On a span longer than delta, the windows hold once the first gamma
+occurrences from ta arrive by ta + delta and, after every s_i in [ta, tb]
+with s_i <= tb - delta - 1, the gamma-th next one arrives by s_i + 1 + delta
+and inside the span. For such an i both tests fail together: if
+s_(i+gamma) lies past tb, it lies past s_i + 1 + delta <= tb as well. So
+the span is valid iff no bad position i has ta <= s_i <= tb - delta - 1,
+that is, iff the first bad time from ta on is at least tb - delta; the last
+position is bad, so that time exists whenever an occurrence lies in [ta, tb].
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
@@ -85,35 +98,29 @@ def is_delta_gamma_clique_direct(
 
 
 def pair_valid(
-    occ: Sequence[int], ta: int, tb: int, delta: int, gamma: int
+    occ: Sequence[int],
+    bad: Sequence[int],
+    ta: int,
+    tb: int,
+    delta: int,
+    gamma: int,
 ) -> bool:
     """Gap-based equivalent of `_pair_valid_direct`, over `occ`, the pair's
-    occurrence times in increasing order (empty if it never links).
+    occurrence times in increasing order (empty if it never links), and
+    `bad`, its entry in the stream's gap index at (delta, gamma).
 
-    For spans no longer than delta a single window remains and the count
-    decides. Otherwise the windows of the definition are all satisfied iff
-    (a) the gamma-th occurrence arrives by ta+delta, and (b) after any
-    occurrence s_i with s_i + 1 <= tb - delta, the gamma-th occurrence
-    after s_i arrives by s_i + 1 + delta (a missing one fails, which also
-    rejects trailing windows past the last occurrence). The occurrences in
-    [ta, tb] are read in place, between two bisect positions.
+    The span needs gamma occurrences from ta on. For spans no longer than
+    delta a single window remains and that count decides. Otherwise (a) the
+    gamma-th occurrence from ta arrives by ta + delta, and (b) no bad
+    position lies in [ta, tb - delta - 1] (see the module docstring).
     """
     lo = bisect_left(occ, ta)
-    hi = bisect_right(occ, tb)
-    if hi - lo < gamma:
+    last = lo + gamma - 1
+    if last >= len(occ):
         return False
     if tb - ta <= delta:
-        return True
-    if occ[lo + gamma - 1] > ta + delta:
-        return False
-    last_start = tb - delta
-    for i in range(lo, hi):
-        s = occ[i]
-        if s + 1 > last_start:
-            break
-        if i + gamma >= hi or occ[i + gamma] > s + 1 + delta:
-            return False
-    return True
+        return occ[last] <= tb
+    return occ[last] <= ta + delta and bad[bisect_left(bad, ta)] >= tb - delta
 
 
 def is_delta_gamma_clique(
@@ -128,8 +135,10 @@ def is_delta_gamma_clique(
     if len(verts) < 2:
         raise ValueError("a clique needs at least two vertices")
     ta, tb = span
+    occurrences = stream.pair_occurrences
+    gaps = stream.gap_index(delta, gamma)
     return all(
-        pair_valid(stream.occurrences(pair), ta, tb, delta, gamma)
+        pair_valid(occurrences.get(pair, ()), gaps[pair], ta, tb, delta, gamma)
         for pair in combinations(verts, 2)
     )
 

@@ -36,12 +36,22 @@ answers:
 - reach: the pairs of Z+{w} are those of Z and the pairs (z, w), and an
   interval end is a min or max over pairs, so a growth starts from its
   parent's reach and folds in only the pairs with its newest vertex;
-- validity: the root's vertex move creates a pair -> bool table that every
-  growth of the family carries by reference, like its pool; a pooled vertex
-  move looks (w', w) up there and runs the validity kernel only on a miss.
-A table lives while a member of its family is on the worklist. The answers,
-so the traversal and every counter, are those of working out each fact
-afresh; `pair_checks` counts every pair test asked, the table's too.
+- ends: the pairs with the newest vertex recur across the family (a growth
+  Z+{w}+{w'} folds the pairs (z, w'), z in Z, that Z+{w'} folded before),
+  so the root's vertex move creates a pair -> (right end, left end)
+  table that every growth carries by reference, like its pool, and a
+  growth's reach works a pair's ends out only on a miss;
+- validity: next to it, a pair -> bool table; a pooled vertex move looks
+  (w', w) up there and runs the validity kernel only on a miss.
+The tables live while a member of their family is on the worklist. The
+answers, so the traversal and every counter, are those of working out each
+fact afresh; `pair_checks` counts every pair test asked, the table's too.
+The kernel reads the working stream's gap index (`LinkStream.gap_index`),
+which the cycle's vertex moves share and which goes with the stream.
+
+`drain` notes the peak of the live collections on entry and once after each
+pop: within a pop they only grow (the pop itself is the one removal), so the
+largest value a pop reaches is the one it ends with.
 """
 
 from __future__ import annotations
@@ -49,9 +59,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
-from .cliques import Clique, pair_valid
+from .cliques import Clique, pair_valid, sort_cliques
 from .linkstream import LinkStream
 
 
@@ -61,7 +71,7 @@ class WorkItem(NamedTuple):
     The other fields are set on vertex growths only, the members of a
     same-span family: the valid growths of the parent at this span (`pool`),
     the vertex added (`newest`), the parent's interval reach, and the
-    family's pair validity table."""
+    family's pair validity and pair interval-end tables."""
 
     clique: Clique
     candidates: Optional[frozenset[int]]
@@ -69,6 +79,7 @@ class WorkItem(NamedTuple):
     newest: Optional[int] = None
     reach: Optional[tuple[int, int]] = None
     table: Optional[dict[tuple[int, int], bool]] = None
+    ends: Optional[dict[tuple[int, int], tuple[int, int]]] = None
 
 
 @dataclass
@@ -83,6 +94,7 @@ class WorkSets:
     pair_checks   pair validity tests the vertex move asked, the ones its
                   family's table answered included
     seeds         seeds pushed
+    gaps          the stream's gap index at (delta, gamma)
     """
 
     stream: LinkStream
@@ -95,16 +107,10 @@ class WorkSets:
     peak_live: int = 0
     pair_checks: int = 0
     seeds: int = 0
+    gaps: Mapping[tuple[int, int], tuple[int, ...]] = field(init=False)
 
-    def _note_peak(self) -> None:
-        live = (
-            len(self.pending)
-            + len(self.seen)
-            + len(self.new_maximal)
-            + len(self.next_frontier)
-        )
-        if live > self.peak_live:
-            self.peak_live = live
+    def __post_init__(self) -> None:
+        self.gaps = self.stream.gap_index(self.delta, self.gamma)
 
     def offer(
         self,
@@ -114,15 +120,15 @@ class WorkSets:
         newest: Optional[int] = None,
         reach: Optional[tuple[int, int]] = None,
         table: Optional[dict[tuple[int, int], bool]] = None,
+        ends: Optional[dict[tuple[int, int], tuple[int, int]]] = None,
     ) -> bool:
         """Enqueue unless the clique was ever enqueued before."""
         if clique in self.seen:
             return False
         self.seen.add(clique)
         self.pending.append(
-            WorkItem(clique, candidates, pool, newest, reach, table)
+            WorkItem(clique, candidates, pool, newest, reach, table, ends)
         )
-        self._note_peak()
         return True
 
     def push_seed(self, clique: Clique, candidates: frozenset[int]) -> None:
@@ -132,7 +138,6 @@ class WorkSets:
         self.seeds += 1
         self.seen.add(clique)
         self.pending.append(WorkItem(clique, candidates))
-        self._note_peak()
 
 
 # -- seeds ---------------------------------------------------------------------
@@ -167,8 +172,14 @@ def seed_cliques(
       after t_prev, whose gamma-run ending there yields a kept seed.
     Everything else the expansion reaches ends before t_prev, reads only old
     links, and the previous cycle already reported it.
+
+    Pairs sharing an endpoint often share anchor intervals (a meeting at
+    time s gives its pairs the same anchors), so the seeds are taken
+    interval by interval and the partners of a vertex are asked of the
+    stream once per interval; only one interval's answers are held at a
+    time.
     """
-    seeds: dict[Clique, frozenset[int]] = {}
+    found: set[Clique] = set()
     for pair in stream.static_edges:
         occ = stream.occurrences(pair)
         for j in range(len(occ) - gamma + 1):
@@ -180,17 +191,21 @@ def seed_cliques(
                 (s_lo, s_lo + delta),
                 (max(s_hi - delta, stream.t_start), s_hi),
             ):
-                if tb <= t_prev or stream.count_in(pair, (ta, tb)) != gamma:
-                    continue
-                seed = Clique(pair, ta, tb)
-                if seed in seeds:
-                    continue
-                u, v = pair
-                seeds[seed] = (
-                    stream.partners(u, (ta, tb), gamma)
-                    | stream.partners(v, (ta, tb), gamma)
-                ) - {u, v}
-    return sorted(seeds.items())
+                if tb > t_prev and stream.count_in(pair, (ta, tb)) == gamma:
+                    found.add(Clique(pair, ta, tb))
+    seeds: list[tuple[Clique, frozenset[int]]] = []
+    span = None
+    known: dict[int, frozenset[int]] = {}
+    for seed in sort_cliques(found):  # by interval first
+        (u, v), ta, tb = seed
+        if span != (ta, tb):
+            span, known = (ta, tb), {}
+        for x in (u, v):
+            if x not in known:
+                known[x] = stream.partners(x, span, gamma)
+        seeds.append((seed, (known[u] | known[v]) - {u, v}))
+    seeds.sort()
+    return seeds
 
 
 # -- growth procedures ----------------------------------------------------------
@@ -205,38 +220,51 @@ def interval_reach(item: WorkItem, worksets: WorkSets) -> tuple[int, int]:
     the gamma-th smallest occurrence in [ta-1, tb]. A pair without gamma
     occurrences in a window pins that end at the span's own end, where the
     move cannot grow. A vertex growth starts from its parent's reach and folds
-    in only the pairs with its newest vertex (see the module docstring). A
-    carried item (no candidates) moves right only, so its left end is not
-    worked out and stays at the widest value.
+    in only the pairs with its newest vertex, taking a pair's two ends from
+    the family's table when a member worked them out before (see the module
+    docstring). A carried item (no candidates) moves right only, so its left
+    end is not worked out and stays at the widest value.
     """
     stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
     occurrences = stream.pair_occurrences
     vertices, ta, tb = item.clique
-    right_only = item.candidates is None
     if item.reach is None:
         # the widest ends any occurrence in the windows allows
         right, left = tb + 1 + delta, ta - 1 - delta
-        pairs = combinations(vertices, 2)
-    else:
-        right, left = item.reach
-        newest = item.newest
-        pairs = (
-            (z, newest) if z < newest else (newest, z)
-            for z in vertices
-            if z != newest
-        )
-    for pair in pairs:
-        occ = occurrences.get(pair, ())
-        i = bisect_right(occ, tb + 1) - gamma
-        end = occ[i] + delta if i >= 0 and occ[i] >= ta else tb
-        if end < right:
-            right = end
-        if right_only:
+        right_only = item.candidates is None
+        for pair in combinations(vertices, 2):
+            occ = occurrences.get(pair, ())
+            i = bisect_right(occ, tb + 1) - gamma
+            end = occ[i] + delta if i >= 0 and occ[i] >= ta else tb
+            if end < right:
+                right = end
+            if right_only:
+                continue
+            j = bisect_left(occ, ta - 1) + gamma - 1
+            end = occ[j] - delta if j < len(occ) and occ[j] <= tb else ta
+            if end > left:
+                left = end
+        return right, left
+    right, left = item.reach
+    newest, known = item.newest, item.ends
+    for z in vertices:
+        if z == newest:
             continue
-        j = bisect_left(occ, ta - 1) + gamma - 1
-        end = occ[j] - delta if j < len(occ) and occ[j] <= tb else ta
-        if end > left:
-            left = end
+        pair = (z, newest) if z < newest else (newest, z)
+        ends = known.get(pair)
+        if ends is None:
+            occ = occurrences.get(pair, ())
+            i = bisect_right(occ, tb + 1) - gamma
+            j = bisect_left(occ, ta - 1) + gamma - 1
+            ends = known[pair] = (
+                occ[i] + delta if i >= 0 and occ[i] >= ta else tb,
+                occ[j] - delta if j < len(occ) and occ[j] <= tb else ta,
+            )
+        end_right, end_left = ends
+        if end_right < right:
+            right = end_right
+        if end_left > left:
+            left = end_left
     return right, left
 
 
@@ -251,14 +279,15 @@ def expand_vertex_set(
     answers a pair it already holds (see the module docstring). Valid
     growths are enqueued (dedup applies) inheriting the candidate set
     unchanged, with the tuple of all of them as their pool, `reach` (the
-    item's interval reach) and the family's table; the flag reflects
-    validity, not whether the enqueue happened.
+    item's interval reach) and the family's two tables, created here for a
+    clique without a pool; the flag reflects validity, not whether the
+    enqueue happened.
     """
     clique, candidates = item.clique, item.candidates
     if candidates is None:
         raise ValueError(f"clique {clique} has no candidate set")
-    stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
-    occurrences = stream.pair_occurrences
+    delta, gamma, gaps = worksets.delta, worksets.gamma, worksets.gaps
+    occurrences = worksets.stream.pair_occurrences
     members, ta, tb = clique
     checks = 0
     ok = []
@@ -269,13 +298,16 @@ def expand_vertex_set(
             for z in members:
                 checks += 1
                 pair = (w, z) if w < z else (z, w)
-                if not pair_valid(occurrences.get(pair, ()), ta, tb, delta, gamma):
+                if not pair_valid(
+                    occurrences.get(pair, ()), gaps[pair], ta, tb, delta, gamma
+                ):
                     break
             else:
                 ok.append(w)
         table: dict[tuple[int, int], bool] = {}
+        ends: dict[tuple[int, int], tuple[int, int]] = {}
     else:
-        newest, table = item.newest, item.table
+        newest, table, ends = item.newest, item.table, item.ends
         for w in item.pool:
             if w in members:
                 continue
@@ -284,16 +316,17 @@ def expand_vertex_set(
             valid = table.get(pair)
             if valid is None:
                 valid = table[pair] = pair_valid(
-                    occurrences.get(pair, ()), ta, tb, delta, gamma
+                    occurrences.get(pair, ()), gaps[pair], ta, tb, delta, gamma
                 )
             if valid:
                 ok.append(w)
     worksets.pair_checks += checks
     growths = tuple(ok)
+    offer = worksets.offer
     for w in growths:
         at = bisect_left(members, w)
         verts = members[:at] + (w,) + members[at:]
-        worksets.offer(Clique(verts, ta, tb), candidates, growths, w, reach, table)
+        offer(Clique(verts, ta, tb), candidates, growths, w, reach, table, ends)
     return not growths
 
 
@@ -336,14 +369,22 @@ def drain(worksets: WorkSets) -> None:
     them. Every other item gets all three moves, in the fixed sequence
     vertex, right, left; each move runs even when an earlier one grew the
     clique, because each enqueues its own growths; a vertex growth hands its
-    family's pool, reach and validity table to its own moves. Fully
-    processed cliques with no possible growth join `new_maximal`; every
-    popped clique whose right end reaches the working stream's observation
-    end (the cycle boundary) joins `next_frontier` regardless of its flags.
+    family's pool, reach and tables to its own moves. Fully processed
+    cliques with no possible growth join `new_maximal`; every popped clique
+    whose right end reaches the working stream's observation end (the cycle
+    boundary) joins `next_frontier` regardless of its flags. `peak_live` is
+    noted on entry and after every pop (see the module docstring).
     """
     boundary = worksets.stream.t_end
-    while worksets.pending:
-        item = worksets.pending.pop()
+    pending, seen = worksets.pending, worksets.seen
+    new_maximal, next_frontier = worksets.new_maximal, worksets.next_frontier
+    pop, add_maximal, add_frontier = pending.pop, new_maximal.add, next_frontier.add
+    peak = max(
+        worksets.peak_live,
+        len(pending) + len(seen) + len(new_maximal) + len(next_frontier),
+    )
+    while pending:
+        item = pop()
         reach = interval_reach(item, worksets)
         no_vertex = item.candidates is None or expand_vertex_set(
             item, worksets, reach
@@ -351,7 +392,10 @@ def drain(worksets: WorkSets) -> None:
         no_interval = extend_interval(item, worksets, reach)
         clique = item.clique
         if no_vertex and no_interval:
-            worksets.new_maximal.add(clique)
+            add_maximal(clique)
         if clique.tb >= boundary:
-            worksets.next_frontier.add(clique)
-        worksets._note_peak()
+            add_frontier(clique)
+        live = len(pending) + len(seen) + len(new_maximal) + len(next_frontier)
+        if live > peak:
+            peak = live
+    worksets.peak_live = peak

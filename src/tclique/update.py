@@ -168,13 +168,17 @@ def update_batch(
         tuple(state.link_tail) + tuple(batch),
         observation=(state.t_start, t_next),
     )
+    # The digest builds the batch's whole text: done before the drains, it
+    # does not add to the peak memory they reach.
+    input_digest = chain_input_digest(
+        state.input_digest, working.links_in((t_prev + 1, t_next))
+    )
     worksets = WorkSets(working, state.delta, state.gamma)
     worksets.seen.update(state.frontier)
 
     # Phase A: carried frontier cliques grow right over the refreshed stream;
     # without candidates they take no other move.
     worksets.pending.extend(WorkItem(c, None) for c in sorted(state.frontier))
-    worksets._note_peak()
     drain(worksets)
 
     # Phase B: fresh seeds of the working stream that reach past t_prev.
@@ -187,13 +191,12 @@ def update_batch(
     closed = sort_cliques(c for c in results if c.tb < t_next)
 
     tail = tuple(working.links_in((t_next - state.delta, t_next)))
-    batch_links = working.links_in((t_prev + 1, t_next))  # canonical order
     next_state = BatchState(
         state.delta,
         state.gamma,
         state.t_start,
         t_next,
-        chain_input_digest(state.input_digest, batch_links),
+        input_digest,
         state.closed + len(closed),
         chain_closed_digest(state.closed_digest, map(format_clique, closed)),
         prune_frontier(worksets.next_frontier),

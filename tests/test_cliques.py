@@ -1,5 +1,7 @@
 """Clique values, the validity predicate, and containment."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from tclique import (
     parse_clique,
     sort_cliques,
 )
+from tclique.cliques import _pair_valid_direct, pair_valid
 from helpers import links_from_pairs
 
 
@@ -194,8 +197,6 @@ def test_gamma_one_matches_plain_delta_window_check():
                 return False
         return True
 
-    import random
-
     rng = random.Random(7)
     for _ in range(300):
         occ = sorted(rng.sample(range(0, 15), rng.randint(1, 6)))
@@ -206,3 +207,79 @@ def test_gamma_one_matches_plain_delta_window_check():
         assert is_delta_gamma_clique(
             (1, 2), (ta, tb), stream, delta, 1
         ) == plain_pair_ok(occ, ta, tb, delta)
+
+
+def shared_index_valid(stream, pair, ta, tb, delta, gamma):
+    """`pair_valid` reading the stream's own gap index, as the engine does."""
+    gaps = stream.gap_index(delta, gamma)
+    return pair_valid(stream.occurrences(pair), gaps[pair], ta, tb, delta, gamma)
+
+
+def test_shared_gap_index_answers_like_the_definition():
+    # one stream queried in random order: the first query on a pair builds
+    # its entry, the later ones read it; a second (delta, gamma) on the same
+    # stream, interleaved, gets entries of its own
+    rng = random.Random(11)
+    pair_times = {}
+    for u in range(1, 6):
+        for v in range(u + 1, 6):
+            density = rng.uniform(0.1, 0.6)
+            pair_times[(u, v)] = [t for t in range(41) if rng.random() < density]
+    pair_times = {p: ts for p, ts in pair_times.items() if ts}
+    stream = links_from_pairs(pair_times, observation=(0, 40))
+    pairs = sorted(pair_times) + [(1, 6)]  # (1, 6) never links
+    params = ((3, 2), (5, 1))
+    first = stream.gap_index(*params[0])
+    built = 0
+    for _ in range(800):
+        delta, gamma = params[rng.random() < 0.4]
+        pair = rng.choice(pairs)
+        ta = rng.randint(-2, 42)
+        tb = ta + rng.randint(0, 20)
+        had_entry = pair in stream.gap_index(delta, gamma)
+        got = shared_index_valid(stream, pair, ta, tb, delta, gamma)
+        assert got == _pair_valid_direct(stream, pair, ta, tb, delta, gamma), (
+            pair, ta, tb, delta, gamma,
+        )
+        built += not had_entry
+    # the index stays with the stream, one per (delta, gamma), and was read
+    # far more often than built
+    assert stream.gap_index(*params[0]) is first
+    assert stream.gap_index(*params[1]) is not first
+    assert built <= 2 * len(pairs) < 800
+
+
+def test_gap_index_edge_cases():
+    stream = links_from_pairs({(1, 2): [0, 2, 6, 8], (1, 3): [0, 2, 4], (2, 3): [5, 9]})
+
+    def check(pair, ta, tb, delta, gamma, expected):
+        assert _pair_valid_direct(stream, pair, ta, tb, delta, gamma) is expected
+        assert shared_index_valid(stream, pair, ta, tb, delta, gamma) is expected
+        assert (
+            is_delta_gamma_clique(pair, (ta, tb), stream, delta, gamma) is expected
+        )
+
+    # a never-linked pair
+    check((1, 4), 0, 1, 2, 1, False)
+    check((1, 4), 0, 9, 2, 1, False)
+    assert stream.gap_index(2, 1)[(1, 4)] == ()
+    # spans no longer than delta: the count decides
+    check((2, 3), 4, 6, 2, 1, True)
+    check((2, 3), 6, 8, 2, 1, False)
+    check((2, 3), 5, 9, 4, 2, True)
+    # gamma above the pair's count
+    check((2, 3), 0, 9, 9, 3, False)
+    check((1, 3), 0, 4, 5, 4, False)
+    # the bad gap 2 -> 6 of (1, 2): an occurrence exactly at tb - delta - 1
+    # is tested, one just past it is not
+    check((1, 2), 0, 5, 2, 1, False)
+    check((1, 2), 0, 4, 2, 1, True)
+    # the last occurrence is always bad: 4 at tb - delta - 1 has no
+    # successor, so the window [5, 7] is empty
+    check((1, 3), 0, 7, 2, 1, False)
+    check((1, 3), 0, 6, 2, 1, True)
+    # bad times: the last gamma positions are bad, and so is 2 -> 6; when
+    # all are, the entry is the occurrence tuple
+    assert stream.gap_index(2, 1)[(1, 2)] == (2, 8)
+    assert stream.gap_index(5, 2)[(1, 2)] == (6, 8)
+    assert stream.gap_index(4, 2)[(1, 2)] is stream.occurrences((1, 2))

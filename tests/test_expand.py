@@ -40,11 +40,11 @@ def fresh_ws(stream, delta, gamma, checking=True):
 
 def item(vertices, ta, tb, candidates=frozenset(), pool=None, newest=None):
     """A worklist item; candidates=None makes a carried, right-only one. A
-    pooled item heads a family of its own: no inherited reach, a fresh
-    table."""
+    pooled item heads a family of its own: no inherited reach, fresh
+    tables."""
     cands = None if candidates is None else frozenset(candidates)
-    table = None if pool is None else {}
-    return WorkItem(make_clique(vertices, ta, tb), cands, pool, newest, None, table)
+    table, ends = (None, None) if pool is None else ({}, {})
+    return WorkItem(make_clique(vertices, ta, tb), cands, pool, newest, None, table, ends)
 
 
 def interval_move(it, ws):

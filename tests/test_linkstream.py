@@ -187,7 +187,7 @@ def test_gamma_occurrence_queries_agree_with_slicing(pairs, a, b, gamma, delta):
     for newest in vertices:
         rest = Clique(tuple(v for v in vertices if v != newest), ta, tb)
         parent = interval_reach(WorkItem(rest, frozenset()), ws)
-        child = WorkItem(whole, frozenset(), (newest,), newest, parent, {})
+        child = WorkItem(whole, frozenset(), (newest,), newest, parent, {}, {})
         assert interval_reach(child, ws) == expected
 
 
