@@ -8,9 +8,11 @@ occurrences in [tau, min(tau+delta, tb)].
 
 Two checkers are provided. `is_delta_gamma_clique_direct` evaluates the
 definition literally and is the single source of truth; the reference
-enumerator uses it. `is_delta_gamma_clique` is a gap-based equivalent; its
-one-pair kernel `pair_valid` also serves the engine's vertex move. The test
-suite holds the two checkers equal on randomized inputs.
+enumerator uses it. `is_delta_gamma_clique` is a gap-based equivalent over
+the one-pair kernel `pair_valid`. The test suite holds the two checkers
+equal on randomized inputs. A second kernel, `pair_closure`, serves the
+engine's moves: besides validity it returns the pair's closure, the largest
+interval around the span on which the pair stays valid.
 
 The kernel costs two bisections plus a lookup: one bisection of the pair's
 occurrences, and one of its entry in the gap index (`LinkStream.gap_index`,
@@ -25,13 +27,33 @@ s_(i+gamma) lies past tb, it lies past s_i + 1 + delta <= tb as well. So
 the span is valid iff no bad position i has ta <= s_i <= tb - delta - 1,
 that is, iff the first bad time from ta on is at least tb - delta; the last
 position is bad, so that time exists whenever an occurrence lies in [ta, tb].
+
+The closure of a valid span [ta, tb] reads the same two entries. Write b for
+the first bad time from ta on and p for the last bad time before ta.
+- Right end: b + delta. The window [b+1, b+1+delta] misses gamma
+  occurrences, so no valid span from ta reaches past b + delta, and none
+  from further left does either. The span [ta, b+delta] is valid: it has no
+  bad time in [ta, b-1], and if b = ta its one window [ta, ta+delta] holds
+  the gamma occurrences from ta (they arrive by ta + delta or by tb).
+- Left end: no valid span containing [ta, tb] starts at or before p. Such a
+  span [a, e] has p in [a, e-delta-1]: otherwise e <= p + delta, and [ta, tb]
+  would lie in (p, p+delta], which holds fewer than gamma occurrences, so
+  [ta, tb] would not be valid. Positions after p and before ta are good, so
+  within (p, ta] only the first window can fail: with s_j the first
+  occurrence after p, a start a qualifies iff a >= s_(j+gamma-1) - delta. The
+  left end is the larger of p + 1 and that bound, clamped at the
+  observation start.
+Validity is pairwise, and a union of valid spans that all contain [ta, tb]
+is valid (a window it adds either lies in one of them or contains a short
+[ta, tb]), so the closure of a vertex set is the intersection of its pairs'
+closures, and every span between [ta, tb] and the closure is valid.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .linkstream import LinkStream
 
@@ -121,6 +143,41 @@ def pair_valid(
     if tb - ta <= delta:
         return occ[last] <= tb
     return occ[last] <= ta + delta and bad[bisect_left(bad, ta)] >= tb - delta
+
+
+def pair_closure(
+    occ: Sequence[int],
+    bad: Sequence[int],
+    ta: int,
+    tb: int,
+    delta: int,
+    gamma: int,
+    t_start: int,
+) -> Optional[tuple[int, int]]:
+    """None when the pair is not valid on [ta, tb] (as `pair_valid` decides);
+    otherwise the largest interval containing [ta, tb] on which it is valid
+    (see the module docstring). The right end is the first bad time from ta
+    on plus delta, never clamped at the observation end; the left end is
+    clamped at `t_start`.
+    """
+    lo = bisect_left(occ, ta)
+    last = lo + gamma - 1
+    if last >= len(occ):
+        return None
+    at = bisect_left(bad, ta)
+    first_bad = bad[at]
+    if tb - ta <= delta:
+        if occ[last] > tb:
+            return None
+    elif occ[last] > ta + delta or first_bad < tb - delta:
+        return None
+    if at:
+        before = bad[at - 1]
+        after = bisect_right(occ, before, 0, lo)
+        left = max(before + 1, occ[after + gamma - 1] - delta)
+    else:
+        left = occ[gamma - 1] - delta
+    return max(left, t_start), first_bad + delta
 
 
 def is_delta_gamma_clique(

@@ -1,53 +1,93 @@
-"""Seed construction and the three clique-growth procedures.
+"""Seed construction, the two clique-growth moves, and the worklist.
 
 Enumeration works a LIFO worklist of cliques. Every popped clique is offered
-the three growth moves in one fixed sequence — add a vertex from its
-candidate set, extend the interval right, extend the interval left — and
-joins the maximal set of the cycle when none of the moves finds a strictly
-larger valid clique. The candidate set is working data of the enumeration:
-it rides on the worklist item, never on the clique, and every growth inherits
-it. Cliques carried over from a previous batch have none, and are only ever
-extended to the right.
+two growth moves in one fixed sequence — add a vertex from its candidate set,
+then move the interval to the clique's closure — and joins the maximal set of
+the cycle when neither finds a strictly larger valid clique. The candidate
+set is working data of the enumeration: it rides on the worklist item, never
+on the clique, and every growth inherits it. Cliques carried over from a
+previous batch have none, and are only ever extended to the right.
 
 Each move reads the stream, delta and gamma from the cycle's `WorkSets`, and
 every bound from the stream: it is the cycle's window, observed over
-[t_start, boundary]. A move returns True when the clique could NOT be grown
-that way (the "no extension" flag); a clique is maximal within the cycle when
-no move grew it. Both interval moves are made by `extend_interval` from the
-ends that one pass over the pairs, `interval_reach`, finds.
+[t_start, boundary].
 
-Every enqueued clique is valid, so the vertex move checks only the pairs a
-growth adds. A clique without a pool (a seed, or a clique made by an interval
-move) tests each candidate w against all of its members. The vertex move
-enqueues each valid growth Z+{w} with a same-span pool: the sorted tuple of
-all valid growths of Z at that span, shared by the siblings, and w as the
-newest vertex. Popped, such a child tests only the pair (w', w) for each w'
-of the pool: at a fixed span, w' extends Z+{w} iff it extends Z and pairs
-validly with w (the candidate narrowing of Bron-Kerbosch, restricted to one
-span). The growths found, and so the traversal, are those of a full check.
+The closure of a clique K at its span s is the largest interval containing
+s on which K is valid: the intersection of its pairs' closures
+(`pair_closure`, see the cliques module). Every span between s and the
+closure is valid too, so the interval move jumps there in one step: it
+offers (K, closure) once, when the closure differs from s, where stepwise
+moves right and left would reach it over several pops. A carried clique
+moves right only, to where the stepwise right move stops: a step from end x
+anchors on the gamma-th largest occurrence in [ta, x+1] and goes delta past
+it, and it advances the anchor until the anchor is a bad position (no step
+passes a bad position, whose next gamma occurrences come too late). So a
+pair's end is the first bad time at or after its anchor from [ta, tb+1],
+plus delta, and the clique's end is the smallest over its pairs; a pair
+without gamma occurrences there, or whose first step does not pass tb, pins
+the end at tb. A carried clique need not be valid on the working stream,
+whose links start delta before the previous boundary, so it is not read
+through `pair_closure`.
+
+Every enqueued clique with candidates is valid, so the vertex move checks
+only the pairs a growth adds. A clique without a pool (a seed, or a clique
+made by an interval move) tests each candidate w against all of its
+members. The vertex move enqueues each valid growth K+{w} with a same-span
+pool: the sorted tuple of all valid growths of K at that span, each with its
+closure, shared by the siblings, and w as the newest vertex. Popped, such a
+child tests only the pair (w', w) for each w' of the pool: at a fixed span,
+w' extends K+{w} iff it extends K and pairs validly with w (the candidate
+narrowing of Bron-Kerbosch, restricted to one span). The growths found, and
+so the traversal, are those of a full check.
 
 A vertex growth keeps its parent's span, so a root (a clique without a pool)
 and the vertex growths below it form a family whose cliques all share one
-span [ta, tb]. Every pair fact the moves read (is the pair valid on
-[ta, tb], its gamma-th largest occurrence in [ta, tb+1], its gamma-th
-smallest in [ta-1, tb]) depends only on the pair, that span and the cycle's
-stream, so it has one answer within a family, and the family shares the
-answers:
-- reach: the pairs of Z+{w} are those of Z and the pairs (z, w), and an
-  interval end is a min or max over pairs, so a growth starts from its
-  parent's reach and folds in only the pairs with its newest vertex;
-- ends: the pairs with the newest vertex recur across the family (a growth
-  Z+{w}+{w'} folds the pairs (z, w'), z in Z, that Z+{w'} folded before),
-  so the root's vertex move creates a pair -> (right end, left end)
-  table that every growth carries by reference, like its pool, and a
-  growth's reach works a pair's ends out only on a miss;
-- validity: next to it, a pair -> bool table; a pooled vertex move looks
-  (w', w) up there and runs the validity kernel only on a miss.
-The tables live while a member of their family is on the worklist. The
-answers, so the traversal and every counter, are those of working out each
-fact afresh; `pair_checks` counts every pair test asked, the table's too.
+span. A pair's closure at that span has one answer within the family, so:
+- closures: a growth's closure is its parent's intersected with the
+  closures of the pairs with its newest vertex, so each item carries its
+  own and each pool entry its growth's; a child's growth K+{w'} then has the
+  closure closure(P+w') ∩ closure(K) ∩ closure of (newest, w'), with no pass
+  over its pairs (P is the parent, K = P+{newest});
+- the pairs (w', newest) recur across the family (a growth P+{w}+{w'}
+  tests the pairs (w'', w') that P+{w'} tested before), so the root's vertex
+  move creates a pair -> closure-or-None table that every growth carries by
+  reference, like its pool, and the kernel runs only on a miss.
+The table lives while a member of its family is on the worklist.
+`pair_checks` counts every pair test the vertex move asked, the table's too.
 The kernel reads the working stream's gap index (`LinkStream.gap_index`),
-which the cycle's vertex moves share and which goes with the stream.
+which the cycle's moves share and which goes with the stream.
+
+Dominance. The popped clique (K, s) skips its interval move when some
+vertex growth K+{w} keeps its closure (closure(K+w) == closure(K)) and that
+closure ends before the working stream's end, the cycle boundary. Then
+(K, closure) lies strictly inside (K+{w}, closure), which the growth offers
+itself, or its own dominating growth does. Completeness, for a popped
+(K, s) and a result (J, c) of the cycle with K ⊆ J, s inside c, J valid at
+s and J's other vertices among K's candidates:
+- A result has c as the closure of J and J vertex-maximal at c. If K = J,
+  no growth keeps c (it would make J+{w} valid on c), so the interval move
+  to c is never skipped: J's closure at s is c, since c contains s and
+  cannot grow.
+- If K ⊂ J, every set between K and J is valid at s (validity is pairwise),
+  so K+{w} for w in J is a vertex growth at s, and by induction on |J - K|
+  the traversal reaches (J, c).
+- Every result (J, [a, b]) that ends after the previous boundary has such a
+  start. The end b is delta past a pair's first bad time b - delta >= a,
+  and that pair has exactly gamma occurrences in [b-delta, b]: at least
+  gamma because it is a window of [a, b], at most because the position is
+  bad. So the seed anchor [b-delta, b] of that pair is a short window of
+  [a, b] on which J is valid, and every vertex of J has gamma links to
+  both seed vertices there, so it is among the seed's candidates.
+- As with stepwise moves, a clique that another route enqueued first keeps
+  that route's candidate set (the dedup barrier); the per-cycle tests hold
+  the results equal to those of the stepwise moves.
+- The guard keeps completeness across cycles. A closure that ends before
+  the boundary is decided by an occurrence at or before the boundary (its
+  first bad time is b - delta, and the position's badness only reads links
+  up to b + 1 <= boundary), so no later link moves it and (K, closure) can
+  never outgrow (K+{w}, closure). A closure that reaches the boundary may
+  still move right with the next batch while K+{w}'s does not; phase A of
+  the next cycle then needs K's own frontier entry, so the move is made.
 
 `drain` notes the peak of the live collections on entry and once after each
 pop: within a pop they only grow (the pop itself is the one removal), so the
@@ -61,25 +101,28 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, NamedTuple, Optional
 
-from .cliques import Clique, pair_valid, sort_cliques
+from .cliques import Clique, pair_closure, sort_cliques
 from .linkstream import LinkStream
+
+Span = tuple[int, int]
 
 
 class WorkItem(NamedTuple):
     """A queued clique with the vertices that may still join it; `candidates`
     is None for a carried frontier clique, which may only move right.
-    The other fields are set on vertex growths only, the members of a
-    same-span family: the valid growths of the parent at this span (`pool`),
-    the vertex added (`newest`), the parent's interval reach, and the
-    family's pair validity and pair interval-end tables."""
+    `closure` is the clique's closure when known (a vertex growth's, found by
+    its parent, or an interval move's target), else None. The other fields
+    are set on vertex growths only, the members of a same-span family: the
+    valid growths of the parent at this span, each with its closure
+    (`pool`), the vertex added (`newest`), and the family's pair -> closure
+    table."""
 
     clique: Clique
     candidates: Optional[frozenset[int]]
-    pool: Optional[tuple[int, ...]] = None
+    pool: Optional[tuple[tuple[int, Span], ...]] = None
     newest: Optional[int] = None
-    reach: Optional[tuple[int, int]] = None
-    table: Optional[dict[tuple[int, int], bool]] = None
-    ends: Optional[dict[tuple[int, int], tuple[int, int]]] = None
+    closure: Optional[Span] = None
+    table: Optional[dict[tuple[int, int], Optional[Span]]] = None
 
 
 @dataclass
@@ -91,8 +134,8 @@ class WorkSets:
     new_maximal   cliques found maximal within this cycle
     next_frontier popped cliques whose right end reaches the cycle boundary
     peak_live     max of |pending|+|seen|+|new_maximal|+|next_frontier|
-    pair_checks   pair validity tests the vertex move asked, the ones its
-                  family's table answered included
+    pair_checks   pair tests the vertex move asked, the ones its family's
+                  table answered included
     seeds         seeds pushed
     gaps          the stream's gap index at (delta, gamma)
     """
@@ -116,19 +159,16 @@ class WorkSets:
         self,
         clique: Clique,
         candidates: Optional[frozenset[int]],
-        pool: Optional[tuple[int, ...]] = None,
+        pool: Optional[tuple[tuple[int, Span], ...]] = None,
         newest: Optional[int] = None,
-        reach: Optional[tuple[int, int]] = None,
-        table: Optional[dict[tuple[int, int], bool]] = None,
-        ends: Optional[dict[tuple[int, int], tuple[int, int]]] = None,
+        closure: Optional[Span] = None,
+        table: Optional[dict[tuple[int, int], Optional[Span]]] = None,
     ) -> bool:
         """Enqueue unless the clique was ever enqueued before."""
         if clique in self.seen:
             return False
         self.seen.add(clique)
-        self.pending.append(
-            WorkItem(clique, candidates, pool, newest, reach, table, ends)
-        )
+        self.pending.append(WorkItem(clique, candidates, pool, newest, closure, table))
         return True
 
     def push_seed(self, clique: Clique, candidates: frozenset[int]) -> None:
@@ -165,9 +205,12 @@ def seed_cliques(
     [ta, tb] reaches back before the link tail. Expanding it again can gain
     only what a new link (t > t_prev) makes possible, and only a clique whose
     interval reaches t_prev can read one:
-    - a right move carrying a clique across t_prev reads links up to
-      tb + 1 <= t_prev, so the previous cycle made the same move and filed
-      the result in its frontier, which phase A carries right;
+    - an interval move carrying a clique across t_prev: a closure that ends
+      before t_prev reads links only up to its end + 1, so over the previous
+      cycle's links the closure reached t_prev as well; that cycle made the
+      move (the dominance guard never skips a closure that reaches the
+      boundary) and filed the result in its frontier, which phase A carries
+      right;
     - a vertex growth a new link makes valid needs a pair with an occurrence
       after t_prev, whose gamma-run ending there yields a kept seed.
     Everything else the expansion reaches ends before t_prev, reads only old
@@ -211,150 +254,107 @@ def seed_cliques(
 # -- growth procedures ----------------------------------------------------------
 
 
-def interval_reach(item: WorkItem, worksets: WorkSets) -> tuple[int, int]:
-    """The ends the interval moves can reach from the item's span [ta, tb]:
-    (right, left), delta past the two anchors, in one pass over the pairs.
-
-    The right anchor is the smallest over pairs of the gamma-th largest
-    occurrence in [ta, tb+1]; the left anchor is the largest over pairs of
-    the gamma-th smallest occurrence in [ta-1, tb]. A pair without gamma
-    occurrences in a window pins that end at the span's own end, where the
-    move cannot grow. A vertex growth starts from its parent's reach and folds
-    in only the pairs with its newest vertex, taking a pair's two ends from
-    the family's table when a member worked them out before (see the module
-    docstring). A carried item (no candidates) moves right only, so its left
-    end is not worked out and stays at the widest value.
-    """
-    stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
+def clique_closure(item: WorkItem, worksets: WorkSets) -> Span:
+    """The span the item's interval move jumps to: the clique's closure, or
+    for a carried item (no candidates) the fixed point of the stepwise right
+    move, with the left end kept (see the module docstring). An item that
+    knows its closure returns it without reading a pair."""
+    if item.closure is not None:
+        return item.closure
+    stream, delta, gamma, gaps = (
+        worksets.stream, worksets.delta, worksets.gamma, worksets.gaps
+    )
     occurrences = stream.pair_occurrences
     vertices, ta, tb = item.clique
-    if item.reach is None:
-        # the widest ends any occurrence in the windows allows
-        right, left = tb + 1 + delta, ta - 1 - delta
-        right_only = item.candidates is None
-        for pair in combinations(vertices, 2):
-            occ = occurrences.get(pair, ())
-            i = bisect_right(occ, tb + 1) - gamma
-            end = occ[i] + delta if i >= 0 and occ[i] >= ta else tb
-            if end < right:
-                right = end
-            if right_only:
-                continue
-            j = bisect_left(occ, ta - 1) + gamma - 1
-            end = occ[j] - delta if j < len(occ) and occ[j] <= tb else ta
-            if end > left:
-                left = end
-        return right, left
-    right, left = item.reach
-    newest, known = item.newest, item.ends
-    for z in vertices:
-        if z == newest:
-            continue
-        pair = (z, newest) if z < newest else (newest, z)
-        ends = known.get(pair)
-        if ends is None:
-            occ = occurrences.get(pair, ())
-            i = bisect_right(occ, tb + 1) - gamma
-            j = bisect_left(occ, ta - 1) + gamma - 1
-            ends = known[pair] = (
-                occ[i] + delta if i >= 0 and occ[i] >= ta else tb,
-                occ[j] - delta if j < len(occ) and occ[j] <= tb else ta,
-            )
-        end_right, end_left = ends
-        if end_right < right:
-            right = end_right
-        if end_left > left:
-            left = end_left
-    return right, left
+    pairs = combinations(vertices, 2)
+    if item.candidates is not None:
+        t_start = stream.t_start
+        ends = [
+            pair_closure(occurrences.get(pair, ()), gaps[pair], ta, tb, delta, gamma, t_start)
+            for pair in pairs
+        ]
+        return max(lo for lo, _ in ends), min(hi for _, hi in ends)
+    right = None
+    for pair in pairs:
+        occ = occurrences.get(pair, ())
+        i = bisect_right(occ, tb + 1) - gamma
+        if i < 0 or occ[i] < ta or occ[i] + delta <= tb:
+            return ta, tb
+        bad = gaps[pair]
+        end = bad[bisect_left(bad, occ[i])] + delta
+        if right is None or end < right:
+            right = end
+    return ta, right
 
 
 def expand_vertex_set(
-    item: WorkItem, worksets: WorkSets, reach: tuple[int, int]
-) -> bool:
-    """Try every candidate vertex; True iff none produced a valid clique.
+    item: WorkItem, worksets: WorkSets, closure: Span
+) -> tuple[tuple[int, Span], ...]:
+    """Try every candidate vertex; return the valid growths, each vertex with
+    the growth's closure, in vertex order (empty when none is valid).
 
     Without a pool each candidate outside the clique is tested against every
     member; with one, only the pool vertices outside the clique are tried,
     each against the item's newest vertex alone, and the family's table
-    answers a pair it already holds (see the module docstring). Valid
-    growths are enqueued (dedup applies) inheriting the candidate set
-    unchanged, with the tuple of all of them as their pool, `reach` (the
-    item's interval reach) and the family's two tables, created here for a
-    clique without a pool; the flag reflects validity, not whether the
-    enqueue happened.
+    answers a pair it already holds (see the module docstring). `closure` is
+    the item's own. Valid growths are enqueued (dedup applies) inheriting the
+    candidate set unchanged, with the tuple of all of them as their pool,
+    their closure and the family's table, created here for a clique without
+    a pool; the result reflects validity, not whether the enqueue happened.
     """
     clique, candidates = item.clique, item.candidates
     if candidates is None:
         raise ValueError(f"clique {clique} has no candidate set")
     delta, gamma, gaps = worksets.delta, worksets.gamma, worksets.gaps
     occurrences = worksets.stream.pair_occurrences
+    t_start = worksets.stream.t_start
     members, ta, tb = clique
+    lo, hi = closure
     checks = 0
     ok = []
     if item.pool is None:
         for w in sorted(candidates):
             if w in members:
                 continue
+            w_lo, w_hi = lo, hi
             for z in members:
                 checks += 1
                 pair = (w, z) if w < z else (z, w)
-                if not pair_valid(
-                    occurrences.get(pair, ()), gaps[pair], ta, tb, delta, gamma
-                ):
+                ends = pair_closure(
+                    occurrences.get(pair, ()), gaps[pair], ta, tb, delta, gamma, t_start
+                )
+                if ends is None:
                     break
+                if ends[0] > w_lo:
+                    w_lo = ends[0]
+                if ends[1] < w_hi:
+                    w_hi = ends[1]
             else:
-                ok.append(w)
-        table: dict[tuple[int, int], bool] = {}
-        ends: dict[tuple[int, int], tuple[int, int]] = {}
+                ok.append((w, (w_lo, w_hi)))
+        table: dict[tuple[int, int], Optional[Span]] = {}
     else:
-        newest, table, ends = item.newest, item.table, item.ends
-        for w in item.pool:
+        newest, table = item.newest, item.table
+        for w, (w_lo, w_hi) in item.pool:
             if w in members:
                 continue
             checks += 1
             pair = (w, newest) if w < newest else (newest, w)
-            valid = table.get(pair)
-            if valid is None:
-                valid = table[pair] = pair_valid(
-                    occurrences.get(pair, ()), gaps[pair], ta, tb, delta, gamma
+            ends = table.get(pair, False)
+            if ends is False:
+                ends = table[pair] = pair_closure(
+                    occurrences.get(pair, ()), gaps[pair], ta, tb, delta, gamma, t_start
                 )
-            if valid:
-                ok.append(w)
+            if ends is None:
+                continue
+            ok.append((w, (max(w_lo, lo, ends[0]), min(w_hi, hi, ends[1]))))
     worksets.pair_checks += checks
     growths = tuple(ok)
     offer = worksets.offer
-    for w in growths:
+    for w, ends in growths:
         at = bisect_left(members, w)
         verts = members[:at] + (w,) + members[at:]
-        offer(Clique(verts, ta, tb), candidates, growths, w, reach, table, ends)
-    return not growths
-
-
-def extend_interval(
-    item: WorkItem, worksets: WorkSets, reach: tuple[int, int]
-) -> bool:
-    """Extend the interval right, then left, as far as `reach` allows; a
-    carried clique (no candidates) moves right only. True iff neither grew.
-
-    The right end is never clamped at the observation end: that is what
-    feeds the next frontier, and finalize clamps it. The left end is clamped
-    at the observation start, and the move counts only when the clamped start
-    strictly precedes the current one (a clique already at the boundary
-    cannot grow). Each growth inherits the item's candidates, so a carried
-    clique's growth stays right-only.
-    """
-    vertices, ta, tb = item.clique
-    right, left = reach
-    grew = False
-    if right > tb:
-        worksets.offer(Clique(vertices, ta, right), item.candidates)
-        grew = True
-    if item.candidates is not None:
-        new_ta = max(left, worksets.stream.t_start)
-        if new_ta < ta:
-            worksets.offer(Clique(vertices, new_ta, tb), item.candidates)
-            grew = True
-    return not grew
+        offer(Clique(verts, ta, tb), candidates, growths, w, ends, table)
+    return growths
 
 
 # -- worklist fixed point --------------------------------------------------------
@@ -363,37 +363,42 @@ def extend_interval(
 def drain(worksets: WorkSets) -> None:
     """Run the worklist to exhaustion.
 
-    Every popped item first gets its interval reach, in one pass over its
-    pairs. Items without candidates (carried frontier cliques) receive just
-    the right extension; the other two moves are treated as exhausted for
-    them. Every other item gets all three moves, in the fixed sequence
-    vertex, right, left; each move runs even when an earlier one grew the
-    clique, because each enqueues its own growths; a vertex growth hands its
-    family's pool, reach and tables to its own moves. Fully processed
-    cliques with no possible growth join `new_maximal`; every popped clique
-    whose right end reaches the working stream's observation end (the cycle
-    boundary) joins `next_frontier` regardless of its flags. `peak_live` is
-    noted on entry and after every pop (see the module docstring).
+    Every popped item gets its closure (`clique_closure`). An item with
+    candidates then gets the vertex move, which hands its family's pool and
+    table to the growths. The interval move follows: when the closure
+    differs from the span, the item offers (clique, closure), carrying its
+    candidates and the closure, unless a vertex growth keeps that closure and
+    it ends before the working stream's observation end, the cycle boundary
+    (dominance, see the module docstring). A clique whose closure is its
+    span and that has no vertex growth joins `new_maximal`; every popped
+    clique whose right end reaches the cycle boundary joins `next_frontier`
+    regardless. `peak_live` is noted on entry and after every pop (see the
+    module docstring).
     """
     boundary = worksets.stream.t_end
     pending, seen = worksets.pending, worksets.seen
     new_maximal, next_frontier = worksets.new_maximal, worksets.next_frontier
-    pop, add_maximal, add_frontier = pending.pop, new_maximal.add, next_frontier.add
+    pop, offer = pending.pop, worksets.offer
+    add_maximal, add_frontier = new_maximal.add, next_frontier.add
     peak = max(
         worksets.peak_live,
         len(pending) + len(seen) + len(new_maximal) + len(next_frontier),
     )
     while pending:
         item = pop()
-        reach = interval_reach(item, worksets)
-        no_vertex = item.candidates is None or expand_vertex_set(
-            item, worksets, reach
-        )
-        no_interval = extend_interval(item, worksets, reach)
         clique = item.clique
-        if no_vertex and no_interval:
+        vertices, ta, tb = clique
+        closure = clique_closure(item, worksets)
+        if item.candidates is None:
+            growths = ()
+        else:
+            growths = expand_vertex_set(item, worksets, closure)
+        if closure[0] != ta or closure[1] != tb:
+            if closure[1] >= boundary or all(ends != closure for _, ends in growths):
+                offer(Clique(vertices, *closure), item.candidates, closure=closure)
+        elif not growths:
             add_maximal(clique)
-        if clique.tb >= boundary:
+        if tb >= boundary:
             add_frontier(clique)
         live = len(pending) + len(seen) + len(new_maximal) + len(next_frontier)
         if live > peak:

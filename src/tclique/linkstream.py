@@ -8,7 +8,8 @@ occurrences of a pair (one pair at a time, or the whole pair table for the
 growth moves, which read many pairs per clique), their count inside a
 window, from each vertex's contact timeline, the partners with at least
 gamma contacts of it inside a window, and, per (delta, gamma), each pair's
-bad gaps, the index the validity kernel `cliques.pair_valid` reads.
+bad gaps, the index the kernels `cliques.pair_valid` and
+`cliques.pair_closure` read.
 """
 
 from __future__ import annotations

@@ -222,9 +222,10 @@ def prune_frontier(frontier: Iterable[Clique]) -> set[Clique]:
 
     Dropping a covered clique c = (X, [ta, tb]) keeps every result:
     - phase A only moves a frontier clique right;
-    - the right move anchors on the gamma-th largest occurrence in
-      [ta, tb+1]; the cover's window holds a superset of those occurrences,
-      so its anchor is no earlier and the cover reaches at least as far;
+    - each step of the right move anchors on the gamma-th largest
+      occurrence in [ta, x+1] from the current end x; the cover's windows
+      hold a superset of those occurrences, so its anchors are no earlier
+      and the fixed point it jumps to is at least as far;
     - by induction, every clique grown from c lies within one grown from
       its cover;
     - c is never a result, since its cover contains it (a move of the cycle

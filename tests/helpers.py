@@ -4,11 +4,11 @@ Holds the deterministic random-stream corpus used by the acceptance tests,
 a stream built from per-pair timestamps, functions that run `update_batch`
 cycle by cycle (to look at the collection around the sub-clique sweep or
 after every drain, or to leave a state directory as an interrupted online
-run would), a `WorkSets` that checks every clique it is offered, a worklist
-drain with plain moves (a full-check vertex move, and interval moves over
-all pairs) to hold the engine's same-span families against, a
-static-neighbour scan to hold the contact-timeline candidate sets against,
-and an independently written delta-clique enumerator (the gamma=1 special
+run would), a `WorkSets` that checks every clique it is offered, two
+worklist drains with plain moves to hold the engine against (one with the
+engine's jumping interval move and dominance rule, one with the stepwise
+interval moves of earlier versions), a static-neighbour scan to hold the
+contact-timeline candidate sets against, and an independently written delta-clique enumerator (the gamma=1 special
 case) that cross-checks the engine through a second code path.
 """
 
@@ -180,32 +180,46 @@ def staged_cycles(
 class CheckingWorkSets(WorkSets):
     """`WorkSets` that asserts every clique offered or seeded is well formed
     (at least two strictly sorted vertices, ta <= tb) and a valid
-    (delta,gamma)-clique: the checks the engine's plain `Clique` gives up."""
+    (delta,gamma)-clique: the checks the engine's plain `Clique` gives up.
+
+    Validity is checked on the working stream, or, when `reference` is set
+    (in a subclass), on that stream for the cliques that end before the
+    working stream's end: a carried frontier clique may reach back before
+    the working stream's first link, so the full input stream judges it.
+    """
+
+    reference: LinkStream | None = None
 
     def _check(self, clique: Clique) -> None:
         vertices, ta, tb = clique
         assert type(vertices) is tuple and len(vertices) >= 2, clique
         assert all(a < b for a, b in zip(vertices, vertices[1:])), clique
         assert ta <= tb, clique
+        stream = self.stream if self.reference is None else self.reference
+        if self.reference is not None and tb >= self.stream.t_end:
+            return
         assert is_delta_gamma_clique(
-            vertices, (ta, tb), self.stream, self.delta, self.gamma
+            vertices, (ta, tb), stream, self.delta, self.gamma
         ), f"enqueued invalid clique {clique}"
 
-    def offer(self, clique, candidates, *family):
+    def offer(self, clique, candidates, *family, **named):
         self._check(clique)
-        return super().offer(clique, candidates, *family)
+        return super().offer(clique, candidates, *family, **named)
 
     def push_seed(self, clique, candidates):
         self._check(clique)
         super().push_seed(clique, candidates)
 
 
-def plain_interval_moves(item: WorkItem, worksets: WorkSets) -> bool:
-    """The two interval moves written out plainly: each end from all of the
-    clique's pairs, over list-filtered occurrences; right, then left unless
-    the item is carried. True iff neither grew."""
-    stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
-    vertices, ta, tb = item.clique
+def plain_interval_ends(
+    stream: LinkStream, vertices, ta: int, tb: int, delta: int, gamma: int
+) -> tuple[int | None, int | None]:
+    """The stepwise interval moves' ends written out plainly, each from all
+    of the clique's pairs over list-filtered occurrences: (right, left), the
+    right end delta past the smallest gamma-th largest occurrence in
+    [ta, tb+1], the left end (clamped at the observation start) delta before
+    the largest gamma-th smallest occurrence in [ta-1, tb]. An end is None
+    when some pair lacks gamma occurrences in its window."""
     lasts, firsts = [], []
     for pair in combinations(vertices, 2):
         occ = stream.occurrences(pair)
@@ -213,23 +227,51 @@ def plain_interval_moves(item: WorkItem, worksets: WorkSets) -> bool:
         left = [t for t in occ if ta - 1 <= t <= tb]
         lasts.append(right[-gamma] if len(right) >= gamma else None)
         firsts.append(left[gamma - 1] if len(left) >= gamma else None)
+    right = None if None in lasts else min(lasts) + delta
+    left = None if None in firsts else max(max(firsts) - delta, stream.t_start)
+    return right, left
+
+
+def plain_interval_moves(item: WorkItem, worksets: WorkSets) -> bool:
+    """The two stepwise interval moves: right, then left unless the item is
+    carried. True iff neither grew."""
+    vertices, ta, tb = item.clique
+    right, left = plain_interval_ends(
+        worksets.stream, vertices, ta, tb, worksets.delta, worksets.gamma
+    )
     grew = False
-    if None not in lasts and min(lasts) + delta > tb:
-        worksets.offer(Clique(vertices, ta, min(lasts) + delta), item.candidates)
+    if right is not None and right > tb:
+        worksets.offer(Clique(vertices, ta, right), item.candidates)
         grew = True
-    if item.candidates is not None and None not in firsts:
-        new_ta = max(max(firsts) - delta, stream.t_start)
-        if new_ta < ta:
-            worksets.offer(Clique(vertices, new_ta, tb), item.candidates)
-            grew = True
+    if item.candidates is not None and left is not None and left < ta:
+        worksets.offer(Clique(vertices, left, tb), item.candidates)
+        grew = True
     return not grew
 
 
-def reference_drain(worksets: WorkSets) -> None:
-    """`drain` with plain moves: every candidate w is checked by
-    `is_delta_gamma_clique` on members | {w}, growths carry no pool, reach
-    or table, and the interval moves are `plain_interval_moves`. Like
-    `drain`, it takes the frontier threshold from the stream's end."""
+def plain_closure(
+    stream: LinkStream, vertices, span, delta: int, gamma: int, right_only=False
+) -> tuple[int, int]:
+    """The fixed point of the stepwise interval moves from `span`: both ends
+    moved together while either grows, or the right end alone for a carried
+    clique."""
+    ta, tb = span
+    while True:
+        right, left = plain_interval_ends(stream, vertices, ta, tb, delta, gamma)
+        new_tb = right if right is not None and right > tb else tb
+        new_ta = left if not right_only and left is not None and left < ta else ta
+        if (new_ta, new_tb) == (ta, tb):
+            return ta, tb
+        ta, tb = new_ta, new_tb
+
+
+def stepwise_reference_drain(worksets: WorkSets) -> None:
+    """A drain with the stepwise moves of earlier versions, written plainly:
+    every candidate w is checked by `is_delta_gamma_clique` on
+    members | {w}, growths carry no pool or closure, the interval moves are
+    `plain_interval_moves`, and a clique is maximal when no move grew it.
+    It pops many more cliques than `drain`, but the cycle's results, after
+    the sweep, are the same."""
     stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
     while worksets.pending:
         item = worksets.pending.pop()
@@ -249,6 +291,42 @@ def reference_drain(worksets: WorkSets) -> None:
         if no_growth:
             worksets.new_maximal.add(clique)
         if clique.tb >= stream.t_end:
+            worksets.next_frontier.add(clique)
+
+
+def reference_drain(worksets: WorkSets) -> None:
+    """`drain` written out plainly: every candidate w is checked by
+    `is_delta_gamma_clique` on members | {w}, growths carry no pool, closure
+    or table, the closure is `plain_closure` (the iterated stepwise moves),
+    and a growth dominates when `is_delta_gamma_clique` holds for it on the
+    closure. Like `drain`, it takes the boundary from the stream's end."""
+    stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
+    boundary = stream.t_end
+    while worksets.pending:
+        item = worksets.pending.pop()
+        clique, candidates = item.clique, item.candidates
+        vertices, ta, tb = clique
+        closure = plain_closure(
+            stream, vertices, (ta, tb), delta, gamma, right_only=candidates is None
+        )
+        growths = []
+        if candidates is not None:
+            members = set(vertices)
+            for w in sorted(candidates - members):
+                verts = tuple(sorted(members | {w}))
+                if is_delta_gamma_clique(verts, (ta, tb), stream, delta, gamma):
+                    growths.append(verts)
+                    worksets.offer(Clique(verts, ta, tb), candidates)
+        if closure != (ta, tb):
+            dominated = closure[1] < boundary and any(
+                is_delta_gamma_clique(verts, closure, stream, delta, gamma)
+                for verts in growths
+            )
+            if not dominated:
+                worksets.offer(Clique(vertices, *closure), candidates)
+        elif not growths:
+            worksets.new_maximal.add(clique)
+        if tb >= boundary:
             worksets.next_frontier.add(clique)
 
 
@@ -276,6 +354,22 @@ def drain_snapshots(
         for boundary, chunk in partition_links(stream, plan):
             state, _, _ = update_batch(state, chunk, boundary)
     return snapshots
+
+
+def cycle_outcomes(
+    stream: LinkStream, delta: int, gamma: int, plan: PartitionPlan, drain_fn, monkeypatch
+) -> list[tuple[list[Clique], frozenset[Clique], int]]:
+    """Drive update_batch over `plan` with `drain_fn` in place of `drain`;
+    returns per cycle what does not depend on the traversal: the closed
+    cliques, the pruned frontier and `new_cliques`."""
+    outcomes = []
+    state = initial_state(delta, gamma, stream.t_start)
+    with monkeypatch.context() as patch:
+        patch.setattr(tclique.update, "drain", drain_fn)
+        for boundary, chunk in partition_links(stream, plan):
+            state, closed, stats = update_batch(state, chunk, boundary)
+            outcomes.append((closed, frozenset(state.frontier), stats.new_cliques))
+    return outcomes
 
 
 def prefill_state_dir(

@@ -1,6 +1,7 @@
 """Clique values, the validity predicate, and containment."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +16,8 @@ from tclique import (
     parse_clique,
     sort_cliques,
 )
-from tclique.cliques import _pair_valid_direct, pair_valid
-from helpers import links_from_pairs
+from tclique.cliques import _pair_valid_direct, pair_closure, pair_valid
+from helpers import corpus_entry, links_from_pairs, plain_closure
 
 
 def test_interval_basics():
@@ -283,3 +284,119 @@ def test_gap_index_edge_cases():
     assert stream.gap_index(2, 1)[(1, 2)] == (2, 8)
     assert stream.gap_index(5, 2)[(1, 2)] == (6, 8)
     assert stream.gap_index(4, 2)[(1, 2)] is stream.occurrences((1, 2))
+
+
+def closure_by_index(stream, pair, ta, tb, delta, gamma):
+    """`pair_closure` reading the stream's own gap index, as the engine does."""
+    gaps = stream.gap_index(delta, gamma)
+    return pair_closure(
+        stream.occurrences(pair), gaps[pair], ta, tb, delta, gamma, stream.t_start
+    )
+
+
+def first_bad_time(stream, pair, ta, delta, gamma):
+    """The first occurrence from ta on after which the next delta + 1 ticks
+    hold fewer than gamma occurrences, counted by `count_in`."""
+    return next(
+        s
+        for s in stream.occurrences(pair)
+        if s >= ta and stream.count_in(pair, (s + 1, s + 1 + delta)) < gamma
+    )
+
+
+def check_closure_against_the_definition(stream, pair, ta, tb, delta, gamma):
+    """`pair_closure` is None iff the definition fails on [ta, tb]; otherwise
+    the widest valid span around [ta, tb] that starts in the observation."""
+    t_start, t_end = stream.observation
+    got = closure_by_index(stream, pair, ta, tb, delta, gamma)
+    if not _pair_valid_direct(stream, pair, ta, tb, delta, gamma):
+        assert got is None, (pair, ta, tb, delta, gamma)
+        return None
+    lo, hi = got
+    assert t_start <= lo <= ta and tb <= hi
+    assert _pair_valid_direct(stream, pair, lo, hi, delta, gamma)
+    if lo > t_start:
+        assert not _pair_valid_direct(stream, pair, lo - 1, hi, delta, gamma)
+    if hi + 1 <= t_end:
+        assert not _pair_valid_direct(stream, pair, lo, hi + 1, delta, gamma)
+    else:
+        assert hi == first_bad_time(stream, pair, ta, delta, gamma) + delta
+    for a in range(t_start, ta + 1):
+        for b in range(tb, t_end + 1):
+            if _pair_valid_direct(stream, pair, a, b, delta, gamma):
+                assert lo <= a and b <= hi, (pair, ta, tb, a, b)
+    return got
+
+
+def test_pair_closure_is_the_widest_valid_span_of_the_definition():
+    rng = random.Random(29)
+    closures = 0
+    for index in range(60):
+        stream, delta, gamma = corpus_entry(index)
+        t_start, t_end = stream.observation
+        pairs = list(stream.static_edges) + [(1, 99)]  # (1, 99) never links
+        for _ in range(40):
+            pair = rng.choice(pairs)
+            ta = rng.randint(t_start, t_end)
+            tb = rng.randint(ta, t_end)
+            closures += check_closure_against_the_definition(
+                stream, pair, ta, tb, delta, gamma
+            ) is not None
+    assert closures > 200
+
+
+def test_pair_closure_edge_cases():
+    stream = links_from_pairs(
+        {(1, 2): [0, 2, 6, 8], (1, 3): [0, 2, 4], (2, 3): [5, 9]}, observation=(0, 12)
+    )
+
+    def check(pair, ta, tb, delta, gamma, expected):
+        assert check_closure_against_the_definition(stream, pair, ta, tb, delta, gamma) == expected
+
+    # a never-linked pair, and gamma above the pair's count
+    check((1, 4), 0, 1, 2, 1, None)
+    check((2, 3), 0, 9, 9, 3, None)
+    check((1, 3), 0, 4, 5, 4, None)
+    # spans no longer than delta: the count decides; the closure of [4, 6]
+    # reaches back to the window that still holds 5
+    check((2, 3), 4, 6, 2, 1, (3, 7))
+    check((2, 3), 6, 8, 2, 1, None)
+    check((2, 3), 5, 9, 4, 2, (5, 9))
+    # clamped at the observation start: the left anchor 2 - 3 is before 0
+    check((1, 3), 2, 4, 3, 2, (0, 5))
+    # an occurrence exactly at tb - delta - 1: the bad gap 2 -> 6 of (1, 2)
+    # is tested on [0, 5] but not on [0, 4], whose closure it ends
+    check((1, 2), 0, 5, 2, 1, None)
+    check((1, 2), 0, 4, 2, 1, (0, 4))
+    # a bad time before ta bounds the left end: [2, 8] would hold the gap
+    # 2 -> 6, so the closure of [6, 8] starts at 6 - delta
+    check((1, 2), 6, 8, 2, 1, (4, 10))
+    # past the observation end the right end is the first bad time + delta
+    check((2, 3), 5, 9, 4, 1, (1, 13))
+
+
+def test_clique_closure_is_the_fixed_point_of_the_stepwise_moves():
+    # the intersection of the pair closures is where the stepwise right and
+    # left moves of earlier versions stop, iterated from a valid span
+    rng = random.Random(31)
+    compared = 0
+    for index in range(120):
+        stream, delta, gamma = corpus_entry(index)
+        t_start, t_end = stream.observation
+        vertices = stream.vertices
+        for _ in range(15):
+            members = tuple(sorted(rng.sample(vertices, rng.randint(2, min(4, len(vertices))))))
+            if len(members) < 2:
+                continue
+            ta = rng.randint(t_start, t_end)
+            tb = rng.randint(ta, min(ta + 2 * delta, t_end))
+            if not is_delta_gamma_clique(members, (ta, tb), stream, delta, gamma):
+                continue
+            ends = [
+                closure_by_index(stream, pair, ta, tb, delta, gamma)
+                for pair in combinations(members, 2)
+            ]
+            intersection = (max(lo for lo, _ in ends), min(hi for _, hi in ends))
+            assert intersection == plain_closure(stream, members, (ta, tb), delta, gamma)
+            compared += 1
+    assert compared > 100

@@ -1,6 +1,7 @@
 """Seeds, growth procedures, and the worklist."""
 
 import pytest
+import tclique.update
 from hypothesis import given, settings, strategies as st
 
 from tclique import (
@@ -8,26 +9,31 @@ from tclique import (
     LinkStream,
     PartitionPlan,
     TemporalLink,
+    enumerate_maximal_cliques,
+    finalize,
     is_delta_gamma_clique,
     make_clique,
+    partition_links,
     seed_cliques,
 )
 from tclique.expand import (
     WorkItem,
     WorkSets,
+    clique_closure,
     drain,
     expand_vertex_set,
-    extend_interval,
-    interval_reach,
 )
 from helpers import (
     CheckingWorkSets,
+    cycle_outcomes,
     drain_snapshots,
     group_contact_stream,
     links_from_pairs,
     random_stream,
     reference_drain,
+    run_batches,
     static_scan_partners,
+    stepwise_reference_drain,
 )
 
 
@@ -40,19 +46,18 @@ def fresh_ws(stream, delta, gamma, checking=True):
 
 def item(vertices, ta, tb, candidates=frozenset(), pool=None, newest=None):
     """A worklist item; candidates=None makes a carried, right-only one. A
-    pooled item heads a family of its own: no inherited reach, fresh
-    tables."""
+    pooled item heads a family of its own: its pool entries carry the span
+    as their closure, and its table is fresh."""
     cands = None if candidates is None else frozenset(candidates)
-    table, ends = (None, None) if pool is None else ({}, {})
-    return WorkItem(make_clique(vertices, ta, tb), cands, pool, newest, None, table, ends)
-
-
-def interval_move(it, ws):
-    return extend_interval(it, ws, interval_reach(it, ws))
+    if pool is None:
+        return WorkItem(make_clique(vertices, ta, tb), cands)
+    entries = tuple((w, (ta, tb)) for w in pool)
+    return WorkItem(make_clique(vertices, ta, tb), cands, entries, newest, None, {})
 
 
 def vertex_move(it, ws):
-    return expand_vertex_set(it, ws, interval_reach(it, ws))
+    """The vertex move's flag: True iff no candidate made a valid clique."""
+    return not expand_vertex_set(it, ws, clique_closure(it, ws))
 
 
 def enqueued(ws):
@@ -145,66 +150,70 @@ def test_seeds_never_clamp_right():
 
 
 # -- interval moves ----------------------------------------------------------------
+# The interval move offers (clique, closure) when the closure differs from the
+# span; a carried item's closure is the fixed point of the stepwise right move.
 
 
 def test_extend_right_example(f1_stream):
+    # the stepwise right move steps 4 -> 7 and stops there; so does the jump
     ws = fresh_ws(f1_stream, 3, 2)
-    flag = interval_move(item([1, 2], 1, 4, candidates=None), ws)
-    assert flag is False
-    assert enqueued(ws) == [((1, 2), 1, 7)]
+    assert clique_closure(item([1, 2], 1, 4, candidates=None), ws) == (1, 7)
 
 
 def test_extend_right_blocked(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
     # anchor: last two occurrences of (1,2) within [1,8] start at 4 -> 4+3=7
-    flag = interval_move(item([1, 2], 1, 7, candidates=None), ws)
-    assert flag is True and not ws.pending
+    assert clique_closure(item([1, 2], 1, 7, candidates=None), ws) == (1, 7)
 
 
 def test_extend_right_past_observation_end(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2, checking=False)
-    flag = interval_move(item([1, 2], 4, 5, candidates=None), ws)
-    assert flag is False
-    assert enqueued(ws) == [((1, 2), 4, 7)]
+    assert clique_closure(item([1, 2], 4, 5, candidates=None), ws) == (4, 7)
+    # a valid clique's closure is not clamped at the observation end either
+    assert clique_closure(item([1, 2], 4, 5), ws) == (1, 7)
 
 
 def test_extend_right_missing_pair_blocks():
-    # (1,3) has one occurrence, short of gamma in either window, while the
-    # other two pairs would let the interval grow both ways
+    # (1,3) has one occurrence, short of gamma in either window, so it pins a
+    # carried clique's end, while the pair (1,2) alone grows both ways
     stream = links_from_pairs({(1, 2): [-1, 0, 1], (1, 3): [0], (2, 3): [-1, 0, 1]})
     ws = fresh_ws(stream, 2, 2, checking=False)
-    assert interval_move(item([1, 2], 0, 0), ws) is False
-    assert enqueued(ws) == [((1, 2), 0, 2), ((1, 2), -1, 0)]
-    for candidates in (None, frozenset()):
-        ws = fresh_ws(stream, 2, 2, checking=False)
-        assert interval_move(item([1, 2, 3], 0, 0, candidates=candidates), ws) is True
-        assert not ws.pending
+    assert clique_closure(item([1, 2], 0, 1), ws) == (-1, 2)
+    assert clique_closure(item([1, 2], 0, 1, candidates=None), ws) == (0, 2)
+    assert clique_closure(item([1, 2, 3], 0, 1, candidates=None), ws) == (0, 1)
 
 
 def test_extend_left_example(f1_stream):
-    # the right growth is offered first, then the left one
+    # the stepwise moves reach (2,7) and (1,5); the closure is their union
     ws = fresh_ws(f1_stream, 3, 2)
-    flag = interval_move(item([1, 2], 2, 5), ws)
-    assert flag is False
-    assert enqueued(ws) == [((1, 2), 2, 7), ((1, 2), 1, 5)]
+    assert clique_closure(item([1, 2], 2, 5), ws) == (1, 7)
 
 
 def test_extend_left_clamped_start_counts_as_blocked(f1_stream):
-    # anchor would fall before the observation start; after clamping there is
-    # no strict growth, so only the right move grows
+    # the left anchor 2 - 3 falls before the observation start 1 and is
+    # clamped there: the closure starts at the span's own start
     ws = fresh_ws(f1_stream, 3, 2)
-    flag = interval_move(item([1, 2], 1, 2), ws)
-    assert flag is False
-    assert enqueued(ws) == [((1, 2), 1, 4)]
+    assert clique_closure(item([1, 2], 1, 2), ws) == (1, 7)
 
 
 def test_extend_left_partial_clamp():
-    # the anchor 3 - 4 is clamped at the observation start
+    # the anchor 3 - 4 is clamped at the observation start; the right end is
+    # delta past the first bad time 2 (the third occurrence comes late)
     for start in (2, 0):
         stream = links_from_pairs({(1, 2): [2, 3, 9]}, observation=(start, 9))
-        ws = fresh_ws(stream, 4, 2, checking=False)
-        assert interval_move(item([1, 2], 3, 6), ws) is False
-        assert enqueued(ws) == [((1, 2), start, 6)]
+        ws = fresh_ws(stream, 4, 2)
+        assert clique_closure(item([1, 2], 2, 6), ws) == (start, 6)
+
+
+def test_closure_items_carry_their_closure(f1_stream):
+    # the interval move's target carries its closure, and a carried target
+    # stays carried: popped, each is maximal
+    for candidates, target in ((frozenset(), ((1, 2), 1, 7)), (None, ((1, 2), 2, 7))):
+        ws = fresh_ws(f1_stream, 3, 2)
+        ws.offer(make_clique([1, 2], 2, 5), candidates)
+        drain(ws)
+        assert ws.seen == {((1, 2), 2, 5), target}
+        assert ws.new_maximal == {target}
 
 
 # -- vertex expansion --------------------------------------------------------------
@@ -263,7 +272,7 @@ def test_expand_vertex_drops_a_pool_vertex_that_fails_with_the_newest():
     assert enqueued(ws) == [((1, 2, 3, 4), 0, 0)]
     assert ws.pair_checks == 2
     (child,) = ws.pending
-    assert (child.pool, child.newest) == ((4,), 4)
+    assert (child.pool, child.newest) == (((4, (0, 0)),), 4)
 
 
 def test_expand_vertex_without_pool_checks_every_member():
@@ -274,19 +283,24 @@ def test_expand_vertex_without_pool_checks_every_member():
     assert enqueued(ws) == [((1, 2, 3, 4), 0, 0)]
     assert ws.pair_checks == 3 + 1  # 4 against all three; 5 fails on (1, 5)
     (child,) = ws.pending
-    assert (child.pool, child.newest) == ((4,), 4)
+    assert (child.pool, child.newest) == (((4, (0, 2)),), 4)
 
 
 def test_expand_vertex_siblings_share_one_pool():
-    stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4))
+    # each growth's closure is the parent's cut by the pairs with its vertex:
+    # (1,4) and (2,4) link again at 3, so 4 keeps the parent's closure
+    stream = links_from_pairs(
+        {(1, 2): [0, 3], (1, 3): [0], (2, 3): [0], (1, 4): [0, 3], (2, 4): [0, 3]}
+    )
     ws = fresh_ws(stream, 2, 1)
     parent = item([1, 2], 0, 0, candidates={3, 4})
-    reach = interval_reach(parent, ws)
-    expand_vertex_set(parent, ws, reach)
+    assert clique_closure(parent, ws) == (0, 5)
+    growths = expand_vertex_set(parent, ws, clique_closure(parent, ws))
+    assert growths == ((3, (0, 2)), (4, (0, 5)))
     first, second = ws.pending
-    assert first.pool is second.pool == (3, 4)
+    assert first.pool is second.pool is growths
     assert (first.newest, second.newest) == (3, 4)
-    assert first.reach is second.reach is reach
+    assert (first.closure, second.closure) == ((0, 2), (0, 5))
     assert first.table is second.table == {}
 
 
@@ -295,10 +309,10 @@ def test_expand_vertex_answers_a_pair_from_the_family_table():
     ws = fresh_ws(stream, 2, 1)
     start = item([1, 2, 3], 0, 0, candidates={3, 4}, pool=(3, 4), newest=3)
     assert vertex_move(start, ws) is False
-    assert start.table == {(3, 4): True}
+    assert start.table == {(3, 4): (0, 2)}
     # a table entry is the family's answer: the pair is not read again, and
     # the test still counts
-    start.table[(3, 4)] = False
+    start.table[(3, 4)] = None
     assert vertex_move(start, ws) is True
     assert ws.pair_checks == 2
 
@@ -329,15 +343,15 @@ def test_drain_takes_the_frontier_threshold_from_the_stream_end(f1_stream):
 
 
 def test_every_move_runs_after_an_earlier_one_grows(f1_stream):
-    # {1,2} [2,5] grows by vertex 3, to the right and to the left; the right
-    # and left growths are only reachable from this clique, so they are
-    # enqueued only if drain runs the later moves after the vertex move grew
+    # {1,2} [2,5] grows by vertex 3 and to its closure [1,7]; the interval
+    # growth is only reachable from this clique, so it is enqueued only if
+    # drain runs the interval move after the vertex move grew
     ws = fresh_ws(f1_stream, 3, 2)
     start = item([1, 2], 2, 5, candidates={3})
     ws.seen.add(start.clique)
     ws.pending.append(start)
     drain(ws)
-    assert {((1, 2, 3), 2, 5), ((1, 2), 2, 7), ((1, 2), 1, 5)} <= ws.seen
+    assert ws.seen == {((1, 2), 2, 5), ((1, 2, 3), 2, 5), ((1, 2), 1, 7)}
     assert ws.new_maximal == {((1, 2), 1, 7), ((1, 2, 3), 2, 5)}
 
 
@@ -367,9 +381,10 @@ def test_peak_live_tracks_collections(f1_stream):
 
 
 def test_drain_matches_reference_drain_on_the_corpus(corpus, monkeypatch):
-    # a same-span family (pool, inherited interval ends, validity table)
-    # finds exactly the growths of plain moves over all pairs, so the
-    # traversal is the same: seen, results and frontier after every drain
+    # a same-span family (pool, inherited closures, pair table) finds exactly
+    # the growths, closures and dominating growths of plain checks over all
+    # pairs, so the traversal is the same: seen, results and frontier after
+    # every drain
     for idx, (stream, delta, gamma) in enumerate(corpus):
         for k in (1, 3):
             plan = PartitionPlan("ut", k)
@@ -388,3 +403,77 @@ def test_drain_matches_reference_drain_on_a_group_contact_stream(monkeypatch):
     reference = drain_snapshots(stream, 360, 2, plan, reference_drain, monkeypatch)
     assert engine == reference
     assert max(len(verts) for seen, _, _ in engine for verts, _, _ in seen) >= 4
+
+
+def test_drain_matches_stepwise_reference_drain_on_the_corpus(corpus, monkeypatch):
+    # the jumping interval move and the dominance rule pop fewer cliques than
+    # the stepwise moves, but every cycle closes the same cliques, keeps the
+    # same pruned frontier and counts the same results after the sweep
+    for idx, (stream, delta, gamma) in enumerate(corpus):
+        for k in (1, 3):
+            plan = PartitionPlan("ut", k)
+            engine = cycle_outcomes(stream, delta, gamma, plan, drain, monkeypatch)
+            stepwise = cycle_outcomes(
+                stream, delta, gamma, plan, stepwise_reference_drain, monkeypatch
+            )
+            assert engine == stepwise, f"stream {idx}, k={k}"
+
+
+def test_drain_matches_stepwise_reference_drain_on_a_group_contact_stream(monkeypatch):
+    stream = group_contact_stream(seed=7, n_meetings=110)
+    plan = PartitionPlan("ut", 8)
+    engine = cycle_outcomes(stream, 360, 2, plan, drain, monkeypatch)
+    stepwise = cycle_outcomes(stream, 360, 2, plan, stepwise_reference_drain, monkeypatch)
+    assert engine == stepwise
+    assert sum(len(closed) for closed, _, _ in engine) > 500
+
+
+def offers_checked_on_the_full_stream(stream, delta, gamma, plan, monkeypatch):
+    """Run update_batch over `plan` with every cycle's WorkSets checking each
+    clique it is offered or seeded that ends before the cycle boundary
+    against the full input stream; returns how many it checked."""
+    checked = []
+
+    class FullStreamCheck(CheckingWorkSets):
+        reference = stream
+
+        def _check(self, clique):
+            super()._check(clique)
+            checked.append(clique.tb < self.stream.t_end)
+
+    boundaries = tuple(boundary for boundary, _ in partition_links(stream, plan))
+    with monkeypatch.context() as patch:
+        patch.setattr(tclique.update, "WorkSets", FullStreamCheck)
+        run_batches(stream, delta, gamma, boundaries)
+    return sum(checked)
+
+
+def test_every_offer_ending_before_the_boundary_is_valid_on_the_full_stream(
+    corpus, monkeypatch
+):
+    # the working stream lacks the links older than the tail, so the full
+    # stream judges: a closure found on it, or a carried clique's right jump,
+    # must never offer an invalid clique
+    runs = [(stream, delta, gamma) for stream, delta, gamma in corpus]
+    runs.append((group_contact_stream(seed=7, n_meetings=110), 360, 2))
+    checked = [
+        offers_checked_on_the_full_stream(
+            stream, delta, gamma, PartitionPlan("ut", k), monkeypatch
+        )
+        for stream, delta, gamma in runs
+        for k in (1, 8)
+    ]
+    assert sum(checked[:-2]) > 10_000 and min(checked[-2:]) > 5_000
+
+
+def test_a_closure_reaching_the_boundary_is_not_skipped(monkeypatch):
+    # {1,2,3} has the closure [0,12] of {1,2} at every span of the first
+    # cycle, so {1,2} is dominated there; but [0,12] reaches the boundary 10,
+    # and the second batch's links of (1,2) carry {1,2} on to [0,22]: only
+    # the frontier entry {1,2} [0,12] reaches back to 0
+    pair_times = {(1, 2): list(range(0, 21)), (1, 3): list(range(0, 11)), (2, 3): list(range(0, 11))}
+    stream = links_from_pairs(pair_times, observation=(0, 20))
+    state, closed = run_batches(stream, 2, 1, (10, 20))
+    final = finalize(state, closed, stream)
+    assert final == sorted(enumerate_maximal_cliques(stream, 2, 1))
+    assert final == [((1, 2), 0, 20), ((1, 2, 3), 0, 12)]

@@ -8,10 +8,19 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from tclique import Clique, FormatSpec, LinkStream, ParseError, TemporalLink, parse_links
-from tclique.expand import WorkItem, WorkSets, interval_reach
+from tclique import (
+    Clique,
+    FormatSpec,
+    LinkStream,
+    ParseError,
+    TemporalLink,
+    is_delta_gamma_clique,
+    parse_links,
+)
+from tclique.cliques import pair_closure
+from tclique.expand import WorkItem, WorkSets, clique_closure, expand_vertex_set
 from tclique.linkstream import format_link, parse_link
-from helpers import links_from_pairs, random_stream
+from helpers import links_from_pairs, plain_closure, random_stream
 
 
 def test_f1_basic_counts(f1_stream):
@@ -26,15 +35,16 @@ def test_f1_window_queries(f1_stream):
     s = f1_stream
     assert s.occurrences((1, 2)) == (1, 2, 4, 5)
     assert s.pair_occurrences[(1, 2)] == (1, 2, 4, 5)
-    # the interval ends, delta = 3 past the gamma-th largest occurrence in
-    # [ta, tb+1] and before the gamma-th smallest in [ta-1, tb]; a pair
-    # short of gamma occurrences pins the end at the span's own
-    assert reach(s, (1, 2), (2, 5), 2) == (4 + 3, 2 - 3)
-    assert reach(s, (1, 2), (2, 5), 5) == (5, 2)
-    assert reach(s, (2, 3), (3, 5), 2) == (5, 5 - 3)
-    assert reach(s, (1, 2), (1, 4), 2) == (4 + 3, 2 - 3)
-    assert reach(s, (1, 2), (1, 4), 4) == (1 + 3, 1)
-    assert reach(s, (1, 3), (1, 9), 2) == (2 + 3, 4 - 3)
+    # the pair closures at delta = 3: None on an invalid span; the right end
+    # delta past the first bad time from ta on, the left end clamped at the
+    # observation start
+    assert closure(s, (1, 2), (2, 5), 2) == (1, 7)
+    assert closure(s, (1, 2), (2, 5), 5) is None
+    assert closure(s, (2, 3), (3, 5), 2) is None
+    assert closure(s, (2, 3), (2, 5), 2) == (2, 5)
+    assert closure(s, (1, 2), (1, 4), 4) is None
+    assert closure(s, (1, 3), (1, 9), 2) is None
+    assert closure(s, (1, 3), (2, 4), 2) == (1, 5)
     # the seed (1,2)'s candidates: partners of either endpoint, less both
     assert s.partners(1, (2, 5), 2) == frozenset({2, 3})
     assert s.partners(2, (2, 5), 2) == frozenset({1, 3})
@@ -160,41 +170,49 @@ def test_parse_link_reads_only_canonical_text():
     st.integers(1, 6),
 )
 def test_gamma_occurrence_queries_agree_with_slicing(pairs, a, b, gamma, delta):
-    # the interval kernel against list slicing: each pair alone, then every
-    # vertex pair of the stream at once (unlinked ones pin both ends), then
-    # each vertex as the newest of a growth that inherits the rest's reach
-    stream = links_from_pairs(pairs)
+    # the interval kernels against list slicing: a carried clique's right
+    # jump, each pair alone and then every vertex pair of the stream at once
+    # (unlinked ones pin the end), against the iterated list-sliced right
+    # move; on a valid span the closure against the iterated stepwise moves,
+    # and each vertex as the newest growth of the rest, whose closure the
+    # parent's vertex move finds; the spans start inside the observation, as
+    # the engine's do
+    stream = links_from_pairs(pairs, observation=(0, 20))
     ta, tb = min(a, b), max(a, b)
     ws = WorkSets(stream, delta, gamma)
     vertices = stream.vertices
-    rights, lefts = [], []
     for pair in combinations(vertices, 2):
-        occ = stream.occurrences(pair)
-        right = [t for t in occ if ta <= t <= tb + 1]
-        left = [t for t in occ if ta - 1 <= t <= tb]
-        rights.append(right[-gamma] + delta if len(right) >= gamma else tb)
-        lefts.append(left[gamma - 1] - delta if len(left) >= gamma else ta)
-        assert reach(stream, pair, (ta, tb), gamma, delta) == (rights[-1], lefts[-1])
-        inside = [t for t in occ if ta <= t <= tb]
+        carried = WorkItem(Clique(pair, ta, tb), None)
+        assert clique_closure(carried, ws) == plain_closure(
+            stream, pair, (ta, tb), delta, gamma, right_only=True
+        )
+        inside = [t for t in stream.occurrences(pair) if ta <= t <= tb]
         assert stream.count_in(pair, (ta, tb)) == len(inside)
     whole = Clique(vertices, ta, tb)
-    expected = (min(rights), max(lefts))
-    assert interval_reach(WorkItem(whole, frozenset()), ws) == expected
-    # a carried item moves right only: its right end is the same
-    assert interval_reach(WorkItem(whole, None), ws)[0] == min(rights)
+    assert clique_closure(WorkItem(whole, None), ws) == plain_closure(
+        stream, vertices, (ta, tb), delta, gamma, right_only=True
+    )
+    if not is_delta_gamma_clique(vertices, (ta, tb), stream, delta, gamma):
+        return
+    expected = plain_closure(stream, vertices, (ta, tb), delta, gamma)
+    assert clique_closure(WorkItem(whole, frozenset()), ws) == expected
     if len(vertices) < 3:
         return
     for newest in vertices:
-        rest = Clique(tuple(v for v in vertices if v != newest), ta, tb)
-        parent = interval_reach(WorkItem(rest, frozenset()), ws)
-        child = WorkItem(whole, frozenset(), (newest,), newest, parent, {}, {})
-        assert interval_reach(child, ws) == expected
+        rest = WorkItem(
+            Clique(tuple(v for v in vertices if v != newest), ta, tb),
+            frozenset({newest}),
+        )
+        growths = expand_vertex_set(rest, WorkSets(stream, delta, gamma), clique_closure(rest, ws))
+        assert growths == ((newest, expected),)
 
 
-def reach(stream, pair, span, gamma, delta=3):
-    """The interval kernel on the clique of one pair over `span`."""
-    item = WorkItem(Clique(pair, *span), frozenset())
-    return interval_reach(item, WorkSets(stream, delta, gamma))
+def closure(stream, pair, span, gamma, delta=3):
+    """`pair_closure` over the stream's own gap index."""
+    gaps = stream.gap_index(delta, gamma)
+    return pair_closure(
+        stream.occurrences(pair), gaps[pair], *span, delta, gamma, stream.t_start
+    )
 
 
 def brute_force_partners(stream, vertex, window, gamma):
