@@ -197,6 +197,13 @@ def seed_cliques(
     vertices with at least gamma links to a seed endpoint inside its
     interval. Duplicates collapse; the pairs are sorted by clique.
 
+    The occurrence times of a pair are distinct, and the run's own gamma
+    fit in both intervals, so the count needs no bisection: the right
+    anchor [s_j, s_j+delta] holds exactly gamma iff the run is the last or
+    s_(j+gamma) > s_j + delta, and the left one [ta, s_(j+gamma-1)] iff the
+    run is the first or s_(j-1) < ta (the clamped ta is still at most s_j,
+    as every link lies inside the observation).
+
     On the first cycle t_prev is t_start - 1 and every seed is kept. Later,
     a seed [ta, tb] with tb <= t_prev is skipped before its candidates are
     computed. It reads only links up to t_prev, its gamma occurrences sit in
@@ -223,19 +230,20 @@ def seed_cliques(
     time.
     """
     found: set[Clique] = set()
-    for pair in stream.static_edges:
-        occ = stream.occurrences(pair)
-        for j in range(len(occ) - gamma + 1):
+    t_start = stream.t_start
+    for pair, occ in stream.pair_occurrences.items():
+        k = len(occ)
+        for j in range(k - gamma + 1):
             s_lo = occ[j]
             s_hi = occ[j + gamma - 1]
             if s_hi - s_lo > delta:
                 continue
-            for ta, tb in (
-                (s_lo, s_lo + delta),
-                (max(s_hi - delta, stream.t_start), s_hi),
-            ):
-                if tb > t_prev and stream.count_in(pair, (ta, tb)) == gamma:
-                    found.add(Clique(pair, ta, tb))
+            tb = s_lo + delta
+            if tb > t_prev and (j + gamma == k or occ[j + gamma] > tb):
+                found.add(Clique(pair, s_lo, tb))
+            ta = max(s_hi - delta, t_start)
+            if s_hi > t_prev and (j == 0 or ta > occ[j - 1]):
+                found.add(Clique(pair, ta, s_hi))
     seeds: list[tuple[Clique, frozenset[int]]] = []
     span = None
     known: dict[int, frozenset[int]] = {}

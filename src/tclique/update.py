@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import combinations, zip_longest
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .cliques import (
@@ -30,6 +32,7 @@ from .cliques import (
     contains,
     format_clique,
     is_delta_gamma_clique,
+    pair_valid,
     parse_clique,
     sort_cliques,
 )
@@ -42,6 +45,7 @@ STATE_VERSION = 3
 
 EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()
 _DIGEST = re.compile(r"[0-9a-f]{64}")
+_ta = itemgetter(1)  # a Clique's ta
 
 
 def chain_input_digest(previous: str, batch: Iterable[TemporalLink]) -> str:
@@ -265,18 +269,27 @@ def contained_cliques(
 ) -> list[Clique]:
     """The cliques of `inner` that some clique of `collection` contains.
 
-    A posting index maps each vertex to the collection cliques holding it.
-    A container holds every vertex of the inner clique, so it sits in every
-    one of their posting lists; `contains` runs only against the shortest.
+    A posting index maps each vertex to the collection cliques holding it,
+    in order of ta. A container holds every vertex of the inner clique, so
+    it sits in every one of their posting lists; only the shortest is read.
+    A container also covers the inner span, outer.ta <= inner.ta and
+    outer.tb >= inner.tb, and no span is wider than `longest`, the widest
+    tb - ta of the collection, so outer.ta >= outer.tb - longest >=
+    inner.tb - longest. Two bisections on ta cut the list to the window
+    [inner.tb - longest, inner.ta], and `contains` runs only inside it.
     """
+    ordered = sorted(collection, key=_ta)
+    longest = max([outer.tb - outer.ta for outer in ordered], default=0)
     postings: dict[int, list[Clique]] = {}
-    for outer in collection:
+    for outer in ordered:
         for vertex in outer.vertices:
             postings.setdefault(vertex, []).append(outer)
     found = []
     for clique in inner:
-        shortest = min((postings.get(v, ()) for v in clique.vertices), key=len)
-        if any(contains(outer, clique) for outer in shortest):
+        outers = min((postings.get(v, ()) for v in clique.vertices), key=len)
+        lo = bisect_left(outers, clique.tb - longest, key=_ta)
+        hi = bisect_right(outers, clique.ta, lo, key=_ta)
+        if any(contains(outer, clique) for outer in outers[lo:hi]):
             found.append(clique)
     return found
 
@@ -323,40 +336,41 @@ def finalize(
 def _certify_maximal(
     clique: Clique, stream: LinkStream, delta: int, gamma: int
 ) -> bool:
-    """Independent maximality check of one clique over a bounded stream."""
-    ta, tb = clique.ta, clique.tb
+    """Independent maximality check of one clique over a bounded stream.
+
+    The clique must be valid on its span (`is_delta_gamma_clique`), and no
+    strictly larger clique may be: not the span widened by one at either
+    end, inside the observation, nor the clique with one vertex w more.
+    The clique being valid, each of these needs only what it adds, tested
+    with `pair_valid`: the clique's pairs over [ta-1, tb] and [ta, tb+1],
+    and the pairs (w, z) for the members z at [ta, tb]. A valid
+    pair has at least gamma links inside the span, so the vertices w worth
+    trying are the first member's partners with gamma contacts in it. The
+    check reads the stream and its gap index only, never the engine's
+    closures, so it stays a backstop to the traversal.
+    """
+    verts, ta, tb = clique
+    if not is_delta_gamma_clique(verts, (ta, tb), stream, delta, gamma):
+        return False
     t_start, t_end = stream.observation
-    if not is_delta_gamma_clique(clique.vertices, (ta, tb), stream, delta, gamma):
+    occurrences = stream.pair_occurrences
+    gaps = stream.gap_index(delta, gamma)
+    pairs = [(occurrences.get(p, ()), gaps[p]) for p in combinations(verts, 2)]
+
+    def valid_at(a: int, b: int) -> bool:
+        return all(pair_valid(occ, bad, a, b, delta, gamma) for occ, bad in pairs)
+
+    if ta > t_start and valid_at(ta - 1, tb):
         return False
-    if ta - 1 >= t_start and is_delta_gamma_clique(
-        clique.vertices, (ta - 1, tb), stream, delta, gamma
-    ):
+    if tb < t_end and valid_at(ta, tb + 1):
         return False
-    if tb + 1 <= t_end and is_delta_gamma_clique(
-        clique.vertices, (ta, tb + 1), stream, delta, gamma
-    ):
-        return False
-    members = set(clique.vertices)
-    for w in sorted(_vertex_candidates(clique, stream, gamma)):
-        verts = tuple(sorted(members | {w}))
-        if is_delta_gamma_clique(verts, (ta, tb), stream, delta, gamma):
+    for w in stream.partners(verts[0], (ta, tb), gamma).difference(verts):
+        if all(
+            pair_valid(occurrences.get(p, ()), gaps[p], ta, tb, delta, gamma)
+            for p in ((w, z) if w < z else (z, w) for z in verts)
+        ):
             return False
     return True
-
-
-def _vertex_candidates(
-    clique: Clique, stream: LinkStream, gamma: int
-) -> frozenset[int]:
-    """The vertices outside the clique with at least gamma contacts of every
-    member inside its span: the only ones that can join it at that span."""
-    span = (clique.ta, clique.tb)
-    first, *rest = clique.vertices
-    cands = stream.partners(first, span, gamma) - set(clique.vertices)
-    for z in rest:
-        if not cands:
-            break
-        cands &= stream.partners(z, span, gamma)
-    return cands
 
 
 # -- state persistence -------------------------------------------------------------

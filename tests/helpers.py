@@ -8,8 +8,11 @@ run would), a `WorkSets` that checks every clique it is offered, two
 worklist drains with plain moves to hold the engine against (one with the
 engine's jumping interval move and dominance rule, one with the stepwise
 interval moves of earlier versions), a static-neighbour scan to hold the
-contact-timeline candidate sets against, and an independently written delta-clique enumerator (the gamma=1 special
-case) that cross-checks the engine through a second code path.
+contact-timeline candidate sets against, `count_in`-literal seed anchors and
+a clique-by-clique maximality certificate to hold the engine's index
+arithmetic and pair-by-pair certificate against, and an independently
+written delta-clique enumerator (the gamma=1 special case) that
+cross-checks the engine through a second code path.
 """
 
 from __future__ import annotations
@@ -102,6 +105,55 @@ def static_scan_candidates(clique: Clique, stream: LinkStream, gamma: int) -> se
         adj = static_scan_partners(stream, z, span, gamma) - members
         found = adj if found is None else found & adj
     return found
+
+
+def reference_seed_anchors(
+    stream: LinkStream, delta: int, gamma: int, t_prev: int
+) -> set[Clique]:
+    """The seed cliques of `seed_cliques` without their candidates, each
+    anchor interval's occurrences counted by `count_in`, pair by static edge:
+    the reference for the engine's index arithmetic."""
+    found = set()
+    for pair in stream.static_edges:
+        occ = stream.occurrences(pair)
+        for j in range(len(occ) - gamma + 1):
+            s_lo, s_hi = occ[j], occ[j + gamma - 1]
+            if s_hi - s_lo > delta:
+                continue
+            for ta, tb in (
+                (s_lo, s_lo + delta),
+                (max(s_hi - delta, stream.t_start), s_hi),
+            ):
+                if tb > t_prev and stream.count_in(pair, (ta, tb)) == gamma:
+                    found.add(Clique(pair, ta, tb))
+    return found
+
+
+def reference_certify_maximal(
+    clique: Clique, stream: LinkStream, delta: int, gamma: int
+) -> bool:
+    """The maximality certificate checked clique by clique: the clique, the
+    span widened by one at either end inside the observation, and the clique
+    with each vertex w more that has gamma contacts of every member in the
+    span, each through `is_delta_gamma_clique` over all of its pairs. The
+    reference for the engine's certificate, which tests only the pairs an
+    extension adds."""
+    verts, ta, tb = clique
+    t_start, t_end = stream.observation
+    if not is_delta_gamma_clique(verts, (ta, tb), stream, delta, gamma):
+        return False
+    if ta - 1 >= t_start and is_delta_gamma_clique(verts, (ta - 1, tb), stream, delta, gamma):
+        return False
+    if tb + 1 <= t_end and is_delta_gamma_clique(verts, (ta, tb + 1), stream, delta, gamma):
+        return False
+    first, *rest = verts
+    candidates = stream.partners(first, (ta, tb), gamma) - set(verts)
+    for z in rest:
+        candidates &= stream.partners(z, (ta, tb), gamma)
+    return not any(
+        is_delta_gamma_clique(sorted({*verts, w}), (ta, tb), stream, delta, gamma)
+        for w in sorted(candidates)
+    )
 
 
 def offline_keys(stream: LinkStream, delta: int, gamma: int) -> frozenset[Clique]:

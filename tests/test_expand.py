@@ -2,7 +2,7 @@
 
 import pytest
 import tclique.update
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tclique import (
     Clique,
@@ -31,6 +31,7 @@ from helpers import (
     links_from_pairs,
     random_stream,
     reference_drain,
+    reference_seed_anchors,
     run_batches,
     static_scan_partners,
     stepwise_reference_drain,
@@ -108,6 +109,37 @@ def test_seeds_past_t_prev_are_the_first_cycle_seeds_ending_after_it(
     for t_prev in range(stream.t_start, stream.t_end + 1):
         expected = [(seed, cands) for seed, cands in every if seed.tb > t_prev]
         assert seed_cliques(stream, delta, gamma, t_prev) == expected, t_prev
+
+
+@st.composite
+def pair_streams(draw):
+    """Up to four pairs with distinct link times in [0, 20], observed from up
+    to three ticks before the first link, so left anchors get clamped."""
+    pair_times = draw(
+        st.dictionaries(
+            st.sampled_from([(1, 2), (1, 3), (2, 3), (3, 4)]),
+            st.lists(st.integers(0, 20), min_size=1, max_size=10, unique=True),
+            min_size=1,
+        )
+    )
+    stream = links_from_pairs(pair_times)
+    lead = draw(st.integers(0, 3))
+    return LinkStream(stream.links, observation=(stream.t_start - lead, stream.t_end))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_streams(), st.integers(1, 6), st.integers(1, 3))
+# a third link exactly at s_lo + delta (right anchor) and exactly at the
+# left anchor's start: [0, 2] holds two links, so neither anchor is a seed
+@example(links_from_pairs({(1, 2): [0, 2]}), 2, 1)
+# a left anchor clamped at the observation start
+@example(links_from_pairs({(1, 2): [1, 3]}, observation=(0, 3)), 4, 2)
+def test_seed_anchors_match_the_count_in_reference(stream, delta, gamma):
+    # the index arithmetic keeps exactly the anchors that count_in finds
+    # holding gamma occurrences, for every previous boundary
+    for t_prev in range(stream.t_start - 1, stream.t_end + delta + 1):
+        seeds = {seed for seed, _ in seed_cliques(stream, delta, gamma, t_prev)}
+        assert seeds == reference_seed_anchors(stream, delta, gamma, t_prev), t_prev
 
 
 def test_seed_candidates_follow_window_frequency(f1_stream):

@@ -26,6 +26,7 @@ from tclique import (
     make_clique,
     normalize_final,
     partition_links,
+    run_pipeline,
     save_state,
     sort_cliques,
     update_batch,
@@ -33,7 +34,7 @@ from tclique import (
 import tclique.update
 from tclique.update import (
     EMPTY_DIGEST,
-    _vertex_candidates,
+    _certify_maximal,
     chain_closed_digest,
     chain_input_digest,
     contained_cliques,
@@ -47,6 +48,7 @@ from helpers import (
     offline_keys,
     random_boundaries,
     random_state,
+    reference_certify_maximal,
     run_batches,
     signed,
     staged_cycles,
@@ -278,21 +280,28 @@ def test_remove_sub_cliques_sweeps_every_result():
     assert empty == set()
 
 
-def small_cliques(top_vertex: int):
-    """Cliques over vertices 1..top_vertex with spans inside [0, 8]; few
+def small_cliques(top_vertex: int, max_ta: int = 4, max_length: int = 4):
+    """Cliques over vertices 1..top_vertex with ta in [0, max_ta] and lengths
+    in [0, max_length]. With the defaults, spans lie inside [0, 8]: few
     enough values that equal vertex sets with nested spans are common."""
     return st.builds(
         lambda verts, ta, length: make_clique(verts, ta, ta + length),
         st.sets(st.integers(1, top_vertex), min_size=2, max_size=4),
-        st.integers(0, 4),
-        st.integers(0, 4),
+        st.integers(0, max_ta),
+        st.integers(0, max_length),
     )
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(small_cliques(5), max_size=12),
-    st.lists(small_cliques(7), max_size=6),  # vertices 6 and 7: in no posting list
+    # spans spread over [0, 60] are short against the collection's time
+    # range, so the time window cuts the posting lists
+    st.one_of(
+        st.lists(small_cliques(5), max_size=12),
+        st.lists(small_cliques(5, 40, 20), max_size=24),
+    ),
+    # vertices 6 and 7: in no posting list
+    st.lists(st.one_of(small_cliques(7), small_cliques(7, 40, 20)), max_size=6),
     st.lists(st.integers(0, 50), max_size=6),
 )
 # equal vertex sets, nested spans (both ways round)
@@ -304,6 +313,20 @@ def small_cliques(top_vertex: int):
 @example([make_clique([1, 2, 3], 0, 4)], [make_clique([1, 3], 1, 2)], [])
 # an inner vertex that no collection clique holds
 @example([make_clique([1, 2], 0, 8)], [make_clique([1, 6], 1, 2)], [])
+# the window's edges: a container whose ta is exactly inner.tb - longest
+# (the container is the longest), and one starting exactly at inner.ta
+@example([make_clique([1, 2, 3], 0, 10)], [make_clique([1, 2], 3, 10)], [])
+@example(
+    [make_clique([1, 2, 3], 2, 6), make_clique([4, 5], 0, 30)],
+    [make_clique([1, 2], 2, 4)],
+    [],
+)
+# the longest clique is on no posting list of the inner clique's vertices
+@example(
+    [make_clique([3, 4], 0, 30), make_clique([1, 2, 3], 10, 14)],
+    [make_clique([1, 2], 11, 13), make_clique([1, 2], 9, 13)],
+    [],
+)
 def test_contained_cliques_matches_brute_force(collection, fresh, picks):
     inner = fresh + [collection[i % len(collection)] for i in picks if collection]
     expected = [c for c in inner if any(contains(o, c) for o in collection)]
@@ -407,11 +430,27 @@ def test_finalize_raises_verification_error_on_a_failing_clique(f1_stream):
         finalize(state, closed + [bogus], f1_stream)
 
 
-def test_certification_candidates_match_the_static_scan(corpus, corpus_oracles):
-    # the vertices certification tries are the static scan's, never fewer:
-    # on every result of the corpus and every clique one vertex short of it
-    n_candidates = 0
-    for (stream, _, gamma), results in zip(corpus, corpus_oracles):
+def test_certification_tries_every_static_scan_candidate(
+    corpus, corpus_oracles, monkeypatch
+):
+    # the vertices the certificate tries are the first member's partners, a
+    # superset of the static scan's candidates (gamma contacts of every
+    # member), never fewer: on every result of the corpus and every clique
+    # one vertex short of it that gets as far as the vertex step. A vertex
+    # outside the scan's set has a pair with fewer than gamma links in the
+    # span, which no valid pair has, so the verdict test below is the gate
+    # that trying it changes nothing.
+    pools = []
+    partners = LinkStream.partners
+
+    def recording_partners(stream, vertex, window, gamma):
+        found = partners(stream, vertex, window, gamma)
+        pools.append(found)
+        return found
+
+    monkeypatch.setattr(LinkStream, "partners", recording_partners)
+    n_candidates = n_results = 0
+    for (stream, delta, gamma), results in zip(corpus, corpus_oracles):
         for clique in results:
             verts, ta, tb = clique
             smaller = [
@@ -420,10 +459,76 @@ def test_certification_candidates_match_the_static_scan(corpus, corpus_oracles):
                 if len(verts) > 2
             ]
             for c in [clique, *smaller]:
-                expected = static_scan_candidates(c, stream, gamma)
-                assert _vertex_candidates(c, stream, gamma) == expected, c
-                n_candidates += len(expected)
-    assert n_candidates > 0
+                pools.clear()
+                _certify_maximal(c, stream, delta, gamma)
+                if c is clique:
+                    assert len(pools) == 1, c  # a result reaches the vertex step
+                    n_results += 1
+                if pools:
+                    expected = static_scan_candidates(c, stream, gamma)
+                    assert pools[0] - set(c.vertices) >= expected, c
+                    n_candidates += len(expected)
+    assert n_results > 0 and n_candidates > 0
+
+
+def certificate_probes(
+    clique: Clique, stream: LinkStream, rng: random.Random, n_random: int = 2
+) -> list[Clique]:
+    """The clique, each clique one vertex short of it, its span shrunk or
+    widened by one at either end, and `n_random` random cliques of the
+    stream's vertices with spans inside its observation."""
+    verts, ta, tb = clique
+    probes = [clique, Clique(verts, ta - 1, tb), Clique(verts, ta, tb + 1)]
+    if ta < tb:
+        probes += [Clique(verts, ta + 1, tb), Clique(verts, ta, tb - 1)]
+    if len(verts) > 2:
+        probes += [Clique(verts[:i] + verts[i + 1 :], ta, tb) for i in range(len(verts))]
+    t_start, t_end = stream.observation
+    vertices = stream.vertices
+    for _ in range(n_random):
+        size = rng.randint(2, min(4, len(vertices)))
+        a, b = sorted(rng.randint(t_start, t_end) for _ in range(2))
+        probes.append(Clique(tuple(sorted(rng.sample(vertices, size))), a, b))
+    return probes
+
+
+def assert_certificates_agree(
+    stream: LinkStream, delta: int, gamma: int, results, rng: random.Random
+) -> int:
+    """Hold the certificate's verdict to the reference's on every probe of
+    every result; returns how many probes passed both."""
+    n_maximal = 0
+    for result in results:
+        for probe in certificate_probes(result, stream, rng):
+            verdict = _certify_maximal(probe, stream, delta, gamma)
+            assert verdict == reference_certify_maximal(probe, stream, delta, gamma), probe
+            n_maximal += verdict
+    return n_maximal
+
+
+def test_certificate_verdicts_match_the_reference(corpus, corpus_oracles):
+    # every corpus result is certified, and so is nothing the reference
+    # refuses among its perturbations and random cliques
+    n_results = n_maximal = 0
+    for idx, ((stream, delta, gamma), results) in enumerate(zip(corpus, corpus_oracles)):
+        assert all(_certify_maximal(c, stream, delta, gamma) for c in results)
+        rng = random.Random(50_000 + idx)
+        n_maximal += assert_certificates_agree(stream, delta, gamma, results, rng)
+        n_results += len(results)
+    assert n_results > 100 and n_maximal > n_results
+
+
+@pytest.mark.slow
+def test_certificate_verdicts_match_the_reference_on_a_group_contact_stream():
+    """The same agreement on every result of a 16k-link group-contact
+    stream, with its perturbations and random cliques."""
+    stream = group_contact_stream(seed=2026, n_meetings=400)
+    assert 14_000 <= stream.n_links <= 18_000
+    delta, gamma = 360, 2
+    results = run_pipeline(stream, delta, gamma, PartitionPlan("ut", 1)).final
+    assert len(results) > 1_000
+    assert all(_certify_maximal(c, stream, delta, gamma) for c in results)
+    assert_certificates_agree(stream, delta, gamma, results, random.Random(7))
 
 
 # -- state files ---------------------------------------------------------------------------
