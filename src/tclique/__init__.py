@@ -28,7 +28,7 @@ from .errors import (
     VerificationError,
 )
 from .expand import WorkSets, seed_cliques
-from .linkstream import FormatSpec, LinkStream, TemporalLink, parse_links
+from .linkstream import FormatSpec, LinkStream, parse_links
 from .oracle import OracleConfig, brute_force_enumerate, check_maximality
 from .partition import PartitionPlan, partition_links, plan_boundaries
 from .pipeline import (
@@ -69,7 +69,6 @@ __all__ = [
     "RunReport",
     "StateError",
     "TcliqueError",
-    "TemporalLink",
     "VerificationError",
     "WorkSets",
     "brute_force_enumerate",

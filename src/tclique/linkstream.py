@@ -1,15 +1,15 @@
 """Temporal link parsing and indexed occurrence queries.
 
-A temporal network is a set of timestamped contacts (u, v, t) between
-unordered vertex pairs, observed during a closed interval [t_start, t_end].
-`LinkStream` stores the contacts canonically (u < v, duplicates collapsed)
-and answers the occurrence queries the clique procedures need: all
-occurrences of a pair (one pair at a time, or the whole pair table for the
-growth moves, which read many pairs per clique), their count inside a
-window, from each vertex's contact timeline, the partners with at least
-gamma contacts of it inside a window, and, per (delta, gamma), each pair's
-bad gaps, the index the kernels `cliques.pair_valid` and
-`cliques.pair_closure` read.
+A temporal network is a set of timestamped contacts between unordered
+vertex pairs, observed during a closed interval [t_start, t_end]. A link is
+the plain tuple (t, u, v) with u < v (`Link`), written 'u v t' as text.
+`LinkStream` stores the links sorted, duplicates collapsed, and answers
+the occurrence queries the clique procedures need: all occurrences of a
+pair (one pair at a time, or the whole pair table for the growth moves,
+which read many pairs per clique), their count inside a window, from each
+vertex's contact timeline, the partners with at least gamma contacts of it
+inside a window, and, per (delta, gamma), each pair's bad gaps, the index
+the kernels `cliques.pair_valid` and `cliques.pair_closure` read.
 """
 
 from __future__ import annotations
@@ -21,19 +21,9 @@ from typing import Iterable, Mapping, Optional, TextIO
 from .errors import ParseError
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class TemporalLink:
-    """One undirected timestamped contact, stored with u < v."""
-
-    u: int
-    v: int
-    t: int
-
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise ValueError(f"self-loop ({self.u},{self.v},{self.t})")
-        if self.u > self.v:
-            raise ValueError("links must be canonical (u < v)")
+Link = tuple[int, int, int]
+"""One undirected timestamped contact (t, u, v), with u < v: tuples order
+by time first, so sorted links are in the canonical (t, u, v) order."""
 
 
 @dataclass(frozen=True)
@@ -54,11 +44,12 @@ class FormatSpec:
 class LinkStream:
     """Immutable indexed collection of temporal links.
 
-    Construction sorts and deduplicates; afterwards the instance is treated
-    as read-only and is safe to share across readers. `observation` is the
-    closed interval [t_start, t_end] the network was watched over; it
-    defaults to [t_min, t_max] and may be widened explicitly (boundary
-    guards for interval extension use it).
+    Construction sorts and deduplicates, and refuses a link with u >= v
+    (ValueError); afterwards the instance is treated as read-only and is
+    safe to share across readers. `observation` is the closed interval
+    [t_start, t_end] the network was watched over; it defaults to
+    [t_min, t_max] and may be widened explicitly (boundary guards for
+    interval extension use it).
 
     Each vertex keeps a contact timeline: two parallel lists, the times of
     its contacts in increasing order and the partner of each. A window query
@@ -71,20 +62,19 @@ class LinkStream:
 
     def __init__(
         self,
-        links: Iterable[TemporalLink],
+        links: Iterable[Link],
         observation: Optional[tuple[int, int]] = None,
         dropped_self_loops: int = 0,
     ) -> None:
-        self._links: tuple[TemporalLink, ...] = tuple(
-            sorted(set(links), key=lambda l: (l.t, l.u, l.v))
-        )
+        self._links: tuple[Link, ...] = tuple(sorted(set(links)))
         pair_index: dict[tuple[int, int], list[int]] = {}
         # the timelines stay lists: a tuple copy would double the peak memory
         # of construction
         times: dict[int, list[int]] = {}
         partners: dict[int, list[int]] = {}
-        for link in self._links:
-            u, v, t = link.u, link.v, link.t
+        for t, u, v in self._links:
+            if u >= v:
+                raise ValueError(f"link {(t, u, v)} is not canonical (u < v)")
             pair_index.setdefault((u, v), []).append(t)
             # both ends written out: every cycle builds a working stream
             if u in times:
@@ -101,8 +91,8 @@ class LinkStream:
         self._times = times
         self._partners = partners
         self._gap_indexes: dict[tuple[int, int], GapIndex] = {}
-        self._t_min = self._links[0].t if self._links else None
-        self._t_max = self._links[-1].t if self._links else None
+        self._t_min = self._links[0][0] if self._links else None
+        self._t_max = self._links[-1][0] if self._links else None
         self.dropped_self_loops = dropped_self_loops
 
         if observation is None:
@@ -122,7 +112,7 @@ class LinkStream:
     # -- basic shape -------------------------------------------------------
 
     @property
-    def links(self) -> tuple[TemporalLink, ...]:
+    def links(self) -> tuple[Link, ...]:
         return self._links
 
     @property
@@ -212,10 +202,13 @@ class LinkStream:
 
     # -- slicing -------------------------------------------------------------
 
-    def links_in(self, window: tuple[int, int]) -> list[TemporalLink]:
-        """Links with timestamp inside the closed window, in canonical order."""
+    def links_in(self, window: tuple[int, int]) -> tuple[Link, ...]:
+        """Links with timestamp inside the closed window, in canonical order:
+        the slice between two bisections of the sorted links, since (lo,)
+        sorts before every link at lo and (hi + 1,) after every link at hi."""
         lo, hi = window
-        return [l for l in self._links if lo <= l.t <= hi]
+        links = self._links
+        return links[bisect_left(links, (lo,)) : bisect_left(links, (hi + 1,))]
 
 
 class GapIndex(dict):
@@ -268,7 +261,7 @@ def parse_links(
     ParseError with the 1-based line number; an input without a single usable
     link is an error as well.
     """
-    raw: list[tuple[int, int, int]] = []  # (u, v, t) canonical
+    links: list[Link] = []
     dropped = 0
     for lineno, line in enumerate(source, start=1):
         text = line.strip()
@@ -285,28 +278,29 @@ def parse_links(
         if u == v:
             dropped += 1
             continue
-        if u > v:
-            u, v = v, u
-        raw.append((u, v, t))
-    if not raw:
+        links.append((t, u, v) if u < v else (t, v, u))
+    if not links:
         raise ParseError("no links found in input")
     if spec.rebase:
-        base = min(t for _, _, t in raw)
-        raw = [(u, v, t - base) for u, v, t in raw]
-    links = [TemporalLink(u, v, t) for u, v, t in raw]
+        base = min(links)[0]
+        links = [(t - base, u, v) for t, u, v in links]
     return LinkStream(links, observation=observation, dropped_self_loops=dropped)
 
 
-def format_link(link: TemporalLink) -> str:
+def format_link(link: Link) -> str:
     """Canonical text form of one link: 'u v t'."""
-    return f"{link.u} {link.v} {link.t}"
+    t, u, v = link
+    return f"{u} {v} {t}"
 
 
-def parse_link(text: str) -> TemporalLink:
+def parse_link(text: str) -> Link:
     """Inverse of `format_link`; ValueError on bad text. Only the text that
-    `format_link` writes back is read: no plus sign, leading zero or '_'."""
-    u, v, t = text.split(" ")
-    link = TemporalLink(int(u), int(v), int(t))
+    `format_link` writes back is read: u < v, and no plus sign, leading zero
+    or '_'."""
+    u, v, t = map(int, text.split(" "))
+    if u >= v:
+        raise ValueError(f"link text {text!r} is not canonical (u < v)")
+    link = (t, u, v)
     if format_link(link) != text:
         raise ValueError(f"link text {text!r} is not in canonical form")
     return link

@@ -8,12 +8,12 @@ link-count balancing over distinct timestamps, and explicit user boundaries.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PartitionError
-from .linkstream import LinkStream, TemporalLink
+from .linkstream import Link, LinkStream
 
 SCHEMES = ("ut", "ulc", "explicit")
 
@@ -69,8 +69,8 @@ def _balanced_count_boundaries(stream: LinkStream, k: int) -> list[int]:
     whole timestamps until it reaches the even share of the remaining links,
     always leaving one timestamp per remaining batch."""
     counts: dict[int, int] = {}
-    for link in stream.links:
-        counts[link.t] = counts.get(link.t, 0) + 1
+    for t, _, _ in stream.links:
+        counts[t] = counts.get(t, 0) + 1
     stamps = sorted(counts)
     if k > len(stamps):
         raise PartitionError(
@@ -96,19 +96,20 @@ def _balanced_count_boundaries(stream: LinkStream, k: int) -> list[int]:
 
 def partition_links(
     stream: LinkStream, plan: PartitionPlan
-) -> list[tuple[int, list[TemporalLink]]]:
+) -> list[tuple[int, list[Link]]]:
     """Split the stream per plan into (boundary, links) batches covering every
     link exactly once.
 
-    The stream's links are sorted by time, so each batch is the slice up to
-    the boundary's `bisect_right` position: one pass over the stream.
+    The stream's links are sorted (t, u, v) tuples, so each batch is the
+    slice up to the position of (boundary + 1,), which sorts after every
+    link at the boundary: one pass over the stream.
     """
     bounds = plan_boundaries(stream, plan)
     links = stream.links
-    batches: list[tuple[int, list[TemporalLink]]] = []
+    batches: list[tuple[int, list[Link]]] = []
     lo = 0
     for b in bounds:
-        hi = bisect_right(links, b, lo=lo, key=lambda l: l.t)
+        hi = bisect_left(links, (b + 1,), lo)
         batches.append((b, list(links[lo:hi])))
         lo = hi
     assigned = sum(len(chunk) for _, chunk in batches)

@@ -38,7 +38,7 @@ from .cliques import (
 )
 from .errors import ConfigError, StateError, VerificationError
 from .expand import WorkItem, WorkSets, drain, seed_cliques
-from .linkstream import LinkStream, TemporalLink, format_link, parse_link
+from .linkstream import Link, LinkStream, format_link, parse_link
 
 STATE_MAGIC = "tclique-state"
 STATE_VERSION = 3
@@ -48,10 +48,11 @@ _DIGEST = re.compile(r"[0-9a-f]{64}")
 _ta = itemgetter(1)  # a Clique's ta
 
 
-def chain_input_digest(previous: str, batch: Iterable[TemporalLink]) -> str:
+def chain_input_digest(previous: str, batch: Iterable[Link]) -> str:
     """The input digest after one more batch: sha256 over the previous digest
-    and the batch's links as `format_link` lines, in canonical (t, u, v)
-    order with duplicates collapsed (the order `LinkStream.links` keeps)."""
+    and the batch's (t, u, v) links as `format_link` lines ('u v t'), taken
+    in the order given; callers pass them sorted with duplicates collapsed,
+    as `LinkStream.links` keeps them."""
     body = previous + "\n" + "".join(format_link(l) + "\n" for l in batch)
     return hashlib.sha256(body.encode("ascii")).hexdigest()
 
@@ -86,7 +87,7 @@ class BatchState:
     closed: int
     closed_digest: str
     frontier: set[Clique]
-    link_tail: tuple[TemporalLink, ...]
+    link_tail: tuple[Link, ...]
 
     def __post_init__(self) -> None:
         if self.delta <= 0:
@@ -111,10 +112,12 @@ class BatchState:
                     f"frontier clique {clique} ends before boundary "
                     f"{self.t_boundary}"
                 )
-        for link in self.link_tail:
-            if not (self.t_boundary - self.delta <= link.t <= self.t_boundary):
+        for t, u, v in self.link_tail:
+            if u >= v:
+                raise ConfigError(f"tail link {(t, u, v)} is not canonical (u < v)")
+            if not (self.t_boundary - self.delta <= t <= self.t_boundary):
                 raise ConfigError(
-                    f"tail link {link} outside ({self.t_boundary - self.delta},"
+                    f"tail link {(t, u, v)} outside ({self.t_boundary - self.delta},"
                     f" {self.t_boundary}]"
                 )
 
@@ -145,7 +148,7 @@ class CycleStats:
 
 
 def update_batch(
-    state: BatchState, batch: Sequence[TemporalLink], t_next: int
+    state: BatchState, batch: Sequence[Link], t_next: int
 ) -> tuple[BatchState, list[Clique], CycleStats]:
     """Advance the state across one batch of links ending at boundary t_next.
 
@@ -162,10 +165,10 @@ def update_batch(
     t_prev = state.t_boundary
     if t_next <= t_prev:
         raise ConfigError(f"boundary {t_next} does not advance past {t_prev}")
-    for link in batch:
-        if not (t_prev < link.t <= t_next):
+    for t, u, v in batch:
+        if not (t_prev < t <= t_next):
             raise ConfigError(
-                f"batch link {link} outside ({t_prev}, {t_next}]"
+                f"batch link {(t, u, v)} outside ({t_prev}, {t_next}]"
             )
 
     working = LinkStream(
@@ -194,7 +197,7 @@ def update_batch(
     checked = remove_sub_cliques(results)
     closed = sort_cliques(c for c in results if c.tb < t_next)
 
-    tail = tuple(working.links_in((t_next - state.delta, t_next)))
+    tail = working.links_in((t_next - state.delta, t_next))
     next_state = BatchState(
         state.delta,
         state.gamma,
@@ -390,7 +393,7 @@ def dump_state(state: BatchState) -> str:
         f"frontier {len(state.frontier)}",
         *map(format_clique, sorted(state.frontier)),
         f"link_tail {len(state.link_tail)}",
-        *map(format_link, sorted(state.link_tail, key=lambda l: (l.t, l.u, l.v))),
+        *map(format_link, sorted(state.link_tail)),
     ]
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()

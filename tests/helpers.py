@@ -28,7 +28,6 @@ from tclique import (
     Clique,
     LinkStream,
     PartitionPlan,
-    TemporalLink,
     enumerate_maximal_cliques,
     initial_state,
     is_delta_gamma_clique,
@@ -55,9 +54,9 @@ def random_stream(seed: int) -> LinkStream:
         for v in range(u + 1, n + 1):
             for t in range(horizon + 1):
                 if rng.random() < density:
-                    links.append(TemporalLink(u, v, t))
+                    links.append((t, u, v))
     if not links:
-        links.append(TemporalLink(1, 2, rng.randint(0, horizon)))
+        links.append((rng.randint(0, horizon), 1, 2))
     return LinkStream(links, observation=(0, horizon))
 
 
@@ -72,7 +71,7 @@ def links_from_pairs(
 ) -> LinkStream:
     """Build a stream from {(u,v): [timestamps]}."""
     links = [
-        TemporalLink(min(u, v), max(u, v), t)
+        (t, min(u, v), max(u, v))
         for (u, v), ts in pair_times.items()
         for t in ts
     ]
@@ -496,8 +495,8 @@ def group_contact_stream(seed: int, n_meetings: int) -> LinkStream:
         for tick in range(start, start + rng.randint(1, 15)):
             for u, v in combinations(group, 2):
                 if rng.random() < 0.7:
-                    links.add(TemporalLink(u, v, tick * 20))
-    return LinkStream(sorted(links, key=lambda l: (l.t, l.u, l.v)))
+                    links.add((tick * 20, u, v))
+    return LinkStream(links)
 
 
 # -- synthetic states for persistence tests -------------------------------------------
@@ -520,22 +519,16 @@ def random_state(seed: int) -> BatchState:
         return make_clique(sorted(verts), max(t_start, tb - rng.randint(0, 12)), tb)
 
     frontier = {frontier_clique() for _ in range(rng.randint(0, 6))}
-    tail = tuple(
-        sorted(
-            (
-                TemporalLink(
-                    u, u + rng.randint(1, 3), rng.randint(boundary - delta, boundary)
-                )
-                for u in rng.sample(range(1, 20), rng.randint(0, 5))
-            ),
-            key=lambda l: (l.t, l.u, l.v),
-        )
-    )
+    tail = []
+    for u in rng.sample(range(1, 20), rng.randint(0, 5)):
+        v = u + rng.randint(1, 3)  # v before t: each seed keeps the state it drew
+        tail.append((rng.randint(boundary - delta, boundary), u, v))
     digest = f"{rng.getrandbits(256):064x}"
     closed = rng.randint(0, 2_000)
     closed_digest = f"{rng.getrandbits(256):064x}"
     return BatchState(
-        delta, gamma, t_start, boundary, digest, closed, closed_digest, frontier, tail
+        delta, gamma, t_start, boundary, digest, closed, closed_digest, frontier,
+        tuple(sorted(tail)),
     )
 
 

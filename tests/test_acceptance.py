@@ -134,7 +134,7 @@ def test_acceptance_staging_supersets_then_exact(corpus, monkeypatch):
         assert [boundary for boundary, _, _ in cycles] == boundaries
         for cycle, (boundary, pre, post) in enumerate(cycles):
             prefix = LinkStream(
-                [l for l in stream.links if l.t <= boundary],
+                [l for l in stream.links if l[0] <= boundary],
                 observation=(stream.t_start, boundary),
             )
             truth = keyset(brute_force_enumerate(prefix, delta, gamma))

@@ -8,7 +8,6 @@ from tclique import (
     Clique,
     LinkStream,
     PartitionPlan,
-    TemporalLink,
     enumerate_maximal_cliques,
     finalize,
     is_delta_gamma_clique,

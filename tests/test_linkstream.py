@@ -6,20 +6,20 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tclique import (
     Clique,
     FormatSpec,
     LinkStream,
     ParseError,
-    TemporalLink,
     is_delta_gamma_clique,
     parse_links,
 )
 from tclique.cliques import pair_closure
 from tclique.expand import WorkItem, WorkSets, clique_closure, expand_vertex_set
 from tclique.linkstream import format_link, parse_link
+from conftest import load_fixture
 from helpers import links_from_pairs, plain_closure, random_stream
 
 
@@ -28,6 +28,8 @@ def test_f1_basic_counts(f1_stream):
     assert f1_stream.n_vertices == 3
     assert f1_stream.n_static_edges == 3
     assert f1_stream.time_bounds() == (1, 5, 4)
+    # timestamps 2: (1,2),(1,3),(2,3); 4: (1,2),(1,3)
+    assert len(f1_stream.links_in((2, 4))) == 5
     assert f1_stream.observation == (1, 5)
 
 
@@ -55,17 +57,19 @@ def test_f1_window_queries(f1_stream):
 
 
 def test_links_normalize_endpoints():
-    # construction requires u < v; reversed input is normalized by the parser
-    with pytest.raises(ValueError):
-        TemporalLink(2, 1, 5)
-    with pytest.raises(ValueError):
-        TemporalLink(3, 3, 1)
+    # a link (t, u, v) needs u < v; reversed input is normalized by the parser
+    with pytest.raises(ValueError, match="not canonical"):
+        LinkStream([(5, 2, 1)])
+    with pytest.raises(ValueError, match="not canonical"):
+        LinkStream([(1, 3, 3)])  # a self-loop
+    with pytest.raises(ValueError, match="not canonical"):
+        LinkStream([(4, 1, 2), (5, 2, 1)], observation=(0, 9))
 
 
 def test_parse_swaps_and_dedups():
     text = "2 1 5\n1 2 5\n"
     stream = parse_links(io.StringIO(text), FormatSpec(column_order="uvt"))
-    assert stream.links == (TemporalLink(1, 2, 5),)
+    assert stream.links == ((5, 1, 2),)
 
 
 def test_parse_drops_self_loops_and_counts():
@@ -77,7 +81,7 @@ def test_parse_drops_self_loops_and_counts():
 
 def test_parse_formats_and_rebase():
     tuv = parse_links(io.StringIO("7 1 2\n9 1 3\n"), FormatSpec(column_order="tuv"))
-    assert tuv.links == (TemporalLink(1, 2, 7), TemporalLink(1, 3, 9))
+    assert tuv.links == ((7, 1, 2), (9, 1, 3))
     comma = parse_links(
         io.StringIO("1,2,7\n1,3,9\n"),
         FormatSpec(column_order="uvt", delimiter="comma"),
@@ -86,7 +90,7 @@ def test_parse_formats_and_rebase():
     rebased = parse_links(
         io.StringIO("7 1 2\n9 1 3\n"), FormatSpec(column_order="tuv", rebase=True)
     )
-    assert [l.t for l in rebased.links] == [0, 2]
+    assert [l[0] for l in rebased.links] == [0, 2]
 
 
 def test_parse_skips_comments_and_blanks():
@@ -112,7 +116,7 @@ def test_format_spec_validation():
 
 
 def test_observation_rules():
-    links = [TemporalLink(1, 2, 5)]
+    links = [(5, 1, 2)]
     with pytest.raises(ValueError):
         LinkStream(links, observation=(6, 9))  # does not cover the link
     with pytest.raises(ValueError):
@@ -129,11 +133,13 @@ def test_occurrences_requires_ordered_pair(f1_stream):
         f1_stream.occurrences((2, 1))
 
 
-def test_links_in_window(f1_stream):
-    inside = f1_stream.links_in((2, 4))
-    assert all(2 <= l.t <= 4 for l in inside)
-    # timestamps 2: (1,2),(1,3),(2,3); 4: (1,2),(1,3)
-    assert len(inside) == 5
+@given(st.integers(0, 60).map(random_stream), st.integers(-5, 30), st.integers(-5, 30))
+@example(load_fixture("f1.txt"), 2, 4)
+def test_links_in_window(stream, lo, hi):
+    """The bisected slice equals the filter over every link, also for
+    windows past either end of the observation and inverted ones (lo > hi)."""
+    inside = stream.links_in((lo, hi))
+    assert inside == tuple(l for l in stream.links if lo <= l[0] <= hi)
 
 
 occurrence_sets = st.dictionaries(
@@ -156,8 +162,9 @@ def test_roundtrip_through_canonical_text(pairs):
 
 
 def test_parse_link_reads_only_canonical_text():
-    assert parse_link("2 3 20") == TemporalLink(2, 3, 20)
-    for bad in ("2 3 +20", "02 3 20", "2 3 2_0", "2  3 20", "2 3 20 ", "3 2 20"):
+    assert parse_link("2 3 20") == (20, 2, 3)
+    bad_texts = ("2 3 +20", "02 3 20", "2 3 2_0", "2  3 20", "2 3 20 ", "3 2 20", "3 3 20")
+    for bad in bad_texts:
         with pytest.raises(ValueError):
             parse_link(bad)
 
@@ -218,9 +225,9 @@ def closure(stream, pair, span, gamma, delta=3):
 def brute_force_partners(stream, vertex, window, gamma):
     lo, hi = window
     counts = Counter(
-        l.v if l.u == vertex else l.u
-        for l in stream.links
-        if vertex in (l.u, l.v) and lo <= l.t <= hi
+        v if u == vertex else u
+        for t, u, v in stream.links
+        if vertex in (u, v) and lo <= t <= hi
     )
     return frozenset(w for w, n in counts.items() if n >= gamma)
 
@@ -230,7 +237,7 @@ def test_partners_match_a_brute_force_count():
     # empty), vertices (0, 7 and 8 never appear) and gamma
     for index in range(60):
         stream = random_stream(index)
-        ends = {x for l in stream.links for x in (l.u, l.v)}
+        ends = {x for _, u, v in stream.links for x in (u, v)}
         assert stream.vertices == tuple(sorted(ends))
         assert stream.n_vertices == len(stream.vertices)
         rng = random.Random(20_000 + index)

@@ -6,7 +6,6 @@ from tclique import (
     LinkStream,
     OracleBoundsError,
     OracleConfig,
-    TemporalLink,
     brute_force_enumerate,
     check_maximality,
     contains,
@@ -50,11 +49,11 @@ def test_dropping_a_vertex_keeps_it_addable(f1_stream):
 
 
 def test_bounds_refusal():
-    links = [TemporalLink(u, u + 1, 0) for u in range(1, 9)]  # 9 vertices
+    links = [(0, u, u + 1) for u in range(1, 9)]  # 9 vertices
     stream = LinkStream(links)
     with pytest.raises(OracleBoundsError):
         brute_force_enumerate(stream, 2, 1)
-    wide = LinkStream([TemporalLink(1, 2, 0), TemporalLink(1, 2, 100)])
+    wide = LinkStream([(0, 1, 2), (100, 1, 2)])
     with pytest.raises(OracleBoundsError):
         brute_force_enumerate(wide, 2, 1)
     # explicit generous bounds lift the refusal
@@ -64,7 +63,7 @@ def test_bounds_refusal():
 
 
 def test_empty_result_on_sparse_stream():
-    stream = LinkStream([TemporalLink(1, 2, 0), TemporalLink(3, 4, 9)])
+    stream = LinkStream([(0, 1, 2), (9, 3, 4)])
     assert brute_force_enumerate(stream, 1, 2) == set()
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from tclique import LinkStream, PartitionPlan, TemporalLink, partition_links, plan_boundaries
+from tclique import LinkStream, PartitionPlan, partition_links, plan_boundaries
 from tclique.errors import PartitionError
 from helpers import random_stream
 
@@ -14,7 +14,7 @@ def counted_stream(counts: dict[int, int]) -> LinkStream:
     links = []
     for t, c in counts.items():
         for i in range(c):
-            links.append(TemporalLink(2 * i + 1, 2 * i + 2, t))
+            links.append((t, 2 * i + 1, 2 * i + 2))
     return LinkStream(links)
 
 
@@ -88,14 +88,14 @@ def test_batches_cover_each_link_once(f1_stream):
         for boundary, chunk in batches:
             assert prev is None or boundary > prev
             for l in chunk:
-                assert (prev is None or l.t > prev) and l.t <= boundary
+                assert (prev is None or l[0] > prev) and l[0] <= boundary
             prev = boundary
 
 
 @given(st.integers(0, 60), st.sampled_from(["ut", "ulc"]), st.integers(1, 5))
 def test_partitions_cover_random_streams(seed, scheme, k):
     stream = random_stream(seed)
-    distinct = len({l.t for l in stream.links})
+    distinct = len({l[0] for l in stream.links})
     if scheme == "ulc" and k > distinct:
         with pytest.raises(PartitionError):
             partition_links(stream, PartitionPlan(scheme, k))

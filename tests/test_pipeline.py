@@ -16,7 +16,6 @@ from tclique import (
     LinkStream,
     PartitionPlan,
     StateError,
-    TemporalLink,
     VerificationError,
     dump_state,
     enumerate_maximal_cliques,

@@ -14,7 +14,6 @@ from tclique import (
     LinkStream,
     PartitionPlan,
     StateError,
-    TemporalLink,
     VerificationError,
     brute_force_enumerate,
     contains,
@@ -108,15 +107,22 @@ def test_two_batches_on_handoff_fixture(handoff_stream):
 def test_batch_links_must_fit_window(f1_stream):
     state = initial_state(3, 2, 1)
     with pytest.raises(ConfigError, match="outside"):
-        update_batch(state, [TemporalLink(1, 2, 9)], 5)
-    state, _, _ = update_batch(state, [l for l in f1_stream.links if l.t <= 3], 3)
+        update_batch(state, [(9, 1, 2)], 5)
+    state, _, _ = update_batch(state, [l for l in f1_stream.links if l[0] <= 3], 3)
     with pytest.raises(ConfigError, match="outside"):
-        update_batch(state, [TemporalLink(1, 2, 2)], 5)  # belongs to the past
+        update_batch(state, [(2, 1, 2)], 5)  # belongs to the past
+
+
+def test_batch_links_must_be_canonical():
+    # a link is (t, u, v) with u < v; the working stream refuses the rest
+    for link in ((4, 2, 1), (4, 2, 2)):
+        with pytest.raises(ValueError, match="not canonical"):
+            update_batch(initial_state(3, 2, 1), [link], 5)
 
 
 def test_boundary_must_advance(f1_stream):
     state = initial_state(3, 2, 1)
-    state, _, _ = update_batch(state, [l for l in f1_stream.links if l.t <= 3], 3)
+    state, _, _ = update_batch(state, [l for l in f1_stream.links if l[0] <= 3], 3)
     with pytest.raises(ConfigError, match="advance"):
         update_batch(state, [], 3)
 
@@ -132,14 +138,14 @@ def test_empty_batches_are_harmless(f1_stream):
 
 def mid_stream_state(handoff_stream):
     state = initial_state(4, 2, handoff_stream.t_start)
-    batch = [l for l in handoff_stream.links if l.t <= 11]
+    batch = [l for l in handoff_stream.links if l[0] <= 11]
     state, _, _ = update_batch(state, batch, 11)
     return state
 
 
 def test_link_tail_is_the_trailing_window(handoff_stream):
     state = mid_stream_state(handoff_stream)
-    expected = [l for l in handoff_stream.links if 11 - 4 <= l.t <= 11]
+    expected = [l for l in handoff_stream.links if 11 - 4 <= l[0] <= 11]
     assert sorted(state.link_tail) == sorted(expected)
 
 
@@ -156,8 +162,8 @@ def test_fresh_state_must_be_empty():
     # before the first cycle the boundary is t_start - 1, never lower
     assert initial_state(3, 2, 0).t_boundary == -1
     frontier = {make_clique([1, 2], 0, 3)}
-    tail = (TemporalLink(1, 2, -1),)
-    consumed = chain_input_digest(NO_INPUT, [TemporalLink(1, 2, 1)])
+    tail = ((-1, 1, 2),)
+    consumed = chain_input_digest(NO_INPUT, [(1, 1, 2)])
     closed = chain_closed_digest(NO_INPUT, ["1,2 [0,3]"])
     for fields in (
         (NO_INPUT, 0, NO_INPUT, set(), tail),
@@ -186,11 +192,19 @@ def test_frontier_invariant_is_validated():
         BatchState(3, 2, 0, 5, NO_INPUT, 0, NO_INPUT, {lagging}, ())
 
 
+def test_tail_links_must_be_canonical():
+    # dump_state would write '2 1 4', which load_state refuses
+    BatchState(3, 2, 0, 5, NO_INPUT, 0, NO_INPUT, set(), ((4, 1, 2),))
+    for link in ((4, 2, 1), (4, 2, 2)):
+        with pytest.raises(ConfigError, match="not canonical"):
+            BatchState(3, 2, 0, 5, NO_INPUT, 0, NO_INPUT, set(), (link,))
+
+
 def test_input_digest_chains_the_batches_consumed(handoff_stream):
     links = handoff_stream.links
     state, _ = run_batches(handoff_stream, 4, 2, (11, 20))
-    first = [l for l in links if l.t <= 11]
-    second = [l for l in links if 11 < l.t <= 20]
+    first = [l for l in links if l[0] <= 11]
+    second = [l for l in links if 11 < l[0] <= 20]
     expected = chain_input_digest(chain_input_digest(NO_INPUT, first), second)
     assert state.input_digest == expected
     # the digest depends on the links, not on the order a batch lists them in
@@ -632,7 +646,7 @@ def test_load_state_rejects_non_canonical_clique_lines(handoff_stream):
 
 def test_load_state_rejects_repeated_section_lines(handoff_stream):
     state = initial_state(4, 1, handoff_stream.t_start)
-    state, _, _ = update_batch(state, [l for l in handoff_stream.links if l.t <= 11], 11)
+    state, _, _ = update_batch(state, [l for l in handoff_stream.links if l[0] <= 11], 11)
     lines = dump_state(state).splitlines()[:-1]
     for section in ("frontier", "link_tail"):
         head = next(i for i, line in enumerate(lines) if line.startswith(section + " "))
@@ -724,11 +738,11 @@ def test_loaded_state_resumes_identically(handoff_stream):
     direct, direct_closed = run_batches(handoff_stream, 4, 2, (11, 20))
     half, first, _ = update_batch(
         initial_state(4, 2, handoff_stream.t_start),
-        [l for l in handoff_stream.links if l.t <= 11],
+        [l for l in handoff_stream.links if l[0] <= 11],
         11,
     )
     revived = load_state(io.StringIO(dump_state(half)))
-    tail_links = [l for l in handoff_stream.links if l.t > 11]
+    tail_links = [l for l in handoff_stream.links if l[0] > 11]
     resumed, second, _ = update_batch(revived, tail_links, 20)
     assert resumed == direct
     assert first + second == direct_closed
