@@ -313,23 +313,38 @@ def finalize(
 ) -> list[Clique]:
     """Definitive maximal cliques of `stream` from a state that has consumed
     all of its links and the closed cliques every cycle returned; every
-    result is certified maximal, else VerificationError.
+    result is certified maximal, else VerificationError. Called on a prefix
+    of the links, observed up to the state's boundary, it gives the result
+    after that arrival.
 
-    The closed cliques and the last frontier are enough: a cycle's result is
-    closed or reaches the boundary, and then is in the frontier the next
-    cycle starts from (`prune_frontier`). A frontier clique that is no
-    result was grown by a move or swept as contained in a result; that
-    growth or container was popped too and reaches the boundary, so it is in
-    the frontier or covered by a frontier clique. Such steps end at a
-    result, so after clamping the non-result lies inside, or equals, a kept
-    clique, and `normalize_final` drops it. Certification is the backstop.
+    The closed cliques pass as they are, and only the last frontier is
+    clamped to the observation end and swept by `normalize_final`:
+    - a closed clique was swept in its own cycle against every result of
+      that cycle, so it is final;
+    - no closed clique contains a clamped frontier clique: every closed tb
+      is below the last boundary, and a clamped frontier clique ends at
+      min(tb, t_end), at least that boundary;
+    - a clamped frontier clique F contains a closed clique C only if the
+      engine is wrong: if F is valid, C's vertex set is valid on F's span,
+      so C can be widened or grown by one step and is not maximal; if F is
+      not valid, it fails certification. Either way certification refuses
+      the result rather than drop C silently.
+    The last frontier is enough: a cycle's result is closed or reaches the
+    boundary, and then is in the frontier the next cycle starts from
+    (`prune_frontier`). A frontier clique that is no result was grown by a
+    move or swept as contained in a result; that growth or container was
+    popped too and reaches the boundary, so it is in the frontier or
+    covered by a frontier clique. Such steps end at a result, so after
+    clamping the non-result lies inside, or equals, a kept clique, and
+    `normalize_final` drops it. The set union collapses a repeated closed
+    line. Certification is the backstop.
     """
     t_start, t_end = stream.observation
     if t_start != state.t_start:
         raise ConfigError(
             f"state starts at {state.t_start}, stream at {t_start}"
         )
-    result = sorted(normalize_final([*closed, *state.frontier], t_end))
+    result = sorted({*closed, *normalize_final(state.frontier, t_end)})
     for clique in result:
         if not _certify_maximal(clique, stream, state.delta, state.gamma):
             raise VerificationError(f"{clique} failed certification")

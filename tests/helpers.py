@@ -21,6 +21,7 @@ import hashlib
 import random
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 
 import tclique.update
 from tclique import (
@@ -191,17 +192,28 @@ def run_batches(
     return state, closed
 
 
+class StagedCycle(NamedTuple):
+    """One cycle of `staged_cycles`: its boundary, the pre- and post-sweep
+    collections, the state after it and every clique closed so far."""
+
+    boundary: int
+    pre: set[Clique]
+    post: set[Clique]
+    state: BatchState
+    closed: list[Clique]
+
+
 def staged_cycles(
     stream: LinkStream, delta: int, gamma: int, boundaries, monkeypatch
-) -> list[tuple[int, set[Clique], set[Clique]]]:
-    """Drive update_batch over an explicit plan and return, per cycle,
-    (boundary, pre-sweep collection, post-sweep collection).
+) -> list[StagedCycle]:
+    """Drive update_batch over an explicit plan and return a `StagedCycle`
+    per cycle.
 
     The pre-sweep collection is the closed cliques of the earlier cycles,
     the cycle's results before `remove_sub_cliques` runs (captured by
     recording its argument) and the next frontier. The post-sweep collection
     is every closed clique so far and the next frontier: what `finalize`
-    would normalize at this boundary.
+    starts from at this boundary.
     """
     swept: list[set[Clique]] = []
     sweep = tclique.update.remove_sub_cliques
@@ -211,7 +223,7 @@ def staged_cycles(
         return sweep(new_cliques)
 
     cycles = []
-    closed: set[Clique] = set()
+    closed: list[Clique] = []
     state = initial_state(delta, gamma, stream.t_start)
     plan = PartitionPlan("explicit", boundaries=tuple(boundaries))
     with monkeypatch.context() as patch:
@@ -219,11 +231,17 @@ def staged_cycles(
         for boundary, chunk in partition_links(stream, plan):
             earlier = set(closed)
             state, cycle_closed, _ = update_batch(state, chunk, boundary)
-            closed.update(cycle_closed)
+            closed = closed + cycle_closed
             (results,) = swept
             swept.clear()
             cycles.append(
-                (boundary, earlier | results | state.frontier, closed | state.frontier)
+                StagedCycle(
+                    boundary,
+                    earlier | results | state.frontier,
+                    {*closed, *state.frontier},
+                    state,
+                    closed,
+                )
             )
     return cycles
 

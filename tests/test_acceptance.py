@@ -20,6 +20,7 @@ from tclique import (
     PartitionPlan,
     brute_force_enumerate,
     dump_state,
+    finalize,
     load_state,
     normalize_final,
     parse_links,
@@ -125,14 +126,17 @@ def test_acceptance_gamma_one_reduces_to_delta_cliques(corpus):
 
 
 def test_acceptance_staging_supersets_then_exact(corpus, monkeypatch):
+    """At every boundary the staged collections bracket the truth on the
+    prefix stream, and `finalize` on the cycle's state and the cliques
+    closed so far is that truth: the result after every arrival."""
     checked_cycles = 0
     for idx, (stream, delta, gamma) in enumerate(corpus):
         rng = random.Random(30_000 + idx)
         bounds = random_boundaries(stream, rng, max_batches=3)
         cycles = staged_cycles(stream, delta, gamma, bounds, monkeypatch)
         boundaries = sorted({*bounds, stream.time_bounds()[1]})
-        assert [boundary for boundary, _, _ in cycles] == boundaries
-        for cycle, (boundary, pre, post) in enumerate(cycles):
+        assert [c.boundary for c in cycles] == boundaries
+        for cycle, (boundary, pre, post, state, closed) in enumerate(cycles):
             prefix = LinkStream(
                 [l for l in stream.links if l[0] <= boundary],
                 observation=(stream.t_start, boundary),
@@ -143,6 +147,9 @@ def test_acceptance_staging_supersets_then_exact(corpus, monkeypatch):
             )
             assert frozenset(normalize_final(post, boundary)) == truth, (
                 f"stream {idx} cycle {cycle}: swept set differs from the truth"
+            )
+            assert keyset(finalize(state, closed, prefix)) == truth, (
+                f"stream {idx} cycle {cycle}: result after the arrival differs"
             )
             checked_cycles += 1
     print(f"\nACCEPTANCE staging brackets truth: PASS on {checked_cycles} cycles")
@@ -165,7 +172,7 @@ def test_acceptance_two_window_decomposition(handoff_stream, monkeypatch):
     cycles = staged_cycles(handoff_stream, delta, gamma, (boundary,), monkeypatch)
     # post-sweep, cycle 1: the closed cliques and the frontier, without the
     # frontier cliques that a kept clique contains
-    first_cycle_maximal = frozenset(normalize_final(cycles[0][2], handoff_stream.t_end))
+    first_cycle_maximal = frozenset(normalize_final(cycles[0].post, handoff_stream.t_end))
     assert first_cycle_maximal == BLUE
     report = run_pipeline(handoff_stream, delta, gamma, plan)
     final = keyset(report.final)

@@ -19,6 +19,7 @@ from tclique import (
     VerificationError,
     dump_state,
     enumerate_maximal_cliques,
+    is_delta_gamma_clique,
     load_result,
     load_state,
     make_clique,
@@ -234,18 +235,32 @@ def test_resume_refuses_a_closed_file_that_does_not_match(handoff_stream, tmp_pa
     assert "closed.txt has fewer than" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bogus",
+    [
+        "1,4 [2,3]",  # vertices 1 and 4 never link
+        "3,4 [1,8]",  # valid, but strictly inside the closed clique 3,4 [1,9]
+    ],
+    ids=["not-a-clique", "contained"],
+)
 def test_cli_resume_exits_3_when_a_closed_clique_fails_certification(
-    handoff_stream, tmp_path, capsys
+    bogus, handoff_stream, tmp_path, capsys
 ):
-    """A clique that is not a (delta,gamma)-clique, slipped into closed.txt
-    with the state's count and digest forged to match, is refused by
-    finalize's certification."""
+    """A clique slipped into closed.txt, with the state's count and digest
+    forged to match, is refused by finalize's certification: one that is not
+    a (delta,gamma)-clique, and a valid one that another closed clique
+    contains. Closed cliques pass to certification as they are, so the
+    contained one is not dropped silently."""
     state_dir = tmp_path / "state"
     prefill_state_dir(handoff_stream, 4, 2, HANDOFF_PLAN, state_dir, 2)
     path = state_dir / "state_0002.txt"
     with open(path, encoding="utf-8") as fh:
         state = load_state(fh)
-    bogus = "1,4 [2,3]"  # vertices 1 and 4 never link
+    closed_lines = (state_dir / "closed.txt").read_text().splitlines()
+    if bogus == "3,4 [1,8]":
+        assert "3,4 [1,9]" in closed_lines
+        assert is_delta_gamma_clique((3, 4), (1, 8), handoff_stream, 4, 2)
+    assert bogus not in closed_lines
     with open(state_dir / "closed.txt", "a", encoding="utf-8") as fh:
         fh.write(bogus + "\n")
     forged = dataclasses.replace(
@@ -256,7 +271,7 @@ def test_cli_resume_exits_3_when_a_closed_clique_fails_certification(
     path.write_text(dump_state(forged))
     argv = HANDOFF_ONLINE + ["--input", str(DATA_DIR / "handoff.txt"), "--state-dir", str(state_dir)]
     assert main(argv) == 3
-    assert "verification failed: 1,4 [2,3] failed certification" in capsys.readouterr().err
+    assert f"verification failed: {bogus} failed certification" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -580,6 +595,11 @@ def test_cli_data_errors_exit_2(tmp_path, capsys):
     empty.write_text("# nothing\n")
     assert main(["run", "--input", str(empty), "--delta", "3", "--gamma", "2"]) == 2
     capsys.readouterr()
+    # --t-start/--t-end only widen the observation: f1's links span [1,5]
+    f1 = str(DATA_DIR / "f1.txt")
+    assert main(["run", "--input", f1, "--format", "uvt", "--delta", "3",
+                 "--gamma", "2", "--t-end", "3"]) == 2
+    assert "observation [1,3] does not cover links [1,5]" in capsys.readouterr().err
 
 
 def test_cli_verify_refuses_oversized_instances(tmp_path, capsys):

@@ -18,6 +18,7 @@ from tclique import (
     brute_force_enumerate,
     contains,
     dump_state,
+    enumerate_maximal_cliques,
     format_clique,
     finalize,
     initial_state,
@@ -255,15 +256,40 @@ def test_closed_cliques_end_between_the_boundaries(corpus):
     assert n_closed > 0
 
 
+@pytest.mark.slow
+def test_result_after_every_arrival_matches_a_recompute_on_a_group_contact_stream():
+    """`finalize` on each cycle's state and the cliques closed so far equals
+    a from-scratch run on the links up to the boundary, observed over
+    [t_start, boundary]: the result after every arrival, at about 4.6k links
+    in 8 ut batches. The from-scratch run finalizes too, so the result must
+    also hold every clique closed so far."""
+    stream = group_contact_stream(seed=2024, n_meetings=110)
+    delta, gamma = 360, 2
+    state = initial_state(delta, gamma, stream.t_start)
+    closed = []
+    for boundary, chunk in partition_links(stream, PartitionPlan("ut", 8)):
+        state, cycle_closed, _ = update_batch(state, chunk, boundary)
+        closed.extend(cycle_closed)
+        prefix = LinkStream(
+            [l for l in stream.links if l[0] <= boundary],
+            observation=(stream.t_start, boundary),
+        )
+        result = finalize(state, closed, prefix)
+        assert result == sorted(enumerate_maximal_cliques(prefix, delta, gamma)), boundary
+        assert set(closed) <= set(result), boundary
+    assert state.t_boundary == stream.t_end and len(closed) > 500
+
+
 def test_staging_observer_sees_both_snapshots(handoff_stream, monkeypatch):
     # pre-sweep (closed before, the cycle's results and the frontier) and
     # post-sweep (closed so far and the frontier) per cycle
     cycles = staged_cycles(handoff_stream, 4, 2, (11, 20), monkeypatch)
-    assert [boundary for boundary, _, _ in cycles] == [11, 20]
-    for _, pre, post in cycles:
-        assert pre >= post
+    assert [c.boundary for c in cycles] == [11, 20]
+    for cycle in cycles:
+        assert cycle.pre >= cycle.post
     state, closed = run_batches(handoff_stream, 4, 2, (11, 20))
-    assert cycles[-1][2] == set(closed) | state.frontier
+    assert cycles[-1].post == set(closed) | state.frontier
+    assert (cycles[-1].state, cycles[-1].closed) == (state, closed)
 
 
 # -- removal ---------------------------------------------------------------------------
