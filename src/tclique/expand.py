@@ -61,26 +61,39 @@ Dominance. The popped clique (K, s) skips its interval move when some
 vertex growth K+{w} keeps its closure (closure(K+w) == closure(K)) and that
 closure ends before the working stream's end, the cycle boundary. Then
 (K, closure) lies strictly inside (K+{w}, closure), which the growth offers
-itself, or its own dominating growth does. Completeness, for a popped
+itself, or its own dominating growth does. The move is also skipped when
+its target is already a result of the cycle: a result of phase A is not in
+`seen`, and phase B would expand it again. Completeness, for a popped
 (K, s) and a result (J, c) of the cycle with K ⊆ J, s inside c, J valid at
 s and J's other vertices among K's candidates:
 - A result has c as the closure of J and J vertex-maximal at c. If K = J,
-  no growth keeps c (it would make J+{w} valid on c), so the interval move
-  to c is never skipped: J's closure at s is c, since c contains s and
-  cannot grow.
+  no growth keeps c (it would make J+{w} valid on c), so dominance never
+  skips the interval move to c: J's closure at s is c, since c contains s
+  and cannot grow. The move is made unless (J, c) is a result already.
 - If K ⊂ J, every set between K and J is valid at s (validity is pairwise),
   so K+{w} for w in J is a vertex growth at s, and by induction on |J - K|
-  the traversal reaches (J, c).
+  the traversal reaches (J, c). The route is vertex growths at s and one
+  interval move at its end, so no result needs the moves of an interval
+  move's target.
 - Every result (J, [a, b]) that ends after the previous boundary has such a
-  start. The end b is delta past a pair's first bad time b - delta >= a,
-  and that pair has exactly gamma occurrences in [b-delta, b]: at least
-  gamma because it is a window of [a, b], at most because the position is
-  bad. So the seed anchor [b-delta, b] of that pair is a short window of
-  [a, b] on which J is valid, and every vertex of J has gamma links to
-  both seed vertices there, so it is among the seed's candidates.
-- As with stepwise moves, a clique that another route enqueued first keeps
-  that route's candidate set (the dedup barrier); the per-cycle tests hold
-  the results equal to those of the stepwise moves.
+  start: a seed, the right anchor of a pair (`seed_cliques`). The end b is
+  delta past a pair's first bad time b - delta >= a, and that pair has
+  exactly gamma occurrences in [b-delta, b]: at least gamma because it is a
+  window of [a, b], at most because the position is bad. So the pair's
+  right anchor [b-delta, b] is a window of [a, b] on which J is valid, and
+  every vertex of J has gamma links to both seed vertices there, so it is
+  among the seed's candidates.
+- The dedup barrier loses nothing. `seen` holds every clique enqueued with
+  candidates, and drops a second offer of one. Such an item holds its
+  root's pair, and its span contains the root's, a seed spanning exactly
+  delta. So for every J that contains the item's clique and is valid on a
+  span containing the item's, the root's span is a window of J's span, and
+  every vertex of J has gamma links to the root's pair there: whichever
+  route enqueued the clique first, J's other vertices are among its
+  candidates (and in its pool, every valid growth of its parent at the
+  span). A carried clique has no candidates to pass on, so frontier entries
+  and the interval moves of carried items stay out of `seen`: one there
+  would block every route of phase B through it, and the results behind it.
 - The guard keeps completeness across cycles. A closure that ends before
   the boundary is decided by an occurrence at or before the boundary (its
   first bad time is b - delta, and the position's badness only reads links
@@ -130,13 +143,13 @@ class WorkSets:
     """Working collections of one enumeration cycle.
 
     pending       LIFO worklist of cliques awaiting processing
-    seen          every clique ever enqueued (dedup barrier)
+    seen          every clique ever enqueued with candidates (the dedup
+                  barrier; see the module docstring)
     new_maximal   cliques found maximal within this cycle
     next_frontier popped cliques whose right end reaches the cycle boundary
     peak_live     max of |pending|+|seen|+|new_maximal|+|next_frontier|
     pair_checks   pair tests the vertex move asked, the ones its family's
                   table answered included
-    seeds         seeds pushed
     gaps          the stream's gap index at (delta, gamma)
     """
 
@@ -149,7 +162,6 @@ class WorkSets:
     next_frontier: set[Clique] = field(default_factory=set)
     peak_live: int = 0
     pair_checks: int = 0
-    seeds: int = 0
     gaps: Mapping[tuple[int, int], tuple[int, ...]] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -164,20 +176,15 @@ class WorkSets:
         closure: Optional[Span] = None,
         table: Optional[dict[tuple[int, int], Optional[Span]]] = None,
     ) -> bool:
-        """Enqueue unless the clique was ever enqueued before."""
-        if clique in self.seen:
-            return False
-        self.seen.add(clique)
+        """Enqueue the clique; one with candidates only if it was never
+        enqueued with candidates before. A carried clique (no candidates)
+        never enters `seen`, so it blocks no route."""
+        if candidates is not None:
+            if clique in self.seen:
+                return False
+            self.seen.add(clique)
         self.pending.append(WorkItem(clique, candidates, pool, newest, closure, table))
         return True
-
-    def push_seed(self, clique: Clique, candidates: frozenset[int]) -> None:
-        """Enqueue unconditionally (seeds bypass the dedup barrier: a clique
-        that was carried over as frontier must still be re-expanded with its
-        candidate set)."""
-        self.seeds += 1
-        self.seen.add(clique)
-        self.pending.append(WorkItem(clique, candidates))
 
 
 # -- seeds ---------------------------------------------------------------------
@@ -188,30 +195,31 @@ def seed_cliques(
 ) -> list[tuple[Clique, frozenset[int]]]:
     """Pair seeds of one cycle's working stream that reach past `t_prev`.
 
-    For each pair with occurrences s_1 < ... < s_k in the stream and each run
-    of gamma occurrences spanning at most delta, two anchor intervals are
-    tried: [s_j, s_j+delta] and [s_(j+gamma-1)-delta, s_(j+gamma-1)], the
-    latter clamped at the observation start. An interval becomes a seed only
-    when it holds exactly gamma occurrences of the pair and ends after the
-    previous boundary t_prev; it comes paired with its candidates, the
-    vertices with at least gamma links to a seed endpoint inside its
-    interval. Duplicates collapse; the pairs are sorted by clique.
+    For each pair with occurrences s_1 < ... < s_k in the stream, the right
+    anchor [s_j, s_j+delta] of each occurrence becomes a seed when it holds
+    exactly gamma occurrences of the pair and ends after the previous
+    boundary t_prev; it comes paired with its candidates, the vertices with
+    at least gamma links to a seed endpoint inside its interval. The pairs
+    are sorted by clique.
 
-    The occurrence times of a pair are distinct, and the run's own gamma
-    fit in both intervals, so the count needs no bisection: the right
-    anchor [s_j, s_j+delta] holds exactly gamma iff the run is the last or
-    s_(j+gamma) > s_j + delta, and the left one [ta, s_(j+gamma-1)] iff the
-    run is the first or s_(j-1) < ta (the clamped ta is still at most s_j,
-    as every link lies inside the observation).
+    This is the one seed the completeness argument (module docstring) asks
+    of a result (J, [a, b]): the right anchor [b-delta, b] of the pair whose
+    first bad time is b - delta. Every seed spans exactly delta and none is
+    clamped: s_j lies inside the observation, and the right end may pass
+    its end. The occurrence times of a pair are distinct, so the count needs
+    no bisection: the anchor holds at least gamma iff
+    s_(j+gamma-1) <= s_j + delta, and at most gamma iff the run is the last
+    or s_(j+gamma) > s_j + delta.
 
     On the first cycle t_prev is t_start - 1 and every seed is kept. Later,
     a seed [ta, tb] with tb <= t_prev is skipped before its candidates are
-    computed. It reads only links up to t_prev, its gamma occurrences sit in
-    [t_prev - delta, t_prev], inside the previous cycle's stream, so that
-    cycle tried the same interval over the same links, or over more where
-    [ta, tb] reaches back before the link tail. Expanding it again can gain
-    only what a new link (t > t_prev) makes possible, and only a clique whose
-    interval reaches t_prev can read one:
+    computed. The working stream's links start at t_prev - delta, so the
+    seed is [t_prev - delta, t_prev]: its count and its candidates read only
+    links in that window, which the previous cycle's stream held too, and
+    the links after t_prev lie past its end. So that cycle had the same seed
+    with the same candidates. Expanding it again can gain only what a new
+    link (t > t_prev) makes possible, and only a clique whose interval
+    reaches t_prev can read one:
     - an interval move carrying a clique across t_prev: a closure that ends
       before t_prev reads links only up to its end + 1, so over the previous
       cycle's links the closure reached t_prev as well; that cycle made the
@@ -229,21 +237,15 @@ def seed_cliques(
     stream once per interval; only one interval's answers are held at a
     time.
     """
-    found: set[Clique] = set()
-    t_start = stream.t_start
+    found: list[Clique] = []
     for pair, occ in stream.pair_occurrences.items():
         k = len(occ)
         for j in range(k - gamma + 1):
-            s_lo = occ[j]
-            s_hi = occ[j + gamma - 1]
-            if s_hi - s_lo > delta:
-                continue
-            tb = s_lo + delta
-            if tb > t_prev and (j + gamma == k or occ[j + gamma] > tb):
-                found.add(Clique(pair, s_lo, tb))
-            ta = max(s_hi - delta, t_start)
-            if s_hi > t_prev and (j == 0 or ta > occ[j - 1]):
-                found.add(Clique(pair, ta, s_hi))
+            tb = occ[j] + delta
+            if tb > t_prev and occ[j + gamma - 1] <= tb and (
+                j + gamma == k or occ[j + gamma] > tb
+            ):
+                found.append(Clique(pair, occ[j], tb))
     seeds: list[tuple[Clique, frozenset[int]]] = []
     span = None
     known: dict[int, frozenset[int]] = {}
@@ -377,11 +379,11 @@ def drain(worksets: WorkSets) -> None:
     differs from the span, the item offers (clique, closure), carrying its
     candidates and the closure, unless a vertex growth keeps that closure and
     it ends before the working stream's observation end, the cycle boundary
-    (dominance, see the module docstring). A clique whose closure is its
-    span and that has no vertex growth joins `new_maximal`; every popped
-    clique whose right end reaches the cycle boundary joins `next_frontier`
-    regardless. `peak_live` is noted on entry and after every pop (see the
-    module docstring).
+    (dominance, see the module docstring), or (clique, closure) is in
+    `new_maximal` already. A clique whose closure is its span and that has
+    no vertex growth joins `new_maximal`; every popped clique whose right end
+    reaches the cycle boundary joins `next_frontier` regardless. `peak_live`
+    is noted on entry and after every pop (see the module docstring).
     """
     boundary = worksets.stream.t_end
     pending, seen = worksets.pending, worksets.seen
@@ -403,7 +405,9 @@ def drain(worksets: WorkSets) -> None:
             growths = expand_vertex_set(item, worksets, closure)
         if closure[0] != ta or closure[1] != tb:
             if closure[1] >= boundary or all(ends != closure for _, ends in growths):
-                offer(Clique(vertices, *closure), item.candidates, closure=closure)
+                target = Clique(vertices, *closure)
+                if target not in new_maximal:
+                    offer(target, item.candidates, closure=closure)
         elif not growths:
             add_maximal(clique)
         if tb >= boundary:

@@ -181,16 +181,16 @@ def update_batch(
         state.input_digest, working.links_in((t_prev + 1, t_next))
     )
     worksets = WorkSets(working, state.delta, state.gamma)
-    worksets.seen.update(state.frontier)
 
     # Phase A: carried frontier cliques grow right over the refreshed stream;
-    # without candidates they take no other move.
+    # without candidates they take no other move and stay out of `seen`.
     worksets.pending.extend(WorkItem(c, None) for c in sorted(state.frontier))
     drain(worksets)
 
     # Phase B: fresh seeds of the working stream that reach past t_prev.
-    for seed, candidates in seed_cliques(working, state.delta, state.gamma, t_prev):
-        worksets.push_seed(seed, candidates)
+    seeds = seed_cliques(working, state.delta, state.gamma, t_prev)
+    for seed, candidates in seeds:
+        worksets.offer(seed, candidates)
     drain(worksets)
 
     results = worksets.new_maximal
@@ -218,7 +218,7 @@ def update_batch(
         checked=checked,
         peak_live=worksets.peak_live,
         pair_checks=worksets.pair_checks,
-        seeds=worksets.seeds,
+        seeds=len(seeds),
     )
     return next_state, closed, stats
 
@@ -238,9 +238,7 @@ def prune_frontier(frontier: Iterable[Clique]) -> set[Clique]:
     - c is never a result, since its cover contains it (a move of the cycle
       grew it, or the sweep dropped it), so every result that reaches the
       boundary is still in the frontier, to be found again next cycle or by
-      `finalize`;
-    - c is no longer in `seen` next cycle, so phase B may revisit it, which
-      costs time but cannot lose a result.
+      `finalize`.
     """
     by_vertices: dict[tuple[int, ...], list[Clique]] = {}
     for clique in frontier:

@@ -110,22 +110,17 @@ def static_scan_candidates(clique: Clique, stream: LinkStream, gamma: int) -> se
 def reference_seed_anchors(
     stream: LinkStream, delta: int, gamma: int, t_prev: int
 ) -> set[Clique]:
-    """The seed cliques of `seed_cliques` without their candidates, each
-    anchor interval's occurrences counted by `count_in`, pair by static edge:
-    the reference for the engine's index arithmetic."""
+    """The seed cliques of `seed_cliques` without their candidates: every
+    right anchor [s, s+delta] of a pair occurrence s that ends after t_prev
+    and holds exactly gamma occurrences, counted by `count_in`, pair by
+    static edge: the reference for the engine's index arithmetic."""
     found = set()
     for pair in stream.static_edges:
         occ = stream.occurrences(pair)
         for j in range(len(occ) - gamma + 1):
-            s_lo, s_hi = occ[j], occ[j + gamma - 1]
-            if s_hi - s_lo > delta:
-                continue
-            for ta, tb in (
-                (s_lo, s_lo + delta),
-                (max(s_hi - delta, stream.t_start), s_hi),
-            ):
-                if tb > t_prev and stream.count_in(pair, (ta, tb)) == gamma:
-                    found.add(Clique(pair, ta, tb))
+            ta, tb = occ[j], occ[j] + delta
+            if tb > t_prev and stream.count_in(pair, (ta, tb)) == gamma:
+                found.add(Clique(pair, ta, tb))
     return found
 
 
@@ -275,10 +270,6 @@ class CheckingWorkSets(WorkSets):
         self._check(clique)
         return super().offer(clique, candidates, *family, **named)
 
-    def push_seed(self, clique, candidates):
-        self._check(clique)
-        super().push_seed(clique, candidates)
-
 
 def plain_interval_ends(
     stream: LinkStream, vertices, ta: int, tb: int, delta: int, gamma: int
@@ -391,7 +382,7 @@ def reference_drain(worksets: WorkSets) -> None:
                 is_delta_gamma_clique(verts, closure, stream, delta, gamma)
                 for verts in growths
             )
-            if not dominated:
+            if not dominated and Clique(vertices, *closure) not in worksets.new_maximal:
                 worksets.offer(Clique(vertices, *closure), candidates)
         elif not growths:
             worksets.new_maximal.add(clique)

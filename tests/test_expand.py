@@ -73,14 +73,12 @@ def test_f1_seed_examples(f1_stream):
     by_pair = {}
     for s in seeds:
         by_pair.setdefault(s.vertices, []).append((s.ta, s.tb))
-    assert by_pair[(1, 2)] == [(1, 2), (4, 7)]
-    assert set(seeds) == {
-        ((1, 2), 1, 2),
-        ((1, 2), 4, 7),
-        ((1, 3), 1, 4),
-        ((1, 3), 2, 5),
-        ((2, 3), 2, 5),
-    }
+    # (1,2) links at 1, 2, 4 and 5: [1,4] and [2,5] hold three of them
+    assert by_pair[(1, 2)] == [(4, 7)]
+    assert set(seeds) == {((1, 2), 4, 7), ((1, 3), 2, 5), ((2, 3), 2, 5)}
+    # every seed is a right anchor [s, s+delta] of a pair occurrence s
+    for s in seeds:
+        assert s.tb - s.ta == 3 and s.ta in f1_stream.occurrences(s.vertices)
 
 
 def test_seeds_hold_exactly_gamma_occurrences_and_are_valid():
@@ -113,7 +111,7 @@ def test_seeds_past_t_prev_are_the_first_cycle_seeds_ending_after_it(
 @st.composite
 def pair_streams(draw):
     """Up to four pairs with distinct link times in [0, 20], observed from up
-    to three ticks before the first link, so left anchors get clamped."""
+    to three ticks before the first link."""
     pair_times = draw(
         st.dictionaries(
             st.sampled_from([(1, 2), (1, 3), (2, 3), (3, 4)]),
@@ -128,11 +126,11 @@ def pair_streams(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(pair_streams(), st.integers(1, 6), st.integers(1, 3))
-# a third link exactly at s_lo + delta (right anchor) and exactly at the
-# left anchor's start: [0, 2] holds two links, so neither anchor is a seed
+# a second link exactly at s + delta: [0, 2] holds two links, so it is no
+# seed, while [2, 4] is
 @example(links_from_pairs({(1, 2): [0, 2]}), 2, 1)
-# a left anchor clamped at the observation start
-@example(links_from_pairs({(1, 2): [1, 3]}, observation=(0, 3)), 4, 2)
+# the gamma-th link one past s + delta: [1, 4] holds one link only
+@example(links_from_pairs({(1, 2): [1, 5]}, observation=(0, 5)), 3, 2)
 def test_seed_anchors_match_the_count_in_reference(stream, delta, gamma):
     # the index arithmetic keeps exactly the anchors that count_in finds
     # holding gamma occurrences, for every previous boundary
@@ -143,8 +141,12 @@ def test_seed_anchors_match_the_count_in_reference(stream, delta, gamma):
 
 def test_seed_candidates_follow_window_frequency(f1_stream):
     seeds = dict(seed_cliques(f1_stream, 3, 2, f1_stream.t_start - 1))
+    # in [2, 5], (1,2) links three times and (2,3) twice, so 2 joins (1,3);
+    # (1,2) and (1,3) link there twice or more, so 1 joins (2,3)
     assert seeds[((1, 3), 2, 5)] == frozenset({2})
-    assert seeds[((1, 2), 1, 2)] == frozenset()
+    assert seeds[((2, 3), 2, 5)] == frozenset({1})
+    # in [4, 7], 3 links once with 1 and once with 2
+    assert seeds[((1, 2), 4, 7)] == frozenset()
 
 
 def test_seed_candidates_match_the_static_scan(corpus):
@@ -163,21 +165,44 @@ def test_seed_candidates_match_the_static_scan(corpus):
     assert n_candidates > 0
 
 
-def test_seed_left_clamp_respects_observation_start():
-    # occurrences early in the stream would push the anchor before t_start;
-    # the clamp is the observation start, not the first link
-    stream = links_from_pairs({(1, 2): [1, 3]})
-    seeds = seed_cliques(stream, 4, 2, stream.t_start - 1)
-    assert {(s.ta, s.tb) for s, _ in seeds} == {(1, 5), (1, 3)}
-    wider = links_from_pairs({(1, 2): [1, 3]}, observation=(0, 3))
-    seeds = seed_cliques(wider, 4, 2, wider.t_start - 1)
-    assert {(s.ta, s.tb) for s, _ in seeds} == {(1, 5), (0, 3)}
-
-
 def test_seeds_never_clamp_right():
     stream = links_from_pairs({(1, 2): [8, 9]})  # observation ends at 9
     seeds = seed_cliques(stream, 3, 2, stream.t_start - 1)
     assert ((1, 2), 8, 11) in {s for s, _ in seeds}
+
+
+def uncovered_results(stream, delta, gamma, results):
+    """The results (J, [a, b]) with b before the observation end that have no
+    right-anchor seed: a seed of a pair inside J, with the span [b-delta, b],
+    whose pair and candidates hold J. Read from `seed_cliques` alone."""
+    by_span = {}
+    for seed, cands in seed_cliques(stream, delta, gamma, stream.t_start - 1):
+        by_span.setdefault((seed.ta, seed.tb), []).append((set(seed.vertices), cands))
+    return [
+        (verts, ta, tb)
+        for verts, ta, tb in results
+        if tb < stream.t_end
+        and not any(
+            pair <= set(verts) <= pair | cands
+            for pair, cands in by_span.get((tb - delta, tb), ())
+        )
+    ]
+
+
+def test_every_result_has_its_right_anchor_seed(corpus, corpus_oracles):
+    # the completeness argument in one pass, without the traversal: a
+    # result's end is delta past a pair's first bad time, and that pair's
+    # anchor [b-delta, b] is a seed whose candidates hold the whole result
+    n_results = 0
+    for idx, ((stream, delta, gamma), oracle) in enumerate(zip(corpus, corpus_oracles)):
+        assert uncovered_results(stream, delta, gamma, oracle) == [], idx
+        n_results += sum(c.tb < stream.t_end for c in oracle)
+    assert n_results > 1_000
+    stream = group_contact_stream(seed=7, n_meetings=110)
+    results = enumerate_maximal_cliques(stream, 360, 2)
+    assert uncovered_results(stream, 360, 2, results) == []
+    assert sum(c.tb < stream.t_end for c in results) > 500
+    assert sum(len(verts) >= 4 for verts, _, _ in results) > 100
 
 
 # -- interval moves ----------------------------------------------------------------
@@ -238,12 +263,16 @@ def test_extend_left_partial_clamp():
 
 def test_closure_items_carry_their_closure(f1_stream):
     # the interval move's target carries its closure, and a carried target
-    # stays carried: popped, each is maximal
-    for candidates, target in ((frozenset(), ((1, 2), 1, 7)), (None, ((1, 2), 2, 7))):
+    # stays carried, out of `seen` like its source: popped, each is maximal
+    cases = (
+        (frozenset(), ((1, 2), 1, 7), {((1, 2), 2, 5), ((1, 2), 1, 7)}),
+        (None, ((1, 2), 2, 7), set()),
+    )
+    for candidates, target, seen in cases:
         ws = fresh_ws(f1_stream, 3, 2)
         ws.offer(make_clique([1, 2], 2, 5), candidates)
         drain(ws)
-        assert ws.seen == {((1, 2), 2, 5), target}
+        assert ws.seen == seen
         assert ws.new_maximal == {target}
 
 
@@ -354,13 +383,14 @@ def test_expand_vertex_answers_a_pair_from_the_family_table():
 def test_right_only_items_skip_other_moves(f1_stream):
     # {1,2} [2,5] could take vertex 3 and extend left, but a carried frontier
     # clique (one without candidates) is only ever grown rightward
+    # (every clique popped reaches the observation end 5, so the next
+    # frontier lists them all)
     ws = fresh_ws(f1_stream, 3, 2)
-    carried = item([1, 2], 2, 5, candidates=None)
-    ws.seen.add(carried.clique)
-    ws.pending.append(carried)
+    assert ws.offer(make_clique([1, 2], 2, 5), None)
     drain(ws)
-    assert ws.seen == {((1, 2), 2, 5), ((1, 2), 2, 7)}  # no vertex or left move
+    assert ws.next_frontier == {((1, 2), 2, 5), ((1, 2), 2, 7)}  # no vertex or left move
     assert ws.new_maximal == {((1, 2), 2, 7)}
+    assert ws.seen == set()  # no carried clique blocks a route
 
 
 def test_drain_takes_the_frontier_threshold_from_the_stream_end(f1_stream):
@@ -397,14 +427,14 @@ def test_debug_mode_rejects_invalid_enqueue(f1_stream):
         with pytest.raises(AssertionError):
             ws.offer(Clique(*malformed), frozenset())
         with pytest.raises(AssertionError):
-            ws.push_seed(Clique(*malformed), frozenset())
+            ws.offer(Clique(*malformed), None)
     assert ws.seen == {((1, 2), 1, 5)}
 
 
 def test_peak_live_tracks_collections(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
     for seed, cands in seed_cliques(f1_stream, 3, 2, f1_stream.t_start - 1):
-        ws.push_seed(seed, cands)
+        assert ws.offer(seed, cands)
     drain(ws)
     assert ws.peak_live >= len(ws.seen)
     assert ws.new_maximal <= ws.seen
@@ -484,15 +514,17 @@ def test_every_offer_ending_before_the_boundary_is_valid_on_the_full_stream(
 ):
     # the working stream lacks the links older than the tail, so the full
     # stream judges: a closure found on it, or a carried clique's right jump,
-    # must never offer an invalid clique
-    runs = [(stream, delta, gamma) for stream, delta, gamma in corpus]
-    runs.append((group_contact_stream(seed=7, n_meetings=110), 360, 2))
+    # must never offer an invalid clique; the corpus runs in three
+    # partitions and the group stream has 220 meetings, so both volume
+    # floors have room
+    runs = [(stream, delta, gamma, k) for stream, delta, gamma in corpus for k in (1, 3, 8)]
+    group = group_contact_stream(seed=7, n_meetings=220)
+    runs += [(group, 360, 2, k) for k in (1, 8)]
     checked = [
         offers_checked_on_the_full_stream(
             stream, delta, gamma, PartitionPlan("ut", k), monkeypatch
         )
-        for stream, delta, gamma in runs
-        for k in (1, 8)
+        for stream, delta, gamma, k in runs
     ]
     assert sum(checked[:-2]) > 10_000 and min(checked[-2:]) > 5_000
 
