@@ -1,11 +1,12 @@
 """Seed construction, the two clique-growth moves, and the worklist.
 
-Enumeration works a LIFO worklist of cliques. Every popped clique is offered
-two growth moves in one fixed sequence — add a vertex from its candidate set,
-then move the interval to the clique's closure — and joins the maximal set of
-the cycle when neither finds a strictly larger valid clique. The candidate
-set is working data of the enumeration: it rides on the worklist item, never
-on the clique, and every growth inherits it. Cliques carried over from a
+Enumeration works a LIFO worklist of roots, and each root's family on a local
+stack (see below). Every clique it works is offered two growth moves in one
+fixed sequence — add a vertex from its candidate set, then move the interval
+to the clique's closure — and joins the maximal set of the cycle when neither
+finds a strictly larger valid clique. The candidate set is working data of
+the enumeration: it rides on the worklist item, never on the clique, and
+every growth inherits it. Cliques carried over from a
 previous batch have none, and are only ever extended to the right.
 
 Each move reads the stream, delta and gamma from the cycle's `WorkSets`, and
@@ -29,41 +30,50 @@ the end at tb. A carried clique need not be valid on the working stream,
 whose links start delta before the previous boundary, so it is not read
 through `pair_closure`.
 
-Every enqueued clique with candidates is valid, so the vertex move checks
-only the pairs a growth adds. A clique without a pool (a seed, or a clique
-made by an interval move) tests each candidate w against all of its
-members. The vertex move enqueues each valid growth K+{w} with a same-span
-pool: the sorted tuple of all valid growths of K at that span, each with its
-closure, shared by the siblings, and w as the newest vertex. Popped, such a
-child tests only the pair (w', w) for each w' of the pool: at a fixed span,
-w' extends K+{w} iff it extends K and pairs validly with w (the candidate
-narrowing of Bron-Kerbosch, restricted to one span). The growths found, and
-so the traversal, are those of a full check.
+A root is a clique popped from the worklist: a seed, an interval move's
+target, or a carried clique. Every clique worked with candidates is valid,
+so the vertex move checks only the pairs a growth adds. A root tests each
+candidate w against all of its members (`expand_vertex_set`). A vertex
+growth keeps its parent's span, so the root and the cliques its growths
+reach at that span form its family, which `drain` works on a local stack
+before it pops the next root. A member K = P+{n}, n the vertex it added to
+its parent P, tests only the pair (w, n) for each growth w of P (the pool
+of P's children): at a fixed span, w extends K iff it extends P and pairs
+validly with n (the candidate narrowing of Bron-Kerbosch, restricted to one
+span). So each member finds every growth a full check would. Its growth's
+closure comes the same way, closure(P+w) ∩ closure(K) ∩ closure of (n, w),
+with no pass over its pairs. The pair (w, n) recurs in the family (P+{w}
+tests it too), so the root owns a pair -> closure-or-None table, and the
+kernel runs only on a miss. `pair_checks` counts every pair test, the
+table's too. The kernel reads the working stream's gap index
+(`LinkStream.gap_index`), which the cycle's moves share and which goes with
+the stream.
 
-A vertex growth keeps its parent's span, so a root (a clique without a pool)
-and the vertex growths below it form a family whose cliques all share one
-span. A pair's closure at that span has one answer within the family, so:
-- closures: a growth's closure is its parent's intersected with the
-  closures of the pairs with its newest vertex, so each item carries its
-  own and each pool entry its growth's; a child's growth K+{w'} then has the
-  closure closure(P+w') ∩ closure(K) ∩ closure of (newest, w'), with no pass
-  over its pairs (P is the parent, K = P+{newest});
-- the pairs (w', newest) recur across the family (a growth P+{w}+{w'}
-  tests the pairs (w'', w') that P+{w'} tested before), so the root's vertex
-  move creates a pair -> closure-or-None table that every growth carries by
-  reference, like its pool, and the kernel runs only on a miss.
-The table lives while a member of its family is on the worklist.
-`pair_checks` counts every pair test the vertex move asked, the table's too.
-The kernel reads the working stream's gap index (`LinkStream.gap_index`),
-which the cycle's moves share and which goes with the stream.
+Canonical order. A member pushes only its growths past n (the root pushes
+all of its growths), the smallest on top, so the family reaches each
+subset of the root's growths that is a clique exactly once: along the path
+that adds its vertices in increasing order. A member asks `seen`
+(`WorkSets.admit`) when it comes off the stack, and one that entered
+`seen` before (as a root, or in another family) is skipped with its
+subtree. Nothing is lost. Every clique that enters `seen` is worked: a
+root when it is popped, a member at once. Say X entered `seen` and Y ⊋ X
+is a clique at X's span (its other vertices are among X's candidates, see
+the dedup barrier below); then Y enters `seen` too, by induction on
+|Y - X| and then on the time X entered. If X is a root, or Y - X holds a
+vertex w past X's newest, X pushed X+{w}, which enters `seen` when it
+comes off the stack or had before. Otherwise take t in Y - X: X's path
+from the root passes the member Z that holds just the path's vertices
+below t (the root, if there are none). Z pushed Z+{t}, which came off the
+stack before the branch that holds X, so it had entered `seen` before X
+did, and |Y - (Z+{t})| <= |Y - X|.
 
-Dominance. The popped clique (K, s) skips its interval move when some
+Dominance. A worked clique (K, s) skips its interval move when some
 vertex growth K+{w} keeps its closure (closure(K+w) == closure(K)) and that
 closure ends before the working stream's end, the cycle boundary. Then
 (K, closure) lies strictly inside (K+{w}, closure), which the growth offers
 itself, or its own dominating growth does. The move is also skipped when
 its target is already a result of the cycle: a result of phase A is not in
-`seen`, and phase B would expand it again. Completeness, for a popped
+`seen`, and phase B would expand it again. Completeness, for a worked
 (K, s) and a result (J, c) of the cycle with K ⊆ J, s inside c, J valid at
 s and J's other vertices among K's candidates:
 - A result has c as the closure of J and J vertex-maximal at c. If K = J,
@@ -71,8 +81,8 @@ s and J's other vertices among K's candidates:
   skips the interval move to c: J's closure at s is c, since c contains s
   and cannot grow. The move is made unless (J, c) is a result already.
 - If K ⊂ J, every set between K and J is valid at s (validity is pairwise),
-  so K+{w} for w in J is a vertex growth at s, and by induction on |J - K|
-  the traversal reaches (J, c). The route is vertex growths at s and one
+  so (J, s) is worked too (canonical order, above), and by the first point
+  its interval move reaches (J, c). The route is vertex growths at s and one
   interval move at its end, so no result needs the moves of an interval
   move's target.
 - Every result (J, [a, b]) that ends after the previous boundary has such a
@@ -83,17 +93,17 @@ s and J's other vertices among K's candidates:
   right anchor [b-delta, b] is a window of [a, b] on which J is valid, and
   every vertex of J has gamma links to both seed vertices there, so it is
   among the seed's candidates.
-- The dedup barrier loses nothing. `seen` holds every clique enqueued with
-  candidates, and drops a second offer of one. Such an item holds its
-  root's pair, and its span contains the root's, a seed spanning exactly
-  delta. So for every J that contains the item's clique and is valid on a
-  span containing the item's, the root's span is a window of J's span, and
-  every vertex of J has gamma links to the root's pair there: whichever
-  route enqueued the clique first, J's other vertices are among its
-  candidates (and in its pool, every valid growth of its parent at the
-  span). A carried clique has no candidates to pass on, so frontier entries
-  and the interval moves of carried items stay out of `seen`: one there
-  would block every route of phase B through it, and the results behind it.
+- The dedup barrier loses nothing. `seen` holds every clique let in with
+  candidates, and drops a second offer or family member of one. Such a
+  clique holds the pair of the seed its route started from, and its span
+  contains the seed's, which spans exactly delta. So for every J that
+  contains the clique and is valid on a span containing its span, the
+  seed's span is a window of J's span, and every vertex of J has gamma
+  links to the seed's pair there: whichever route worked the clique first,
+  J's other vertices are among its candidates. A carried clique has no
+  candidates to pass on, so frontier entries and the interval moves of
+  carried items stay out of `seen`: one there would block every route of
+  phase B through it, and the results behind it.
 - The guard keeps completeness across cycles. A closure that ends before
   the boundary is decided by an occurrence at or before the boundary (its
   first bad time is b - delta, and the position's badness only reads links
@@ -103,8 +113,9 @@ s and J's other vertices among K's candidates:
   the next cycle then needs K's own frontier entry, so the move is made.
 
 `drain` notes the peak of the live collections on entry and once after each
-pop: within a pop they only grow (the pop itself is the one removal), so the
-largest value a pop reaches is the one it ends with.
+root's family: while a family is worked they only grow (the root's pop is
+the one removal), so the largest value it reaches is the one it ends with.
+The family stack is not among them; it is empty at every note.
 """
 
 from __future__ import annotations
@@ -118,38 +129,34 @@ from .cliques import Clique, pair_closure, sort_cliques
 from .linkstream import LinkStream
 
 Span = tuple[int, int]
+Growths = tuple[tuple[int, Span], ...]  # (vertex, closure of the growth), by vertex
 
 
 class WorkItem(NamedTuple):
-    """A queued clique with the vertices that may still join it; `candidates`
+    """A queued root with the vertices that may still join it; `candidates`
     is None for a carried frontier clique, which may only move right.
-    `closure` is the clique's closure when known (a vertex growth's, found by
-    its parent, or an interval move's target), else None. The other fields
-    are set on vertex growths only, the members of a same-span family: the
-    valid growths of the parent at this span, each with its closure
-    (`pool`), the vertex added (`newest`), and the family's pair -> closure
-    table."""
+    `closure` is the clique's closure when known (an interval move's
+    target), else None."""
 
     clique: Clique
     candidates: Optional[frozenset[int]]
-    pool: Optional[tuple[tuple[int, Span], ...]] = None
-    newest: Optional[int] = None
     closure: Optional[Span] = None
-    table: Optional[dict[tuple[int, int], Optional[Span]]] = None
 
 
 @dataclass
 class WorkSets:
     """Working collections of one enumeration cycle.
 
-    pending       LIFO worklist of cliques awaiting processing
-    seen          every clique ever enqueued with candidates (the dedup
-                  barrier; see the module docstring)
+    pending       LIFO worklist of roots awaiting processing
+    seen          every clique ever let in with candidates (`admit`), as a
+                  root or a family member (the dedup barrier; see the
+                  module docstring)
     new_maximal   cliques found maximal within this cycle
-    next_frontier popped cliques whose right end reaches the cycle boundary
-    peak_live     max of |pending|+|seen|+|new_maximal|+|next_frontier|
-    pair_checks   pair tests the vertex move asked, the ones its family's
-                  table answered included
+    next_frontier worked cliques whose right end reaches the cycle boundary
+    peak_live     max of |pending|+|seen|+|new_maximal|+|next_frontier|,
+                  noted between roots, so a family stack is not counted
+    pair_checks   pair tests the vertex move asked, the ones a root's table
+                  answered included
     gaps          the stream's gap index at (delta, gamma)
     """
 
@@ -167,23 +174,27 @@ class WorkSets:
     def __post_init__(self) -> None:
         self.gaps = self.stream.gap_index(self.delta, self.gamma)
 
-    def offer(
-        self,
-        clique: Clique,
-        candidates: Optional[frozenset[int]],
-        pool: Optional[tuple[tuple[int, Span], ...]] = None,
-        newest: Optional[int] = None,
-        closure: Optional[Span] = None,
-        table: Optional[dict[tuple[int, int], Optional[Span]]] = None,
-    ) -> bool:
-        """Enqueue the clique; one with candidates only if it was never
-        enqueued with candidates before. A carried clique (no candidates)
-        never enters `seen`, so it blocks no route."""
+    def admit(self, clique: Clique, candidates: Optional[frozenset[int]]) -> bool:
+        """Whether the clique is to be worked: one with candidates only if it
+        was never worked with candidates before, and it enters `seen`. A
+        carried clique (no candidates) never enters `seen`, so it blocks no
+        route. `offer` and the family loop of `drain` both ask here."""
         if candidates is not None:
             if clique in self.seen:
                 return False
             self.seen.add(clique)
-        self.pending.append(WorkItem(clique, candidates, pool, newest, closure, table))
+        return True
+
+    def offer(
+        self,
+        clique: Clique,
+        candidates: Optional[frozenset[int]],
+        closure: Optional[Span] = None,
+    ) -> bool:
+        """Enqueue the clique as a root if `admit` lets it in."""
+        if not self.admit(clique, candidates):
+            return False
+        self.pending.append(WorkItem(clique, candidates, closure))
         return True
 
 
@@ -297,74 +308,38 @@ def clique_closure(item: WorkItem, worksets: WorkSets) -> Span:
     return ta, right
 
 
-def expand_vertex_set(
-    item: WorkItem, worksets: WorkSets, closure: Span
-) -> tuple[tuple[int, Span], ...]:
-    """Try every candidate vertex; return the valid growths, each vertex with
-    the growth's closure, in vertex order (empty when none is valid).
-
-    Without a pool each candidate outside the clique is tested against every
-    member; with one, only the pool vertices outside the clique are tried,
-    each against the item's newest vertex alone, and the family's table
-    answers a pair it already holds (see the module docstring). `closure` is
-    the item's own. Valid growths are enqueued (dedup applies) inheriting the
-    candidate set unchanged, with the tuple of all of them as their pool,
-    their closure and the family's table, created here for a clique without
-    a pool; the result reflects validity, not whether the enqueue happened.
-    """
-    clique, candidates = item.clique, item.candidates
-    if candidates is None:
-        raise ValueError(f"clique {clique} has no candidate set")
-    delta, gamma, gaps = worksets.delta, worksets.gamma, worksets.gaps
-    occurrences = worksets.stream.pair_occurrences
-    t_start = worksets.stream.t_start
-    members, ta, tb = clique
+def expand_vertex_set(item: WorkItem, worksets: WorkSets, closure: Span) -> Growths:
+    """A root's vertex move: test each candidate outside the clique against
+    every member, and return the valid growths, each vertex with the
+    growth's closure (`closure`, the root's own, cut by the closures of the
+    pairs with the vertex), in vertex order (empty when none is valid).
+    `drain` works them as the root's family."""
+    stream, delta, gamma, gaps = worksets.stream, worksets.delta, worksets.gamma, worksets.gaps
+    occurrences, t_start = stream.pair_occurrences, stream.t_start
+    members, ta, tb = item.clique
     lo, hi = closure
     checks = 0
-    ok = []
-    if item.pool is None:
-        for w in sorted(candidates):
-            if w in members:
-                continue
-            w_lo, w_hi = lo, hi
-            for z in members:
-                checks += 1
-                pair = (w, z) if w < z else (z, w)
-                ends = pair_closure(
-                    occurrences.get(pair, ()), gaps[pair], ta, tb, delta, gamma, t_start
-                )
-                if ends is None:
-                    break
-                if ends[0] > w_lo:
-                    w_lo = ends[0]
-                if ends[1] < w_hi:
-                    w_hi = ends[1]
-            else:
-                ok.append((w, (w_lo, w_hi)))
-        table: dict[tuple[int, int], Optional[Span]] = {}
-    else:
-        newest, table = item.newest, item.table
-        for w, (w_lo, w_hi) in item.pool:
-            if w in members:
-                continue
+    growths = []
+    for w in sorted(item.candidates):
+        if w in members:
+            continue
+        w_lo, w_hi = lo, hi
+        for z in members:
             checks += 1
-            pair = (w, newest) if w < newest else (newest, w)
-            ends = table.get(pair, False)
-            if ends is False:
-                ends = table[pair] = pair_closure(
-                    occurrences.get(pair, ()), gaps[pair], ta, tb, delta, gamma, t_start
-                )
+            pair = (w, z) if w < z else (z, w)
+            ends = pair_closure(
+                occurrences.get(pair, ()), gaps[pair], ta, tb, delta, gamma, t_start
+            )
             if ends is None:
-                continue
-            ok.append((w, (max(w_lo, lo, ends[0]), min(w_hi, hi, ends[1]))))
+                break
+            if ends[0] > w_lo:
+                w_lo = ends[0]
+            if ends[1] < w_hi:
+                w_hi = ends[1]
+        else:
+            growths.append((w, (w_lo, w_hi)))
     worksets.pair_checks += checks
-    growths = tuple(ok)
-    offer = worksets.offer
-    for w, ends in growths:
-        at = bisect_left(members, w)
-        verts = members[:at] + (w,) + members[at:]
-        offer(Clique(verts, ta, tb), candidates, growths, w, ends, table)
-    return growths
+    return tuple(growths)
 
 
 # -- worklist fixed point --------------------------------------------------------
@@ -373,46 +348,83 @@ def expand_vertex_set(
 def drain(worksets: WorkSets) -> None:
     """Run the worklist to exhaustion.
 
-    Every popped item gets its closure (`clique_closure`). An item with
-    candidates then gets the vertex move, which hands its family's pool and
-    table to the growths. The interval move follows: when the closure
-    differs from the span, the item offers (clique, closure), carrying its
-    candidates and the closure, unless a vertex growth keeps that closure and
-    it ends before the working stream's observation end, the cycle boundary
-    (dominance, see the module docstring), or (clique, closure) is in
-    `new_maximal` already. A clique whose closure is its span and that has
-    no vertex growth joins `new_maximal`; every popped clique whose right end
-    reaches the cycle boundary joins `next_frontier` regardless. `peak_live`
-    is noted on entry and after every pop (see the module docstring).
+    Every popped root gets its closure (`clique_closure`) and, unless it is
+    carried, its growths (`expand_vertex_set`); then its family is worked
+    in canonical order on a local stack (see the module docstring). A
+    member is skipped when `WorkSets.admit` turns it away; else it tests
+    its parent's growths against its newest vertex, through the root's
+    pair table, for its own growths and their closures.
+
+    Every worked clique then takes the interval move: when the closure
+    differs from the span, it offers (clique, closure), carrying its
+    candidates and the closure, unless a vertex growth keeps that closure
+    and it ends before the working stream's observation end, the cycle
+    boundary (dominance, see the module docstring), or (clique, closure) is
+    in `new_maximal` already. A clique whose closure is its span and that
+    has no vertex growth joins `new_maximal`; every worked clique whose
+    right end reaches the cycle boundary joins `next_frontier` regardless.
+    `peak_live` is noted on entry and after every root's family (see the
+    module docstring).
     """
-    boundary = worksets.stream.t_end
+    stream, delta, gamma, gaps = worksets.stream, worksets.delta, worksets.gamma, worksets.gaps
+    occurrences, t_start, boundary = stream.pair_occurrences, stream.t_start, stream.t_end
     pending, seen = worksets.pending, worksets.seen
     new_maximal, next_frontier = worksets.new_maximal, worksets.next_frontier
-    pop, offer = pending.pop, worksets.offer
+    pop, offer, admit = pending.pop, worksets.offer, worksets.admit
     add_maximal, add_frontier = new_maximal.add, next_frontier.add
-    peak = max(
-        worksets.peak_live,
-        len(pending) + len(seen) + len(new_maximal) + len(next_frontier),
-    )
-    while pending:
-        item = pop()
-        clique = item.clique
-        vertices, ta, tb = clique
-        closure = clique_closure(item, worksets)
-        if item.candidates is None:
-            growths = ()
-        else:
-            growths = expand_vertex_set(item, worksets, closure)
-        if closure[0] != ta or closure[1] != tb:
-            if closure[1] >= boundary or all(ends != closure for _, ends in growths):
-                target = Clique(vertices, *closure)
-                if target not in new_maximal:
-                    offer(target, item.candidates, closure=closure)
-        elif not growths:
-            add_maximal(clique)
-        if tb >= boundary:
-            add_frontier(clique)
+    # family entries (clique, closure, pool, newest): the pool is the
+    # parent's growths; the root's entry has no pool and no newest vertex
+    family: list[tuple[Clique, Span, Optional[Growths], int]] = []
+    peak, checks = worksets.peak_live, 0
+    while True:
         live = len(pending) + len(seen) + len(new_maximal) + len(next_frontier)
         if live > peak:
             peak = live
+        if not pending:
+            break
+        root = pop()
+        candidates = root.candidates
+        family.append((root.clique, clique_closure(root, worksets), None, 0))
+        while family:
+            clique, closure, pool, newest = family.pop()
+            vertices, ta, tb = clique
+            if pool is None:
+                growths, past = (), 0
+                if candidates is not None:
+                    growths, table = expand_vertex_set(root, worksets, closure), {}
+            elif not admit(clique, candidates):
+                continue
+            else:
+                lo, hi = closure
+                found = []
+                checks += len(pool) - 1
+                for w, (w_lo, w_hi) in pool:
+                    if w == newest:
+                        past = len(found)
+                        continue
+                    pair = (w, newest) if w < newest else (newest, w)
+                    ends = table.get(pair, False)
+                    if ends is False:
+                        occ = occurrences.get(pair, ())
+                        ends = table[pair] = pair_closure(
+                            occ, gaps[pair], ta, tb, delta, gamma, t_start
+                        )
+                    if ends is not None:
+                        found.append((w, (max(w_lo, lo, ends[0]), min(w_hi, hi, ends[1]))))
+                growths = tuple(found)
+            if closure[0] != ta or closure[1] != tb:
+                if closure[1] >= boundary or all(ends != closure for _, ends in growths):
+                    target = Clique(vertices, *closure)
+                    if target not in new_maximal:
+                        offer(target, candidates, closure)
+            elif not growths:
+                add_maximal(clique)
+            if tb >= boundary:
+                add_frontier(clique)
+            for i in range(len(growths) - 1, past - 1, -1):
+                w, ends = growths[i]
+                at = bisect_left(vertices, w)
+                verts = vertices[:at] + (w,) + vertices[at:]
+                family.append((Clique(verts, ta, tb), ends, growths, w))
+    worksets.pair_checks += checks
     worksets.peak_live = peak

@@ -159,7 +159,7 @@ def update_batch(
     results that end before t_next, all in [previous boundary, t_next), are
     closed, final cliques no later link changes: returned in `sort_cliques`
     order and folded into the closed digest. Those that reach t_next are in
-    the next frontier, what `prune_frontier` keeps of the popped cliques that
+    the next frontier, what `prune_frontier` keeps of the worked cliques that
     reach t_next.
     """
     t_prev = state.t_boundary
@@ -331,7 +331,7 @@ def finalize(
     boundary, and then is in the frontier the next cycle starts from
     (`prune_frontier`). A frontier clique that is no result was grown by a
     move or swept as contained in a result; that growth or container was
-    popped too and reaches the boundary, so it is in the frontier or
+    worked too and reaches the boundary, so it is in the frontier or
     covered by a frontier clique. Such steps end at a result, so after
     clamping the non-result lies inside, or equals, a kept clique, and
     `normalize_final` drops it. The set union collapses a repeated closed

@@ -242,7 +242,8 @@ def staged_cycles(
 
 
 class CheckingWorkSets(WorkSets):
-    """`WorkSets` that asserts every clique offered or seeded is well formed
+    """`WorkSets` that asserts every clique offered, seeded or reached as a
+    family member (everything `WorkSets.admit` is asked) is well formed
     (at least two strictly sorted vertices, ta <= tb) and a valid
     (delta,gamma)-clique: the checks the engine's plain `Clique` gives up.
 
@@ -266,9 +267,9 @@ class CheckingWorkSets(WorkSets):
             vertices, (ta, tb), stream, self.delta, self.gamma
         ), f"enqueued invalid clique {clique}"
 
-    def offer(self, clique, candidates, *family, **named):
+    def admit(self, clique, candidates):
         self._check(clique)
-        return super().offer(clique, candidates, *family, **named)
+        return super().admit(clique, candidates)
 
 
 def plain_interval_ends(
@@ -328,8 +329,9 @@ def plain_closure(
 def stepwise_reference_drain(worksets: WorkSets) -> None:
     """A drain with the stepwise moves of earlier versions, written plainly:
     every candidate w is checked by `is_delta_gamma_clique` on
-    members | {w}, growths carry no pool or closure, the interval moves are
-    `plain_interval_moves`, and a clique is maximal when no move grew it.
+    members | {w}, each growth is a worklist item of its own, with no
+    closure, the interval moves are `plain_interval_moves`, and a clique is
+    maximal when no move grew it.
     It pops many more cliques than `drain`, but the cycle's results, after
     the sweep, are the same."""
     stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
@@ -356,9 +358,10 @@ def stepwise_reference_drain(worksets: WorkSets) -> None:
 
 def reference_drain(worksets: WorkSets) -> None:
     """`drain` written out plainly: every candidate w is checked by
-    `is_delta_gamma_clique` on members | {w}, growths carry no pool, closure
-    or table, the closure is `plain_closure` (the iterated stepwise moves),
-    and a growth dominates when `is_delta_gamma_clique` holds for it on the
+    `is_delta_gamma_clique` on members | {w}, each growth is a worklist item
+    of its own, offered by every route to it, with no closure or pair table,
+    the closure is `plain_closure` (the iterated stepwise moves), and a
+    growth dominates when `is_delta_gamma_clique` holds for it on the
     closure. Like `drain`, it takes the boundary from the stream's end."""
     stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
     boundary = stream.t_end

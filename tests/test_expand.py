@@ -1,6 +1,10 @@
 """Seeds, growth procedures, and the worklist."""
 
+from collections import Counter
+from dataclasses import dataclass, field
+
 import pytest
+import tclique.expand
 import tclique.update
 from hypothesis import example, given, settings, strategies as st
 
@@ -20,7 +24,6 @@ from tclique.expand import (
     WorkSets,
     clique_closure,
     drain,
-    expand_vertex_set,
 )
 from helpers import (
     CheckingWorkSets,
@@ -44,24 +47,56 @@ def fresh_ws(stream, delta, gamma, checking=True):
     return cls(stream, delta, gamma)
 
 
-def item(vertices, ta, tb, candidates=frozenset(), pool=None, newest=None):
-    """A worklist item; candidates=None makes a carried, right-only one. A
-    pooled item heads a family of its own: its pool entries carry the span
-    as their closure, and its table is fresh."""
+def item(vertices, ta, tb, candidates=frozenset()):
+    """A worklist item; candidates=None makes a carried, right-only one."""
     cands = None if candidates is None else frozenset(candidates)
-    if pool is None:
-        return WorkItem(make_clique(vertices, ta, tb), cands)
-    entries = tuple((w, (ta, tb)) for w in pool)
-    return WorkItem(make_clique(vertices, ta, tb), cands, entries, newest, None, {})
+    return WorkItem(make_clique(vertices, ta, tb), cands)
 
 
-def vertex_move(it, ws):
-    """The vertex move's flag: True iff no candidate made a valid clique."""
-    return not expand_vertex_set(it, ws, clique_closure(it, ws))
+@dataclass
+class OneFamily(CheckingWorkSets):
+    """A checking WorkSets that works one root's family: `asked` lists the
+    cliques `admit` is asked, in order, and `offered` the interval offers,
+    which stay off the worklist, so `drain` ends with the family."""
+
+    asked: list = field(default_factory=list)
+    offered: list = field(default_factory=list)
+
+    def admit(self, clique, candidates):
+        self.asked.append((clique, candidates))
+        return super().admit(clique, candidates)
+
+    def offer(self, clique, candidates, closure=None):
+        self.offered.append(clique)
+        return False
 
 
-def enqueued(ws):
-    return [item.clique for item in ws.pending]
+def work_family(stream, delta, gamma, root, seen=()):
+    """Drain `root` alone in a `OneFamily`, with `seen` entered beforehand."""
+    ws = OneFamily(stream, delta, gamma)
+    ws.seen.update(seen)
+    ws.pending.append(root)
+    drain(ws)
+    return ws
+
+
+def members(ws):
+    """The family members `admit` was asked, in order."""
+    return [clique for clique, _ in ws.asked]
+
+
+def kernel_reads(stream, monkeypatch):
+    """Record the pair of every `pair_closure` call the expand module makes."""
+    pairs = {id(occ): pair for pair, occ in stream.pair_occurrences.items()}
+    reads = []
+    kernel = tclique.expand.pair_closure
+
+    def recording(occ, *args):
+        reads.append(pairs.get(id(occ)))
+        return kernel(occ, *args)
+
+    monkeypatch.setattr(tclique.expand, "pair_closure", recording)
+    return reads
 
 
 # -- seeds ---------------------------------------------------------------------
@@ -280,32 +315,33 @@ def test_closure_items_carry_their_closure(f1_stream):
 
 
 def test_expand_vertex_example(f1_stream):
-    ws = fresh_ws(f1_stream, 3, 2)
-    flag = vertex_move(item([1, 2], 2, 5, candidates={3}), ws)
-    assert flag is False
-    (grown,) = ws.pending
-    assert grown.clique == ((1, 2, 3), 2, 5)
-    assert grown.candidates == frozenset({3})  # inherited unchanged
+    # {1,2} [2,5] grows by 3: the member inherits the root's candidates
+    ws = work_family(f1_stream, 3, 2, item([1, 2], 2, 5, candidates={3}))
+    assert ws.asked == [(((1, 2, 3), 2, 5), frozenset({3}))]
+    assert ((1, 2), 2, 5) not in ws.new_maximal  # the root has a growth
 
 
 def test_expand_vertex_requires_candidates(f1_stream):
-    with pytest.raises(ValueError):
-        vertex_move(item([1, 2], 2, 5, candidates=None), fresh_ws(f1_stream, 3, 2))
+    # a carried root has no candidates, so no vertex move and no family
+    ws = work_family(f1_stream, 3, 2, item([1, 2], 2, 5, candidates=None))
+    assert ws.asked == [] and ws.pair_checks == 0
+    assert ws.offered == [((1, 2), 2, 7)]
 
 
 def test_expand_vertex_empty_candidates_is_exhausted(f1_stream):
-    ws = fresh_ws(f1_stream, 3, 2)
-    assert vertex_move(item([1, 2], 1, 2, candidates=()), ws) is True
+    ws = work_family(f1_stream, 3, 2, item([1, 2], 1, 2, candidates=()))
+    assert ws.asked == [] and ws.pair_checks == 0
 
 
 def test_flags_independent_of_seen_suppression(f1_stream):
-    ws = fresh_ws(f1_stream, 3, 2)
-    start = item([1, 2], 2, 5, candidates={3})
-    assert vertex_move(start, ws) is False
-    assert len(ws.pending) == 1
-    # second call: growth still exists, enqueue suppressed by the seen set
-    assert vertex_move(start, ws) is False
-    assert len(ws.pending) == 1
+    # {1,2,3} [2,5] was worked before: the family does not work it again,
+    # but the root still has the growth, so it is no result, and the
+    # growth's closure [2,5] does not dominate the root's [1,7]
+    grown = make_clique([1, 2, 3], 2, 5)
+    ws = work_family(f1_stream, 3, 2, item([1, 2], 2, 5, candidates={3}), seen={grown})
+    assert members(ws) == [grown]
+    assert ws.new_maximal == set()
+    assert ws.offered == [((1, 2), 1, 7)]
 
 
 def linked_at_zero(*pairs):
@@ -314,67 +350,89 @@ def linked_at_zero(*pairs):
 
 
 def test_expand_vertex_never_tries_a_vertex_outside_the_pool():
-    # {1,2,4} would be valid, but 4 is not a growth of the parent
-    stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
-    ws = fresh_ws(stream, 2, 1)
-    start = item([1, 2], 0, 0, candidates={3, 4}, pool=(2, 3), newest=2)
-    assert vertex_move(start, ws) is False
-    assert enqueued(ws) == [((1, 2, 3), 0, 0)]
-    assert ws.pair_checks == 1  # (3, 2) only
+    # the pool of {1,2}'s children is its growths; 4 is not one (it misses
+    # 1), so the member {1,2,3} tries nothing, though (3,4) would pass
+    stream = linked_at_zero((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
+    ws = work_family(stream, 2, 1, item([1, 2], 0, 0, candidates={3, 4}))
+    assert members(ws) == [((1, 2, 3), 0, 0)]
+    assert ws.pair_checks == 2 + 1  # 3 against 1 and 2; 4 fails on (1, 4)
 
 
 def test_expand_vertex_drops_a_pool_vertex_that_fails_with_the_newest():
-    # 5 pairs with 1 and 2 but not with the newest vertex 3
+    # 5 pairs with 1 and 2 but not with 3 or 4: each member of {1,2} tests
+    # the pool (3, 4, 5) against its newest vertex alone
     stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (1, 5), (2, 5))
-    ws = fresh_ws(stream, 2, 1)
-    start = item([1, 2, 3], 0, 0, candidates={3, 4, 5}, pool=(3, 4, 5), newest=3)
-    assert vertex_move(start, ws) is False
-    assert enqueued(ws) == [((1, 2, 3, 4), 0, 0)]
-    assert ws.pair_checks == 2
-    (child,) = ws.pending
-    assert (child.pool, child.newest) == (((4, (0, 0)),), 4)
+    ws = work_family(stream, 2, 1, item([1, 2], 0, 0, candidates={3, 4, 5}))
+    assert members(ws) == [
+        ((1, 2, 3), 0, 0),
+        ((1, 2, 3, 4), 0, 0),
+        ((1, 2, 4), 0, 0),
+        ((1, 2, 5), 0, 0),
+    ]
+    # the root: 3 x 2 checks; {1,2,3}, {1,2,4} and {1,2,5}: 2 each; {1,2,3,4}
+    # has the pool (4,) of {1,2,3} and nothing to test
+    assert ws.pair_checks == 6 + 2 + 2 + 2
 
 
 def test_expand_vertex_without_pool_checks_every_member():
     # 5 pairs with 2 and 3 but not with the oldest member 1
     stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (2, 5), (3, 5))
-    ws = fresh_ws(stream, 2, 1)
-    assert vertex_move(item([1, 2, 3], 0, 0, candidates={4, 5}), ws) is False
-    assert enqueued(ws) == [((1, 2, 3, 4), 0, 0)]
+    ws = work_family(stream, 2, 1, item([1, 2, 3], 0, 0, candidates={4, 5}))
+    assert members(ws) == [((1, 2, 3, 4), 0, 0)]
     assert ws.pair_checks == 3 + 1  # 4 against all three; 5 fails on (1, 5)
-    (child,) = ws.pending
-    assert (child.pool, child.newest) == (((4, (0, 2)),), 4)
+    # the member's closure is the root's cut by the pairs with 4
+    assert ws.offered == [((1, 2, 3), 0, 2), ((1, 2, 3, 4), 0, 2)]
 
 
 def test_expand_vertex_siblings_share_one_pool():
-    # each growth's closure is the parent's cut by the pairs with its vertex:
-    # (1,4) and (2,4) link again at 3, so 4 keeps the parent's closure
+    # each growth's closure is the root's cut by the pairs with its vertex:
+    # (1,4) and (2,4) link again at 3, so 4 keeps the root's closure; both
+    # siblings test the same pool, one pair each
     stream = links_from_pairs(
         {(1, 2): [0, 3], (1, 3): [0], (2, 3): [0], (1, 4): [0, 3], (2, 4): [0, 3]}
     )
-    ws = fresh_ws(stream, 2, 1)
-    parent = item([1, 2], 0, 0, candidates={3, 4})
-    assert clique_closure(parent, ws) == (0, 5)
-    growths = expand_vertex_set(parent, ws, clique_closure(parent, ws))
-    assert growths == ((3, (0, 2)), (4, (0, 5)))
-    first, second = ws.pending
-    assert first.pool is second.pool is growths
-    assert (first.newest, second.newest) == (3, 4)
-    assert (first.closure, second.closure) == ((0, 2), (0, 5))
-    assert first.table is second.table == {}
+    root = item([1, 2], 0, 0, candidates={3, 4})
+    ws = work_family(stream, 2, 1, root)
+    assert clique_closure(root, ws) == (0, 5)
+    assert members(ws) == [((1, 2, 3), 0, 0), ((1, 2, 4), 0, 0)]
+    assert ws.pair_checks == 4 + 1 + 1
+    assert ws.offered == [((1, 2), 0, 5), ((1, 2, 3), 0, 2), ((1, 2, 4), 0, 5)]
 
 
-def test_expand_vertex_answers_a_pair_from_the_family_table():
+def test_expand_vertex_answers_a_pair_from_the_family_table(monkeypatch):
+    # {1,2,3} and {1,2,4} both test the pair (3, 4): the root's table
+    # answers the second, which still counts as a check
     stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
+    reads = kernel_reads(stream, monkeypatch)
+    ws = work_family(stream, 2, 1, item([1, 2], 0, 0, candidates={3, 4}))
+    assert members(ws) == [((1, 2, 3), 0, 0), ((1, 2, 3, 4), 0, 0), ((1, 2, 4), 0, 0)]
+    assert ws.pair_checks == 4 + 1 + 0 + 1
+    assert reads == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
+
+
+def test_a_family_enters_each_of_its_cliques_once():
+    # n mutually valid candidates give the root 2^n family cliques; each is
+    # asked of `seen` once, where an offer per route asked most of them
+    # several times
+    class CountingSet(set):
+        def __init__(self):
+            super().__init__()
+            self.asked = Counter()
+
+        def __contains__(self, clique):
+            self.asked[clique] += 1
+            return super().__contains__(clique)
+
+    n = 5
+    vertices = range(1, n + 3)
+    stream = linked_at_zero(*((u, v) for u in vertices for v in vertices if u < v))
     ws = fresh_ws(stream, 2, 1)
-    start = item([1, 2, 3], 0, 0, candidates={3, 4}, pool=(3, 4), newest=3)
-    assert vertex_move(start, ws) is False
-    assert start.table == {(3, 4): (0, 2)}
-    # a table entry is the family's answer: the pair is not read again, and
-    # the test still counts
-    start.table[(3, 4)] = None
-    assert vertex_move(start, ws) is True
-    assert ws.pair_checks == 2
+    ws.seen = CountingSet()
+    ws.offer(make_clique([1, 2], 0, 0), frozenset(vertices))
+    drain(ws)
+    family = Counter({c: k for c, k in ws.seen.asked.items() if (c.ta, c.tb) == (0, 0)})
+    assert len(family) == 2**n
+    assert set(family.values()) == {1}
 
 
 # -- worklist -----------------------------------------------------------------------

@@ -181,9 +181,9 @@ def test_gamma_occurrence_queries_agree_with_slicing(pairs, a, b, gamma, delta):
     # jump, each pair alone and then every vertex pair of the stream at once
     # (unlinked ones pin the end), against the iterated list-sliced right
     # move; on a valid span the closure against the iterated stepwise moves,
-    # and each vertex as the newest growth of the rest, whose closure the
-    # parent's vertex move finds; the spans start inside the observation, as
-    # the engine's do
+    # and each vertex as the one growth of a root made of the rest, whose
+    # closure the root's vertex move finds; the spans start inside the
+    # observation, as the engine's do
     stream = links_from_pairs(pairs, observation=(0, 20))
     ta, tb = min(a, b), max(a, b)
     ws = WorkSets(stream, delta, gamma)
@@ -205,13 +205,10 @@ def test_gamma_occurrence_queries_agree_with_slicing(pairs, a, b, gamma, delta):
     assert clique_closure(WorkItem(whole, frozenset()), ws) == expected
     if len(vertices) < 3:
         return
-    for newest in vertices:
-        rest = WorkItem(
-            Clique(tuple(v for v in vertices if v != newest), ta, tb),
-            frozenset({newest}),
-        )
-        growths = expand_vertex_set(rest, WorkSets(stream, delta, gamma), clique_closure(rest, ws))
-        assert growths == ((newest, expected),)
+    for w in vertices:
+        root = WorkItem(Clique(tuple(v for v in vertices if v != w), ta, tb), frozenset({w}))
+        growths = expand_vertex_set(root, WorkSets(stream, delta, gamma), clique_closure(root, ws))
+        assert growths == ((w, expected),)
 
 
 def closure(stream, pair, span, gamma, delta=3):

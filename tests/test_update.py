@@ -78,8 +78,9 @@ def test_single_batch_equals_reference(f1_stream):
 
 def test_cycle_counters_of_a_group_contact_stream():
     # per cycle (peak_live, pair_checks, seeds, frontier, new_cliques,
-    # checked) over eight batches; an engine change that keeps the traversal
-    # keeps every one of them (peak_live and pair_checks follow the pops)
+    # checked) over eight batches; an engine change that keeps the cliques
+    # visited keeps the last four (peak_live and pair_checks follow the
+    # route to each clique: its parent and the order of the roots)
     stream = group_contact_stream(seed=7, n_meetings=110)
     state = initial_state(360, 2, stream.t_start)
     counters = []
@@ -89,14 +90,14 @@ def test_cycle_counters_of_a_group_contact_stream():
             (s.peak_live, s.pair_checks, s.seeds, s.frontier, s.new_cliques, s.checked)
         )
     assert counters == [
-        (613, 1589, 87, 56, 107, 107),
-        (747, 2273, 122, 26, 162, 212),
-        (1123, 2994, 136, 119, 195, 209),
-        (756, 1486, 89, 61, 149, 222),
-        (405, 952, 82, 9, 90, 131),
-        (467, 836, 75, 53, 90, 91),
-        (778, 1946, 110, 82, 118, 153),
-        (578, 1229, 88, 40, 109, 173),
+        (613, 1711, 87, 56, 107, 107),
+        (747, 2284, 122, 26, 162, 212),
+        (1120, 3209, 136, 119, 195, 209),
+        (755, 1552, 89, 61, 149, 222),
+        (405, 954, 82, 9, 90, 131),
+        (466, 885, 75, 53, 90, 91),
+        (778, 2134, 110, 82, 118, 153),
+        (577, 1281, 88, 40, 109, 173),
     ]
 
 
