@@ -16,10 +16,11 @@ every bound from the stream: it is the cycle's window, observed over
 The closure of a clique K at its span s is the largest interval containing
 s on which K is valid: the intersection of its pairs' closures
 (`pair_closure`, see the cliques module). Every span between s and the
-closure is valid too, so the interval move jumps there in one step: it
-offers (K, closure) once, when the closure differs from s, where stepwise
-moves right and left would reach it over several pops. A carried clique
-moves right only, to where the stepwise right move stops: a step from end x
+closure is valid too, so the interval move jumps there in one step, to
+(K, closure), when the closure differs from s, where stepwise moves right
+and left would reach it over several pops; the target is settled where it
+is made (below), never queued. A carried clique moves right only, to
+where the stepwise right move stops: a step from end x
 anchors on the gamma-th largest occurrence in [ta, x+1] and goes delta past
 it, and it advances the anchor until the anchor is a bad position (no step
 passes a bad position, whose next gamma occurrences come too late). So a
@@ -30,10 +31,10 @@ the end at tb. A carried clique need not be valid on the working stream,
 whose links start delta before the previous boundary, so it is not read
 through `pair_closure`.
 
-A root is a clique popped from the worklist: a seed, an interval move's
-target, or a carried clique. Every clique worked with candidates is valid,
-so the vertex move checks only the pairs a growth adds. A root tests each
-candidate w against all of its members (`expand_vertex_set`). A vertex
+A root is a clique popped from the worklist: a seed or a carried clique.
+Every clique worked with candidates is valid, so the vertex move checks
+only the pairs a growth adds. A root tests each candidate w against all
+of its members (`expand_vertex_set`). A vertex
 growth keeps its parent's span, so the root and the cliques its growths
 reach at that span form its family, which `drain` works on a local stack
 before it pops the next root. A member K = P+{n}, n the vertex it added to
@@ -54,7 +55,7 @@ all of its growths), the smallest on top, so the family reaches each
 subset of the root's growths that is a clique exactly once: along the path
 that adds its vertices in increasing order. A member asks `seen`
 (`WorkSets.admit`) when it comes off the stack, and one that entered
-`seen` before (as a root, or in another family) is skipped with its
+`seen` before (as a seed, or in another family) is skipped with its
 subtree. Nothing is lost. Every clique that enters `seen` is worked: a
 root when it is popped, a member at once. Say X entered `seen` and Y ⊋ X
 is a clique at X's span (its other vertices are among X's candidates, see
@@ -67,24 +68,38 @@ below t (the root, if there are none). Z pushed Z+{t}, which came off the
 stack before the branch that holds X, so it had entered `seen` before X
 did, and |Y - (Z+{t})| <= |Y - X|.
 
+Settlement. Take a worked clique (K, s) whose closure C differs from s.
+Every span `drain` works with candidates spans at least delta (a seed
+spans exactly delta, and a vertex growth keeps its parent's span), and on
+such spans validity is monotone: a delta-window of s is one of C, so a
+clique valid on C is valid on s. So w extends K at C iff K+{w} is
+valid at s and its closure keeps C (it holds C and lies inside closure(K)
+= C): the growths of (K, C) are exactly the growths of (K, s) whose closure
+is C, which `drain` already holds, with no pair read. C is its own closure,
+so (K, C) has no interval move either. The target is therefore filed where
+it is made: in `new_maximal` when no growth keeps C, in `next_frontier`
+when C reaches the boundary, and nowhere when it is dominated (below). Its
+family is not lost: a clique (K+W, C) is the target of (K+W, s), which
+the family of (K, s) reaches in canonical order or which was worked before
+(`seen`), and which settles its own target. A carried clique has no
+growths, and its right-move target is settled the same way. So no target
+enters `seen`, which holds the seeds and the family members only.
+
 Dominance. A worked clique (K, s) skips its interval move when some
 vertex growth K+{w} keeps its closure (closure(K+w) == closure(K)) and that
 closure ends before the working stream's end, the cycle boundary. Then
-(K, closure) lies strictly inside (K+{w}, closure), which the growth offers
-itself, or its own dominating growth does. The move is also skipped when
-its target is already a result of the cycle: a result of phase A is not in
-`seen`, and phase B would expand it again. Completeness, for a worked
-(K, s) and a result (J, c) of the cycle with K ⊆ J, s inside c, J valid at
-s and J's other vertices among K's candidates:
+(K, closure) lies strictly inside (K+{w}, closure), which the growth
+settles itself, or its own dominating growth does. Completeness, for a
+worked (K, s) and a result (J, c) of the cycle with K ⊆ J, s inside c, J
+valid at s and J's other vertices among K's candidates:
 - A result has c as the closure of J and J vertex-maximal at c. If K = J,
-  no growth keeps c (it would make J+{w} valid on c), so dominance never
-  skips the interval move to c: J's closure at s is c, since c contains s
-  and cannot grow. The move is made unless (J, c) is a result already.
+  no growth keeps c (it would make J+{w} valid on c), so the settlement
+  files (J, c): J's closure at s is c, since c contains s and cannot grow.
 - If K ⊂ J, every set between K and J is valid at s (validity is pairwise),
   so (J, s) is worked too (canonical order, above), and by the first point
-  its interval move reaches (J, c). The route is vertex growths at s and one
-  interval move at its end, so no result needs the moves of an interval
-  move's target.
+  it settles (J, c). The route is vertex growths at s and one interval
+  move at its end, so no result needs a move of an interval move's
+  target.
 - Every result (J, [a, b]) that ends after the previous boundary has such a
   start: a seed, the right anchor of a pair (`seed_cliques`). The end b is
   delta past a pair's first bad time b - delta >= a, and that pair has
@@ -101,16 +116,17 @@ s and J's other vertices among K's candidates:
   seed's span is a window of J's span, and every vertex of J has gamma
   links to the seed's pair there: whichever route worked the clique first,
   J's other vertices are among its candidates. A carried clique has no
-  candidates to pass on, so frontier entries and the interval moves of
-  carried items stay out of `seen`: one there would block every route of
-  phase B through it, and the results behind it.
+  candidates to pass on, so frontier entries stay out of `seen`: one there
+  would block every route of phase B through it, and the results behind
+  it.
 - The guard keeps completeness across cycles. A closure that ends before
   the boundary is decided by an occurrence at or before the boundary (its
   first bad time is b - delta, and the position's badness only reads links
   up to b + 1 <= boundary), so no later link moves it and (K, closure) can
   never outgrow (K+{w}, closure). A closure that reaches the boundary may
   still move right with the next batch while K+{w}'s does not; phase A of
-  the next cycle then needs K's own frontier entry, so the move is made.
+  the next cycle then needs K's own frontier entry, so (K, closure) joins
+  the next frontier.
 
 `drain` notes the peak of the live collections on entry and once after each
 root's family: while a family is worked they only grow (the root's pop is
@@ -133,14 +149,12 @@ Growths = tuple[tuple[int, Span], ...]  # (vertex, closure of the growth), by ve
 
 
 class WorkItem(NamedTuple):
-    """A queued root with the vertices that may still join it; `candidates`
-    is None for a carried frontier clique, which may only move right.
-    `closure` is the clique's closure when known (an interval move's
-    target), else None."""
+    """A queued root, a seed or a carried frontier clique, with the vertices
+    that may still join it; `candidates` is None for a carried clique, which
+    may only move right."""
 
     clique: Clique
     candidates: Optional[frozenset[int]]
-    closure: Optional[Span] = None
 
 
 @dataclass
@@ -149,7 +163,7 @@ class WorkSets:
 
     pending       LIFO worklist of roots awaiting processing
     seen          every clique ever let in with candidates (`admit`), as a
-                  root or a family member (the dedup barrier; see the
+                  seed or a family member (the dedup barrier; see the
                   module docstring)
     new_maximal   cliques found maximal within this cycle
     next_frontier worked cliques whose right end reaches the cycle boundary
@@ -185,16 +199,13 @@ class WorkSets:
             self.seen.add(clique)
         return True
 
-    def offer(
-        self,
-        clique: Clique,
-        candidates: Optional[frozenset[int]],
-        closure: Optional[Span] = None,
-    ) -> bool:
-        """Enqueue the clique as a root if `admit` lets it in."""
+    def offer(self, clique: Clique, candidates: Optional[frozenset[int]]) -> bool:
+        """Enqueue the clique as a root if `admit` lets it in; a cycle offers
+        its seeds here, while an interval move's target is never queued
+        (`drain` settles it)."""
         if not self.admit(clique, candidates):
             return False
-        self.pending.append(WorkItem(clique, candidates, closure))
+        self.pending.append(WorkItem(clique, candidates))
         return True
 
 
@@ -210,8 +221,8 @@ def seed_cliques(
     anchor [s_j, s_j+delta] of each occurrence becomes a seed when it holds
     exactly gamma occurrences of the pair and ends after the previous
     boundary t_prev; it comes paired with its candidates, the vertices with
-    at least gamma links to a seed endpoint inside its interval. The pairs
-    are sorted by clique.
+    at least gamma links to both seed endpoints inside its interval. The
+    pairs are sorted by clique.
 
     This is the one seed the completeness argument (module docstring) asks
     of a result (J, [a, b]): the right anchor [b-delta, b] of the pair whose
@@ -267,7 +278,7 @@ def seed_cliques(
         for x in (u, v):
             if x not in known:
                 known[x] = stream.partners(x, span, gamma)
-        seeds.append((seed, (known[u] | known[v]) - {u, v}))
+        seeds.append((seed, (known[u] & known[v]) - {u, v}))
     seeds.sort()
     return seeds
 
@@ -278,10 +289,7 @@ def seed_cliques(
 def clique_closure(item: WorkItem, worksets: WorkSets) -> Span:
     """The span the item's interval move jumps to: the clique's closure, or
     for a carried item (no candidates) the fixed point of the stepwise right
-    move, with the left end kept (see the module docstring). An item that
-    knows its closure returns it without reading a pair."""
-    if item.closure is not None:
-        return item.closure
+    move, with the left end kept (see the module docstring)."""
     stream, delta, gamma, gaps = (
         worksets.stream, worksets.delta, worksets.gamma, worksets.gaps
     )
@@ -356,11 +364,11 @@ def drain(worksets: WorkSets) -> None:
     pair table, for its own growths and their closures.
 
     Every worked clique then takes the interval move: when the closure
-    differs from the span, it offers (clique, closure), carrying its
-    candidates and the closure, unless a vertex growth keeps that closure
-    and it ends before the working stream's observation end, the cycle
-    boundary (dominance, see the module docstring), or (clique, closure) is
-    in `new_maximal` already. A clique whose closure is its span and that
+    differs from the span, (clique, closure) is settled in place (see the
+    module docstring), never queued. It joins `new_maximal` when no vertex
+    growth keeps the closure, and `next_frontier` when the closure reaches
+    the working stream's observation end, the cycle boundary; otherwise it
+    is dominated and dropped. A clique whose closure is its span and that
     has no vertex growth joins `new_maximal`; every worked clique whose
     right end reaches the cycle boundary joins `next_frontier` regardless.
     `peak_live` is noted on entry and after every root's family (see the
@@ -370,7 +378,7 @@ def drain(worksets: WorkSets) -> None:
     occurrences, t_start, boundary = stream.pair_occurrences, stream.t_start, stream.t_end
     pending, seen = worksets.pending, worksets.seen
     new_maximal, next_frontier = worksets.new_maximal, worksets.next_frontier
-    pop, offer, admit = pending.pop, worksets.offer, worksets.admit
+    pop, admit = pending.pop, worksets.admit
     add_maximal, add_frontier = new_maximal.add, next_frontier.add
     # family entries (clique, closure, pool, newest): the pool is the
     # parent's growths; the root's entry has no pool and no newest vertex
@@ -413,10 +421,10 @@ def drain(worksets: WorkSets) -> None:
                         found.append((w, (max(w_lo, lo, ends[0]), min(w_hi, hi, ends[1]))))
                 growths = tuple(found)
             if closure[0] != ta or closure[1] != tb:
-                if closure[1] >= boundary or all(ends != closure for _, ends in growths):
-                    target = Clique(vertices, *closure)
-                    if target not in new_maximal:
-                        offer(target, candidates, closure)
+                if all(ends != closure for _, ends in growths):
+                    add_maximal(Clique(vertices, *closure))
+                if closure[1] >= boundary:
+                    add_frontier(Clique(vertices, *closure))
             elif not growths:
                 add_maximal(clique)
             if tb >= boundary:

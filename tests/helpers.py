@@ -4,10 +4,11 @@ Holds the deterministic random-stream corpus used by the acceptance tests,
 a stream built from per-pair timestamps, functions that run `update_batch`
 cycle by cycle (to look at the collection around the sub-clique sweep or
 after every drain, or to leave a state directory as an interrupted online
-run would), a `WorkSets` that checks every clique it is offered, two
+run would), a `WorkSets` that checks every clique it is offered, three
 worklist drains with plain moves to hold the engine against (one with the
-engine's jumping interval move and dominance rule, one with the stepwise
-interval moves of earlier versions), a static-neighbour scan to hold the
+engine's jumping interval move, settled targets and dominance rule, one
+that still works each target as a root, one with the stepwise interval
+moves of earlier versions), a static-neighbour scan to hold the
 contact-timeline candidate sets against, `count_in`-literal seed anchors and
 a clique-by-clique maximality certificate to hold the engine's index
 arithmetic and pair-by-pair certificate against, and an independently
@@ -356,37 +357,74 @@ def stepwise_reference_drain(worksets: WorkSets) -> None:
             worksets.next_frontier.add(clique)
 
 
+def plain_growths(worksets: WorkSets, item: WorkItem) -> tuple[tuple[int, int], list]:
+    """The item's closure, `plain_closure` (the iterated stepwise moves), and
+    its vertex growths, each candidate w checked by `is_delta_gamma_clique`
+    on members | {w} and every growth offered as a worklist item of its own:
+    the work the two plain drains below share."""
+    stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
+    vertices, ta, tb = item.clique
+    closure = plain_closure(
+        stream, vertices, (ta, tb), delta, gamma, right_only=item.candidates is None
+    )
+    growths = []
+    if item.candidates is not None:
+        members = set(vertices)
+        for w in sorted(item.candidates - members):
+            verts = tuple(sorted(members | {w}))
+            if is_delta_gamma_clique(verts, (ta, tb), stream, delta, gamma):
+                growths.append(verts)
+                worksets.offer(Clique(verts, ta, tb), item.candidates)
+    return closure, growths
+
+
 def reference_drain(worksets: WorkSets) -> None:
-    """`drain` written out plainly: every candidate w is checked by
-    `is_delta_gamma_clique` on members | {w}, each growth is a worklist item
-    of its own, offered by every route to it, with no closure or pair table,
-    the closure is `plain_closure` (the iterated stepwise moves), and a
-    growth dominates when `is_delta_gamma_clique` holds for it on the
-    closure. Like `drain`, it takes the boundary from the stream's end."""
+    """`drain` written out plainly: `plain_growths`, offered by every route
+    to them, with no closure or pair table, and the interval move's target
+    settled in place: a result when no growth is valid on the closure
+    (`is_delta_gamma_clique`), a frontier entry when the closure reaches
+    the boundary, dropped otherwise. Like `drain`, it takes the boundary
+    from the stream's end."""
     stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
     boundary = stream.t_end
     while worksets.pending:
         item = worksets.pending.pop()
-        clique, candidates = item.clique, item.candidates
-        vertices, ta, tb = clique
-        closure = plain_closure(
-            stream, vertices, (ta, tb), delta, gamma, right_only=candidates is None
-        )
-        growths = []
-        if candidates is not None:
-            members = set(vertices)
-            for w in sorted(candidates - members):
-                verts = tuple(sorted(members | {w}))
-                if is_delta_gamma_clique(verts, (ta, tb), stream, delta, gamma):
-                    growths.append(verts)
-                    worksets.offer(Clique(verts, ta, tb), candidates)
+        closure, growths = plain_growths(worksets, item)
+        vertices, ta, tb = clique = item.clique
+        if closure != (ta, tb):
+            target = Clique(vertices, *closure)
+            if not any(
+                is_delta_gamma_clique(verts, closure, stream, delta, gamma)
+                for verts in growths
+            ):
+                worksets.new_maximal.add(target)
+            if closure[1] >= boundary:
+                worksets.next_frontier.add(target)
+        elif not growths:
+            worksets.new_maximal.add(clique)
+        if tb >= boundary:
+            worksets.next_frontier.add(clique)
+
+
+def rooted_reference_drain(worksets: WorkSets) -> None:
+    """`reference_drain` as `drain` was before interval targets were
+    settled in place: the target (clique, closure) is offered, with the
+    clique's candidates, unless a growth dominates it or it is a result
+    already, and is worked as a root of its own. It works more cliques, but
+    after every drain it holds the same results and frontier."""
+    stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
+    boundary = stream.t_end
+    while worksets.pending:
+        item = worksets.pending.pop()
+        closure, growths = plain_growths(worksets, item)
+        vertices, ta, tb = clique = item.clique
         if closure != (ta, tb):
             dominated = closure[1] < boundary and any(
                 is_delta_gamma_clique(verts, closure, stream, delta, gamma)
                 for verts in growths
             )
             if not dominated and Clique(vertices, *closure) not in worksets.new_maximal:
-                worksets.offer(Clique(vertices, *closure), candidates)
+                worksets.offer(Clique(vertices, *closure), item.candidates)
         elif not growths:
             worksets.new_maximal.add(clique)
         if tb >= boundary:

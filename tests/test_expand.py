@@ -34,8 +34,9 @@ from helpers import (
     random_stream,
     reference_drain,
     reference_seed_anchors,
+    rooted_reference_drain,
     run_batches,
-    static_scan_partners,
+    static_scan_candidates,
     stepwise_reference_drain,
 )
 
@@ -55,20 +56,25 @@ def item(vertices, ta, tb, candidates=frozenset()):
 
 @dataclass
 class OneFamily(CheckingWorkSets):
-    """A checking WorkSets that works one root's family: `asked` lists the
-    cliques `admit` is asked, in order, and `offered` the interval offers,
-    which stay off the worklist, so `drain` ends with the family."""
+    """A checking WorkSets whose `asked` lists the cliques `admit` is asked,
+    in order. With one root queued, `drain` ends with its family: the
+    interval moves' targets are settled, never queued."""
 
     asked: list = field(default_factory=list)
-    offered: list = field(default_factory=list)
 
     def admit(self, clique, candidates):
         self.asked.append((clique, candidates))
         return super().admit(clique, candidates)
 
-    def offer(self, clique, candidates, closure=None):
-        self.offered.append(clique)
-        return False
+
+class CountingPops(list):
+    """A worklist that counts the roots popped from it."""
+
+    pops = 0
+
+    def pop(self):
+        self.pops += 1
+        return super().pop()
 
 
 def work_family(stream, delta, gamma, root, seen=()):
@@ -186,16 +192,11 @@ def test_seed_candidates_follow_window_frequency(f1_stream):
 
 def test_seed_candidates_match_the_static_scan(corpus):
     # the candidates read from the contact timelines are the vertices the
-    # static-neighbour scan finds with gamma links to either endpoint
+    # static-neighbour scan finds with gamma links to both endpoints
     n_candidates = 0
     for stream, delta, gamma in corpus:
         for seed, cands in seed_cliques(stream, delta, gamma, stream.t_start - 1):
-            (u, v), span = seed.vertices, (seed.ta, seed.tb)
-            expected = (
-                static_scan_partners(stream, u, span, gamma)
-                | static_scan_partners(stream, v, span, gamma)
-            ) - {u, v}
-            assert cands == expected, seed
+            assert cands == static_scan_candidates(seed, stream, gamma), seed
             n_candidates += len(cands)
     assert n_candidates > 0
 
@@ -241,7 +242,7 @@ def test_every_result_has_its_right_anchor_seed(corpus, corpus_oracles):
 
 
 # -- interval moves ----------------------------------------------------------------
-# The interval move offers (clique, closure) when the closure differs from the
+# The interval move settles (clique, closure) when the closure differs from the
 # span; a carried item's closure is the fixed point of the stepwise right move.
 
 
@@ -296,17 +297,20 @@ def test_extend_left_partial_clamp():
         assert clique_closure(item([1, 2], 2, 6), ws) == (start, 6)
 
 
-def test_closure_items_carry_their_closure(f1_stream):
-    # the interval move's target carries its closure, and a carried target
-    # stays carried, out of `seen` like its source: popped, each is maximal
+def test_interval_targets_are_settled_in_place(f1_stream):
+    # the interval move's target is filed where it is made, a result since
+    # no growth keeps its closure, and never queued: `seen` holds the seed
+    # alone, or nothing for a carried clique, and one root is popped
     cases = (
-        (frozenset(), ((1, 2), 1, 7), {((1, 2), 2, 5), ((1, 2), 1, 7)}),
+        (frozenset(), ((1, 2), 1, 7), {((1, 2), 2, 5)}),
         (None, ((1, 2), 2, 7), set()),
     )
     for candidates, target, seen in cases:
         ws = fresh_ws(f1_stream, 3, 2)
+        ws.pending = CountingPops()
         ws.offer(make_clique([1, 2], 2, 5), candidates)
         drain(ws)
+        assert ws.pending.pops == 1
         assert ws.seen == seen
         assert ws.new_maximal == {target}
 
@@ -322,10 +326,13 @@ def test_expand_vertex_example(f1_stream):
 
 
 def test_expand_vertex_requires_candidates(f1_stream):
-    # a carried root has no candidates, so no vertex move and no family
+    # a carried root has no candidates, so no vertex move and no family;
+    # its right-move target is settled a result and, like the root, reaches
+    # the observation end 5
     ws = work_family(f1_stream, 3, 2, item([1, 2], 2, 5, candidates=None))
     assert ws.asked == [] and ws.pair_checks == 0
-    assert ws.offered == [((1, 2), 2, 7)]
+    assert ws.new_maximal == {((1, 2), 2, 7)}
+    assert ws.next_frontier == {((1, 2), 2, 5), ((1, 2), 2, 7)}
 
 
 def test_expand_vertex_empty_candidates_is_exhausted(f1_stream):
@@ -336,12 +343,12 @@ def test_expand_vertex_empty_candidates_is_exhausted(f1_stream):
 def test_flags_independent_of_seen_suppression(f1_stream):
     # {1,2,3} [2,5] was worked before: the family does not work it again,
     # but the root still has the growth, so it is no result, and the
-    # growth's closure [2,5] does not dominate the root's [1,7]
+    # growth's closure [2,5] does not keep the root's [1,7], so the root's
+    # target is settled a result
     grown = make_clique([1, 2, 3], 2, 5)
     ws = work_family(f1_stream, 3, 2, item([1, 2], 2, 5, candidates={3}), seen={grown})
     assert members(ws) == [grown]
-    assert ws.new_maximal == set()
-    assert ws.offered == [((1, 2), 1, 7)]
+    assert ws.new_maximal == {((1, 2), 1, 7)}
 
 
 def linked_at_zero(*pairs):
@@ -380,8 +387,13 @@ def test_expand_vertex_without_pool_checks_every_member():
     ws = work_family(stream, 2, 1, item([1, 2, 3], 0, 0, candidates={4, 5}))
     assert members(ws) == [((1, 2, 3, 4), 0, 0)]
     assert ws.pair_checks == 3 + 1  # 4 against all three; 5 fails on (1, 5)
-    # the member's closure is the root's cut by the pairs with 4
-    assert ws.offered == [((1, 2, 3), 0, 2), ((1, 2, 3, 4), 0, 2)]
+    # the member's closure is the root's cut by the pairs with 4; it keeps
+    # the root's [0,2], so the root's target is no result, but it reaches
+    # the boundary 0 and joins the frontier
+    assert ws.new_maximal == {((1, 2, 3, 4), 0, 2)}
+    assert ws.next_frontier == {
+        ((1, 2, 3), 0, 0), ((1, 2, 3, 4), 0, 0), ((1, 2, 3), 0, 2), ((1, 2, 3, 4), 0, 2)
+    }
 
 
 def test_expand_vertex_siblings_share_one_pool():
@@ -396,7 +408,10 @@ def test_expand_vertex_siblings_share_one_pool():
     assert clique_closure(root, ws) == (0, 5)
     assert members(ws) == [((1, 2, 3), 0, 0), ((1, 2, 4), 0, 0)]
     assert ws.pair_checks == 4 + 1 + 1
-    assert ws.offered == [((1, 2), 0, 5), ((1, 2, 3), 0, 2), ((1, 2, 4), 0, 5)]
+    # {1,2,4} keeps the root's [0,5], which reaches the boundary 3: the
+    # root's target joins the frontier only
+    assert ws.new_maximal == {((1, 2, 3), 0, 2), ((1, 2, 4), 0, 5)}
+    assert ws.next_frontier == {((1, 2), 0, 5), ((1, 2, 4), 0, 5)}
 
 
 def test_expand_vertex_answers_a_pair_from_the_family_table(monkeypatch):
@@ -463,14 +478,14 @@ def test_drain_takes_the_frontier_threshold_from_the_stream_end(f1_stream):
 
 def test_every_move_runs_after_an_earlier_one_grows(f1_stream):
     # {1,2} [2,5] grows by vertex 3 and to its closure [1,7]; the interval
-    # growth is only reachable from this clique, so it is enqueued only if
+    # growth is only reachable from this clique, so it is settled only if
     # drain runs the interval move after the vertex move grew
     ws = fresh_ws(f1_stream, 3, 2)
     start = item([1, 2], 2, 5, candidates={3})
     ws.seen.add(start.clique)
     ws.pending.append(start)
     drain(ws)
-    assert ws.seen == {((1, 2), 2, 5), ((1, 2, 3), 2, 5), ((1, 2), 1, 7)}
+    assert ws.seen == {((1, 2), 2, 5), ((1, 2, 3), 2, 5)}
     assert ws.new_maximal == {((1, 2), 1, 7), ((1, 2, 3), 2, 5)}
 
 
@@ -494,8 +509,10 @@ def test_peak_live_tracks_collections(f1_stream):
     for seed, cands in seed_cliques(f1_stream, 3, 2, f1_stream.t_start - 1):
         assert ws.offer(seed, cands)
     drain(ws)
-    assert ws.peak_live >= len(ws.seen)
-    assert ws.new_maximal <= ws.seen
+    # the last note is taken with the worklist empty
+    assert ws.peak_live >= len(ws.seen) + len(ws.new_maximal) + len(ws.next_frontier)
+    # the seeds' interval targets are results that never enter `seen`
+    assert ws.new_maximal - ws.seen
     assert all(c.tb >= 5 for c in ws.next_frontier)
 
 
@@ -524,6 +541,37 @@ def test_drain_matches_reference_drain_on_a_group_contact_stream(monkeypatch):
     assert max(len(verts) for seen, _, _ in engine for verts, _, _ in seen) >= 4
 
 
+def outcomes(snapshots):
+    """The results and frontier of every drain snapshot, without `seen`."""
+    return [(maximal, frontier) for _, maximal, frontier in snapshots]
+
+
+def test_drain_matches_rooted_reference_drain_on_the_corpus(corpus, monkeypatch):
+    # settling an interval target in place loses nothing against working it
+    # as a root with its own family: the same results and frontier after
+    # every drain
+    for idx, (stream, delta, gamma) in enumerate(corpus):
+        for k in (1, 3):
+            plan = PartitionPlan("ut", k)
+            engine = drain_snapshots(stream, delta, gamma, plan, drain, monkeypatch)
+            rooted = drain_snapshots(
+                stream, delta, gamma, plan, rooted_reference_drain, monkeypatch
+            )
+            assert outcomes(engine) == outcomes(rooted), f"stream {idx}, k={k}"
+
+
+def test_drain_matches_rooted_reference_drain_on_a_group_contact_stream(monkeypatch):
+    stream = group_contact_stream(seed=7, n_meetings=110)
+    plan = PartitionPlan("ut", 8)
+    engine = drain_snapshots(stream, 360, 2, plan, drain, monkeypatch)
+    rooted = drain_snapshots(stream, 360, 2, plan, rooted_reference_drain, monkeypatch)
+    assert outcomes(engine) == outcomes(rooted)
+    # the rooted drain works targets the engine settles, and lets them and
+    # their families into `seen`
+    assert all(e <= r for (e, _, _), (r, _, _) in zip(engine, rooted))
+    assert sum(len(r - e) for (e, _, _), (r, _, _) in zip(engine, rooted)) > 100
+
+
 def test_drain_matches_stepwise_reference_drain_on_the_corpus(corpus, monkeypatch):
     # the jumping interval move and the dominance rule pop fewer cliques than
     # the stepwise moves, but every cycle closes the same cliques, keeps the
@@ -549,8 +597,9 @@ def test_drain_matches_stepwise_reference_drain_on_a_group_contact_stream(monkey
 
 def offers_checked_on_the_full_stream(stream, delta, gamma, plan, monkeypatch):
     """Run update_batch over `plan` with every cycle's WorkSets checking each
-    clique it is offered or seeded that ends before the cycle boundary
-    against the full input stream; returns how many it checked."""
+    clique it is offered, seeded or reached as a family member, and each
+    result a drain files, that ends before the cycle boundary against the
+    full input stream; returns how many it checked."""
     checked = []
 
     class FullStreamCheck(CheckingWorkSets):
@@ -560,9 +609,16 @@ def offers_checked_on_the_full_stream(stream, delta, gamma, plan, monkeypatch):
             super()._check(clique)
             checked.append(clique.tb < self.stream.t_end)
 
+    def checking_drain(worksets):
+        before = set(worksets.new_maximal)
+        drain(worksets)
+        for clique in worksets.new_maximal - before:
+            worksets._check(clique)
+
     boundaries = tuple(boundary for boundary, _ in partition_links(stream, plan))
     with monkeypatch.context() as patch:
         patch.setattr(tclique.update, "WorkSets", FullStreamCheck)
+        patch.setattr(tclique.update, "drain", checking_drain)
         run_batches(stream, delta, gamma, boundaries)
     return sum(checked)
 
@@ -572,9 +628,9 @@ def test_every_offer_ending_before_the_boundary_is_valid_on_the_full_stream(
 ):
     # the working stream lacks the links older than the tail, so the full
     # stream judges: a closure found on it, or a carried clique's right jump,
-    # must never offer an invalid clique; the corpus runs in three
-    # partitions and the group stream has 220 meetings, so both volume
-    # floors have room
+    # must never offer, nor settle as a result, an invalid clique; the
+    # corpus runs in three partitions and the group stream has 220
+    # meetings, so both volume floors have room
     runs = [(stream, delta, gamma, k) for stream, delta, gamma in corpus for k in (1, 3, 8)]
     group = group_contact_stream(seed=7, n_meetings=220)
     runs += [(group, 360, 2, k) for k in (1, 8)]
