@@ -72,10 +72,11 @@ Settlement. Take a worked clique (K, s) whose closure C differs from s.
 Every span `drain` works with candidates spans at least delta (a seed
 spans exactly delta, and a vertex growth keeps its parent's span), and on
 such spans validity is monotone: a delta-window of s is one of C, so a
-clique valid on C is valid on s. So w extends K at C iff K+{w} is
-valid at s and its closure keeps C (it holds C and lies inside closure(K)
-= C): the growths of (K, C) are exactly the growths of (K, s) whose closure
-is C, which `drain` already holds, with no pair read. C is its own closure,
+clique valid on C is valid on s. So a candidate w extends K at C iff
+K+{w} is valid at s with closure C (valid on C, its closure holds C, and
+it lies inside closure(K) = C): the growths of (K, C) are exactly the
+growths of (K, s) that keep C, which `drain` already holds, with no pair
+read. C is its own closure,
 so (K, C) has no interval move either. The target is therefore filed where
 it is made: in `new_maximal` when no growth keeps C, in `next_frontier`
 when C reaches the boundary, and nowhere when it is dominated (below). Its
