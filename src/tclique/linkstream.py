@@ -66,7 +66,7 @@ class LinkStream:
         observation: Optional[tuple[int, int]] = None,
         dropped_self_loops: int = 0,
     ) -> None:
-        self._links: tuple[Link, ...] = tuple(sorted(set(links)))
+        self._links: tuple[Link, ...] = _sorted_distinct(links)
         pair_index: dict[tuple[int, int], list[int]] = {}
         # the timelines stay lists: a tuple copy would double the peak memory
         # of construction
@@ -209,6 +209,20 @@ class LinkStream:
         lo, hi = window
         links = self._links
         return links[bisect_left(links, (lo,)) : bisect_left(links, (hi + 1,))]
+
+
+def _sorted_distinct(links: Iterable[Link]) -> tuple[Link, ...]:
+    """The links sorted, each once. Sorted first: sorted input (a sorted
+    file, a link tail plus its batch) sorts in one pass, and repeats are
+    then adjacent, so neither a full sort nor a hash table of every link is
+    needed."""
+    kept: list[Link] = []
+    last = None
+    for link in sorted(links):
+        if link != last:
+            kept.append(link)
+            last = link
+    return tuple(kept)
 
 
 class GapIndex(dict):

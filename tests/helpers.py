@@ -214,9 +214,9 @@ def staged_cycles(
     swept: list[set[Clique]] = []
     sweep = tclique.update.remove_sub_cliques
 
-    def recording_sweep(new_cliques):
+    def recording_sweep(new_cliques, t_prev):
         swept.append(set(new_cliques))
-        return sweep(new_cliques)
+        return sweep(new_cliques, t_prev)
 
     cycles = []
     closed: list[Clique] = []

@@ -72,6 +72,30 @@ def test_parse_swaps_and_dedups():
     assert stream.links == ((5, 1, 2),)
 
 
+def test_shuffled_input_with_repeats_builds_the_same_stream():
+    # shuffled, with repeats: the same links, sorted with repeats collapsed,
+    # and the same pair index, vertices and contact timelines
+    for index in range(60):
+        stream = random_stream(index)
+        rng = random.Random(25_000 + index)
+        links = list(stream.links)
+        noisy = links + rng.choices(links, k=rng.randint(1, len(links)))
+        rng.shuffle(noisy)
+        built = LinkStream(noisy, observation=stream.observation)
+        assert built.links == tuple(sorted(set(noisy))) == stream.links
+        occurrences = {}
+        for t, u, v in sorted(set(noisy)):
+            occurrences.setdefault((u, v), []).append(t)
+        assert built.pair_occurrences == {p: tuple(ts) for p, ts in occurrences.items()}
+        assert built.vertices == stream.vertices
+        for _ in range(20):
+            vertex = rng.choice(stream.vertices)
+            lo = rng.randint(stream.t_start, stream.t_end)
+            window, gamma = (lo, lo + rng.randint(0, 8)), rng.randint(1, 3)
+            expected = brute_force_partners(stream, vertex, window, gamma)
+            assert built.partners(vertex, window, gamma) == expected
+
+
 def test_parse_drops_self_loops_and_counts():
     text = "1 1 3\n1 2 4\n"
     stream = parse_links(io.StringIO(text), FormatSpec(column_order="uvt"))

@@ -72,15 +72,17 @@ def test_single_batch_equals_reference(f1_stream):
     assert stats.batch_links == 8
     assert state.closed == len(closed)
     assert stats.maximal == stats.new_cliques  # nothing was closed before
-    # the sweep checks every result of the cycle, the first one's too
-    assert stats.checked >= stats.new_cliques >= 1
+    # a first cycle's results all start after t_prev: the sweep checks none
+    assert stats.new_cliques >= 1 and stats.checked == 0
 
 
 def test_cycle_counters_of_a_group_contact_stream():
     # per cycle (peak_live, pair_checks, seeds, frontier, new_cliques,
     # checked) over eight batches; an engine change that keeps the cliques
     # visited keeps the last four (peak_live and pair_checks follow the
-    # route to each clique: its parent and the order of the roots)
+    # route to each clique: its parent and the order of the roots), and
+    # `checked`, the results that start by the previous boundary, is 0 on
+    # the first cycle
     stream = group_contact_stream(seed=7, n_meetings=110)
     state = initial_state(360, 2, stream.t_start)
     counters = []
@@ -90,14 +92,14 @@ def test_cycle_counters_of_a_group_contact_stream():
             (s.peak_live, s.pair_checks, s.seeds, s.frontier, s.new_cliques, s.checked)
         )
     assert counters == [
-        (479, 579, 87, 56, 107, 107),
-        (583, 621, 122, 26, 162, 212),
-        (876, 883, 136, 119, 195, 209),
-        (624, 552, 89, 61, 149, 222),
-        (334, 327, 82, 9, 90, 131),
-        (358, 238, 75, 53, 90, 91),
-        (624, 659, 110, 82, 118, 153),
-        (475, 414, 88, 40, 109, 173),
+        (479, 579, 87, 56, 107, 0),
+        (583, 621, 122, 26, 162, 100),
+        (876, 883, 136, 119, 195, 57),
+        (624, 552, 89, 61, 149, 179),
+        (334, 327, 82, 9, 90, 75),
+        (358, 238, 75, 53, 90, 23),
+        (624, 659, 110, 82, 118, 65),
+        (475, 414, 88, 40, 109, 108),
     ]
 
 
@@ -306,8 +308,8 @@ def test_staging_observer_sees_both_snapshots(handoff_stream, monkeypatch):
     # post-sweep (closed so far and the frontier) per cycle
     cycles = staged_cycles(handoff_stream, 4, 2, (11, 20), monkeypatch)
     assert [c.boundary for c in cycles] == [11, 20]
-    for cycle in cycles:
-        assert cycle.pre >= cycle.post
+    assert cycles[0].pre == cycles[0].post  # a first cycle drops nothing
+    assert cycles[1].pre >= cycles[1].post
     state, closed = run_batches(handoff_stream, 4, 2, (11, 20))
     assert cycles[-1].post == set(closed) | state.frontier
     assert (cycles[-1].state, cycles[-1].closed) == (state, closed)
@@ -317,28 +319,84 @@ def test_staging_observer_sees_both_snapshots(handoff_stream, monkeypatch):
 
 
 def test_remove_sub_cliques_mechanics():
+    # previous boundary 6: the five start by it and are swept against each
+    # other; f starts after it and is not checked
     a = make_clique([1, 2], 0, 9)
     b = make_clique([1, 2], 2, 5)  # same vertices, strictly inside
     c = make_clique([1, 2, 3], 4, 6)
     d = make_clique([1, 3], 4, 6)  # strict vertex subset of c, same span
-    e = make_clique([1, 2], 8, 14)  # overlaps a, inside neither
-    collection = {a, b, c, d, e}
-    checked = remove_sub_cliques(collection)
-    assert checked == 5  # every result of the cycle
-    assert collection == {a, c, e}
+    e = make_clique([1, 2], 6, 14)  # overlaps a, inside neither
+    f = make_clique([4, 5], 7, 12)
+    collection = {a, b, c, d, e, f}
+    assert remove_sub_cliques(collection, 6) == 5
+    assert collection == {a, c, e, f}
 
 
-def test_remove_sub_cliques_sweeps_every_result():
-    # no boundary spares a clique: one starting late is checked and dropped
-    # like any other, and an empty collection checks nothing
+def test_remove_sub_cliques_sweeps_only_results_by_the_previous_boundary():
+    # a clique starting after the previous boundary is not checked, though
+    # a result contains it; an early contained one is dropped; on a first
+    # cycle (t_prev = t_start - 1) nothing is checked
     a = make_clique([1, 2, 3], 10, 20)
     b = make_clique([2, 3], 15, 18)
-    collection = {a, b}
-    assert remove_sub_cliques(collection) == 2
-    assert collection == {a}
+    c = make_clique([1, 3], 10, 19)
+    collection = {a, b, c}
+    assert remove_sub_cliques(collection, 12) == 2
+    assert collection == {a, b}
+    collection = {a, b, c}
+    assert remove_sub_cliques(collection, 9) == 0
+    assert collection == {a, b, c}
     empty: set = set()
-    assert remove_sub_cliques(empty) == 0
+    assert remove_sub_cliques(empty, 12) == 0
     assert empty == set()
+
+
+def sweeps_agree(stream, delta, gamma, boundaries, monkeypatch) -> int:
+    """Run the plan; in every cycle the restricted sweep must drop what the
+    full sweep, every result against every result, drops, and a first cycle
+    nothing. Returns how many results the full sweep dropped."""
+    dropped = []
+
+    def compared_sweep(results, t_prev):
+        full = set(contained_cliques(results, results))
+        before = set(results)
+        checked = remove_sub_cliques(results, t_prev)
+        assert before - results == full, (boundaries, t_prev)
+        assert checked == sum(c.ta <= t_prev for c in before)
+        if t_prev == stream.t_start - 1:
+            assert not full, boundaries
+        dropped.append(len(full))
+        return checked
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tclique.update, "remove_sub_cliques", compared_sweep)
+        run_batches(stream, delta, gamma, boundaries)
+    return sum(dropped)
+
+
+def test_restricted_sweep_drops_what_the_full_sweep_drops(corpus, monkeypatch):
+    # the corpus in one batch, one batch per tick and two random plans
+    n_dropped = 0
+    for idx, (stream, delta, gamma) in enumerate(corpus):
+        rng = random.Random(55_000 + idx)
+        t_min, t_max, _ = stream.time_bounds()
+        plans = (
+            (t_max,),
+            tuple(range(t_min, t_max + 1)),
+            random_boundaries(stream, rng, 8),
+            random_boundaries(stream, rng, 8),
+        )
+        for boundaries in plans:
+            n_dropped += sweeps_agree(stream, delta, gamma, boundaries, monkeypatch)
+    assert n_dropped > 0
+
+
+@pytest.mark.parametrize("batches", [8, 32])
+def test_restricted_sweep_drops_what_the_full_sweep_drops_on_a_group_contact_stream(
+    batches, monkeypatch
+):
+    stream = group_contact_stream(seed=7, n_meetings=110)
+    boundaries = tuple(b for b, _ in partition_links(stream, PartitionPlan("ut", batches)))
+    assert sweeps_agree(stream, 360, 2, boundaries, monkeypatch) > 0
 
 
 def small_cliques(top_vertex: int, max_ta: int = 4, max_length: int = 4):
@@ -435,9 +493,9 @@ def test_pruned_cliques_never_reach_the_maximal_set(corpus, monkeypatch):
         dropped.append(set(frontier) - kept)
         return kept
 
-    def recording_sweep(new_cliques):
+    def recording_sweep(new_cliques, t_prev):
         results.append(new_cliques)  # swept in place
-        return remove_sub_cliques(new_cliques)
+        return remove_sub_cliques(new_cliques, t_prev)
 
     monkeypatch.setattr(tclique.update, "prune_frontier", recording_prune)
     monkeypatch.setattr(tclique.update, "remove_sub_cliques", recording_sweep)
