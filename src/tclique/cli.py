@@ -186,6 +186,8 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _validate_common(args, parser)
     if args.mode == "online" and not args.state_dir:
         parser.error("--mode online needs --state-dir")
+    if args.state_dir and args.mode != "online":
+        parser.error("--state-dir only applies to --mode online")
     plan = _make_plan(args, parser)
     stream = _load_stream(args)
     dropped = stream.dropped_self_loops

@@ -1,12 +1,12 @@
-"""Seed construction, the two clique-growth moves, and the worklist.
+"""Seed construction, the two clique-growth moves, and the drain of the roots.
 
-Enumeration works a LIFO worklist of roots, and each root's family on a local
-stack (see below). Every clique it works is offered two growth moves in one
-fixed sequence — add a vertex from its candidate set, then move the interval
-to the clique's closure — and joins the maximal set of the cycle when neither
-finds a strictly larger valid clique. The candidate set is working data of
-the enumeration: it rides on the worklist item, never on the clique, and
-every growth inherits it. Cliques carried over from a
+Enumeration works a list of roots, last first, and each root's family on a
+local stack (see below). Every clique it works is tried with two growth
+moves in one fixed sequence — add a vertex from its candidate set, then move
+the interval to the clique's closure — and joins the maximal set of the
+cycle when neither finds a strictly larger valid clique. The candidate set
+is working data of the enumeration: it rides on the root's `WorkItem`, never
+on the clique, and every growth inherits it. Cliques carried over from a
 previous batch have none, and are only ever extended to the right.
 
 Each move reads the stream, delta and gamma from the cycle's `WorkSets`, and
@@ -18,8 +18,8 @@ s on which K is valid: the intersection of its pairs' closures
 (`pair_closure`, see the cliques module). Every span between s and the
 closure is valid too, so the interval move jumps there in one step, to
 (K, closure), when the closure differs from s, where stepwise moves right
-and left would reach it over several pops; the target is settled where it
-is made (below), never queued. A carried clique moves right only, to
+and left would reach it over several steps; the target is settled where it
+is made (below), never worked. A carried clique moves right only, to
 where the stepwise right move stops: a step from end x
 anchors on the gamma-th largest occurrence in [ta, x+1] and goes delta past
 it, and it advances the anchor until the anchor is a bad position (no step
@@ -31,13 +31,13 @@ the end at tb. A carried clique need not be valid on the working stream,
 whose links start delta before the previous boundary, so it is not read
 through `pair_closure`.
 
-A root is a clique popped from the worklist: a seed or a carried clique.
+A root is a clique `drain` is given: a seed or a carried clique.
 Every clique worked with candidates is valid, so the vertex move checks
 only the pairs a growth adds. A root tests each candidate w against all
 of its members (`expand_vertex_set`). A vertex
 growth keeps its parent's span, so the root and the cliques its growths
 reach at that span form its family, which `drain` works on a local stack
-before it pops the next root. A member K = P+{n}, n the vertex it added to
+before it takes the next root. A member K = P+{n}, n the vertex it added to
 its parent P, tests only the pair (w, n) for each growth w of P (the pool
 of P's children): at a fixed span, w extends K iff it extends P and pairs
 validly with n (the candidate narrowing of Bron-Kerbosch, restricted to one
@@ -55,18 +55,17 @@ all of its growths), the smallest on top, so the family reaches each
 subset of the root's growths that is a clique exactly once: along the path
 that adds its vertices in increasing order. A member asks `seen`
 (`WorkSets.admit`) when it comes off the stack, and one that entered
-`seen` before (as a seed, or in another family) is skipped with its
-subtree. Nothing is lost. Every clique that enters `seen` is worked: a
-root when it is popped, a member at once. Say X entered `seen` and Y ⊋ X
-is a clique at X's span (its other vertices are among X's candidates, see
-the dedup barrier below); then Y enters `seen` too, by induction on
-|Y - X| and then on the time X entered. If X is a root, or Y - X holds a
-vertex w past X's newest, X pushed X+{w}, which enters `seen` when it
-comes off the stack or had before. Otherwise take t in Y - X: X's path
-from the root passes the member Z that holds just the path's vertices
-below t (the root, if there are none). Z pushed Z+{t}, which came off the
-stack before the branch that holds X, so it had entered `seen` before X
-did, and |Y - (Z+{t})| <= |Y - X|.
+`seen` before (in another family) is skipped with its subtree. Nothing is
+lost. Every member that enters `seen` is worked at once. Say X was worked,
+a root or a member, and Y ⊋ X is a clique at X's span (its other vertices
+are among X's candidates, see the dedup barrier below); then Y enters
+`seen` too, by induction on |Y - X| and then on the time X was worked. If
+X is a root, or Y - X holds a vertex w past X's newest, X pushed X+{w},
+which enters `seen` when it comes off the stack or had before. Otherwise
+take t in Y - X: X's path from the root passes the member Z that holds
+just the path's vertices below t (the root, if there are none). Z pushed
+Z+{t}, which came off the stack before the branch that holds X, so it had
+entered `seen` before X was worked, and |Y - (Z+{t})| <= |Y - X|.
 
 Settlement. Take a worked clique (K, s) whose closure C differs from s.
 Every span `drain` works with candidates spans at least delta (a seed
@@ -84,7 +83,7 @@ family is not lost: a clique (K+W, C) is the target of (K+W, s), which
 the family of (K, s) reaches in canonical order or which was worked before
 (`seen`), and which settles its own target. A carried clique has no
 growths, and its right-move target is settled the same way. So no target
-enters `seen`, which holds the seeds and the family members only.
+enters `seen`, which holds the family members only.
 
 Dominance. A worked clique (K, s) skips its interval move when some
 vertex growth K+{w} keeps its closure (closure(K+w) == closure(K)) and that
@@ -109,17 +108,19 @@ valid at s and J's other vertices among K's candidates:
   right anchor [b-delta, b] is a window of [a, b] on which J is valid, and
   every vertex of J has gamma links to both seed vertices there, so it is
   among the seed's candidates.
-- The dedup barrier loses nothing. `seen` holds every clique let in with
-  candidates, and drops a second offer or family member of one. Such a
-  clique holds the pair of the seed its route started from, and its span
+- The dedup barrier loses nothing. `seen` holds every family member
+  worked in the cycle, and drops a second route to one. Such a member
+  holds the pair of the seed its route started from, and its span
   contains the seed's, which spans exactly delta. So for every J that
-  contains the clique and is valid on a span containing its span, the
+  contains the member and is valid on a span containing its span, the
   seed's span is a window of J's span, and every vertex of J has gamma
-  links to the seed's pair there: whichever route worked the clique first,
-  J's other vertices are among its candidates. A carried clique has no
-  candidates to pass on, so frontier entries stay out of `seen`: one there
-  would block every route of phase B through it, and the results behind
-  it.
+  links to the seed's pair there: whichever route worked the member first,
+  J's other vertices are among its candidates. Roots need no barrier.
+  `seed_cliques` yields each (pair, occurrence) anchor once, so no seed is
+  worked twice, and every family member has at least one vertex more than
+  its 2-vertex seed root, so no member is a seed. A carried clique never
+  enters `seen`: with no candidates to pass on, one there would block
+  every route of phase B through it, and the results behind it.
 - The guard keeps completeness across cycles. A closure that ends before
   the boundary is decided by an occurrence at or before the boundary (its
   first bad time is b - delta, and the position's badness only reads links
@@ -130,9 +131,10 @@ valid at s and J's other vertices among K's candidates:
   the next frontier.
 
 `drain` notes the peak of the live collections on entry and once after each
-root's family: while a family is worked they only grow (the root's pop is
-the one removal), so the largest value it reaches is the one it ends with.
-The family stack is not among them; it is empty at every note.
+root's family: while a family is worked they only grow (taking the root off
+the roots not yet worked is the one removal), so the largest value it
+reaches is the one it ends with. The family stack is not among them; it is
+empty at every note.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .cliques import Clique, pair_closure, sort_cliques
 from .linkstream import LinkStream
@@ -150,9 +152,9 @@ Growths = tuple[tuple[int, Span], ...]  # (vertex, closure of the growth), by ve
 
 
 class WorkItem(NamedTuple):
-    """A queued root, a seed or a carried frontier clique, with the vertices
-    that may still join it; `candidates` is None for a carried clique, which
-    may only move right."""
+    """A root of `drain`, a seed or a carried frontier clique, with the
+    vertices that may still join it; `candidates` is None for a carried
+    clique, which may only move right."""
 
     clique: Clique
     candidates: Optional[frozenset[int]]
@@ -162,14 +164,14 @@ class WorkItem(NamedTuple):
 class WorkSets:
     """Working collections of one enumeration cycle.
 
-    pending       LIFO worklist of roots awaiting processing
-    seen          every clique ever let in with candidates (`admit`), as a
-                  seed or a family member (the dedup barrier; see the
-                  module docstring)
+    seen          every family member worked in the cycle (`admit`), the
+                  dedup barrier (see the module docstring); no root
+                  enters it
     new_maximal   cliques found maximal within this cycle
     next_frontier worked cliques whose right end reaches the cycle boundary
-    peak_live     max of |pending|+|seen|+|new_maximal|+|next_frontier|,
-                  noted between roots, so a family stack is not counted
+    peak_live     max of roots not yet worked + |seen| + |new_maximal| +
+                  |next_frontier|, noted between roots, so a family stack
+                  is not counted
     pair_checks   pair tests the vertex move asked, the ones a root's table
                   answered included
     gaps          the stream's gap index at (delta, gamma)
@@ -178,7 +180,6 @@ class WorkSets:
     stream: LinkStream
     delta: int
     gamma: int
-    pending: list[WorkItem] = field(default_factory=list)
     seen: set[Clique] = field(default_factory=set)
     new_maximal: set[Clique] = field(default_factory=set)
     next_frontier: set[Clique] = field(default_factory=set)
@@ -189,24 +190,13 @@ class WorkSets:
     def __post_init__(self) -> None:
         self.gaps = self.stream.gap_index(self.delta, self.gamma)
 
-    def admit(self, clique: Clique, candidates: Optional[frozenset[int]]) -> bool:
-        """Whether the clique is to be worked: one with candidates only if it
-        was never worked with candidates before, and it enters `seen`. A
-        carried clique (no candidates) never enters `seen`, so it blocks no
-        route. `offer` and the family loop of `drain` both ask here."""
-        if candidates is not None:
-            if clique in self.seen:
-                return False
-            self.seen.add(clique)
-        return True
-
-    def offer(self, clique: Clique, candidates: Optional[frozenset[int]]) -> bool:
-        """Enqueue the clique as a root if `admit` lets it in; a cycle offers
-        its seeds here, while an interval move's target is never queued
-        (`drain` settles it)."""
-        if not self.admit(clique, candidates):
+    def admit(self, clique: Clique) -> bool:
+        """Whether a family member is to be worked: only if no route worked
+        it before, and then it enters `seen`. `drain` asks here for every
+        member; a root is never asked."""
+        if clique in self.seen:
             return False
-        self.pending.append(WorkItem(clique, candidates))
+        self.seen.add(clique)
         return True
 
 
@@ -215,15 +205,15 @@ class WorkSets:
 
 def seed_cliques(
     stream: LinkStream, delta: int, gamma: int, t_prev: int
-) -> list[tuple[Clique, frozenset[int]]]:
+) -> list[WorkItem]:
     """Pair seeds of one cycle's working stream that reach past `t_prev`.
 
     For each pair with occurrences s_1 < ... < s_k in the stream, the right
     anchor [s_j, s_j+delta] of each occurrence becomes a seed when it holds
     exactly gamma occurrences of the pair and ends after the previous
-    boundary t_prev; it comes paired with its candidates, the vertices with
-    at least gamma links to both seed endpoints inside its interval. The
-    pairs are sorted by clique.
+    boundary t_prev; it comes as a `WorkItem` with its candidates, the
+    vertices with at least gamma links to both seed endpoints inside its
+    interval. The items are sorted by clique.
 
     This is the one seed the completeness argument (module docstring) asks
     of a result (J, [a, b]): the right anchor [b-delta, b] of the pair whose
@@ -269,7 +259,7 @@ def seed_cliques(
                 j + gamma == k or occ[j + gamma] > tb
             ):
                 found.append(Clique(pair, occ[j], tb))
-    seeds: list[tuple[Clique, frozenset[int]]] = []
+    seeds: list[WorkItem] = []
     span = None
     known: dict[int, frozenset[int]] = {}
     for seed in sort_cliques(found):  # by interval first
@@ -279,7 +269,7 @@ def seed_cliques(
         for x in (u, v):
             if x not in known:
                 known[x] = stream.partners(x, span, gamma)
-        seeds.append((seed, (known[u] & known[v]) - {u, v}))
+        seeds.append(WorkItem(seed, (known[u] & known[v]) - {u, v}))
     seeds.sort()
     return seeds
 
@@ -351,13 +341,13 @@ def expand_vertex_set(item: WorkItem, worksets: WorkSets, closure: Span) -> Grow
     return tuple(growths)
 
 
-# -- worklist fixed point --------------------------------------------------------
+# -- the roots' families --------------------------------------------------------
 
 
-def drain(worksets: WorkSets) -> None:
-    """Run the worklist to exhaustion.
+def drain(worksets: WorkSets, roots: Sequence[WorkItem]) -> None:
+    """Work the given roots, the last first, each with its family.
 
-    Every popped root gets its closure (`clique_closure`) and, unless it is
+    Every root gets its closure (`clique_closure`) and, unless it is
     carried, its growths (`expand_vertex_set`); then its family is worked
     in canonical order on a local stack (see the module docstring). A
     member is skipped when `WorkSets.admit` turns it away; else it tests
@@ -373,25 +363,25 @@ def drain(worksets: WorkSets) -> None:
     has no vertex growth joins `new_maximal`; every worked clique whose
     right end reaches the cycle boundary joins `next_frontier` regardless.
     `peak_live` is noted on entry and after every root's family (see the
-    module docstring).
+    module docstring); `update_batch` calls `drain` twice a cycle, with the
+    carried cliques (phase A) and with the seeds (phase B).
     """
     stream, delta, gamma, gaps = worksets.stream, worksets.delta, worksets.gamma, worksets.gaps
     occurrences, t_start, boundary = stream.pair_occurrences, stream.t_start, stream.t_end
-    pending, seen = worksets.pending, worksets.seen
+    seen, admit = worksets.seen, worksets.admit
     new_maximal, next_frontier = worksets.new_maximal, worksets.next_frontier
-    pop, admit = pending.pop, worksets.admit
     add_maximal, add_frontier = new_maximal.add, next_frontier.add
     # family entries (clique, closure, pool, newest): the pool is the
     # parent's growths; the root's entry has no pool and no newest vertex
     family: list[tuple[Clique, Span, Optional[Growths], int]] = []
     peak, checks = worksets.peak_live, 0
-    while True:
-        live = len(pending) + len(seen) + len(new_maximal) + len(next_frontier)
+    for left in range(len(roots), -1, -1):  # roots not yet worked
+        live = left + len(seen) + len(new_maximal) + len(next_frontier)
         if live > peak:
             peak = live
-        if not pending:
+        if not left:
             break
-        root = pop()
+        root = roots[left - 1]
         candidates = root.candidates
         family.append((root.clique, clique_closure(root, worksets), None, 0))
         while family:
@@ -401,7 +391,7 @@ def drain(worksets: WorkSets) -> None:
                 growths, past = (), 0
                 if candidates is not None:
                     growths, table = expand_vertex_set(root, worksets, closure), {}
-            elif not admit(clique, candidates):
+            elif not admit(clique):
                 continue
             else:
                 lo, hi = closure

@@ -22,10 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations, zip_longest
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .cliques import (
@@ -46,7 +44,6 @@ STATE_VERSION = 3
 
 EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()
 _DIGEST = re.compile(r"[0-9a-f]{64}")
-_ta = itemgetter(1)  # a Clique's ta
 
 
 def chain_input_digest(previous: str, batch: Iterable[Link]) -> str:
@@ -184,15 +181,12 @@ def update_batch(
     worksets = WorkSets(working, state.delta, state.gamma)
 
     # Phase A: carried frontier cliques grow right over the refreshed stream;
-    # without candidates they take no other move and stay out of `seen`.
-    worksets.pending.extend(WorkItem(c, None) for c in sorted(state.frontier))
-    drain(worksets)
+    # without candidates they take no other move.
+    drain(worksets, [WorkItem(c, None) for c in sorted(state.frontier)])
 
     # Phase B: fresh seeds of the working stream that reach past t_prev.
     seeds = seed_cliques(working, state.delta, state.gamma, t_prev)
-    for seed, candidates in seeds:
-        worksets.offer(seed, candidates)
-    drain(worksets)
+    drain(worksets, seeds)
 
     results = worksets.new_maximal
     checked = remove_sub_cliques(results, t_prev)
@@ -317,27 +311,18 @@ def contained_cliques(
 ) -> list[Clique]:
     """The cliques of `inner` that some clique of `collection` contains.
 
-    A posting index maps each vertex to the collection cliques holding it,
-    in order of ta. A container holds every vertex of the inner clique, so
-    it sits in every one of their posting lists; only the shortest is read.
-    A container also covers the inner span, outer.ta <= inner.ta and
-    outer.tb >= inner.tb, and no span is wider than `longest`, the widest
-    tb - ta of the collection, so outer.ta >= outer.tb - longest >=
-    inner.tb - longest. Two bisections on ta cut the list to the window
-    [inner.tb - longest, inner.ta], and `contains` runs only inside it.
+    A posting index maps each vertex to the collection cliques holding it. A
+    container holds every vertex of the inner clique, so it sits in every
+    one of their posting lists; only the shortest is read.
     """
-    ordered = sorted(collection, key=_ta)
-    longest = max([outer.tb - outer.ta for outer in ordered], default=0)
     postings: dict[int, list[Clique]] = {}
-    for outer in ordered:
+    for outer in collection:
         for vertex in outer.vertices:
             postings.setdefault(vertex, []).append(outer)
     found = []
     for clique in inner:
         outers = min((postings.get(v, ()) for v in clique.vertices), key=len)
-        lo = bisect_left(outers, clique.tb - longest, key=_ta)
-        hi = bisect_right(outers, clique.ta, lo, key=_ta)
-        if any(contains(outer, clique) for outer in outers[lo:hi]):
+        if any(contains(outer, clique) for outer in outers):
             found.append(clique)
     return found
 

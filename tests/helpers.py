@@ -4,8 +4,9 @@ Holds the deterministic random-stream corpus used by the acceptance tests,
 a stream built from per-pair timestamps, functions that run `update_batch`
 cycle by cycle (to look at the collection around the sub-clique sweep or
 after every drain, or to leave a state directory as an interrupted online
-run would), a `WorkSets` that checks every clique it is offered, three
-worklist drains with plain moves to hold the engine against (one with the
+run would), a `WorkSets` that checks every family member it is asked to
+admit and a `drain` that checks every root it is given, three worklist
+fixed points with plain moves to hold the engine against (one with the
 engine's jumping interval move, settled targets and dominance rule, one
 that still works each target as a root, one with the stepwise interval
 moves of earlier versions), a static-neighbour scan to hold the
@@ -40,7 +41,7 @@ from tclique import (
     save_state,
     update_batch,
 )
-from tclique.expand import WorkItem, WorkSets
+from tclique.expand import WorkItem, WorkSets, drain
 
 CORPUS_SIZE = 200
 
@@ -243,10 +244,11 @@ def staged_cycles(
 
 
 class CheckingWorkSets(WorkSets):
-    """`WorkSets` that asserts every clique offered, seeded or reached as a
-    family member (everything `WorkSets.admit` is asked) is well formed
-    (at least two strictly sorted vertices, ta <= tb) and a valid
-    (delta,gamma)-clique: the checks the engine's plain `Clique` gives up.
+    """`WorkSets` that asserts every family member (everything
+    `WorkSets.admit` is asked) is well formed (at least two strictly sorted
+    vertices, ta <= tb) and a valid (delta,gamma)-clique: the checks the
+    engine's plain `Clique` gives up. `checked_drain` asks the same of the
+    roots.
 
     Validity is checked on the working stream, or, when `reference` is set
     (in a subclass), on that stream for the cliques that end before the
@@ -268,9 +270,38 @@ class CheckingWorkSets(WorkSets):
             vertices, (ta, tb), stream, self.delta, self.gamma
         ), f"enqueued invalid clique {clique}"
 
-    def admit(self, clique, candidates):
+    def admit(self, clique):
         self._check(clique)
-        return super().admit(clique, candidates)
+        return super().admit(clique)
+
+
+def checked_drain(worksets: CheckingWorkSets, roots) -> None:
+    """`drain` after checking every root it is given, seed or carried clique,
+    as `CheckingWorkSets` checks every family member."""
+    for root in roots:
+        worksets._check(root.clique)
+    drain(worksets, roots)
+
+
+class Worklist(list):
+    """The LIFO worklist the reference drains run to a fixed point, starting
+    with the roots: `offer` queues a clique with candidates only if the
+    cycle's `seen` never held it, and enters it there (the roots too, so a
+    reference's `seen` holds its seeds), while a carried clique (no
+    candidates) is always queued and never enters `seen`."""
+
+    def __init__(self, worksets: WorkSets, roots) -> None:
+        super().__init__()
+        self.seen = worksets.seen
+        for root in roots:
+            self.offer(*root)
+
+    def offer(self, clique: Clique, candidates) -> None:
+        if candidates is not None:
+            if clique in self.seen:
+                return
+            self.seen.add(clique)
+        self.append(WorkItem(clique, candidates))
 
 
 def plain_interval_ends(
@@ -294,19 +325,21 @@ def plain_interval_ends(
     return right, left
 
 
-def plain_interval_moves(item: WorkItem, worksets: WorkSets) -> bool:
-    """The two stepwise interval moves: right, then left unless the item is
-    carried. True iff neither grew."""
+def plain_interval_moves(
+    item: WorkItem, worksets: WorkSets, pending: Worklist
+) -> bool:
+    """The two stepwise interval moves, offered to `pending`: right, then
+    left unless the item is carried. True iff neither grew."""
     vertices, ta, tb = item.clique
     right, left = plain_interval_ends(
         worksets.stream, vertices, ta, tb, worksets.delta, worksets.gamma
     )
     grew = False
     if right is not None and right > tb:
-        worksets.offer(Clique(vertices, ta, right), item.candidates)
+        pending.offer(Clique(vertices, ta, right), item.candidates)
         grew = True
     if item.candidates is not None and left is not None and left < ta:
-        worksets.offer(Clique(vertices, left, tb), item.candidates)
+        pending.offer(Clique(vertices, left, tb), item.candidates)
         grew = True
     return not grew
 
@@ -327,7 +360,7 @@ def plain_closure(
         ta, tb = new_ta, new_tb
 
 
-def stepwise_reference_drain(worksets: WorkSets) -> None:
+def stepwise_reference_drain(worksets: WorkSets, roots) -> None:
     """A drain with the stepwise moves of earlier versions, written plainly:
     every candidate w is checked by `is_delta_gamma_clique` on
     members | {w}, each growth is a worklist item of its own, with no
@@ -336,11 +369,12 @@ def stepwise_reference_drain(worksets: WorkSets) -> None:
     It pops many more cliques than `drain`, but the cycle's results, after
     the sweep, are the same."""
     stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
-    while worksets.pending:
-        item = worksets.pending.pop()
+    pending = Worklist(worksets, roots)
+    while pending:
+        item = pending.pop()
         clique, candidates = item.clique, item.candidates
         if candidates is None:
-            no_growth = plain_interval_moves(item, worksets)
+            no_growth = plain_interval_moves(item, worksets, pending)
         else:
             no_vertex = True
             members = set(clique.vertices)
@@ -348,8 +382,8 @@ def stepwise_reference_drain(worksets: WorkSets) -> None:
                 verts = tuple(sorted(members | {w}))
                 if is_delta_gamma_clique(verts, (clique.ta, clique.tb), stream, delta, gamma):
                     no_vertex = False
-                    worksets.offer(Clique(verts, clique.ta, clique.tb), candidates)
-            no_interval = plain_interval_moves(item, worksets)
+                    pending.offer(Clique(verts, clique.ta, clique.tb), candidates)
+            no_interval = plain_interval_moves(item, worksets, pending)
             no_growth = no_vertex and no_interval
         if no_growth:
             worksets.new_maximal.add(clique)
@@ -357,11 +391,13 @@ def stepwise_reference_drain(worksets: WorkSets) -> None:
             worksets.next_frontier.add(clique)
 
 
-def plain_growths(worksets: WorkSets, item: WorkItem) -> tuple[tuple[int, int], list]:
+def plain_growths(
+    worksets: WorkSets, item: WorkItem, pending: Worklist
+) -> tuple[tuple[int, int], list]:
     """The item's closure, `plain_closure` (the iterated stepwise moves), and
     its vertex growths, each candidate w checked by `is_delta_gamma_clique`
-    on members | {w} and every growth offered as a worklist item of its own:
-    the work the two plain drains below share."""
+    on members | {w} and every growth offered to `pending` as a worklist
+    item of its own: the work the two plain drains below share."""
     stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
     vertices, ta, tb = item.clique
     closure = plain_closure(
@@ -374,11 +410,11 @@ def plain_growths(worksets: WorkSets, item: WorkItem) -> tuple[tuple[int, int], 
             verts = tuple(sorted(members | {w}))
             if is_delta_gamma_clique(verts, (ta, tb), stream, delta, gamma):
                 growths.append(verts)
-                worksets.offer(Clique(verts, ta, tb), item.candidates)
+                pending.offer(Clique(verts, ta, tb), item.candidates)
     return closure, growths
 
 
-def reference_drain(worksets: WorkSets) -> None:
+def reference_drain(worksets: WorkSets, roots) -> None:
     """`drain` written out plainly: `plain_growths`, offered by every route
     to them, with no closure or pair table, and the interval move's target
     settled in place: a result when no growth is valid on the closure
@@ -387,9 +423,10 @@ def reference_drain(worksets: WorkSets) -> None:
     from the stream's end."""
     stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
     boundary = stream.t_end
-    while worksets.pending:
-        item = worksets.pending.pop()
-        closure, growths = plain_growths(worksets, item)
+    pending = Worklist(worksets, roots)
+    while pending:
+        item = pending.pop()
+        closure, growths = plain_growths(worksets, item, pending)
         vertices, ta, tb = clique = item.clique
         if closure != (ta, tb):
             target = Clique(vertices, *closure)
@@ -406,7 +443,7 @@ def reference_drain(worksets: WorkSets) -> None:
             worksets.next_frontier.add(clique)
 
 
-def rooted_reference_drain(worksets: WorkSets) -> None:
+def rooted_reference_drain(worksets: WorkSets, roots) -> None:
     """`reference_drain` as `drain` was before interval targets were
     settled in place: the target (clique, closure) is offered, with the
     clique's candidates, unless a growth dominates it or it is a result
@@ -414,9 +451,10 @@ def rooted_reference_drain(worksets: WorkSets) -> None:
     after every drain it holds the same results and frontier."""
     stream, delta, gamma = worksets.stream, worksets.delta, worksets.gamma
     boundary = stream.t_end
-    while worksets.pending:
-        item = worksets.pending.pop()
-        closure, growths = plain_growths(worksets, item)
+    pending = Worklist(worksets, roots)
+    while pending:
+        item = pending.pop()
+        closure, growths = plain_growths(worksets, item, pending)
         vertices, ta, tb = clique = item.clique
         if closure != (ta, tb):
             dominated = closure[1] < boundary and any(
@@ -424,7 +462,7 @@ def rooted_reference_drain(worksets: WorkSets) -> None:
                 for verts in growths
             )
             if not dominated and Clique(vertices, *closure) not in worksets.new_maximal:
-                worksets.offer(Clique(vertices, *closure), item.candidates)
+                pending.offer(Clique(vertices, *closure), item.candidates)
         elif not growths:
             worksets.new_maximal.add(clique)
         if tb >= boundary:
@@ -436,14 +474,16 @@ def drain_snapshots(
 ) -> list[tuple[frozenset, frozenset, frozenset]]:
     """Drive update_batch over `plan` with `drain_fn` in place of `drain`;
     returns the clique sets (seen, new_maximal, next_frontier) after every
-    drain (two per cycle: the frontier phase and the seed phase)."""
+    drain (two per cycle: the frontier phase and the seed phase). `seen`
+    leaves the drain's roots out: a reference drain lets its seeds in, while
+    `drain` lets in family members only."""
     snapshots = []
 
-    def recording_drain(worksets):
-        drain_fn(worksets)
+    def recording_drain(worksets, roots):
+        drain_fn(worksets, roots)
         snapshots.append(
             (
-                frozenset(worksets.seen),
+                frozenset(worksets.seen.difference(root.clique for root in roots)),
                 frozenset(worksets.new_maximal),
                 frozenset(worksets.next_frontier),
             )

@@ -1,4 +1,4 @@
-"""Seeds, growth procedures, and the worklist."""
+"""Seeds, growth procedures, and the drain of the roots."""
 
 from collections import Counter
 from dataclasses import dataclass, field
@@ -14,10 +14,12 @@ from tclique import (
     PartitionPlan,
     enumerate_maximal_cliques,
     finalize,
+    initial_state,
     is_delta_gamma_clique,
     make_clique,
     partition_links,
     seed_cliques,
+    update_batch,
 )
 from tclique.expand import (
     WorkItem,
@@ -27,6 +29,7 @@ from tclique.expand import (
 )
 from helpers import (
     CheckingWorkSets,
+    checked_drain,
     cycle_outcomes,
     drain_snapshots,
     group_contact_stream,
@@ -43,52 +46,36 @@ from helpers import (
 
 def fresh_ws(stream, delta, gamma, checking=True):
     """A WorkSets for driving the moves; the checking one asserts that every
-    clique enqueued is a valid (delta,gamma)-clique."""
+    family member is a valid (delta,gamma)-clique."""
     cls = CheckingWorkSets if checking else WorkSets
     return cls(stream, delta, gamma)
 
 
 def item(vertices, ta, tb, candidates=frozenset()):
-    """A worklist item; candidates=None makes a carried, right-only one."""
+    """A root; candidates=None makes a carried, right-only one."""
     cands = None if candidates is None else frozenset(candidates)
     return WorkItem(make_clique(vertices, ta, tb), cands)
 
 
 @dataclass
 class OneFamily(CheckingWorkSets):
-    """A checking WorkSets whose `asked` lists the cliques `admit` is asked,
-    in order. With one root queued, `drain` ends with its family: the
-    interval moves' targets are settled, never queued."""
+    """A checking WorkSets whose `asked` lists the family members `admit` is
+    asked, in order. Given one root, `drain` works its family alone: the
+    interval moves' targets are settled, never worked."""
 
     asked: list = field(default_factory=list)
 
-    def admit(self, clique, candidates):
-        self.asked.append((clique, candidates))
-        return super().admit(clique, candidates)
-
-
-class CountingPops(list):
-    """A worklist that counts the roots popped from it."""
-
-    pops = 0
-
-    def pop(self):
-        self.pops += 1
-        return super().pop()
+    def admit(self, clique):
+        self.asked.append(clique)
+        return super().admit(clique)
 
 
 def work_family(stream, delta, gamma, root, seen=()):
     """Drain `root` alone in a `OneFamily`, with `seen` entered beforehand."""
     ws = OneFamily(stream, delta, gamma)
     ws.seen.update(seen)
-    ws.pending.append(root)
-    drain(ws)
+    drain(ws, [root])
     return ws
-
-
-def members(ws):
-    """The family members `admit` was asked, in order."""
-    return [clique for clique, _ in ws.asked]
 
 
 def kernel_reads(stream, monkeypatch):
@@ -297,21 +284,26 @@ def test_extend_left_partial_clamp():
         assert clique_closure(item([1, 2], 2, 6), ws) == (start, 6)
 
 
-def test_interval_targets_are_settled_in_place(f1_stream):
+def test_interval_targets_are_settled_in_place(f1_stream, monkeypatch):
     # the interval move's target is filed where it is made, a result since
-    # no growth keeps its closure, and never queued: `seen` holds the seed
-    # alone, or nothing for a carried clique, and one root is popped
-    cases = (
-        (frozenset(), ((1, 2), 1, 7), {((1, 2), 2, 5)}),
-        (None, ((1, 2), 2, 7), set()),
-    )
-    for candidates, target, seen in cases:
+    # no growth keeps its closure, and never worked: one closure is taken,
+    # the root's, and `seen` stays empty, whether the root is a seed or a
+    # carried clique
+    closures = []
+    closure = tclique.expand.clique_closure
+
+    def recording(item, worksets):
+        closures.append(item.clique)
+        return closure(item, worksets)
+
+    monkeypatch.setattr(tclique.expand, "clique_closure", recording)
+    for candidates, target in ((frozenset(), ((1, 2), 1, 7)), (None, ((1, 2), 2, 7))):
+        closures.clear()
         ws = fresh_ws(f1_stream, 3, 2)
-        ws.pending = CountingPops()
-        ws.offer(make_clique([1, 2], 2, 5), candidates)
-        drain(ws)
-        assert ws.pending.pops == 1
-        assert ws.seen == seen
+        root = WorkItem(make_clique([1, 2], 2, 5), candidates)
+        checked_drain(ws, [root])
+        assert closures == [root.clique]
+        assert ws.seen == set()
         assert ws.new_maximal == {target}
 
 
@@ -319,9 +311,9 @@ def test_interval_targets_are_settled_in_place(f1_stream):
 
 
 def test_expand_vertex_example(f1_stream):
-    # {1,2} [2,5] grows by 3: the member inherits the root's candidates
+    # {1,2} [2,5] grows by 3, its one family member
     ws = work_family(f1_stream, 3, 2, item([1, 2], 2, 5, candidates={3}))
-    assert ws.asked == [(((1, 2, 3), 2, 5), frozenset({3}))]
+    assert ws.asked == [((1, 2, 3), 2, 5)]
     assert ((1, 2), 2, 5) not in ws.new_maximal  # the root has a growth
 
 
@@ -347,7 +339,7 @@ def test_flags_independent_of_seen_suppression(f1_stream):
     # target is settled a result
     grown = make_clique([1, 2, 3], 2, 5)
     ws = work_family(f1_stream, 3, 2, item([1, 2], 2, 5, candidates={3}), seen={grown})
-    assert members(ws) == [grown]
+    assert ws.asked == [grown]
     assert ws.new_maximal == {((1, 2), 1, 7)}
 
 
@@ -361,7 +353,7 @@ def test_expand_vertex_never_tries_a_vertex_outside_the_pool():
     # 1), so the member {1,2,3} tries nothing, though (3,4) would pass
     stream = linked_at_zero((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
     ws = work_family(stream, 2, 1, item([1, 2], 0, 0, candidates={3, 4}))
-    assert members(ws) == [((1, 2, 3), 0, 0)]
+    assert ws.asked == [((1, 2, 3), 0, 0)]
     assert ws.pair_checks == 2 + 1  # 3 against 1 and 2; 4 fails on (1, 4)
 
 
@@ -370,7 +362,7 @@ def test_expand_vertex_drops_a_pool_vertex_that_fails_with_the_newest():
     # the pool (3, 4, 5) against its newest vertex alone
     stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (1, 5), (2, 5))
     ws = work_family(stream, 2, 1, item([1, 2], 0, 0, candidates={3, 4, 5}))
-    assert members(ws) == [
+    assert ws.asked == [
         ((1, 2, 3), 0, 0),
         ((1, 2, 3, 4), 0, 0),
         ((1, 2, 4), 0, 0),
@@ -385,7 +377,7 @@ def test_expand_vertex_without_pool_checks_every_member():
     # 5 pairs with 2 and 3 but not with the oldest member 1
     stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (2, 5), (3, 5))
     ws = work_family(stream, 2, 1, item([1, 2, 3], 0, 0, candidates={4, 5}))
-    assert members(ws) == [((1, 2, 3, 4), 0, 0)]
+    assert ws.asked == [((1, 2, 3, 4), 0, 0)]
     assert ws.pair_checks == 3 + 1  # 4 against all three; 5 fails on (1, 5)
     # the member's closure is the root's cut by the pairs with 4; it keeps
     # the root's [0,2], so the root's target is no result, but it reaches
@@ -406,7 +398,7 @@ def test_expand_vertex_siblings_share_one_pool():
     root = item([1, 2], 0, 0, candidates={3, 4})
     ws = work_family(stream, 2, 1, root)
     assert clique_closure(root, ws) == (0, 5)
-    assert members(ws) == [((1, 2, 3), 0, 0), ((1, 2, 4), 0, 0)]
+    assert ws.asked == [((1, 2, 3), 0, 0), ((1, 2, 4), 0, 0)]
     assert ws.pair_checks == 4 + 1 + 1
     # {1,2,4} keeps the root's [0,5], which reaches the boundary 3: the
     # root's target joins the frontier only
@@ -420,15 +412,15 @@ def test_expand_vertex_answers_a_pair_from_the_family_table(monkeypatch):
     stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
     reads = kernel_reads(stream, monkeypatch)
     ws = work_family(stream, 2, 1, item([1, 2], 0, 0, candidates={3, 4}))
-    assert members(ws) == [((1, 2, 3), 0, 0), ((1, 2, 3, 4), 0, 0), ((1, 2, 4), 0, 0)]
+    assert ws.asked == [((1, 2, 3), 0, 0), ((1, 2, 3, 4), 0, 0), ((1, 2, 4), 0, 0)]
     assert ws.pair_checks == 4 + 1 + 0 + 1
     assert reads == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
 
 
 def test_a_family_enters_each_of_its_cliques_once():
-    # n mutually valid candidates give the root 2^n family cliques; each is
-    # asked of `seen` once, where an offer per route asked most of them
-    # several times
+    # n mutually valid candidates give the root 2^n family cliques; each but
+    # the root, which never enters `seen`, is asked of `seen` once, where an
+    # offer per route asked most of them several times
     class CountingSet(set):
         def __init__(self):
             super().__init__()
@@ -443,14 +435,13 @@ def test_a_family_enters_each_of_its_cliques_once():
     stream = linked_at_zero(*((u, v) for u in vertices for v in vertices if u < v))
     ws = fresh_ws(stream, 2, 1)
     ws.seen = CountingSet()
-    ws.offer(make_clique([1, 2], 0, 0), frozenset(vertices))
-    drain(ws)
+    drain(ws, [item([1, 2], 0, 0, candidates=vertices)])
     family = Counter({c: k for c, k in ws.seen.asked.items() if (c.ta, c.tb) == (0, 0)})
-    assert len(family) == 2**n
+    assert len(family) == 2**n - 1
     assert set(family.values()) == {1}
 
 
-# -- worklist -----------------------------------------------------------------------
+# -- drain ---------------------------------------------------------------------
 
 
 def test_right_only_items_skip_other_moves(f1_stream):
@@ -459,8 +450,7 @@ def test_right_only_items_skip_other_moves(f1_stream):
     # (every clique popped reaches the observation end 5, so the next
     # frontier lists them all)
     ws = fresh_ws(f1_stream, 3, 2)
-    assert ws.offer(make_clique([1, 2], 2, 5), None)
-    drain(ws)
+    checked_drain(ws, [item([1, 2], 2, 5, candidates=None)])
     assert ws.next_frontier == {((1, 2), 2, 5), ((1, 2), 2, 7)}  # no vertex or left move
     assert ws.new_maximal == {((1, 2), 2, 7)}
     assert ws.seen == set()  # no carried clique blocks a route
@@ -471,8 +461,7 @@ def test_drain_takes_the_frontier_threshold_from_the_stream_end(f1_stream):
     # observation end (the cycle boundary) join the next frontier
     for end, frontier in ((5, {((1, 2), 2, 5), ((1, 2), 2, 7)}), (7, {((1, 2), 2, 7)})):
         ws = fresh_ws(LinkStream(f1_stream.links, observation=(1, end)), 3, 2)
-        ws.offer(make_clique([1, 2], 2, 5), None)
-        drain(ws)
+        checked_drain(ws, [item([1, 2], 2, 5, candidates=None)])
         assert ws.next_frontier == frontier, end
 
 
@@ -481,46 +470,77 @@ def test_every_move_runs_after_an_earlier_one_grows(f1_stream):
     # growth is only reachable from this clique, so it is settled only if
     # drain runs the interval move after the vertex move grew
     ws = fresh_ws(f1_stream, 3, 2)
-    start = item([1, 2], 2, 5, candidates={3})
-    ws.seen.add(start.clique)
-    ws.pending.append(start)
-    drain(ws)
-    assert ws.seen == {((1, 2), 2, 5), ((1, 2, 3), 2, 5)}
+    checked_drain(ws, [item([1, 2], 2, 5, candidates={3})])
+    assert ws.seen == {((1, 2, 3), 2, 5)}
     assert ws.new_maximal == {((1, 2), 1, 7), ((1, 2, 3), 2, 5)}
 
 
 def test_debug_mode_rejects_invalid_enqueue(f1_stream):
-    # the checking WorkSets of the tests: a valid clique passes, an invalid
-    # or malformed one fails its assertion
+    # the checking WorkSets and drain of the tests: a valid family member or
+    # root passes, an invalid or malformed one fails its assertion
     ws = fresh_ws(f1_stream, 3, 2)
-    assert ws.offer(make_clique([1, 2], 1, 5), frozenset())
+    assert ws.admit(make_clique([1, 2], 1, 5))
+    checked_drain(ws, [item([1, 2], 2, 5)])
     with pytest.raises(AssertionError, match="invalid"):
-        ws.offer(make_clique([2, 3], 1, 5), frozenset())
+        ws.admit(make_clique([2, 3], 1, 5))
+    with pytest.raises(AssertionError, match="invalid"):
+        checked_drain(ws, [item([2, 3], 1, 5)])
     for malformed in (((1,), 1, 5), ((2, 1), 1, 5), ((1, 1), 1, 5), ((1, 2), 5, 1)):
         with pytest.raises(AssertionError):
-            ws.offer(Clique(*malformed), frozenset())
-        with pytest.raises(AssertionError):
-            ws.offer(Clique(*malformed), None)
+            ws.admit(Clique(*malformed))
+        for candidates in (frozenset(), None):
+            with pytest.raises(AssertionError):
+                checked_drain(ws, [WorkItem(Clique(*malformed), candidates)])
     assert ws.seen == {((1, 2), 1, 5)}
 
 
 def test_peak_live_tracks_collections(f1_stream):
     ws = fresh_ws(f1_stream, 3, 2)
-    for seed, cands in seed_cliques(f1_stream, 3, 2, f1_stream.t_start - 1):
-        assert ws.offer(seed, cands)
-    drain(ws)
-    # the last note is taken with the worklist empty
+    seeds = seed_cliques(f1_stream, 3, 2, f1_stream.t_start - 1)
+    checked_drain(ws, seeds)
+    # the first note counts every root, the last is taken with all worked
+    assert ws.peak_live >= len(seeds)
     assert ws.peak_live >= len(ws.seen) + len(ws.new_maximal) + len(ws.next_frontier)
-    # the seeds' interval targets are results that never enter `seen`
+    # neither the seeds nor their interval targets, results, enter `seen`
+    assert not ws.seen.intersection(seed.clique for seed in seeds)
     assert ws.new_maximal - ws.seen
     assert all(c.tb >= 5 for c in ws.next_frontier)
+
+
+def test_seen_holds_family_members_only(corpus, monkeypatch):
+    # no root needs the dedup barrier: every cycle's seeds are distinct, and
+    # no seed, nor any other clique of two vertices, enters `seen`, which
+    # holds family members only, each a vertex more than its seed
+    drains = []
+
+    def recording_drain(worksets, roots):
+        drain(worksets, roots)
+        drains.append((worksets, roots))
+
+    runs = [(stream, delta, gamma, k) for stream, delta, gamma in corpus for k in (1, 3)]
+    runs.append((group_contact_stream(seed=7, n_meetings=110), 360, 2, 8))
+    members = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(tclique.update, "drain", recording_drain)
+        for stream, delta, gamma, k in runs:
+            state = initial_state(delta, gamma, stream.t_start)
+            for boundary, chunk in partition_links(stream, PartitionPlan("ut", k)):
+                drains.clear()
+                state, _, _ = update_batch(state, chunk, boundary)
+                (ws, _), (same, seeds) = drains  # phase A, then phase B
+                assert same is ws
+                assert len({seed.clique for seed in seeds}) == len(seeds)
+                assert all(len(clique.vertices) >= 3 for clique in ws.seen)
+                assert not ws.seen.intersection(seed.clique for seed in seeds)
+                members += len(ws.seen)
+    assert members > 1_000
 
 
 def test_drain_matches_reference_drain_on_the_corpus(corpus, monkeypatch):
     # a same-span family (pool, inherited closures, pair table) finds exactly
     # the growths, closures and dominating growths of plain checks over all
-    # pairs, so the traversal is the same: seen, results and frontier after
-    # every drain
+    # pairs, so the traversal is the same: seen (without the reference's
+    # seeds), results and frontier after every drain
     for idx, (stream, delta, gamma) in enumerate(corpus):
         for k in (1, 3):
             plan = PartitionPlan("ut", k)
@@ -596,10 +616,10 @@ def test_drain_matches_stepwise_reference_drain_on_a_group_contact_stream(monkey
 
 
 def offers_checked_on_the_full_stream(stream, delta, gamma, plan, monkeypatch):
-    """Run update_batch over `plan` with every cycle's WorkSets checking each
-    clique it is offered, seeded or reached as a family member, and each
-    result a drain files, that ends before the cycle boundary against the
-    full input stream; returns how many it checked."""
+    """Run update_batch over `plan` checking each root a drain is given,
+    each family member it reaches and each result it files, that ends
+    before the cycle boundary, against the full input stream; returns how
+    many it checked."""
     checked = []
 
     class FullStreamCheck(CheckingWorkSets):
@@ -609,9 +629,9 @@ def offers_checked_on_the_full_stream(stream, delta, gamma, plan, monkeypatch):
             super()._check(clique)
             checked.append(clique.tb < self.stream.t_end)
 
-    def checking_drain(worksets):
+    def checking_drain(worksets, roots):
         before = set(worksets.new_maximal)
-        drain(worksets)
+        checked_drain(worksets, roots)
         for clique in worksets.new_maximal - before:
             worksets._check(clique)
 
@@ -628,9 +648,9 @@ def test_every_offer_ending_before_the_boundary_is_valid_on_the_full_stream(
 ):
     # the working stream lacks the links older than the tail, so the full
     # stream judges: a closure found on it, or a carried clique's right jump,
-    # must never offer, nor settle as a result, an invalid clique; the
-    # corpus runs in three partitions and the group stream has 220
-    # meetings, so both volume floors have room
+    # must never make a root or member, nor settle as a result, an invalid
+    # clique; the corpus runs in three partitions and the group stream has
+    # 220 meetings, so both volume floors have room
     runs = [(stream, delta, gamma, k) for stream, delta, gamma in corpus for k in (1, 3, 8)]
     group = group_contact_stream(seed=7, n_meetings=220)
     runs += [(group, 360, 2, k) for k in (1, 8)]

@@ -399,8 +399,8 @@ def test_report_pair_checks_are_the_cycle_counters(handoff_stream, tmp_path, mon
     cycle_worksets = []
     real_drain = tclique.update.drain
 
-    def recording_drain(worksets):
-        real_drain(worksets)
+    def recording_drain(worksets, roots):
+        real_drain(worksets, roots)
         if not cycle_worksets or cycle_worksets[-1] is not worksets:
             cycle_worksets.append(worksets)
 
@@ -416,15 +416,15 @@ def test_report_pair_checks_are_the_cycle_counters(handoff_stream, tmp_path, mon
 
 
 def test_report_seeds_are_the_cycle_counters(handoff_stream, tmp_path, monkeypatch):
-    # the column counts the seeds offered, every seed seed_cliques returns;
+    # the column counts the seeds drained, every seed seed_cliques returns;
     # past the first cycle that can be fewer than the working stream holds
     # (in five batches, the third and fifth cycles skip one each)
-    offered, unfiltered = [], []
+    drained, unfiltered = [], []
     real_seed_cliques = tclique.update.seed_cliques
 
     def recording_seed_cliques(stream, delta, gamma, t_prev):
         seeds = real_seed_cliques(stream, delta, gamma, t_prev)
-        offered.append(len(seeds))
+        drained.append(len(seeds))
         every = real_seed_cliques(stream, delta, gamma, stream.t_start - 1)
         unfiltered.append(len(every))
         return seeds
@@ -435,7 +435,7 @@ def test_report_seeds_are_the_cycle_counters(handoff_stream, tmp_path, monkeypat
     with open(report_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     column = [int(r["seeds"]) for r in rows[:-1]]
-    assert column == offered
+    assert column == drained
     assert column[0] == unfiltered[0]  # the first cycle keeps every seed
     assert all(pushed <= n for pushed, n in zip(column, unfiltered))
     assert column != unfiltered  # a later cycle skipped a seed behind its boundary
@@ -576,6 +576,16 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
                  "--partitions", "0"]) == 1
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+def test_cli_state_dir_needs_online_mode(tmp_path, capsys):
+    # an offline run writes no state, so it could not be resumed from the
+    # directory: naming one without --mode online is a usage error
+    state_dir = tmp_path / "st"
+    assert main(["run", "--input", str(DATA_DIR / "f1.txt"), "--format", "uvt",
+                 "--delta", "3", "--gamma", "2", "--state-dir", str(state_dir)]) == 1
+    assert "--state-dir only applies to --mode online" in capsys.readouterr().err
+    assert not state_dir.exists()
 
 
 def test_cli_data_errors_exit_2(tmp_path, capsys):
