@@ -14,9 +14,9 @@ equal on randomized inputs. A second kernel, `pair_closure`, serves the
 engine's moves: besides validity it returns the pair's closure, the largest
 interval around the span on which the pair stays valid.
 
-The kernel costs two bisections plus a lookup: one bisection of the pair's
-occurrences, and one of its entry in the gap index (`LinkStream.gap_index`,
-kept with the stream per (delta, gamma) and built once per pair). With
+The kernel costs two bisections: one of the pair's occurrences, and one of
+its bad times, its entry in the gap index (`gap_index`, built whole for one
+stream at one (delta, gamma) by each reader that needs it). With
 occurrences s_0 < ... < s_(k-1), call position i bad when i + gamma >= k or
 s_(i+gamma) > s_i + 1 + delta: whether i is bad depends on neither ta nor
 tb. On a span longer than delta, the windows hold once the first gamma
@@ -119,6 +119,28 @@ def is_delta_gamma_clique_direct(
     )
 
 
+def _bad_times(occ: tuple[int, ...], delta: int, gamma: int) -> tuple[int, ...]:
+    """The times of a pair's bad positions (see the module docstring), from
+    `occ`, its occurrence times in increasing order; the last min(gamma, k)
+    positions are always among them. When every position is bad it is
+    `occ` itself."""
+    reach = 1 + delta
+    bad = [s for s, later in zip(occ, occ[gamma:]) if later > s + reach]
+    return occ if len(bad) >= len(occ) - gamma else (*bad, *occ[-gamma:])
+
+
+def gap_index(
+    stream: LinkStream, delta: int, gamma: int
+) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Every linked pair of the stream mapped to its bad times at
+    (delta, gamma); a pair that never links has no entry, so readers ask
+    `.get(pair, ())`."""
+    return {
+        pair: _bad_times(occ, delta, gamma)
+        for pair, occ in stream.pair_occurrences.items()
+    }
+
+
 def pair_valid(
     occ: Sequence[int],
     bad: Sequence[int],
@@ -129,7 +151,7 @@ def pair_valid(
 ) -> bool:
     """Gap-based equivalent of `_pair_valid_direct`, over `occ`, the pair's
     occurrence times in increasing order (empty if it never links), and
-    `bad`, its entry in the stream's gap index at (delta, gamma).
+    `bad`, its bad times at (delta, gamma) (`gap_index`).
 
     The span needs gamma occurrences from ta on. For spans no longer than
     delta a single window remains and that count decides. Otherwise (a) the
@@ -187,17 +209,18 @@ def is_delta_gamma_clique(
     delta: int,
     gamma: int,
 ) -> bool:
-    """Engine validity check; agrees with the direct definition everywhere."""
+    """Engine validity check; agrees with the direct definition everywhere.
+    It reads the bad times of its own pairs only, with no gap index."""
     verts = sorted(set(vertices))
     if len(verts) < 2:
         raise ValueError("a clique needs at least two vertices")
     ta, tb = span
     occurrences = stream.pair_occurrences
-    gaps = stream.gap_index(delta, gamma)
-    return all(
-        pair_valid(occurrences.get(pair, ()), gaps[pair], ta, tb, delta, gamma)
-        for pair in combinations(verts, 2)
-    )
+    for pair in combinations(verts, 2):
+        occ = occurrences.get(pair, ())
+        if not pair_valid(occ, _bad_times(occ, delta, gamma), ta, tb, delta, gamma):
+            return False
+    return True
 
 
 # -- containment / canonical text form ----------------------------------------

@@ -47,8 +47,7 @@ with no pass over its pairs. The pair (w, n) recurs in the family (P+{w}
 tests it too), so the root owns a pair -> closure-or-None table, and the
 kernel runs only on a miss. `pair_checks` counts every pair test, the
 table's too. The kernel reads the working stream's gap index
-(`LinkStream.gap_index`), which the cycle's moves share and which goes with
-the stream.
+(`gap_index`), which `WorkSets` builds once a cycle for the moves to share.
 
 Canonical order. A member pushes only its growths past n (the root pushes
 all of its growths), the smallest on top, so the family reaches each
@@ -144,7 +143,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .cliques import Clique, pair_closure, sort_cliques
+from .cliques import Clique, gap_index, pair_closure, sort_cliques
 from .linkstream import LinkStream
 
 Span = tuple[int, int]
@@ -174,7 +173,8 @@ class WorkSets:
                   is not counted
     pair_checks   pair tests the vertex move asked, the ones a root's table
                   answered included
-    gaps          the stream's gap index at (delta, gamma)
+    gaps          the stream's gap index at (delta, gamma), built with the
+                  work sets
     """
 
     stream: LinkStream
@@ -188,7 +188,7 @@ class WorkSets:
     gaps: Mapping[tuple[int, int], tuple[int, ...]] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.gaps = self.stream.gap_index(self.delta, self.gamma)
+        self.gaps = gap_index(self.stream, self.delta, self.gamma)
 
     def admit(self, clique: Clique) -> bool:
         """Whether a family member is to be worked: only if no route worked
@@ -290,7 +290,9 @@ def clique_closure(item: WorkItem, worksets: WorkSets) -> Span:
     if item.candidates is not None:
         t_start = stream.t_start
         ends = [
-            pair_closure(occurrences.get(pair, ()), gaps[pair], ta, tb, delta, gamma, t_start)
+            pair_closure(
+                occurrences.get(pair, ()), gaps.get(pair, ()), ta, tb, delta, gamma, t_start
+            )
             for pair in pairs
         ]
         return max(lo for lo, _ in ends), min(hi for _, hi in ends)
@@ -327,7 +329,7 @@ def expand_vertex_set(item: WorkItem, worksets: WorkSets, closure: Span) -> Grow
             checks += 1
             pair = (w, z) if w < z else (z, w)
             ends = pair_closure(
-                occurrences.get(pair, ()), gaps[pair], ta, tb, delta, gamma, t_start
+                occurrences.get(pair, ()), gaps.get(pair, ()), ta, tb, delta, gamma, t_start
             )
             if ends is None:
                 break
@@ -406,7 +408,7 @@ def drain(worksets: WorkSets, roots: Sequence[WorkItem]) -> None:
                     if ends is False:
                         occ = occurrences.get(pair, ())
                         ends = table[pair] = pair_closure(
-                            occ, gaps[pair], ta, tb, delta, gamma, t_start
+                            occ, gaps.get(pair, ()), ta, tb, delta, gamma, t_start
                         )
                     if ends is not None:
                         found.append((w, (max(w_lo, lo, ends[0]), min(w_hi, hi, ends[1]))))

@@ -6,10 +6,9 @@ the plain tuple (t, u, v) with u < v (`Link`), written 'u v t' as text.
 `LinkStream` stores the links sorted, duplicates collapsed, and answers
 the occurrence queries the clique procedures need: all occurrences of a
 pair (one pair at a time, or the whole pair table for the growth moves,
-which read many pairs per clique), their count inside a window, from each
-vertex's contact timeline, the partners with at least gamma contacts of it
-inside a window, and, per (delta, gamma), each pair's bad gaps, the index
-the kernels `cliques.pair_valid` and `cliques.pair_closure` read.
+which read many pairs per clique), their count inside a window, and, from
+each vertex's contact timeline, the partners with at least gamma contacts
+of it inside a window.
 """
 
 from __future__ import annotations
@@ -54,10 +53,6 @@ class LinkStream:
     Each vertex keeps a contact timeline: two parallel lists, the times of
     its contacts in increasing order and the partner of each. A window query
     bisects the times once and reads the partners in that slice.
-
-    The gap indexes (`gap_index`) are the one thing that changes after
-    construction: a memo filled pair by pair on first read, which lives and
-    is freed with the stream.
     """
 
     def __init__(
@@ -90,7 +85,6 @@ class LinkStream:
         self._pair_index = {pair: tuple(ts) for pair, ts in pair_index.items()}
         self._times = times
         self._partners = partners
-        self._gap_indexes: dict[tuple[int, int], GapIndex] = {}
         self._t_min = self._links[0][0] if self._links else None
         self._t_max = self._links[-1][0] if self._links else None
         self.dropped_self_loops = dropped_self_loops
@@ -189,17 +183,6 @@ class LinkStream:
             counts[w] = counts.get(w, 0) + 1
         return frozenset([w for w, n in counts.items() if n >= gamma])
 
-    def gap_index(self, delta: int, gamma: int) -> "GapIndex":
-        """The stream's gap index at (delta, gamma), created on the first
-        call and kept with the stream, so every later caller with the same
-        parameters reads the entries earlier ones built."""
-        index = self._gap_indexes.get((delta, gamma))
-        if index is None:
-            index = self._gap_indexes[delta, gamma] = GapIndex(
-                self._pair_index, delta, gamma
-            )
-        return index
-
     # -- slicing -------------------------------------------------------------
 
     def links_in(self, window: tuple[int, int]) -> tuple[Link, ...]:
@@ -223,43 +206,6 @@ def _sorted_distinct(links: Iterable[Link]) -> tuple[Link, ...]:
             kept.append(link)
             last = link
     return tuple(kept)
-
-
-class GapIndex(dict):
-    """pair -> the times of its bad positions at one (delta, gamma); an entry
-    is built on its first read.
-
-    For a pair with occurrences s_0 < ... < s_(k-1), position i is bad when
-    the gamma-th occurrence after s_i misses the window [s_i+1, s_i+1+delta]:
-    i + gamma >= k, or s_(i+gamma) > s_i + 1 + delta. The entry holds the
-    times s_i of the bad positions, in increasing order; the last min(gamma,
-    k) positions are always among them. When every position is bad the
-    entry is the occurrence tuple itself, and a never-linked pair maps to ().
-    """
-
-    __slots__ = ("_occurrences", "_delta", "_gamma")
-
-    def __init__(
-        self,
-        occurrences: Mapping[tuple[int, int], tuple[int, ...]],
-        delta: int,
-        gamma: int,
-    ) -> None:
-        super().__init__()
-        self._occurrences = occurrences
-        self._delta = delta
-        self._gamma = gamma
-
-    def __missing__(self, pair: tuple[int, int]) -> tuple[int, ...]:
-        occ = self._occurrences.get(pair, ())
-        k, gamma, reach = len(occ), self._gamma, 1 + self._delta
-        bad = [
-            s
-            for i, s in enumerate(occ)
-            if i + gamma >= k or occ[i + gamma] > s + reach
-        ]
-        entry = self[pair] = occ if len(bad) == k else tuple(bad)
-        return entry
 
 
 def parse_links(

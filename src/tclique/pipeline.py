@@ -103,12 +103,16 @@ def run_pipeline(
     newest state is kept. A later invocation resumes after the newest state
     found there (its parameters, boundary and input digest must match the
     plan's first batches), reading back the closed cliques it counts.
+    Offline mode refuses a state directory (ConfigError), as it writes no
+    state a later run could resume from.
     """
     say = log or (lambda _msg: None)
     if mode not in ("offline", "online"):
         raise ConfigError(f"unknown mode {mode!r}")
     if mode == "online" and state_dir is None:
         raise ConfigError("online mode needs a state directory")
+    if mode == "offline" and state_dir is not None:
+        raise ConfigError("a state directory needs online mode: offline writes no state")
 
     batches = partition_links(stream, plan)
     state = initial_state(delta, gamma, stream.t_start)

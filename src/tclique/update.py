@@ -24,12 +24,13 @@ import hashlib
 import re
 from dataclasses import dataclass
 from itertools import combinations, zip_longest
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Collection, Iterable, Mapping, Sequence, TextIO
 
 from .cliques import (
     Clique,
     contains,
     format_clique,
+    gap_index,
     is_delta_gamma_clique,  # noqa: F401 (perfbench's layer tracer wraps it here)
     pair_valid,
     parse_clique,
@@ -302,25 +303,23 @@ def remove_sub_cliques(results: set[Clique], t_prev: int) -> int:
     on the test corpus). Every seed now spans exactly delta.
     """
     early = [c for c in results if c.ta <= t_prev]
-    results.difference_update(contained_cliques(early, early))
+    results.difference_update(contained_cliques(early))
     return len(early)
 
 
-def contained_cliques(
-    inner: Iterable[Clique], collection: Iterable[Clique]
-) -> list[Clique]:
-    """The cliques of `inner` that some clique of `collection` contains.
+def contained_cliques(cliques: Collection[Clique]) -> list[Clique]:
+    """The cliques that another of `cliques` contains, in iteration order.
 
-    A posting index maps each vertex to the collection cliques holding it. A
-    container holds every vertex of the inner clique, so it sits in every
-    one of their posting lists; only the shortest is read.
+    A posting index maps each vertex to the cliques holding it. A container
+    holds every vertex of the clique it contains, so it sits in every one of
+    their posting lists; only the shortest is read.
     """
     postings: dict[int, list[Clique]] = {}
-    for outer in collection:
+    for outer in cliques:
         for vertex in outer.vertices:
             postings.setdefault(vertex, []).append(outer)
     found = []
-    for clique in inner:
+    for clique in cliques:
         outers = min((postings.get(v, ()) for v in clique.vertices), key=len)
         if any(contains(outer, clique) for outer in outers):
             found.append(clique)
@@ -334,7 +333,7 @@ def normalize_final(cliques: Iterable[Clique], t_end: int) -> set[Clique]:
     """Clamp right ends to the observation end, dedup, and drop contained
     cliques — the bounded-window view of an online collection."""
     clamped = {Clique(v, ta, min(tb, t_end)) for v, ta, tb in cliques}
-    clamped.difference_update(contained_cliques(clamped, clamped))
+    clamped.difference_update(contained_cliques(clamped))
     return clamped
 
 
@@ -375,34 +374,38 @@ def finalize(
             f"state starts at {state.t_start}, stream at {t_start}"
         )
     result = sorted({*closed, *normalize_final(state.frontier, t_end)})
+    gaps = gap_index(stream, state.delta, state.gamma)
     for clique in result:
-        if not _certify_maximal(clique, stream, state.delta, state.gamma):
+        if not _certify_maximal(clique, stream, state.delta, state.gamma, gaps):
             raise VerificationError(f"{clique} failed certification")
     return result
 
 
 def _certify_maximal(
-    clique: Clique, stream: LinkStream, delta: int, gamma: int
+    clique: Clique,
+    stream: LinkStream,
+    delta: int,
+    gamma: int,
+    gaps: Mapping[tuple[int, int], tuple[int, ...]],
 ) -> bool:
     """Independent maximality check of one clique over a bounded stream.
 
     The clique must be valid on its span, and no strictly larger clique may
     be: not the span widened by one at either end, inside the observation,
     nor the clique with one vertex w more. Every test reads the clique's
-    pairs with `pair_valid`, from one list of their occurrences and gap
-    index entries: the pairs over [ta, tb], over [ta-1, tb] and over
-    [ta, tb+1]. The clique being valid, a vertex w more needs only the
-    pairs (w, z) for the members z at [ta, tb]. A valid pair has at least
-    gamma links inside the span, so the vertices w worth trying are the
-    first member's partners with gamma contacts in it. The check reads the
-    stream and its gap index only, never the engine's closures, so it stays
-    a backstop to the traversal.
+    pairs with `pair_valid`, from one list of their occurrences and their
+    entries in `gaps`, the stream's gap index at (delta, gamma): the pairs
+    over [ta, tb], over [ta-1, tb] and over [ta, tb+1]. The clique being
+    valid, a vertex w more needs only the pairs (w, z) for the members z at
+    [ta, tb]. A valid pair has at least gamma links inside the span, so the
+    vertices w worth trying are the first member's partners with gamma
+    contacts in it. The check reads the stream and its gap index only, never
+    the engine's closures, so it stays a backstop to the traversal.
     """
     verts, ta, tb = clique
     t_start, t_end = stream.observation
     occurrences = stream.pair_occurrences
-    gaps = stream.gap_index(delta, gamma)
-    pairs = [(occurrences.get(p, ()), gaps[p]) for p in combinations(verts, 2)]
+    pairs = [(occurrences.get(p, ()), gaps.get(p, ())) for p in combinations(verts, 2)]
 
     def valid_at(a: int, b: int) -> bool:
         return all(pair_valid(occ, bad, a, b, delta, gamma) for occ, bad in pairs)
@@ -415,7 +418,7 @@ def _certify_maximal(
         return False
     for w in stream.partners(verts[0], (ta, tb), gamma).difference(verts):
         if all(
-            pair_valid(occurrences.get(p, ()), gaps[p], ta, tb, delta, gamma)
+            pair_valid(occurrences.get(p, ()), gaps.get(p, ()), ta, tb, delta, gamma)
             for p in ((w, z) if w < z else (z, w) for z in verts)
         ):
             return False

@@ -16,7 +16,7 @@ from tclique import (
     parse_clique,
     sort_cliques,
 )
-from tclique.cliques import _pair_valid_direct, pair_closure, pair_valid
+from tclique.cliques import _pair_valid_direct, gap_index, pair_closure, pair_valid
 from helpers import corpus_entry, links_from_pairs, plain_closure
 
 
@@ -210,16 +210,27 @@ def test_gamma_one_matches_plain_delta_window_check():
         ) == plain_pair_ok(occ, ta, tb, delta)
 
 
-def shared_index_valid(stream, pair, ta, tb, delta, gamma):
-    """`pair_valid` reading the stream's own gap index, as the engine does."""
-    gaps = stream.gap_index(delta, gamma)
-    return pair_valid(stream.occurrences(pair), gaps[pair], ta, tb, delta, gamma)
+def bad_times_by_count(stream, pair, delta, gamma):
+    """The pair's occurrences s whose next delta + 1 ticks, [s+1, s+1+delta],
+    hold fewer than gamma occurrences, counted by `count_in`."""
+    return tuple(
+        s
+        for s in stream.occurrences(pair)
+        if stream.count_in(pair, (s + 1, s + 1 + delta)) < gamma
+    )
+
+
+def index_valid(stream, pair, ta, tb, delta, gamma):
+    """`pair_valid` reading a gap index of the stream, as the engine does."""
+    gaps = gap_index(stream, delta, gamma)
+    return pair_valid(stream.occurrences(pair), gaps.get(pair, ()), ta, tb, delta, gamma)
 
 
 def test_shared_gap_index_answers_like_the_definition():
-    # one stream queried in random order: the first query on a pair builds
-    # its entry, the later ones read it; a second (delta, gamma) on the same
-    # stream, interleaved, gets entries of its own
+    # one index per (delta, gamma), built whole, then queried in random order
+    # with the two interleaved: every linked pair's entry is its bad times
+    # counted with `count_in`, a never-linked pair has none, and every query
+    # answers as the definition does
     rng = random.Random(11)
     pair_times = {}
     for u in range(1, 6):
@@ -230,24 +241,22 @@ def test_shared_gap_index_answers_like_the_definition():
     stream = links_from_pairs(pair_times, observation=(0, 40))
     pairs = sorted(pair_times) + [(1, 6)]  # (1, 6) never links
     params = ((3, 2), (5, 1))
-    first = stream.gap_index(*params[0])
-    built = 0
+    indexes = {(delta, gamma): gap_index(stream, delta, gamma) for delta, gamma in params}
+    for (delta, gamma), gaps in indexes.items():
+        assert gaps == {
+            pair: bad_times_by_count(stream, pair, delta, gamma) for pair in pair_times
+        }
+        assert (1, 6) not in gaps
     for _ in range(800):
         delta, gamma = params[rng.random() < 0.4]
         pair = rng.choice(pairs)
         ta = rng.randint(-2, 42)
         tb = ta + rng.randint(0, 20)
-        had_entry = pair in stream.gap_index(delta, gamma)
-        got = shared_index_valid(stream, pair, ta, tb, delta, gamma)
+        bad = indexes[delta, gamma].get(pair, ())
+        got = pair_valid(stream.occurrences(pair), bad, ta, tb, delta, gamma)
         assert got == _pair_valid_direct(stream, pair, ta, tb, delta, gamma), (
             pair, ta, tb, delta, gamma,
         )
-        built += not had_entry
-    # the index stays with the stream, one per (delta, gamma), and was read
-    # far more often than built
-    assert stream.gap_index(*params[0]) is first
-    assert stream.gap_index(*params[1]) is not first
-    assert built <= 2 * len(pairs) < 800
 
 
 def test_gap_index_edge_cases():
@@ -255,7 +264,7 @@ def test_gap_index_edge_cases():
 
     def check(pair, ta, tb, delta, gamma, expected):
         assert _pair_valid_direct(stream, pair, ta, tb, delta, gamma) is expected
-        assert shared_index_valid(stream, pair, ta, tb, delta, gamma) is expected
+        assert index_valid(stream, pair, ta, tb, delta, gamma) is expected
         assert (
             is_delta_gamma_clique(pair, (ta, tb), stream, delta, gamma) is expected
         )
@@ -263,7 +272,7 @@ def test_gap_index_edge_cases():
     # a never-linked pair
     check((1, 4), 0, 1, 2, 1, False)
     check((1, 4), 0, 9, 2, 1, False)
-    assert stream.gap_index(2, 1)[(1, 4)] == ()
+    assert (1, 4) not in gap_index(stream, 2, 1)
     # spans no longer than delta: the count decides
     check((2, 3), 4, 6, 2, 1, True)
     check((2, 3), 6, 8, 2, 1, False)
@@ -280,28 +289,31 @@ def test_gap_index_edge_cases():
     check((1, 3), 0, 7, 2, 1, False)
     check((1, 3), 0, 6, 2, 1, True)
     # bad times: the last gamma positions are bad, and so is 2 -> 6; when
-    # all are, the entry is the occurrence tuple
-    assert stream.gap_index(2, 1)[(1, 2)] == (2, 8)
-    assert stream.gap_index(5, 2)[(1, 2)] == (6, 8)
-    assert stream.gap_index(4, 2)[(1, 2)] is stream.occurrences((1, 2))
+    # all are, the entry is the occurrence tuple, also for gamma above the
+    # pair's count
+    assert gap_index(stream, 2, 1)[(1, 2)] == (2, 8)
+    assert gap_index(stream, 5, 2)[(1, 2)] == (6, 8)
+    assert gap_index(stream, 4, 2)[(1, 2)] is stream.occurrences((1, 2))
+    assert gap_index(stream, 2, 3)[(2, 3)] is stream.occurrences((2, 3))
+    for delta, gamma in ((1, 1), (2, 1), (3, 2), (5, 2), (9, 3), (2, 5)):
+        assert gap_index(stream, delta, gamma) == {
+            pair: bad_times_by_count(stream, pair, delta, gamma)
+            for pair in stream.static_edges
+        }
 
 
 def closure_by_index(stream, pair, ta, tb, delta, gamma):
-    """`pair_closure` reading the stream's own gap index, as the engine does."""
-    gaps = stream.gap_index(delta, gamma)
+    """`pair_closure` reading a gap index of the stream, as the engine does."""
+    gaps = gap_index(stream, delta, gamma)
     return pair_closure(
-        stream.occurrences(pair), gaps[pair], ta, tb, delta, gamma, stream.t_start
+        stream.occurrences(pair), gaps.get(pair, ()), ta, tb, delta, gamma, stream.t_start
     )
 
 
 def first_bad_time(stream, pair, ta, delta, gamma):
     """The first occurrence from ta on after which the next delta + 1 ticks
     hold fewer than gamma occurrences, counted by `count_in`."""
-    return next(
-        s
-        for s in stream.occurrences(pair)
-        if s >= ta and stream.count_in(pair, (s + 1, s + 1 + delta)) < gamma
-    )
+    return next(s for s in bad_times_by_count(stream, pair, delta, gamma) if s >= ta)
 
 
 def check_closure_against_the_definition(stream, pair, ta, tb, delta, gamma):

@@ -16,7 +16,7 @@ from tclique import (
     is_delta_gamma_clique,
     parse_links,
 )
-from tclique.cliques import pair_closure
+from tclique.cliques import gap_index, pair_closure
 from tclique.expand import WorkItem, WorkSets, clique_closure, expand_vertex_set
 from tclique.linkstream import format_link, parse_link
 from conftest import load_fixture
@@ -236,10 +236,10 @@ def test_gamma_occurrence_queries_agree_with_slicing(pairs, a, b, gamma, delta):
 
 
 def closure(stream, pair, span, gamma, delta=3):
-    """`pair_closure` over the stream's own gap index."""
-    gaps = stream.gap_index(delta, gamma)
+    """`pair_closure` over a gap index of the stream."""
+    gaps = gap_index(stream, delta, gamma)
     return pair_closure(
-        stream.occurrences(pair), gaps[pair], *span, delta, gamma, stream.t_start
+        stream.occurrences(pair), gaps.get(pair, ()), *span, delta, gamma, stream.t_start
     )
 
 

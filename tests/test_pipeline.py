@@ -1,5 +1,6 @@
 """Pipeline runs, persistence, reports, stats, the CLI, and the scripts."""
 
+import copy
 import csv
 import dataclasses
 import io
@@ -586,6 +587,35 @@ def test_cli_state_dir_needs_online_mode(tmp_path, capsys):
                  "--delta", "3", "--gamma", "2", "--state-dir", str(state_dir)]) == 1
     assert "--state-dir only applies to --mode online" in capsys.readouterr().err
     assert not state_dir.exists()
+
+
+def test_offline_run_refuses_a_state_dir(handoff_stream, tmp_path):
+    # the library call refuses what the CLI refuses: an offline run writes
+    # no state, so nothing could resume from the directory
+    state_dir = tmp_path / "st"
+    with pytest.raises(ConfigError, match="state directory needs online mode"):
+        run_pipeline(handoff_stream, 4, 2, PartitionPlan("ut", 2), state_dir=state_dir)
+    assert not state_dir.exists()
+
+
+def test_a_run_leaves_the_input_stream_unchanged(tmp_path):
+    # the stream is read-only once built: full offline and online passes,
+    # finalize and certification included, and validity checks of their
+    # results change none of its attributes
+    stream = group_contact_stream(seed=7, n_meetings=40)
+    delta, gamma = 360, 2
+    before = copy.deepcopy(vars(stream))
+    plan = PartitionPlan("ut", 4)
+    final = run_pipeline(stream, delta, gamma, plan).final
+    online = run_pipeline(
+        stream, delta, gamma, plan, mode="online", state_dir=tmp_path / "st"
+    ).final
+    assert online == final and len(final) > 50
+    assert all(
+        is_delta_gamma_clique(c.vertices, (c.ta, c.tb), stream, delta, gamma)
+        for c in final
+    )
+    assert vars(stream) == before
 
 
 def test_cli_data_errors_exit_2(tmp_path, capsys):

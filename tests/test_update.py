@@ -31,6 +31,7 @@ from tclique import (
     sort_cliques,
     update_batch,
 )
+from tclique.cliques import gap_index
 import tclique.update
 from tclique.update import (
     EMPTY_DIGEST,
@@ -357,7 +358,7 @@ def sweeps_agree(stream, delta, gamma, boundaries, monkeypatch) -> int:
     dropped = []
 
     def compared_sweep(results, t_prev):
-        full = set(contained_cliques(results, results))
+        full = set(contained_cliques(results))
         before = set(results)
         checked = remove_sub_cliques(results, t_prev)
         assert before - results == full, (boundaries, t_prev)
@@ -413,43 +414,42 @@ def small_cliques(top_vertex: int, max_ta: int = 4, max_length: int = 4):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    # spans spread over [0, 60] are short against the collection's time
-    # range, so the time window cuts the posting lists
+    # vertices up to 7 over spans in [0, 8], where equal vertex sets with
+    # nested spans are common, or spread over [0, 60], where most spans miss
+    # each other
     st.one_of(
-        st.lists(small_cliques(5), max_size=12),
-        st.lists(small_cliques(5, 40, 20), max_size=24),
+        st.lists(small_cliques(7), max_size=12),
+        st.lists(small_cliques(7, 40, 20), max_size=24),
     ),
-    # vertices 6 and 7: in no posting list
-    st.lists(st.one_of(small_cliques(7), small_cliques(7, 40, 20)), max_size=6),
-    st.lists(st.integers(0, 50), max_size=6),
 )
 # equal vertex sets, nested spans (both ways round)
-@example([make_clique([1, 2], 0, 8)], [make_clique([1, 2], 2, 5)], [])
-@example([make_clique([1, 2], 2, 5)], [make_clique([1, 2], 0, 8)], [])
-# identical cliques: taken from the collection itself
-@example([make_clique([1, 2, 3], 0, 4), make_clique([1, 2], 1, 3)], [], [0, 1])
-# an inner clique absent from the collection, inside one of its cliques
-@example([make_clique([1, 2, 3], 0, 4)], [make_clique([1, 3], 1, 2)], [])
-# an inner vertex that no collection clique holds
-@example([make_clique([1, 2], 0, 8)], [make_clique([1, 6], 1, 2)], [])
-# spans that touch at the edges: a container ending exactly at inner.tb
-# (and the longest of the collection), and one starting exactly at inner.ta
-@example([make_clique([1, 2, 3], 0, 10)], [make_clique([1, 2], 3, 10)], [])
+@example([make_clique([1, 2], 0, 8), make_clique([1, 2], 2, 5)])
+@example([make_clique([1, 2], 2, 5), make_clique([1, 2], 0, 8)])
+# identical cliques do not contain each other: a repeated container, and
+# the clique inside it
 @example(
-    [make_clique([1, 2, 3], 2, 6), make_clique([4, 5], 0, 30)],
-    [make_clique([1, 2], 2, 4)],
-    [],
+    [make_clique([1, 2, 3], 0, 4), make_clique([1, 2], 1, 3), make_clique([1, 2, 3], 0, 4)]
 )
-# a clique covering every inner span, on no posting list of their vertices
+# spans that touch at the edges: a container ending exactly at the inner
+# clique's tb (and the longest of the list), and one starting exactly at
+# its ta
+@example([make_clique([1, 2, 3], 0, 10), make_clique([1, 2], 3, 10)])
 @example(
-    [make_clique([3, 4], 0, 30), make_clique([1, 2, 3], 10, 14)],
-    [make_clique([1, 2], 11, 13), make_clique([1, 2], 9, 13)],
-    [],
+    [make_clique([1, 2, 3], 2, 6), make_clique([4, 5], 0, 30), make_clique([1, 2], 2, 4)]
 )
-def test_contained_cliques_matches_brute_force(collection, fresh, picks):
-    inner = fresh + [collection[i % len(collection)] for i in picks if collection]
-    expected = [c for c in inner if any(contains(o, c) for o in collection)]
-    assert contained_cliques(inner, collection) == expected
+# a clique whose span covers every other span, on the posting lists of
+# neither vertex 1 nor vertex 2
+@example(
+    [
+        make_clique([3, 4], 0, 30),
+        make_clique([1, 2, 3], 10, 14),
+        make_clique([1, 2], 11, 13),
+        make_clique([1, 2], 9, 13),
+    ]
+)
+def test_contained_cliques_matches_brute_force(cliques):
+    expected = [c for c in cliques if any(contains(o, c) for o in cliques)]
+    assert contained_cliques(cliques) == expected
 
 
 # -- frontier pruning -----------------------------------------------------------------
@@ -570,6 +570,7 @@ def test_certification_tries_every_static_scan_candidate(
     monkeypatch.setattr(LinkStream, "partners", recording_partners)
     n_candidates = n_results = 0
     for (stream, delta, gamma), results in zip(corpus, corpus_oracles):
+        gaps = gap_index(stream, delta, gamma)
         for clique in results:
             verts, ta, tb = clique
             smaller = [
@@ -579,7 +580,7 @@ def test_certification_tries_every_static_scan_candidate(
             ]
             for c in [clique, *smaller]:
                 pools.clear()
-                _certify_maximal(c, stream, delta, gamma)
+                _certify_maximal(c, stream, delta, gamma, gaps)
                 if c is clique:
                     assert len(pools) == 1, c  # a result reaches the vertex step
                     n_results += 1
@@ -616,10 +617,11 @@ def assert_certificates_agree(
 ) -> int:
     """Hold the certificate's verdict to the reference's on every probe of
     every result; returns how many probes passed both."""
+    gaps = gap_index(stream, delta, gamma)
     n_maximal = 0
     for result in results:
         for probe in certificate_probes(result, stream, rng):
-            verdict = _certify_maximal(probe, stream, delta, gamma)
+            verdict = _certify_maximal(probe, stream, delta, gamma, gaps)
             assert verdict == reference_certify_maximal(probe, stream, delta, gamma), probe
             n_maximal += verdict
     return n_maximal
@@ -630,7 +632,8 @@ def test_certificate_verdicts_match_the_reference(corpus, corpus_oracles):
     # refuses among its perturbations and random cliques
     n_results = n_maximal = 0
     for idx, ((stream, delta, gamma), results) in enumerate(zip(corpus, corpus_oracles)):
-        assert all(_certify_maximal(c, stream, delta, gamma) for c in results)
+        gaps = gap_index(stream, delta, gamma)
+        assert all(_certify_maximal(c, stream, delta, gamma, gaps) for c in results)
         rng = random.Random(50_000 + idx)
         n_maximal += assert_certificates_agree(stream, delta, gamma, results, rng)
         n_results += len(results)
@@ -646,7 +649,8 @@ def test_certificate_verdicts_match_the_reference_on_a_group_contact_stream():
     delta, gamma = 360, 2
     results = run_pipeline(stream, delta, gamma, PartitionPlan("ut", 1)).final
     assert len(results) > 1_000
-    assert all(_certify_maximal(c, stream, delta, gamma) for c in results)
+    gaps = gap_index(stream, delta, gamma)
+    assert all(_certify_maximal(c, stream, delta, gamma, gaps) for c in results)
     assert_certificates_agree(stream, delta, gamma, results, random.Random(7))
 
 
