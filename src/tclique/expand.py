@@ -107,6 +107,13 @@ valid at s and J's other vertices among K's candidates:
   right anchor [b-delta, b] is a window of [a, b] on which J is valid, and
   every vertex of J has gamma links to both seed vertices there, so it is
   among the seed's candidates.
+- `seed_cliques` skips a seed when no pair of its family (its pair and its
+  candidates) links in (t_prev, b]. The previous cycle had that seed with
+  the same family, and its frontier holds a cover of every clique the
+  family files. Phase A moves the cover to a result that starts by t_prev
+  and equals or contains each of them, so the sweep drops what the seed
+  would add to the results, and the prune what it would add to the
+  frontier (the proof is in `seed_cliques`).
 - The dedup barrier loses nothing. `seen` holds every family member
   worked in the cycle, and drops a second route to one. Such a member
   holds the pair of the seed its route started from, and its span
@@ -206,14 +213,17 @@ class WorkSets:
 def seed_cliques(
     stream: LinkStream, delta: int, gamma: int, t_prev: int
 ) -> list[WorkItem]:
-    """Pair seeds of one cycle's working stream that reach past `t_prev`.
+    """Pair seeds of one cycle's working stream whose family reads a link
+    after `t_prev`.
 
     For each pair with occurrences s_1 < ... < s_k in the stream, the right
-    anchor [s_j, s_j+delta] of each occurrence becomes a seed when it holds
-    exactly gamma occurrences of the pair and ends after the previous
-    boundary t_prev; it comes as a `WorkItem` with its candidates, the
-    vertices with at least gamma links to both seed endpoints inside its
-    interval. The items are sorted by clique.
+    anchor [s_j, s_j+delta] of each occurrence is a seed when it holds
+    exactly gamma occurrences of the pair; it comes as a `WorkItem` with its
+    candidates, the vertices with at least gamma links to both seed
+    endpoints inside its interval. The seed's family is its pair and its
+    candidates, and the seed is returned only if some pair of its family has
+    an occurrence in (t_prev, tb], tb its right end. The items are sorted by
+    clique.
 
     This is the one seed the completeness argument (module docstring) asks
     of a result (J, [a, b]): the right anchor [b-delta, b] of the pair whose
@@ -224,25 +234,52 @@ def seed_cliques(
     s_(j+gamma-1) <= s_j + delta, and at most gamma iff the run is the last
     or s_(j+gamma) > s_j + delta.
 
-    On the first cycle t_prev is t_start - 1 and every seed is kept. Later,
-    a seed [ta, tb] with tb <= t_prev is skipped before its candidates are
-    computed. The working stream's links start at t_prev - delta, so the
-    seed is [t_prev - delta, t_prev]: its count and its candidates read only
-    links in that window, which the previous cycle's stream held too, and
-    the links after t_prev lie past its end. So that cycle had the same seed
-    with the same candidates. Expanding it again can gain only what a new
-    link (t > t_prev) makes possible, and only a clique whose interval
-    reaches t_prev can read one:
-    - an interval move carrying a clique across t_prev: a closure that ends
-      before t_prev reads links only up to its end + 1, so over the previous
-      cycle's links the closure reached t_prev as well; that cycle made the
-      move (the dominance guard never skips a closure that reaches the
-      boundary) and filed the result in its frontier, which phase A carries
-      right;
-    - a vertex growth a new link makes valid needs a pair with an occurrence
-      after t_prev, whose gamma-run ending there yields a kept seed.
-    Everything else the expansion reaches ends before t_prev, reads only old
-    links, and the previous cycle already reported it.
+    On the first cycle t_prev is t_start - 1: every anchor starts after it,
+    so the seed's own pair links after t_prev and every seed is kept with no
+    further test. Later, a seed with tb <= t_prev has an empty interval and
+    is skipped before its candidates are computed; one whose anchor starts
+    after t_prev is kept at once; any other asks each pair of its sorted
+    family for a link in (t_prev, tb]. A skipped seed (u, v, [s, tb]) with
+    tb > t_prev adds nothing the cycle lacks, by induction over the cycles
+    on this claim: for every seed of a cycle that ends past the cycle's
+    boundary, and every K between the seed's pair and its family that is
+    valid on its span, the pruned frontier after the cycle holds (K, D) with
+    D containing K's closure at that span, read on the cycle's stream.
+    - The skipped seed was a seed of the previous cycle, with the same
+      candidates and family. Its anchor and every family pair read only
+      links at or before t_prev inside [s, tb], and both working streams
+      hold those, since s = tb - delta > t_prev - delta. A candidate's two
+      pairs with the seed are family pairs, so the candidate sets agree, and
+      validity on [s, tb] reads the same links: K is valid there in both
+      cycles.
+    - If the previous cycle worked that seed, (K, [s, tb]) was worked on
+      some route (the dedup barrier of the module docstring), and it and its
+      target went to `next_frontier`: both end at tb or later, past that
+      cycle's boundary t_prev. If it skipped the seed, the claim gives such
+      entries. `prune_frontier` kept a cover (K, [a', b']) of the closure.
+    - Phase A moves that cover right, to (K, [a', b'']). Call K's closure
+      in this cycle [lo, hi]. K is valid on [lo, tb] here, and so on the
+      previous stream: that holds every link of this one up to t_prev,
+      reaches further left, and lacks only links after t_prev, of which no
+      family pair has one in [s, tb]; a window's count only grows with more
+      links. So the previous closure, and a', start by lo.
+    - b'' >= hi. Each pair of K has gamma links in [s, tb], inside
+      [a', b' + 1] (a' <= s, b' >= tb), so the move's anchor, the gamma-th
+      largest occurrence there, is at or after s, and the pair's end, the
+      first bad time from that anchor plus delta, is at or past its closure's
+      end from s. The move pins the end at b' only for a pair with fewer
+      than gamma links in [b' + 1 - delta, b' + 1], a window of every span
+      from s past b', so then hi <= b'.
+    - So each result the skipped seed's family would file equals, or lies
+      strictly inside, the phase A result (K, [a', b'']). Both start by
+      t_prev (a' <= lo <= s <= t_prev), so `remove_sub_cliques` compares
+      them and drops the inner one. Each frontier entry it would file is
+      covered by that result, which reaches the boundary when the entry
+      does, and `prune_frontier` drops it. What either would have dropped
+      as contained in the skipped clique lies inside the phase A one too.
+      The claim holds for the cycle, as b'' >= hi >= tb. A member the skipped
+      seed shares with a kept seed's family is worked there with the same
+      growths (the dedup barrier again), so no other route changes.
 
     Pairs sharing an endpoint often share anchor intervals (a meeting at
     time s gives its pairs the same anchors), so the seeds are taken
@@ -250,8 +287,9 @@ def seed_cliques(
     stream once per interval; only one interval's answers are held at a
     time.
     """
+    occurrences = stream.pair_occurrences
     found: list[Clique] = []
-    for pair, occ in stream.pair_occurrences.items():
+    for pair, occ in occurrences.items():
         k = len(occ)
         for j in range(k - gamma + 1):
             tb = occ[j] + delta
@@ -269,7 +307,16 @@ def seed_cliques(
         for x in (u, v):
             if x not in known:
                 known[x] = stream.partners(x, span, gamma)
-        seeds.append(WorkItem(seed, (known[u] & known[v]) - {u, v}))
+        candidates = (known[u] & known[v]) - {u, v}
+        if ta <= t_prev:  # else the anchor itself is a link past t_prev
+            for pair in combinations(sorted(candidates | {u, v}), 2):
+                occ = occurrences.get(pair, ())
+                i = bisect_right(occ, t_prev)
+                if i < len(occ) and occ[i] <= tb:
+                    break
+            else:
+                continue
+        seeds.append(WorkItem(seed, candidates))
     seeds.sort()
     return seeds
 

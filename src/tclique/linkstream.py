@@ -152,8 +152,10 @@ class LinkStream:
     # -- occurrence queries --------------------------------------------------
 
     def occurrences(self, pair: tuple[int, int]) -> tuple[int, ...]:
-        """All timestamps of a canonical pair (empty if never linked)."""
-        assert pair[0] < pair[1], "pair must be canonical (u < v)"
+        """All timestamps of a canonical pair (empty if never linked);
+        ValueError for a pair (u, v) with u >= v, which no link has."""
+        if pair[0] >= pair[1]:
+            raise ValueError(f"pair {pair} is not canonical (u < v)")
         return self._pair_index.get(pair, ())
 
     @property

@@ -4,10 +4,10 @@ Each call to `update_batch` consumes one batch of links up to a new time
 boundary. Its working stream, the state's link tail plus the batch observed
 over [t_start, new boundary], is the cycle's window and gives every bound of
 the cycle. Carried-over frontier cliques are re-extended to the right over
-it, then its pair seeds that reach past the previous boundary are expanded
-in full. Every result contained in another result of the cycle is swept
-out afterwards; only a result that starts by the previous boundary can be
-(`remove_sub_cliques`). The results that end before the new boundary are
+it, then its pair seeds whose family links after the previous boundary are
+expanded in full. Every result contained in another result of the cycle is
+swept out afterwards; only a result that starts by the previous boundary can
+be (`remove_sub_cliques`). The results that end before the new boundary are
 closed: final cliques that no later link changes, so they are handed to the
 caller and leave the state, which keeps only the frontier and the link tail
 still able to interact with future batches. `finalize` turns the closed
@@ -185,7 +185,9 @@ def update_batch(
     # without candidates they take no other move.
     drain(worksets, [WorkItem(c, None) for c in sorted(state.frontier)])
 
-    # Phase B: fresh seeds of the working stream that reach past t_prev.
+    # Phase B: the working stream's seeds whose family (pair and candidates)
+    # links in (t_prev, tb]. Any other seed was a seed of the previous cycle,
+    # and its family adds nothing phase A's carried cliques do not hold.
     seeds = seed_cliques(working, state.delta, state.gamma, t_prev)
     drain(worksets, seeds)
 
@@ -294,6 +296,12 @@ def remove_sub_cliques(results: set[Clique], t_prev: int) -> int:
       t_prev - delta, read from the working stream.
     So a valid (J, D) containing (K, C) has D = C by the second step and
     J = K by the third: (K, C) is maximal.
+
+    What is left to drop comes mostly from phase A: a carried clique whose
+    carried superset stops where it does. A seed whose family has no link
+    after t_prev is not worked again (`seed_cliques`): working it would
+    re-read its results' left ends from the truncated stream, too late, and
+    file cliques inside their phase A copies for this sweep to drop.
 
     The same filter once lost results: seeds clamped at the observation
     start spanned less than delta, so the first route to a clique could

@@ -113,16 +113,24 @@ def reference_seed_anchors(
     stream: LinkStream, delta: int, gamma: int, t_prev: int
 ) -> set[Clique]:
     """The seed cliques of `seed_cliques` without their candidates: every
-    right anchor [s, s+delta] of a pair occurrence s that ends after t_prev
-    and holds exactly gamma occurrences, counted by `count_in`, pair by
-    static edge: the reference for the engine's index arithmetic."""
+    right anchor [s, s+delta] of a pair occurrence s that holds exactly gamma
+    occurrences, counted by `count_in`, pair by static edge, and whose family
+    (the pair and its `static_scan_candidates`) has a pair with a link in
+    (t_prev, s+delta], counted by `count_in` too: the reference for the
+    engine's index arithmetic and its skip rule."""
     found = set()
     for pair in stream.static_edges:
         occ = stream.occurrences(pair)
         for j in range(len(occ) - gamma + 1):
             ta, tb = occ[j], occ[j] + delta
-            if tb > t_prev and stream.count_in(pair, (ta, tb)) == gamma:
-                found.add(Clique(pair, ta, tb))
+            if stream.count_in(pair, (ta, tb)) != gamma:
+                continue
+            seed = Clique(pair, ta, tb)
+            family = sorted({*pair, *static_scan_candidates(seed, stream, gamma)})
+            if any(
+                stream.count_in(p, (t_prev + 1, tb)) > 0 for p in combinations(family, 2)
+            ):
+                found.add(seed)
     return found
 
 

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import pytest
 import tclique.expand
@@ -124,15 +125,23 @@ def test_seeds_hold_exactly_gamma_occurrences_and_are_valid():
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 3))
-def test_seeds_past_t_prev_are_the_first_cycle_seeds_ending_after_it(
+def test_seeds_past_t_prev_are_the_first_cycle_seeds_whose_family_links_after_it(
     index, delta, gamma
 ):
-    # a seed is filtered on its right end alone: the rest, candidate sets
-    # included, is what the first cycle (t_prev = t_start - 1) returns
+    # a seed is filtered on its family's links in (t_prev, tb] alone: the
+    # rest, candidate sets included, is what the first cycle
+    # (t_prev = t_start - 1) returns, and there every seed is kept
     stream = random_stream(index)
     every = seed_cliques(stream, delta, gamma, stream.t_start - 1)
     for t_prev in range(stream.t_start, stream.t_end + 1):
-        expected = [(seed, cands) for seed, cands in every if seed.tb > t_prev]
+        expected = [
+            (seed, cands)
+            for seed, cands in every
+            if any(
+                stream.count_in(pair, (t_prev + 1, seed.tb)) > 0
+                for pair in combinations(sorted({*seed.vertices, *cands}), 2)
+            )
+        ]
         assert seed_cliques(stream, delta, gamma, t_prev) == expected, t_prev
 
 
@@ -159,9 +168,13 @@ def pair_streams(draw):
 @example(links_from_pairs({(1, 2): [0, 2]}), 2, 1)
 # the gamma-th link one past s + delta: [1, 4] holds one link only
 @example(links_from_pairs({(1, 2): [1, 5]}, observation=(0, 5)), 3, 2)
+# (1,2) [0, 4] has no link of its own pair after 0, but its candidate 3
+# links with 1 at 3: kept at t_prev = 2, skipped at t_prev = 3
+@example(links_from_pairs({(1, 2): [0], (1, 3): [1, 3], (2, 3): [1]}), 4, 1)
 def test_seed_anchors_match_the_count_in_reference(stream, delta, gamma):
     # the index arithmetic keeps exactly the anchors that count_in finds
-    # holding gamma occurrences, for every previous boundary
+    # holding gamma occurrences and whose family count_in finds linking in
+    # (t_prev, tb], for every previous boundary
     for t_prev in range(stream.t_start - 1, stream.t_end + delta + 1):
         seeds = {seed for seed, _ in seed_cliques(stream, delta, gamma, t_prev)}
         assert seeds == reference_seed_anchors(stream, delta, gamma, t_prev), t_prev

@@ -1,11 +1,16 @@
 """Link stream parsing, indexing, and window queries."""
 
 import io
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+import tclique
 from hypothesis import example, given, strategies as st
 
 from tclique import (
@@ -153,8 +158,30 @@ def test_observation_rules():
 
 
 def test_occurrences_requires_ordered_pair(f1_stream):
-    with pytest.raises(AssertionError):
-        f1_stream.occurrences((2, 1))
+    for pair in ((2, 1), (1, 1)):
+        with pytest.raises(ValueError, match="not canonical"):
+            f1_stream.occurrences(pair)
+        with pytest.raises(ValueError, match="not canonical"):
+            f1_stream.count_in(pair, (0, 9))
+    assert f1_stream.occurrences((1, 9)) == ()  # canonical, never linked
+
+
+def test_occurrences_refuses_a_reversed_pair_under_python_O():
+    # the check is no assert, so `python -O` keeps it; (2, 1) would else
+    # miss the key (1, 2) and read () without a word
+    probe = (
+        "from tclique import LinkStream\n"
+        "assert False, 'asserts are on'\n"
+        "LinkStream([(0, 1, 2)]).occurrences((2, 1))\n"
+    )
+    src = str(Path(tclique.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert "ValueError: pair (2, 1) is not canonical" in run.stderr, run.stderr
 
 
 @given(st.integers(0, 60).map(random_stream), st.integers(-5, 30), st.integers(-5, 30))

@@ -28,10 +28,12 @@ from tclique import (
     partition_links,
     run_pipeline,
     save_state,
+    seed_cliques,
     sort_cliques,
     update_batch,
 )
 from tclique.cliques import gap_index
+import tclique.expand
 import tclique.update
 from tclique.update import (
     EMPTY_DIGEST,
@@ -46,6 +48,7 @@ from helpers import (
     as_v1_state,
     as_v2_state,
     group_contact_stream,
+    links_from_pairs,
     offline_keys,
     random_boundaries,
     random_state,
@@ -83,7 +86,9 @@ def test_cycle_counters_of_a_group_contact_stream():
     # visited keeps the last four (peak_live and pair_checks follow the
     # route to each clique: its parent and the order of the roots), and
     # `checked`, the results that start by the previous boundary, is 0 on
-    # the first cycle
+    # the first cycle. After it, a seed whose family has no link past the
+    # previous boundary is skipped, so the later cycles have fewer seeds and
+    # fewer swept results than seeds ending past that boundary would give
     stream = group_contact_stream(seed=7, n_meetings=110)
     state = initial_state(360, 2, stream.t_start)
     counters = []
@@ -94,13 +99,13 @@ def test_cycle_counters_of_a_group_contact_stream():
         )
     assert counters == [
         (392, 579, 87, 56, 107, 0),
-        (461, 621, 122, 26, 162, 100),
-        (740, 883, 136, 119, 195, 57),
-        (535, 552, 89, 61, 149, 179),
-        (252, 327, 82, 9, 90, 75),
-        (283, 238, 75, 53, 90, 23),
-        (514, 659, 110, 82, 118, 65),
-        (387, 414, 88, 40, 109, 108),
+        (439, 558, 107, 26, 162, 91),
+        (729, 868, 125, 119, 195, 52),
+        (522, 515, 78, 61, 149, 177),
+        (251, 325, 79, 9, 90, 75),
+        (280, 228, 68, 53, 90, 23),
+        (473, 567, 89, 82, 118, 56),
+        (342, 278, 70, 40, 109, 105),
     ]
 
 
@@ -314,6 +319,91 @@ def test_staging_observer_sees_both_snapshots(handoff_stream, monkeypatch):
     state, closed = run_batches(handoff_stream, 4, 2, (11, 20))
     assert cycles[-1].post == set(closed) | state.frontier
     assert (cycles[-1].state, cycles[-1].closed) == (state, closed)
+
+
+# -- the seeding rule ------------------------------------------------------------------
+
+
+def seeds_ending_after(stream, delta, gamma, t_prev):
+    """Every seed of the stream that ends after t_prev, with its candidates:
+    the seeding rule before the family test, a first cycle's seeds filtered
+    on their right end alone."""
+    every = tclique.expand.seed_cliques(stream, delta, gamma, stream.t_start - 1)
+    return [item for item in every if item.clique.tb > t_prev]
+
+
+def cycle_record(stream, delta, gamma, boundaries):
+    """Per cycle, the state `dump_state` writes, the closed cliques and the
+    `maximal`, `frontier` and `new_cliques` columns, then the `finalize`
+    result; and the seeds of every cycle summed."""
+    state = initial_state(delta, gamma, stream.t_start)
+    record, closed, seeds = [], [], 0
+    plan = PartitionPlan("explicit", boundaries=tuple(boundaries))
+    for boundary, chunk in partition_links(stream, plan):
+        state, cycle_closed, stats = update_batch(state, chunk, boundary)
+        closed.extend(cycle_closed)
+        seeds += stats.seeds
+        record.append(
+            (dump_state(state), cycle_closed, stats.maximal, stats.frontier, stats.new_cliques)
+        )
+    record.append(finalize(state, closed, stream))
+    return record, seeds
+
+
+def seeds_skipped(stream, delta, gamma, boundaries, monkeypatch) -> int:
+    """Run the plan with `seed_cliques` and again with `seeds_ending_after`
+    in its place: every cycle's state, closed cliques and result columns,
+    and the final result, must be the same. Returns the seeds the family
+    test skipped."""
+    ours, kept = cycle_record(stream, delta, gamma, boundaries)
+    with monkeypatch.context() as patch:
+        patch.setattr(tclique.update, "seed_cliques", seeds_ending_after)
+        theirs, every = cycle_record(stream, delta, gamma, boundaries)
+    assert ours == theirs, boundaries
+    return every - kept
+
+
+def test_skipped_seeds_change_no_cycle_on_the_corpus(corpus, monkeypatch):
+    # the corpus in one batch, one batch per tick and a random plan
+    skipped = 0
+    for idx, (stream, delta, gamma) in enumerate(corpus):
+        rng = random.Random(65_000 + idx)
+        t_min, t_max, _ = stream.time_bounds()
+        plans = ((t_max,), tuple(range(t_min, t_max + 1)), random_boundaries(stream, rng, 8))
+        for boundaries in plans:
+            skipped += seeds_skipped(stream, delta, gamma, boundaries, monkeypatch)
+    assert skipped > 1_000
+
+
+def test_a_candidate_that_joins_through_batch_links_keeps_its_seed(monkeypatch):
+    # delta 10, gamma 2, batches ending at 10 and 20. The seed (2,3) [5,15]
+    # has no link of its own pair after 10. In the first cycle 1 is no
+    # candidate of it ((1,2) links once in [5, 10]); the batch link (1,2) at
+    # 12 makes it one, and 1,2,3 [2,15] has no other right anchor. The
+    # family (2,3) + {1} is asked about (1,2) and (1,3) too, so the seed is
+    # kept, and only through the sorted family: (2,1) and (3,1) are no keys
+    stream = links_from_pairs(
+        {(2, 3): [5, 8], (1, 3): [6, 7], (1, 2): [6, 12]}, observation=(0, 20)
+    )
+    assert seeds_skipped(stream, 10, 2, (10, 20), monkeypatch) == 1  # (1,3) [6,16]
+    seeds = dict(seed_cliques(stream, 10, 2, 10))  # the second cycle's stream
+    assert seeds[((2, 3), 5, 15)] == frozenset({1})
+    assert ((1, 3), 6, 16) not in seeds  # nothing of 1,3 + {} links after 10
+    state, closed = run_batches(stream, 10, 2, (10, 20))
+    assert ((1, 2, 3), 2, 15) in closed
+    assert finalize(state, closed, stream) == sorted(brute_force_enumerate(stream, 10, 2))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [7, 2024, 3])
+def test_skipped_seeds_change_no_cycle_on_group_contact_streams(seed, monkeypatch):
+    stream = group_contact_stream(seed=seed, n_meetings=110)
+    skipped = 0
+    for batches in (2, 8, 32, 300):
+        plan = PartitionPlan("ut", batches)
+        boundaries = tuple(b for b, _ in partition_links(stream, plan))
+        skipped += seeds_skipped(stream, 360, 2, boundaries, monkeypatch)
+    assert skipped > 1_000
 
 
 # -- removal ---------------------------------------------------------------------------
