@@ -281,11 +281,11 @@ def seed_cliques(
       seed shares with a kept seed's family is worked there with the same
       growths (the dedup barrier again), so no other route changes.
 
-    Pairs sharing an endpoint often share anchor intervals (a meeting at
-    time s gives its pairs the same anchors), so the seeds are taken
-    interval by interval and the partners of a vertex are asked of the
-    stream once per interval; only one interval's answers are held at a
-    time.
+    The candidates come from one sliding count over the stream's links
+    (`LinkStream.window_partners`): every seed spans exactly delta, so the
+    seeds, taken by interval, ask it for non-decreasing starts, and each
+    seed intersects its endpoints' partners in its own interval. Only the
+    current interval's counts are held at a time.
     """
     occurrences = stream.pair_occurrences
     found: list[Clique] = []
@@ -298,16 +298,12 @@ def seed_cliques(
             ):
                 found.append(Clique(pair, occ[j], tb))
     seeds: list[WorkItem] = []
-    span = None
-    known: dict[int, frozenset[int]] = {}
-    for seed in sort_cliques(found):  # by interval first
+    found = sort_cliques(found)  # by interval first
+    windows = stream.window_partners([seed.ta for seed in found], delta, gamma)
+    for seed, partners in zip(found, windows):
         (u, v), ta, tb = seed
-        if span != (ta, tb):
-            span, known = (ta, tb), {}
-        for x in (u, v):
-            if x not in known:
-                known[x] = stream.partners(x, span, gamma)
-        candidates = (known[u] & known[v]) - {u, v}
+        # neither endpoint is its own partner, so neither is a candidate
+        candidates = frozenset(partners[u] & partners[v])
         if ta <= t_prev:  # else the anchor itself is a link past t_prev
             for pair in combinations(sorted(candidates | {u, v}), 2):
                 occ = occurrences.get(pair, ())

@@ -6,16 +6,15 @@ the plain tuple (t, u, v) with u < v (`Link`), written 'u v t' as text.
 `LinkStream` stores the links sorted, duplicates collapsed, and answers
 the occurrence queries the clique procedures need: all occurrences of a
 pair (one pair at a time, or the whole pair table for the growth moves,
-which read many pairs per clique), their count inside a window, and, from
-each vertex's contact timeline, the partners with at least gamma contacts
-of it inside a window.
+which read many pairs per clique), their count inside a window, and, for
+a run of delta-windows, each vertex's partners with gamma contacts in each.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, TextIO
+from typing import Iterable, Iterator, Mapping, Optional, TextIO
 
 from .errors import ParseError
 
@@ -43,16 +42,13 @@ class FormatSpec:
 class LinkStream:
     """Immutable indexed collection of temporal links.
 
-    Construction sorts and deduplicates, and refuses a link with u >= v
-    (ValueError); afterwards the instance is treated as read-only and is
-    safe to share across readers. `observation` is the closed interval
+    Construction sorts and deduplicates, indexes the links once, by pair
+    (its occurrence times in increasing order), and refuses a link with
+    u >= v (ValueError); afterwards the instance is treated as read-only and
+    is safe to share across readers. `observation` is the closed interval
     [t_start, t_end] the network was watched over; it defaults to
     [t_min, t_max] and may be widened explicitly (boundary guards for
     interval extension use it).
-
-    Each vertex keeps a contact timeline: two parallel lists, the times of
-    its contacts in increasing order and the partner of each. A window query
-    bisects the times once and reads the partners in that slice.
     """
 
     def __init__(
@@ -63,28 +59,11 @@ class LinkStream:
     ) -> None:
         self._links: tuple[Link, ...] = _sorted_distinct(links)
         pair_index: dict[tuple[int, int], list[int]] = {}
-        # the timelines stay lists: a tuple copy would double the peak memory
-        # of construction
-        times: dict[int, list[int]] = {}
-        partners: dict[int, list[int]] = {}
         for t, u, v in self._links:
             if u >= v:
                 raise ValueError(f"link {(t, u, v)} is not canonical (u < v)")
             pair_index.setdefault((u, v), []).append(t)
-            # both ends written out: every cycle builds a working stream
-            if u in times:
-                times[u].append(t)
-                partners[u].append(v)
-            else:
-                times[u], partners[u] = [t], [v]
-            if v in times:
-                times[v].append(t)
-                partners[v].append(u)
-            else:
-                times[v], partners[v] = [t], [u]
         self._pair_index = {pair: tuple(ts) for pair, ts in pair_index.items()}
-        self._times = times
-        self._partners = partners
         self._t_min = self._links[0][0] if self._links else None
         self._t_max = self._links[-1][0] if self._links else None
         self.dropped_self_loops = dropped_self_loops
@@ -115,11 +94,11 @@ class LinkStream:
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self._times))
+        return tuple(sorted({x for pair in self._pair_index for x in pair}))
 
     @property
     def n_vertices(self) -> int:
-        return len(self._times)
+        return len(self.vertices)
 
     @property
     def static_edges(self) -> tuple[tuple[int, int], ...]:
@@ -168,22 +147,42 @@ class LinkStream:
     def count_in(self, pair: tuple[int, int], window: tuple[int, int]) -> int:
         ts = self.occurrences(pair)
         lo, hi = window
-        return bisect_right(ts, hi) - bisect_left(ts, lo)
+        return max(0, bisect_right(ts, hi) - bisect_left(ts, lo))
 
-    def partners(
-        self, vertex: int, window: tuple[int, int], gamma: int
-    ) -> frozenset[int]:
-        """The vertices with at least gamma contacts of `vertex` inside the
-        closed window: one bisection of its timeline, then a count of the
-        partners in the slice."""
-        times = self._times.get(vertex)
-        if times is None:
-            return frozenset()
-        counts: dict[int, int] = {}
-        lo, hi = bisect_left(times, window[0]), bisect_right(times, window[1])
-        for w in self._partners[vertex][lo:hi]:
-            counts[w] = counts.get(w, 0) + 1
-        return frozenset([w for w, n in counts.items() if n >= gamma])
+    def window_partners(
+        self, starts: Iterable[int], delta: int, gamma: int
+    ) -> Iterator[Mapping[int, set[int]]]:
+        """Per start s of the non-decreasing `starts`, every vertex's partners
+        with at least gamma links to it in [s, s + delta]. One pass counts a
+        link in when the window reaches it and out when it leaves; an empty
+        window bisects past the links before s. The one mapping yielded is
+        updated in place: read it before the next start."""
+        links, end = self._links, len(self._links)
+        counts: dict[tuple[int, int], int] = {}
+        partners: dict[int, set[int]] = {}
+        head = tail = 0
+        for s in starts:
+            while tail < head:
+                t, u, v = links[tail]
+                if t >= s:
+                    break
+                tail += 1
+                counts[u, v] = n = counts[u, v] - 1
+                if n == gamma - 1:
+                    partners[u].remove(v)
+                    partners[v].remove(u)
+            if tail == head:  # an empty window: skip the links before s
+                head = tail = bisect_left(links, (s,), head)
+            while head < end:
+                t, u, v = links[head]
+                if t > s + delta:
+                    break
+                head += 1
+                counts[u, v] = n = counts.get((u, v), 0) + 1
+                if n == gamma:
+                    partners.setdefault(u, set()).add(v)
+                    partners.setdefault(v, set()).add(u)
+            yield partners
 
     # -- slicing -------------------------------------------------------------
 

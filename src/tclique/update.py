@@ -374,7 +374,8 @@ def finalize(
     covered by a frontier clique. Such steps end at a result, so after
     clamping the non-result lies inside, or equals, a kept clique, and
     `normalize_final` drops it. The set union collapses a repeated closed
-    line. Certification is the backstop.
+    line. Certification is the backstop. It runs in ta order, so one sliding
+    count (`LinkStream.window_partners`) gives each clique its vertex pool.
     """
     t_start, t_end = stream.observation
     if t_start != state.t_start:
@@ -382,9 +383,13 @@ def finalize(
             f"state starts at {state.t_start}, stream at {t_start}"
         )
     result = sorted({*closed, *normalize_final(state.frontier, t_end)})
-    gaps = gap_index(stream, state.delta, state.gamma)
-    for clique in result:
-        if not _certify_maximal(clique, stream, state.delta, state.gamma, gaps):
+    delta, gamma = state.delta, state.gamma
+    gaps = gap_index(stream, delta, gamma)
+    by_start = sort_cliques(result)
+    windows = stream.window_partners([c.ta for c in by_start], delta, gamma)
+    for clique, partners in zip(by_start, windows):
+        pool = partners.get(clique.vertices[0], ())
+        if not _certify_maximal(clique, stream, delta, gamma, gaps, pool):
             raise VerificationError(f"{clique} failed certification")
     return result
 
@@ -395,6 +400,7 @@ def _certify_maximal(
     delta: int,
     gamma: int,
     gaps: Mapping[tuple[int, int], tuple[int, ...]],
+    pool: Collection[int],
 ) -> bool:
     """Independent maximality check of one clique over a bounded stream.
 
@@ -405,10 +411,12 @@ def _certify_maximal(
     entries in `gaps`, the stream's gap index at (delta, gamma): the pairs
     over [ta, tb], over [ta-1, tb] and over [ta, tb+1]. The clique being
     valid, a vertex w more needs only the pairs (w, z) for the members z at
-    [ta, tb]. A valid pair has at least gamma links inside the span, so the
-    vertices w worth trying are the first member's partners with gamma
-    contacts in it. The check reads the stream and its gap index only, never
-    the engine's closures, so it stays a backstop to the traversal.
+    [ta, tb], and only the w in `pool`, the first member's partners with
+    gamma links in [ta, ta+delta] (`LinkStream.window_partners` at ta). No
+    other w can extend it: a pair valid on [ta, tb] has gamma links in its
+    first window [ta, min(ta+delta, tb)], which lies inside [ta, ta+delta].
+    The check reads the stream and its gap index only, never the engine's
+    closures, so it stays a backstop to the traversal.
     """
     verts, ta, tb = clique
     t_start, t_end = stream.observation
@@ -424,8 +432,8 @@ def _certify_maximal(
         return False
     if tb < t_end and valid_at(ta, tb + 1):
         return False
-    for w in stream.partners(verts[0], (ta, tb), gamma).difference(verts):
-        if all(
+    for w in pool:
+        if w not in verts and all(
             pair_valid(occurrences.get(p, ()), gaps.get(p, ()), ta, tb, delta, gamma)
             for p in ((w, z) if w < z else (z, w) for z in verts)
         ):

@@ -9,8 +9,8 @@ admit and a `drain` that checks every root it is given, three worklist
 fixed points with plain moves to hold the engine against (one with the
 engine's jumping interval move, settled targets and dominance rule, one
 that still works each target as a root, one with the stepwise interval
-moves of earlier versions), a static-neighbour scan to hold the
-contact-timeline candidate sets against, `count_in`-literal seed anchors and
+moves of earlier versions), a static-neighbour scan to hold the sliding
+window count's candidate sets against, `count_in`-literal seed anchors and
 a clique-by-clique maximality certificate to hold the engine's index
 arithmetic and pair-by-pair certificate against, and an independently
 written delta-clique enumerator (the gamma=1 special case) that
@@ -86,7 +86,7 @@ def static_scan_partners(
 ) -> set[int]:
     """Every static neighbour of `vertex` with at least gamma links to it in
     the closed window, each counted by `count_in`: the reference for
-    `LinkStream.partners`."""
+    `LinkStream.window_partners`."""
     neighbours = {
         u if v == vertex else v for u, v in stream.static_edges if vertex in (u, v)
     }
@@ -140,9 +140,10 @@ def reference_certify_maximal(
     """The maximality certificate checked clique by clique: the clique, the
     span widened by one at either end inside the observation, and the clique
     with each vertex w more that has gamma contacts of every member in the
-    span, each through `is_delta_gamma_clique` over all of its pairs. The
-    reference for the engine's certificate, which tests only the pairs an
-    extension adds."""
+    span (`static_scan_candidates`, counted by `count_in`), each through
+    `is_delta_gamma_clique` over all of its pairs. The reference for the
+    engine's certificate, which tests only the pairs an extension adds and
+    takes its vertices from the sliding window count."""
     verts, ta, tb = clique
     t_start, t_end = stream.observation
     if not is_delta_gamma_clique(verts, (ta, tb), stream, delta, gamma):
@@ -151,13 +152,9 @@ def reference_certify_maximal(
         return False
     if tb + 1 <= t_end and is_delta_gamma_clique(verts, (ta, tb + 1), stream, delta, gamma):
         return False
-    first, *rest = verts
-    candidates = stream.partners(first, (ta, tb), gamma) - set(verts)
-    for z in rest:
-        candidates &= stream.partners(z, (ta, tb), gamma)
     return not any(
         is_delta_gamma_clique(sorted({*verts, w}), (ta, tb), stream, delta, gamma)
-        for w in sorted(candidates)
+        for w in sorted(static_scan_candidates(clique, stream, gamma))
     )
 
 

@@ -52,13 +52,14 @@ def test_f1_window_queries(f1_stream):
     assert closure(s, (1, 2), (1, 4), 4) is None
     assert closure(s, (1, 3), (1, 9), 2) is None
     assert closure(s, (1, 3), (2, 4), 2) == (1, 5)
-    # the seed (1,2)'s candidates: partners of either endpoint, less both
-    assert s.partners(1, (2, 5), 2) == frozenset({2, 3})
-    assert s.partners(2, (2, 5), 2) == frozenset({1, 3})
-    assert (s.partners(1, (2, 5), 2) | s.partners(2, (2, 5), 2)) - {1, 2} == {3}
-    assert s.partners(1, (1, 2), 2) == frozenset({2})
-    assert (s.partners(1, (1, 2), 2) | s.partners(2, (1, 2), 2)) - {1, 2} == set()
-    assert s.partners(9, (1, 5), 1) == frozenset()
+    # the seed (1,2)'s candidates: partners of both endpoints in the
+    # delta-window from the seed's start
+    partners = next(s.window_partners([2], 3, 2))
+    assert partners[1] == {2, 3} and partners[2] == {1, 3}
+    assert partners[1] & partners[2] == {3}
+    partners = next(s.window_partners([1], 1, 2))
+    assert partners[1] == {2} and partners[1] & partners[2] == set()
+    assert next(s.window_partners([1], 4, 1)).get(9, set()) == set()
 
 
 def test_links_normalize_endpoints():
@@ -79,7 +80,7 @@ def test_parse_swaps_and_dedups():
 
 def test_shuffled_input_with_repeats_builds_the_same_stream():
     # shuffled, with repeats: the same links, sorted with repeats collapsed,
-    # and the same pair index, vertices and contact timelines
+    # and the same pair index, vertices and window counts
     for index in range(60):
         stream = random_stream(index)
         rng = random.Random(25_000 + index)
@@ -93,12 +94,11 @@ def test_shuffled_input_with_repeats_builds_the_same_stream():
             occurrences.setdefault((u, v), []).append(t)
         assert built.pair_occurrences == {p: tuple(ts) for p, ts in occurrences.items()}
         assert built.vertices == stream.vertices
-        for _ in range(20):
-            vertex = rng.choice(stream.vertices)
-            lo = rng.randint(stream.t_start, stream.t_end)
-            window, gamma = (lo, lo + rng.randint(0, 8)), rng.randint(1, 3)
-            expected = brute_force_partners(stream, vertex, window, gamma)
-            assert built.partners(vertex, window, gamma) == expected
+        for _ in range(5):
+            starts = sorted(rng.sample(range(stream.t_start, stream.t_end + 1), 3))
+            delta, gamma = rng.randint(0, 8), rng.randint(1, 3)
+            got = window_answers(built, starts, delta, gamma)
+            assert got == brute_force_windows(stream, starts, delta, gamma)
 
 
 def test_parse_drops_self_loops_and_counts():
@@ -152,7 +152,7 @@ def test_observation_rules():
         LinkStream([])  # empty stream needs explicit window
     empty = LinkStream([], observation=(0, 4))
     assert empty.n_links == 0 and empty.observation == (0, 4)
-    assert empty.vertices == () and empty.partners(1, (0, 4), 1) == frozenset()
+    assert empty.vertices == () and window_answers(empty, [0, 2], 4, 1) == [{}, {}]
     with pytest.raises(ValueError):
         empty.time_bounds()
 
@@ -246,6 +246,9 @@ def test_gamma_occurrence_queries_agree_with_slicing(pairs, a, b, gamma, delta):
         )
         inside = [t for t in stream.occurrences(pair) if ta <= t <= tb]
         assert stream.count_in(pair, (ta, tb)) == len(inside)
+        # the window as drawn, inverted (so empty) when a > b
+        inside = [t for t in stream.occurrences(pair) if a <= t <= b]
+        assert stream.count_in(pair, (a, b)) == len(inside)
     whole = Clique(vertices, ta, tb)
     assert clique_closure(WorkItem(whole, None), ws) == plain_closure(
         stream, vertices, (ta, tb), delta, gamma, right_only=True
@@ -280,20 +283,49 @@ def brute_force_partners(stream, vertex, window, gamma):
     return frozenset(w for w, n in counts.items() if n >= gamma)
 
 
-def test_partners_match_a_brute_force_count():
-    # random windows (some past either end of the stream, some inverted, so
-    # empty), vertices (0, 7 and 8 never appear) and gamma
+def brute_force_windows(stream, starts, delta, gamma):
+    """Per start s, every vertex with partners in [s, s + delta] mapped to
+    them, each counted over every link."""
+    found = []
+    for s in starts:
+        partners = {
+            x: brute_force_partners(stream, x, (s, s + delta), gamma)
+            for x in stream.vertices
+        }
+        found.append({x: p for x, p in partners.items() if p})
+    return found
+
+
+def window_answers(stream, starts, delta, gamma):
+    """`window_partners` per start, copied before the next start moves it,
+    with the vertices that have no partners left out."""
+    return [
+        {x: frozenset(p) for x, p in partners.items() if p}
+        for partners in stream.window_partners(starts, delta, gamma)
+    ]
+
+
+def test_window_partners_match_a_brute_force_count():
+    # runs of starts from before the first link to past the last, some
+    # repeated, some further apart than delta (every link leaves between
+    # them), and single mid-stream starts (the bisected entry), at gamma 1
+    # to 4
     for index in range(60):
         stream = random_stream(index)
         ends = {x for _, u, v in stream.links for x in (u, v)}
         assert stream.vertices == tuple(sorted(ends))
         assert stream.n_vertices == len(stream.vertices)
+        t_min, t_max, _ = stream.time_bounds()
         rng = random.Random(20_000 + index)
-        for _ in range(40):
-            vertex = rng.randint(0, 8)
-            lo = rng.randint(stream.t_start - 4, stream.t_end + 4)
-            window = (lo, lo + rng.randint(-2, 12))
-            gamma = rng.randint(1, 4)
-            expected = brute_force_partners(stream, vertex, window, gamma)
-            got = stream.partners(vertex, window, gamma)
-            assert got == expected, (index, vertex, window, gamma)
+        for gamma in range(1, 5):
+            delta = rng.randint(0, 6)
+            starts = sorted(
+                rng.choice([t_min - 9, t_max + 9, rng.randint(t_min - 4, t_max + 4)])
+                for _ in range(rng.randint(1, 12))
+            )
+            sparse = list(range(t_min - 3, t_max + 4, delta + 2))
+            middle = [rng.randint(t_min + 1, max(t_min + 1, t_max - 1))]
+            for run in (starts, sparse, middle):
+                expected = brute_force_windows(stream, run, delta, gamma)
+                got = window_answers(stream, run, delta, gamma)
+                assert got == expected, (index, run, delta, gamma)

@@ -22,6 +22,7 @@ from tclique import (
     format_clique,
     finalize,
     initial_state,
+    is_delta_gamma_clique_direct,
     load_state,
     make_clique,
     normalize_final,
@@ -57,7 +58,6 @@ from helpers import (
     run_batches,
     signed,
     staged_cycles,
-    static_scan_candidates,
 )
 
 
@@ -639,46 +639,55 @@ def test_finalize_raises_verification_error_on_a_failing_clique(f1_stream):
         finalize(state, closed + [bogus], f1_stream)
 
 
-def test_certification_tries_every_static_scan_candidate(
+def test_certification_pool_holds_every_vertex_that_extends(
     corpus, corpus_oracles, monkeypatch
 ):
-    # the vertices the certificate tries are the first member's partners, a
-    # superset of the static scan's candidates (gamma contacts of every
-    # member), never fewer: on every result of the corpus and every clique
-    # one vertex short of it that gets as far as the vertex step. A vertex
-    # outside the scan's set has a pair with fewer than gamma links in the
-    # span, which no valid pair has, so the verdict test below is the gate
-    # that trying it changes nothing.
-    pools = []
-    partners = LinkStream.partners
+    # the pool `finalize` hands the certificate holds every vertex w outside
+    # a clique K for which K+{w} is valid on K's span, checked by the
+    # definition over every vertex of the stream: on every result of the
+    # corpus and every clique one vertex short of it. The pool is read from
+    # K's first delta-window only, so it may miss a vertex with gamma links
+    # to every member over the whole span; such a vertex extends nothing,
+    # and the verdict tests below are the gate that the verdicts agree.
+    pools = {}
 
-    def recording_partners(stream, vertex, window, gamma):
-        found = partners(stream, vertex, window, gamma)
-        pools.append(found)
-        return found
+    def recording_certify(clique, stream, delta, gamma, gaps, pool):
+        pools[clique] = set(pool)  # the window count moves on after the call
+        return True
 
-    monkeypatch.setattr(LinkStream, "partners", recording_partners)
+    monkeypatch.setattr(tclique.update, "_certify_maximal", recording_certify)
     n_candidates = n_results = 0
     for (stream, delta, gamma), results in zip(corpus, corpus_oracles):
-        gaps = gap_index(stream, delta, gamma)
-        for clique in results:
+        smaller = [
+            Clique(verts[:i] + verts[i + 1 :], ta, tb)
+            for verts, ta, tb in results
+            for i in range(len(verts))
+            if len(verts) > 2
+        ]
+        pools.clear()
+        state = initial_state(delta, gamma, stream.t_start)
+        finalize(state, [*results, *smaller], stream)
+        assert set(pools) == {*results, *smaller}
+        n_results += len(results)
+        for clique, pool in pools.items():
             verts, ta, tb = clique
-            smaller = [
-                Clique(verts[:i] + verts[i + 1 :], ta, tb)
-                for i in range(len(verts))
-                if len(verts) > 2
-            ]
-            for c in [clique, *smaller]:
-                pools.clear()
-                _certify_maximal(c, stream, delta, gamma, gaps)
-                if c is clique:
-                    assert len(pools) == 1, c  # a result reaches the vertex step
-                    n_results += 1
-                if pools:
-                    expected = static_scan_candidates(c, stream, gamma)
-                    assert pools[0] - set(c.vertices) >= expected, c
-                    n_candidates += len(expected)
+            expected = {
+                w
+                for w in stream.vertices
+                if w not in verts
+                and is_delta_gamma_clique_direct((*verts, w), (ta, tb), stream, delta, gamma)
+            }
+            assert pool >= expected, clique
+            n_candidates += len(expected)
     assert n_results > 0 and n_candidates > 0
+
+
+def certify(clique: Clique, stream: LinkStream, delta: int, gamma: int, gaps) -> bool:
+    """`_certify_maximal` with the pool `finalize` gives it: the first
+    member's partners in the delta-window from the clique's start."""
+    partners = next(stream.window_partners([clique.ta], delta, gamma))
+    pool = partners.get(clique.vertices[0], ())
+    return _certify_maximal(clique, stream, delta, gamma, gaps, pool)
 
 
 def certificate_probes(
@@ -711,7 +720,7 @@ def assert_certificates_agree(
     n_maximal = 0
     for result in results:
         for probe in certificate_probes(result, stream, rng):
-            verdict = _certify_maximal(probe, stream, delta, gamma, gaps)
+            verdict = certify(probe, stream, delta, gamma, gaps)
             assert verdict == reference_certify_maximal(probe, stream, delta, gamma), probe
             n_maximal += verdict
     return n_maximal
@@ -723,7 +732,7 @@ def test_certificate_verdicts_match_the_reference(corpus, corpus_oracles):
     n_results = n_maximal = 0
     for idx, ((stream, delta, gamma), results) in enumerate(zip(corpus, corpus_oracles)):
         gaps = gap_index(stream, delta, gamma)
-        assert all(_certify_maximal(c, stream, delta, gamma, gaps) for c in results)
+        assert all(certify(c, stream, delta, gamma, gaps) for c in results)
         rng = random.Random(50_000 + idx)
         n_maximal += assert_certificates_agree(stream, delta, gamma, results, rng)
         n_results += len(results)
@@ -740,7 +749,7 @@ def test_certificate_verdicts_match_the_reference_on_a_group_contact_stream():
     results = run_pipeline(stream, delta, gamma, PartitionPlan("ut", 1)).final
     assert len(results) > 1_000
     gaps = gap_index(stream, delta, gamma)
-    assert all(_certify_maximal(c, stream, delta, gamma, gaps) for c in results)
+    assert all(certify(c, stream, delta, gamma, gaps) for c in results)
     assert_certificates_agree(stream, delta, gamma, results, random.Random(7))
 
 
