@@ -244,7 +244,7 @@ def contains(outer: Clique, inner: Clique) -> bool:
 
 def format_clique(clique: Clique) -> str:
     """Canonical text form: 'v1,v2,...,vk [ta,tb]'."""
-    verts = ",".join(str(v) for v in clique.vertices)
+    verts = ",".join(map(str, clique.vertices))
     return f"{verts} [{clique.ta},{clique.tb}]"
 
 

@@ -138,9 +138,9 @@ valid at s and J's other vertices among K's candidates:
 
 `drain` notes the peak of the live collections on entry and once after each
 root's family: while a family is worked they only grow (taking the root off
-the roots not yet worked is the one removal), so the largest value it
-reaches is the one it ends with. The family stack is not among them; it is
-empty at every note.
+the roots not yet worked is the one removal: `drain` pops it off the list it
+is given), so the largest value it reaches is the one it ends with. The
+family stack is not among them; it is empty at every note.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional
 
 from .cliques import Clique, gap_index, pair_closure, sort_cliques
 from .linkstream import LinkStream
@@ -159,11 +159,11 @@ Growths = tuple[tuple[int, Span], ...]  # (vertex, closure of the growth), by ve
 
 class WorkItem(NamedTuple):
     """A root of `drain`, a seed or a carried frontier clique, with the
-    vertices that may still join it; `candidates` is None for a carried
-    clique, which may only move right."""
+    vertices that may still join it, sorted; `candidates` is None for a
+    carried clique, which may only move right."""
 
     clique: Clique
-    candidates: Optional[frozenset[int]]
+    candidates: Optional[tuple[int, ...]]
 
 
 @dataclass
@@ -220,9 +220,11 @@ def seed_cliques(
     anchor [s_j, s_j+delta] of each occurrence is a seed when it holds
     exactly gamma occurrences of the pair; it comes as a `WorkItem` with its
     candidates, the vertices with at least gamma links to both seed
-    endpoints inside its interval. The seed's family is its pair and its
-    candidates, and the seed is returned only if some pair of its family has
-    an occurrence in (t_prev, tb], tb its right end. The items are sorted by
+    endpoints inside its interval, as a sorted tuple (a tuple of a few ints
+    holds a fraction of a frozenset's memory, and every seed is live until
+    `drain` reaches it). The seed's family is its pair and its candidates,
+    and the seed is returned only if some pair of its family has an
+    occurrence in (t_prev, tb], tb its right end. The items are sorted by
     clique.
 
     This is the one seed the completeness argument (module docstring) asks
@@ -303,9 +305,9 @@ def seed_cliques(
     for seed, partners in zip(found, windows):
         (u, v), ta, tb = seed
         # neither endpoint is its own partner, so neither is a candidate
-        candidates = frozenset(partners[u] & partners[v])
+        candidates = tuple(sorted(partners[u] & partners[v]))
         if ta <= t_prev:  # else the anchor itself is a link past t_prev
-            for pair in combinations(sorted(candidates | {u, v}), 2):
+            for pair in combinations(sorted((u, v, *candidates)), 2):
                 occ = occurrences.get(pair, ())
                 i = bisect_right(occ, t_prev)
                 if i < len(occ) and occ[i] <= tb:
@@ -364,7 +366,7 @@ def expand_vertex_set(item: WorkItem, worksets: WorkSets, closure: Span) -> Grow
     lo, hi = closure
     checks = 0
     growths = []
-    for w in sorted(item.candidates):
+    for w in item.candidates:
         if w in members:
             continue
         w_lo, w_hi = lo, hi
@@ -389,15 +391,17 @@ def expand_vertex_set(item: WorkItem, worksets: WorkSets, closure: Span) -> Grow
 # -- the roots' families --------------------------------------------------------
 
 
-def drain(worksets: WorkSets, roots: Sequence[WorkItem]) -> None:
+def drain(worksets: WorkSets, roots: list[WorkItem]) -> None:
     """Work the given roots, the last first, each with its family.
 
-    Every root gets its closure (`clique_closure`) and, unless it is
-    carried, its growths (`expand_vertex_set`); then its family is worked
-    in canonical order on a local stack (see the module docstring). A
-    member is skipped when `WorkSets.admit` turns it away; else it tests
-    its parent's growths against its newest vertex, through the root's
-    pair table, for its own growths and their closures.
+    Each root is popped off `roots` as its family starts, so the list is
+    empty on return, and a worked root, with its candidates, is freed while
+    the others wait. Every root gets its closure (`clique_closure`) and,
+    unless it is carried, its growths (`expand_vertex_set`); then its family
+    is worked in canonical order on a local stack (see the module
+    docstring). A member is skipped when `WorkSets.admit` turns it away;
+    else it tests its parent's growths against its newest vertex, through
+    the root's pair table, for its own growths and their closures.
 
     Every worked clique then takes the interval move: when the closure
     differs from the span, (clique, closure) is settled in place (see the
@@ -420,13 +424,13 @@ def drain(worksets: WorkSets, roots: Sequence[WorkItem]) -> None:
     # parent's growths; the root's entry has no pool and no newest vertex
     family: list[tuple[Clique, Span, Optional[Growths], int]] = []
     peak, checks = worksets.peak_live, 0
-    for left in range(len(roots), -1, -1):  # roots not yet worked
-        live = left + len(seen) + len(new_maximal) + len(next_frontier)
+    while True:
+        live = len(roots) + len(seen) + len(new_maximal) + len(next_frontier)
         if live > peak:
             peak = live
-        if not left:
+        if not roots:
             break
-        root = roots[left - 1]
+        root = roots.pop()
         candidates = root.candidates
         family.append((root.clique, clique_closure(root, worksets), None, 0))
         while family:

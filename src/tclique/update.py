@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from itertools import combinations, zip_longest
+from itertools import combinations, islice, zip_longest
 from typing import Callable, Collection, Iterable, Mapping, Sequence, TextIO
 
 from .cliques import (
@@ -45,15 +45,21 @@ STATE_VERSION = 3
 
 EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()
 _DIGEST = re.compile(r"[0-9a-f]{64}")
+_DIGEST_CHUNK = 4096  # links hashed per update of `chain_input_digest`
 
 
 def chain_input_digest(previous: str, batch: Iterable[Link]) -> str:
-    """The input digest after one more batch: sha256 over the previous digest
-    and the batch's (t, u, v) links as `format_link` lines ('u v t'), taken
-    in the order given; callers pass them sorted with duplicates collapsed,
-    as `LinkStream.links` keeps them."""
-    body = previous + "\n" + "".join(format_link(l) + "\n" for l in batch)
-    return hashlib.sha256(body.encode("ascii")).hexdigest()
+    """The input digest after one more batch: sha256 over the previous digest,
+    a newline, and the batch's (t, u, v) links as `format_link` lines
+    ('u v t', each with its newline), taken in the order given; callers pass
+    them sorted with duplicates collapsed, as `LinkStream.links` keeps them.
+    The lines are hashed `_DIGEST_CHUNK` links at a time, so the batch's
+    whole text is never held."""
+    digest = hashlib.sha256(f"{previous}\n".encode("ascii"))
+    links = iter(batch)
+    while text := "".join(format_link(l) + "\n" for l in islice(links, _DIGEST_CHUNK)):
+        digest.update(text.encode("ascii"))
+    return digest.hexdigest()
 
 
 def chain_closed_digest(previous: str, lines: Iterable[str]) -> str:
@@ -174,8 +180,6 @@ def update_batch(
         tuple(state.link_tail) + tuple(batch),
         observation=(state.t_start, t_next),
     )
-    # The digest builds the batch's whole text: done before the drains, it
-    # does not add to the peak memory they reach.
     input_digest = chain_input_digest(
         state.input_digest, working.links_in((t_prev + 1, t_next))
     )
@@ -189,6 +193,7 @@ def update_batch(
     # links in (t_prev, tb]. Any other seed was a seed of the previous cycle,
     # and its family adds nothing phase A's carried cliques do not hold.
     seeds = seed_cliques(working, state.delta, state.gamma, t_prev)
+    n_seeds = len(seeds)  # drain pops each seed as it works it
     drain(worksets, seeds)
 
     results = worksets.new_maximal
@@ -216,7 +221,7 @@ def update_batch(
         checked=checked,
         peak_live=worksets.peak_live,
         pair_checks=worksets.pair_checks,
-        seeds=len(seeds),
+        seeds=n_seeds,
     )
     return next_state, closed, stats
 

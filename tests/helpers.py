@@ -19,8 +19,10 @@ cross-checks the engine through a second code path.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
@@ -383,7 +385,7 @@ def stepwise_reference_drain(worksets: WorkSets, roots) -> None:
         else:
             no_vertex = True
             members = set(clique.vertices)
-            for w in sorted(candidates - members):
+            for w in sorted(set(candidates) - members):
                 verts = tuple(sorted(members | {w}))
                 if is_delta_gamma_clique(verts, (clique.ta, clique.tb), stream, delta, gamma):
                     no_vertex = False
@@ -411,7 +413,7 @@ def plain_growths(
     growths = []
     if item.candidates is not None:
         members = set(vertices)
-        for w in sorted(item.candidates - members):
+        for w in sorted(set(item.candidates) - members):
             verts = tuple(sorted(members | {w}))
             if is_delta_gamma_clique(verts, (ta, tb), stream, delta, gamma):
                 growths.append(verts)
@@ -474,6 +476,19 @@ def rooted_reference_drain(worksets: WorkSets, roots) -> None:
             worksets.next_frontier.add(clique)
 
 
+def traced_peak(run, *args) -> int:
+    """The tracemalloc peak, in bytes, of run(*args). A full collection
+    first empties the free lists, whose blocks tracemalloc would otherwise
+    not see being reused, so the peak repeats exactly."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def drain_snapshots(
     stream: LinkStream, delta: int, gamma: int, plan: PartitionPlan, drain_fn, monkeypatch
 ) -> list[tuple[frozenset, frozenset, frozenset]]:
@@ -481,14 +496,16 @@ def drain_snapshots(
     returns the clique sets (seen, new_maximal, next_frontier) after every
     drain (two per cycle: the frontier phase and the seed phase). `seen`
     leaves the drain's roots out: a reference drain lets its seeds in, while
-    `drain` lets in family members only."""
+    `drain` lets in family members only. The roots are read before the
+    drain, as `drain` pops them off the list."""
     snapshots = []
 
     def recording_drain(worksets, roots):
+        root_cliques = [root.clique for root in roots]
         drain_fn(worksets, roots)
         snapshots.append(
             (
-                frozenset(worksets.seen.difference(root.clique for root in roots)),
+                frozenset(worksets.seen.difference(root_cliques)),
                 frozenset(worksets.new_maximal),
                 frozenset(worksets.next_frontier),
             )

@@ -41,6 +41,7 @@ from helpers import (
     random_boundaries,
     random_stream,
     state_files,
+    traced_peak,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -441,6 +442,28 @@ def test_report_seeds_are_the_cycle_counters(handoff_stream, tmp_path, monkeypat
     assert all(pushed <= n for pushed, n in zip(column, unfiltered))
     assert column != unfiltered  # a later cycle skipped a seed behind its boundary
     assert rows[-1]["seeds"] == ""
+
+
+def test_one_batch_memory_stays_near_eight_batches(monkeypatch):
+    # at k=1 every seed waits for drain at once; a seed's candidates are a
+    # small tuple, each worked root leaves the list, and the input digest
+    # reads its text a chunk at a time, so run_pipeline's tracemalloc peak
+    # stays within 2.3 times its peak at k=8: it reads 1.9, and 2.6 with
+    # frozenset candidates and every root kept to the end of the drain
+    stream = group_contact_stream(seed=7, n_meetings=220)
+    left = []
+    real_drain = tclique.update.drain
+
+    def recording_drain(worksets, roots):
+        real_drain(worksets, roots)
+        left.append(len(roots))
+
+    monkeypatch.setattr(tclique.update, "drain", recording_drain)
+    one, eight = (
+        traced_peak(run_pipeline, stream, 360, 2, PartitionPlan("ut", k)) for k in (1, 8)
+    )
+    assert one <= 2.3 * eight, (one, eight)
+    assert left == [0] * 18  # drain pops every root: two drains a cycle
 
 
 def test_result_file_round_trip(handoff_stream, tmp_path):

@@ -34,6 +34,7 @@ from tclique import (
     update_batch,
 )
 from tclique.cliques import gap_index
+from tclique.linkstream import format_link
 import tclique.expand
 import tclique.update
 from tclique.update import (
@@ -58,6 +59,7 @@ from helpers import (
     run_batches,
     signed,
     staged_cycles,
+    traced_peak,
 )
 
 
@@ -242,6 +244,43 @@ def test_input_digest_chains_the_batches_consumed(handoff_stream):
     assert chain_input_digest(NO_INPUT, first[1:]) != state.input_digest
 
 
+def one_shot_input_digest(previous, links):
+    """`chain_input_digest` as defined: sha256 of the previous digest, a
+    newline, then every `format_link` line with its newline, joined whole."""
+    body = previous + "\n" + "".join(format_link(l) + "\n" for l in links)
+    return hashlib.sha256(body.encode("ascii")).hexdigest()
+
+
+def digest_links(n):
+    """n distinct canonical links (t, u, v), sorted by time."""
+    rng = random.Random(n)
+    lows = rng.choices(range(10**5), k=n)
+    return [(t, u, u + rng.randint(1, 999)) for t, u in enumerate(lows)]
+
+
+def test_input_digest_is_its_one_shot_definition():
+    # the lines are hashed a chunk at a time: every cut of the chunks, an
+    # empty batch and an iterator give the digest of the batch's whole text
+    chunk = tclique.update._DIGEST_CHUNK
+    previous = chain_input_digest(NO_INPUT, [(1, 1, 2)])
+    for n in (0, 1, chunk - 1, chunk, chunk + 1, 50_000):
+        links = digest_links(n)
+        expected = one_shot_input_digest(previous, links)
+        assert chain_input_digest(previous, links) == expected, n
+        assert chain_input_digest(previous, (link for link in links)) == expected, n
+    assert chain_input_digest(previous, []) != chain_input_digest(NO_INPUT, [])
+
+
+def test_input_digest_holds_one_chunk_of_text():
+    # 100k links never trace more than twice what the one-shot join of one
+    # chunk's links traces; the one-shot join of all of them traces far more
+    chunk = tclique.update._DIGEST_CHUNK
+    links = digest_links(100_000)
+    one_chunk = traced_peak(one_shot_input_digest, NO_INPUT, links[:chunk])
+    assert traced_peak(chain_input_digest, NO_INPUT, links) <= 2 * one_chunk
+    assert traced_peak(one_shot_input_digest, NO_INPUT, links) > 10 * one_chunk
+
+
 def test_closed_count_and_digest_chain_the_closed_cliques(handoff_stream):
     state, closed = run_batches(handoff_stream, 4, 2, (5, 11, 16))
     assert state.closed == len(closed) > 0
@@ -387,7 +426,7 @@ def test_a_candidate_that_joins_through_batch_links_keeps_its_seed(monkeypatch):
     )
     assert seeds_skipped(stream, 10, 2, (10, 20), monkeypatch) == 1  # (1,3) [6,16]
     seeds = dict(seed_cliques(stream, 10, 2, 10))  # the second cycle's stream
-    assert seeds[((2, 3), 5, 15)] == frozenset({1})
+    assert seeds[((2, 3), 5, 15)] == (1,)
     assert ((1, 3), 6, 16) not in seeds  # nothing of 1,3 + {} links after 10
     state, closed = run_batches(stream, 10, 2, (10, 20))
     assert ((1, 2, 3), 2, 15) in closed
