@@ -23,7 +23,7 @@ from .errors import (
     StateError,
     VerificationError,
 )
-from .linkstream import FormatSpec, LinkStream, parse_links
+from .linkstream import FormatSpec, parse_links
 from .oracle import brute_force_enumerate
 from .partition import PartitionPlan
 from .pipeline import (
@@ -128,17 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_stream(args: argparse.Namespace) -> LinkStream:
+def _load_stream(args: argparse.Namespace):
     spec = FormatSpec(
         column_order=args.format, delimiter=args.delimiter, rebase=args.rebase
     )
     with open(args.input, "r", encoding="utf-8") as fh:
-        stream = parse_links(fh, spec)
-    if args.t_start is not None or args.t_end is not None:
-        lo = stream.t_start if args.t_start is None else args.t_start
-        hi = stream.t_end if args.t_end is None else args.t_end
-        stream = LinkStream(stream.links, (lo, hi), stream.dropped_self_loops)
-    return stream
+        return parse_links(fh, spec, (args.t_start, args.t_end))
 
 
 def _make_plan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> PartitionPlan:

@@ -46,15 +46,15 @@ class LinkStream:
     (its occurrence times in increasing order), and refuses a link with
     u >= v (ValueError); afterwards the instance is treated as read-only and
     is safe to share across readers. `observation` is the closed interval
-    [t_start, t_end] the network was watched over; it defaults to
-    [t_min, t_max] and may be widened explicitly (boundary guards for
-    interval extension use it).
+    [t_start, t_end] the network was watched over: an end left None (both,
+    by default) is t_min or t_max, and it may be widened explicitly
+    (boundary guards for interval extension use it).
     """
 
     def __init__(
         self,
         links: Iterable[Link],
-        observation: Optional[tuple[int, int]] = None,
+        observation: Optional[tuple[Optional[int], Optional[int]]] = None,
         dropped_self_loops: int = 0,
     ) -> None:
         self._links: tuple[Link, ...] = _sorted_distinct(links)
@@ -68,11 +68,12 @@ class LinkStream:
         self._t_max = self._links[-1][0] if self._links else None
         self.dropped_self_loops = dropped_self_loops
 
-        if observation is None:
+        lo, hi = observation or (None, None)
+        if lo is None or hi is None:
             if not self._links:
                 raise ValueError("empty stream needs an explicit observation window")
-            observation = (self._t_min, self._t_max)
-        lo, hi = observation
+            lo = self._t_min if lo is None else lo
+            hi = self._t_max if hi is None else hi
         if lo > hi:
             raise ValueError(f"observation window [{lo},{hi}] is empty")
         if self._links and (lo > self._t_min or hi < self._t_max):
@@ -212,9 +213,10 @@ def _sorted_distinct(links: Iterable[Link]) -> tuple[Link, ...]:
 def parse_links(
     source: TextIO | Iterable[str],
     spec: FormatSpec = FormatSpec(),
-    observation: Optional[tuple[int, int]] = None,
+    observation: Optional[tuple[Optional[int], Optional[int]]] = None,
 ) -> LinkStream:
-    """Parse a three-column link file into a LinkStream.
+    """Parse a three-column link file into a LinkStream observed over
+    `observation`, read as `LinkStream` reads it, after any rebase.
 
     Lines starting with '#' and blank lines are ignored. Duplicate records and
     both orientations of a pair collapse to one undirected link. Self-loop

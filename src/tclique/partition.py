@@ -8,9 +8,7 @@ link-count balancing over distinct timestamps, and explicit user boundaries.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import PartitionError
 from .linkstream import Link, LinkStream
@@ -96,22 +94,17 @@ def _balanced_count_boundaries(stream: LinkStream, k: int) -> list[int]:
 
 def partition_links(
     stream: LinkStream, plan: PartitionPlan
-) -> list[tuple[int, list[Link]]]:
+) -> list[tuple[int, tuple[Link, ...]]]:
     """Split the stream per plan into (boundary, links) batches covering every
     link exactly once.
 
-    The stream's links are sorted (t, u, v) tuples, so each batch is the
-    slice up to the position of (boundary + 1,), which sorts after every
-    link at the boundary: one pass over the stream.
+    Each batch is `stream.links_in((previous boundary + 1, boundary))`, a
+    tuple slice of the stream's own sorted links, so a single batch over the
+    whole stream is `stream.links` itself.
     """
     bounds = plan_boundaries(stream, plan)
-    links = stream.links
-    batches: list[tuple[int, list[Link]]] = []
-    lo = 0
-    for b in bounds:
-        hi = bisect_left(links, (b + 1,), lo)
-        batches.append((b, list(links[lo:hi])))
-        lo = hi
+    starts = [stream.t_start, *(b + 1 for b in bounds)]
+    batches = [(b, stream.links_in((lo, b))) for lo, b in zip(starts, bounds)]
     assigned = sum(len(chunk) for _, chunk in batches)
     if assigned != stream.n_links:
         raise PartitionError(

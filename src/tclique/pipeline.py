@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .cliques import Clique, format_clique, parse_clique, sort_cliques
 from .errors import ConfigError, StateError, VerificationError
-from .linkstream import LinkStream
+from .linkstream import Link, LinkStream
 from .oracle import brute_force_enumerate
 from .partition import PartitionPlan, partition_links
 from .update import (
@@ -39,7 +39,7 @@ from .update import (
     update_batch,
 )
 
-_STATE_FILE = re.compile(r"state_(\d{4})\.txt$")
+_STATE_FILE = re.compile(r"state_(\d{4,})\.txt")
 _CLOSED_FILE = "closed.txt"
 
 REPORT_COLUMNS = (
@@ -102,7 +102,8 @@ def run_pipeline(
     then writes state_NNNN.txt and deletes the older state files, so only the
     newest state is kept. A later invocation resumes after the newest state
     found there (its parameters, boundary and input digest must match the
-    plan's first batches), reading back the closed cliques it counts.
+    plan's first batches), reading back the closed cliques it counts; once
+    those checks pass it deletes any older state a run that died left.
     Offline mode refuses a state directory (ConfigError), as it writes no
     state a later run could resume from.
     """
@@ -128,6 +129,7 @@ def run_pipeline(
             state, start_idx = loaded, idx
             say(f"resuming after cycle {idx} (boundary {loaded.t_boundary})")
         closed = _resume_closed(state_dir / _CLOSED_FILE, state)
+        _remove_states_before(state_dir, start_idx)
 
     rows: list[CycleRow] = []
     for i in range(start_idx, len(batches)):
@@ -159,7 +161,8 @@ def run_pipeline(
 
 
 def _state_files(state_dir: Path) -> Iterator[tuple[int, Path]]:
-    """(cycle, path) of every state_NNNN.txt in the directory."""
+    """(cycle, path) of every state_NNNN.txt in the directory: four digits
+    or more, as `_write_state_file` names cycle 10,000 on."""
     for entry in state_dir.iterdir():
         m = _STATE_FILE.fullmatch(entry.name)
         if m:
@@ -179,7 +182,7 @@ def _check_resume(
     delta: int,
     gamma: int,
     t_start: int,
-    batches: Sequence[tuple[int, list]],
+    batches: Sequence[tuple[int, tuple[Link, ...]]],
     idx: int,
 ) -> None:
     if (loaded.delta, loaded.gamma) != (delta, gamma):
@@ -237,6 +240,12 @@ def _write_state_file(state: BatchState, state_dir: Path, cycle: int) -> None:
     with open(tmp, "w", encoding="utf-8") as fh:
         save_state(state, fh)
     os.replace(tmp, path)
+    _remove_states_before(state_dir, cycle)
+
+
+def _remove_states_before(state_dir: Path, cycle: int) -> None:
+    """Delete the state files of the cycles before `cycle`, also those that
+    a run which died between a state's replace and this deletion left."""
     for older, entry in _state_files(state_dir):
         if older < cycle:
             entry.unlink()
@@ -247,7 +256,7 @@ def enumerate_maximal_cliques(
 ) -> list[Clique]:
     """All maximal cliques of a bounded stream in one pass (single batch)."""
     state = initial_state(delta, gamma, stream.t_start)
-    state, closed, _ = update_batch(state, list(stream.links), stream.t_end)
+    state, closed, _ = update_batch(state, stream.links, stream.t_end)
     return finalize(state, closed, stream)
 
 

@@ -177,7 +177,7 @@ def update_batch(
             )
 
     working = LinkStream(
-        tuple(state.link_tail) + tuple(batch),
+        state.link_tail + tuple(batch),
         observation=(state.t_start, t_next),
     )
     input_digest = chain_input_digest(

@@ -15,10 +15,7 @@ DATA_DIR = Path(__file__).parent / "data"
 
 def load_fixture(name: str, observation=None) -> LinkStream:
     with open(DATA_DIR / name, "r", encoding="utf-8") as fh:
-        stream = parse_links(fh, FormatSpec(column_order="uvt"))
-    if observation is not None:
-        stream = LinkStream(stream.links, observation=observation)
-    return stream
+        return parse_links(fh, FormatSpec(column_order="uvt"), observation)
 
 
 @pytest.fixture(scope="session")

@@ -9,8 +9,9 @@ admit and a `drain` that checks every root it is given, three worklist
 fixed points with plain moves to hold the engine against (one with the
 engine's jumping interval move, settled targets and dominance rule, one
 that still works each target as a root, one with the stepwise interval
-moves of earlier versions), a static-neighbour scan to hold the sliding
-window count's candidate sets against, `count_in`-literal seed anchors and
+moves of earlier versions), the benchmark's contact stream, a
+static-neighbour scan to hold the sliding window count's candidate sets
+against, `count_in`-literal seed anchors and
 a clique-by-clique maximality certificate to hold the engine's index
 arithmetic and pair-by-pair certificate against, and an independently
 written delta-clique enumerator (the gamma=1 special case) that
@@ -21,7 +22,9 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import importlib.util
 import random
+import sys
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
@@ -609,6 +612,19 @@ def group_contact_stream(seed: int, n_meetings: int) -> LinkStream:
                 if rng.random() < 0.7:
                     links.add((tick * 20, u, v))
     return LinkStream(links)
+
+
+def contact_stream(n_links: int, seed: int) -> LinkStream:
+    """The benchmark's contact-model stream of about `n_links` links at
+    `seed`, from perfbench/workloads.py, loaded once as a plain module."""
+    name = "perfbench_workloads"
+    workloads = sys.modules.get(name)
+    if workloads is None:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        workloads = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    return LinkStream(workloads.generate_links(workloads.CONTACT, n_links, seed))
 
 
 # -- synthetic states for persistence tests -------------------------------------------

@@ -157,6 +157,26 @@ def test_observation_rules():
         empty.time_bounds()
 
 
+def test_an_open_observation_end_is_the_links_bound():
+    links = [(3, 1, 2), (7, 2, 3)]
+    text = ["3 1 2\n", "7 2 3\n"]
+    for window, expected in (
+        ((None, 9), (3, 9)),
+        ((1, None), (1, 7)),
+        ((None, None), (3, 7)),
+        (None, (3, 7)),
+    ):
+        assert LinkStream(links, observation=window).observation == expected
+        assert parse_links(text, observation=window).observation == expected
+    # the links' bound is read after the rebase
+    assert parse_links(text, FormatSpec(rebase=True), (None, 9)).observation == (0, 9)
+    with pytest.raises(ValueError, match="does not cover"):
+        LinkStream(links, observation=(None, 5))
+    for window in ((None, 5), (0, None)):
+        with pytest.raises(ValueError, match="explicit observation window"):
+            LinkStream([], observation=window)
+
+
 def test_occurrences_requires_ordered_pair(f1_stream):
     for pair in ((2, 1), (1, 1)):
         with pytest.raises(ValueError, match="not canonical"):

@@ -4,6 +4,7 @@ import copy
 import csv
 import dataclasses
 import io
+import os
 import random
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import tclique.pipeline
 import tclique.update
 from tclique import (
     ConfigError,
@@ -205,6 +207,110 @@ def test_resume_cuts_closed_lines_past_the_count(handoff_stream, tmp_path):
         assert (state_dir / "closed.txt").read_bytes() == (
             straight / "closed.txt"
         ).read_bytes(), name
+
+
+class Died(Exception):
+    """A simulated death of the process at one point of an online cycle."""
+
+
+def die_online(stream, plan, state_dir, point, cycle, monkeypatch) -> None:
+    """Run `plan` online into `state_dir` until it dies at `point` of `cycle`:
+    after the closed.txt append ("closed appended"; "torn line" then also
+    cuts the last three bytes off that append), after the temporary state
+    write ("temp written"), after its replace ("replaced"), or before the
+    deletion of the older state ("before unlink")."""
+    real_write, real_replace, real_unlink = (
+        tclique.pipeline._write_state_file, os.replace, Path.unlink
+    )
+    at = []  # the cycle whose state is being written
+
+    def die_at(*here):
+        if point in here and at[-1] == cycle:
+            raise Died(f"{point} in cycle {cycle}")
+
+    def write_state_file(state, directory, n):
+        at.append(n)
+        die_at("closed appended", "torn line")
+        real_write(state, directory, n)
+
+    def replace(src, dst):
+        die_at("temp written")
+        real_replace(src, dst)
+        die_at("replaced")
+
+    def unlink(path, *args, **kwargs):
+        die_at("before unlink")
+        real_unlink(path, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tclique.pipeline, "_write_state_file", write_state_file)
+        patch.setattr(os, "replace", replace)
+        patch.setattr(Path, "unlink", unlink)
+        with pytest.raises(Died):
+            run_pipeline(stream, 4, 2, plan, mode="online", state_dir=state_dir)
+    if point == "torn line":
+        closed = state_dir / "closed.txt"
+        closed.write_bytes(closed.read_bytes()[:-3])  # every line is longer
+
+
+# cycle 1 of HANDOFF_PLAN closes no clique, so it has no line to tear, and
+# no older state to delete
+CRASH_POINTS = [
+    (point, cycle)
+    for point in ("closed appended", "torn line", "temp written", "replaced", "before unlink")
+    for cycle in (1, 2, 3, 4)
+    if cycle > 1 or point in ("closed appended", "temp written", "replaced")
+]
+
+
+@pytest.mark.parametrize("point, cycle", CRASH_POINTS)
+def test_online_run_resumes_from_every_crash_point(
+    point, cycle, handoff_stream, tmp_path, monkeypatch
+):
+    """Rerun after a death at any point of any cycle, an online run writes
+    the offline result bytes and the closed.txt of a run that never died,
+    and leaves closed.txt and the newest state only: a death between a
+    state's replace and the deletion of the older one leaves both, and the
+    resume deletes the older one once its checks pass."""
+    whole = tmp_path / "whole.txt"
+    run_pipeline(handoff_stream, 4, 2, HANDOFF_PLAN, out_path=whole)
+    straight = tmp_path / "straight"
+    run_pipeline(handoff_stream, 4, 2, HANDOFF_PLAN, mode="online", state_dir=straight)
+
+    state_dir = tmp_path / "state"
+    die_online(handoff_stream, HANDOFF_PLAN, state_dir, point, cycle, monkeypatch)
+    out = tmp_path / "resumed.txt"
+    run_pipeline(
+        handoff_stream, 4, 2, HANDOFF_PLAN, mode="online", state_dir=state_dir,
+        out_path=out,
+    )
+    assert out.read_bytes() == whole.read_bytes()
+    assert (state_dir / "closed.txt").read_bytes() == (straight / "closed.txt").read_bytes()
+    assert state_files(state_dir) == ["closed.txt", "state_0004.txt"]
+
+
+def test_a_refused_resume_keeps_an_older_state(handoff_stream, tmp_path, monkeypatch):
+    state_dir = tmp_path / "state"
+    die_online(handoff_stream, HANDOFF_PLAN, state_dir, "replaced", 4, monkeypatch)
+    before = {name: (state_dir / name).read_bytes() for name in state_files(state_dir)}
+    assert list(before) == ["closed.txt", "state_0003.txt", "state_0004.txt"]
+    with pytest.raises(ConfigError, match="delta"):
+        run_pipeline(handoff_stream, 5, 2, HANDOFF_PLAN, mode="online", state_dir=state_dir)
+    assert {name: (state_dir / name).read_bytes() for name in state_files(state_dir)} == before
+
+
+def test_state_files_past_cycle_9999_keep_only_the_newest(tmp_path):
+    # 10,003 links of one pair in 10,002 online batches: state_10000.txt on
+    # are found, so each cycle deletes the one before, and a rerun resumes
+    # after the last cycle instead of running them all again
+    stream = LinkStream((t, 1, 2) for t in range(10_003))
+    plan = PartitionPlan("ut", 10_002)
+    state_dir = tmp_path / "state"
+    report = run_pipeline(stream, 4, 2, plan, mode="online", state_dir=state_dir)
+    assert len(report.rows) == 10_002
+    assert state_files(state_dir) == ["closed.txt", "state_10002.txt"]
+    again = run_pipeline(stream, 4, 2, plan, mode="online", state_dir=state_dir)
+    assert again.rows == [] and again.final == report.final
 
 
 def test_resume_refuses_a_closed_file_that_does_not_match(handoff_stream, tmp_path, capsys):
@@ -584,6 +690,29 @@ def test_cli_run_counts_dropped_self_loops(tmp_path, capsys, window):
     assert main(["run", "--input", str(DATA_DIR / "f1.txt"), "--format", "uvt",
                  "--delta", "3", "--gamma", "2", *window]) == 0
     assert "self-loops" not in capsys.readouterr().out
+
+
+def test_cli_run_builds_as_many_streams_with_a_window(monkeypatch, capsys):
+    # --t-start/--t-end reach parse_links: one stream for the input and one
+    # working stream for the one batch, with the window or without it
+    built = []
+    real_init = LinkStream.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinkStream, "__init__", counting_init)
+    counts = []
+    for window in ([], ["--t-end", "21"], ["--t-start", "0", "--t-end", "21"]):
+        built.clear()
+        assert main([
+            "run", "--input", str(DATA_DIR / "handoff.txt"), "--format", "uvt",
+            "--delta", "4", "--gamma", "2", *window,
+        ]) == 0
+        counts.append(len(built))
+    assert counts == [2, 2, 2]
+    assert "observation [0,21]" in capsys.readouterr().out
 
 
 def test_cli_usage_errors_exit_1(tmp_path, capsys):
