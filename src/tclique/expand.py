@@ -33,29 +33,33 @@ through `pair_closure`.
 
 A root is a clique `drain` is given: a seed or a carried clique.
 Every clique worked with candidates is valid, so the vertex move checks
-only the pairs a growth adds. A root tests each candidate w against all
-of its members (`expand_vertex_set`). A vertex
-growth keeps its parent's span, so the root and the cliques its growths
-reach at that span form its family, which `drain` works on a local stack
-before it takes the next root. A member K = P+{n}, n the vertex it added to
-its parent P, tests only the pair (w, n) for each growth w of P (the pool
-of P's children): at a fixed span, w extends K iff it extends P and pairs
-validly with n (the candidate narrowing of Bron-Kerbosch, restricted to one
-span). So each member finds every growth a full check would. Its growth's
-closure comes the same way, closure(P+w) ∩ closure(K) ∩ closure of (n, w),
-with no pass over its pairs. The pair (w, n) recurs in the family (P+{w}
-tests it too), so the root owns a pair -> closure-or-None table, and the
-kernel runs only on a miss. `pair_checks` counts every pair test, the
-table's too. The kernel reads the working stream's gap index
-(`gap_index`), which `WorkSets` builds once a cycle for the moves to share.
+only the pairs a growth adds. A vertex growth keeps its parent's span, so
+the root and the cliques its growths reach at that span form its family,
+which `drain` works on a local stack, the root first, before it takes the
+next root. Each clique of the family narrows a pool of possible growths,
+each with a closure to cut, by some of its vertices. The root's pool is its
+candidates outside it, each with the root's closure, and it narrows them
+by each of its vertices in turn. A member K = P+{n}, n the vertex it added
+to its parent P, narrows P's growths (the pool of P's children) by n
+alone: at a fixed span, w extends K iff it extends P and pairs validly
+with n (the candidate narrowing of Bron-Kerbosch, restricted to one span).
+So each member finds every growth a full check would. Its growth's closure
+comes the same way, closure(P+w) ∩ closure(K) ∩ closure of (n, w), with
+no pass over its pairs. The pair (w, n) recurs in the family (P+{w} tests
+it too), so the root owns a pair -> closure-or-None table, and the kernel
+runs only on a miss; the root's own pairs pass through it as well, though
+none recurs (members narrow by candidates only). `pair_checks` counts
+every pair test, the table's too. The kernel reads the working stream's
+gap index (`gap_index`), which `WorkSets` builds once a cycle for the moves
+to share.
 
 Canonical order. A member pushes only its growths past n (the root pushes
 all of its growths), the smallest on top, so the family reaches each
 subset of the root's growths that is a clique exactly once: along the path
-that adds its vertices in increasing order. A member asks `seen`
-(`WorkSets.admit`) when it comes off the stack, and one that entered
-`seen` before (in another family) is skipped with its subtree. Nothing is
-lost. Every member that enters `seen` is worked at once. Say X was worked,
+that adds its vertices in increasing order. A member asks `seen` when it
+comes off the stack: one that entered `seen` before (in another family) is
+skipped with its subtree, any other enters it. Nothing is lost.
+Every member that enters `seen` is worked at once. Say X was worked,
 a root or a member, and Y ⊋ X is a clique at X's span (its other vertices
 are among X's candidates, see the dedup barrier below); then Y enters
 `seen` too, by induction on |Y - X| and then on the time X was worked. If
@@ -154,7 +158,7 @@ from .cliques import Clique, gap_index, pair_closure, sort_cliques
 from .linkstream import LinkStream
 
 Span = tuple[int, int]
-Growths = tuple[tuple[int, Span], ...]  # (vertex, closure of the growth), by vertex
+Growths = list[tuple[int, Span]]  # (vertex, closure of the growth), by vertex
 
 
 class WorkItem(NamedTuple):
@@ -170,9 +174,8 @@ class WorkItem(NamedTuple):
 class WorkSets:
     """Working collections of one enumeration cycle.
 
-    seen          every family member worked in the cycle (`admit`), the
-                  dedup barrier (see the module docstring); no root
-                  enters it
+    seen          every family member worked in the cycle, the dedup
+                  barrier (see the module docstring); no root enters it
     new_maximal   cliques found maximal within this cycle
     next_frontier worked cliques whose right end reaches the cycle boundary
     peak_live     max of roots not yet worked + |seen| + |new_maximal| +
@@ -196,15 +199,6 @@ class WorkSets:
 
     def __post_init__(self) -> None:
         self.gaps = gap_index(self.stream, self.delta, self.gamma)
-
-    def admit(self, clique: Clique) -> bool:
-        """Whether a family member is to be worked: only if no route worked
-        it before, and then it enters `seen`. `drain` asks here for every
-        member; a root is never asked."""
-        if clique in self.seen:
-            return False
-        self.seen.add(clique)
-        return True
 
 
 # -- seeds ---------------------------------------------------------------------
@@ -354,40 +348,6 @@ def clique_closure(item: WorkItem, worksets: WorkSets) -> Span:
     return ta, right
 
 
-def expand_vertex_set(item: WorkItem, worksets: WorkSets, closure: Span) -> Growths:
-    """A root's vertex move: test each candidate outside the clique against
-    every member, and return the valid growths, each vertex with the
-    growth's closure (`closure`, the root's own, cut by the closures of the
-    pairs with the vertex), in vertex order (empty when none is valid).
-    `drain` works them as the root's family."""
-    stream, delta, gamma, gaps = worksets.stream, worksets.delta, worksets.gamma, worksets.gaps
-    occurrences, t_start = stream.pair_occurrences, stream.t_start
-    members, ta, tb = item.clique
-    lo, hi = closure
-    checks = 0
-    growths = []
-    for w in item.candidates:
-        if w in members:
-            continue
-        w_lo, w_hi = lo, hi
-        for z in members:
-            checks += 1
-            pair = (w, z) if w < z else (z, w)
-            ends = pair_closure(
-                occurrences.get(pair, ()), gaps.get(pair, ()), ta, tb, delta, gamma, t_start
-            )
-            if ends is None:
-                break
-            if ends[0] > w_lo:
-                w_lo = ends[0]
-            if ends[1] < w_hi:
-                w_hi = ends[1]
-        else:
-            growths.append((w, (w_lo, w_hi)))
-    worksets.pair_checks += checks
-    return tuple(growths)
-
-
 # -- the roots' families --------------------------------------------------------
 
 
@@ -396,12 +356,14 @@ def drain(worksets: WorkSets, roots: list[WorkItem]) -> None:
 
     Each root is popped off `roots` as its family starts, so the list is
     empty on return, and a worked root, with its candidates, is freed while
-    the others wait. Every root gets its closure (`clique_closure`) and,
-    unless it is carried, its growths (`expand_vertex_set`); then its family
-    is worked in canonical order on a local stack (see the module
-    docstring). A member is skipped when `WorkSets.admit` turns it away;
-    else it tests its parent's growths against its newest vertex, through
-    the root's pair table, for its own growths and their closures.
+    the others wait. Every root gets its closure (`clique_closure`) and
+    enters its family's local stack first; the family is worked in
+    canonical order (see the module docstring). A root narrows its
+    candidates by each of its vertices, a member its parent's growths by
+    its newest vertex, both through the root's pair table, for the
+    clique's growths and their closures; a carried root, or one without
+    candidates, has no growths. A member that entered `seen` before is
+    skipped; any other enters it.
 
     Every worked clique then takes the interval move: when the closure
     differs from the span, (clique, closure) is settled in place (see the
@@ -417,12 +379,12 @@ def drain(worksets: WorkSets, roots: list[WorkItem]) -> None:
     """
     stream, delta, gamma, gaps = worksets.stream, worksets.delta, worksets.gamma, worksets.gaps
     occurrences, t_start, boundary = stream.pair_occurrences, stream.t_start, stream.t_end
-    seen, admit = worksets.seen, worksets.admit
-    new_maximal, next_frontier = worksets.new_maximal, worksets.next_frontier
-    add_maximal, add_frontier = new_maximal.add, next_frontier.add
-    # family entries (clique, closure, pool, newest): the pool is the
-    # parent's growths; the root's entry has no pool and no newest vertex
-    family: list[tuple[Clique, Span, Optional[Growths], int]] = []
+    seen, new_maximal, next_frontier = worksets.seen, worksets.new_maximal, worksets.next_frontier
+    add_seen, add_maximal, add_frontier = seen.add, new_maximal.add, next_frontier.add
+    # family entries (clique, closure, pool, narrow): the pool is what may
+    # grow the clique, and narrow the vertices it is tested against (the
+    # root's own, or a member's newest); what passes is the clique's growths
+    family: list[tuple[Clique, Span, Growths, tuple[int, ...]]] = []
     peak, checks = worksets.peak_live, 0
     while True:
         live = len(roots) + len(seen) + len(new_maximal) + len(next_frontier)
@@ -431,35 +393,44 @@ def drain(worksets: WorkSets, roots: list[WorkItem]) -> None:
         if not roots:
             break
         root = roots.pop()
-        candidates = root.candidates
-        family.append((root.clique, clique_closure(root, worksets), None, 0))
+        first, candidates = root
+        closure = clique_closure(root, worksets)
+        if candidates:
+            members = first.vertices
+            pool = [(w, closure) for w in candidates if w not in members]
+            family.append((first, closure, pool, members))
+            table = {}
+        else:
+            family.append((first, closure, [], ()))
         while family:
-            clique, closure, pool, newest = family.pop()
+            clique, closure, growths, narrow = family.pop()
+            if clique is not first:
+                if clique in seen:
+                    continue
+                add_seen(clique)
             vertices, ta, tb = clique
-            if pool is None:
-                growths, past = (), 0
-                if candidates is not None:
-                    growths, table = expand_vertex_set(root, worksets, closure), {}
-            elif not admit(clique):
-                continue
-            else:
-                lo, hi = closure
-                found = []
-                checks += len(pool) - 1
+            lo, hi = closure
+            past = 0
+            for v in narrow:
+                pool, growths = growths, []
+                checks += len(pool)
                 for w, (w_lo, w_hi) in pool:
-                    if w == newest:
-                        past = len(found)
+                    if w == v:
+                        past = len(growths)
+                        checks -= 1
                         continue
-                    pair = (w, newest) if w < newest else (newest, w)
+                    pair = (w, v) if w < v else (v, w)
                     ends = table.get(pair, False)
                     if ends is False:
                         occ = occurrences.get(pair, ())
                         ends = table[pair] = pair_closure(
                             occ, gaps.get(pair, ()), ta, tb, delta, gamma, t_start
                         )
-                    if ends is not None:
-                        found.append((w, (max(w_lo, lo, ends[0]), min(w_hi, hi, ends[1]))))
-                growths = tuple(found)
+                    if ends is not None:  # conditionals outpace max() and min() here
+                        e_lo, e_hi = ends
+                        e_lo = e_lo if e_lo > w_lo else w_lo
+                        e_hi = e_hi if e_hi < w_hi else w_hi
+                        growths.append((w, (e_lo if e_lo > lo else lo, e_hi if e_hi < hi else hi)))
             if closure[0] != ta or closure[1] != tb:
                 if all(ends != closure for _, ends in growths):
                     add_maximal(Clique(vertices, *closure))
@@ -473,6 +444,6 @@ def drain(worksets: WorkSets, roots: list[WorkItem]) -> None:
                 w, ends = growths[i]
                 at = bisect_left(vertices, w)
                 verts = vertices[:at] + (w,) + vertices[at:]
-                family.append((Clique(verts, ta, tb), ends, growths, w))
+                family.append((Clique(verts, ta, tb), ends, growths, (w,)))
     worksets.pair_checks += checks
     worksets.peak_live = peak

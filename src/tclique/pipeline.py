@@ -233,19 +233,23 @@ def _resume_closed(path: Path, state: BatchState) -> list[Clique]:
 
 
 def _write_state_file(state: BatchState, state_dir: Path, cycle: int) -> None:
-    """Atomically write state_{cycle}.txt, then delete the older state files
-    (the previous one survives until the replace has succeeded)."""
+    """Atomically write state_{cycle}.txt, then delete the previous cycle's
+    (it survives until the replace has succeeded). That is the one older
+    state file the directory can hold: a resume keeps only the state it
+    loads (`_remove_states_before`), and each cycle deletes its
+    predecessor's."""
     path = state_dir / f"state_{cycle:04d}.txt"
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
         save_state(state, fh)
     os.replace(tmp, path)
-    _remove_states_before(state_dir, cycle)
+    (state_dir / f"state_{cycle - 1:04d}.txt").unlink(missing_ok=True)
 
 
 def _remove_states_before(state_dir: Path, cycle: int) -> None:
-    """Delete the state files of the cycles before `cycle`, also those that
-    a run which died between a state's replace and this deletion left."""
+    """Delete the state files of the cycles before `cycle`, on a resume:
+    also those that a run which died between a state's replace and the
+    deletion of its predecessor left."""
     for older, entry in _state_files(state_dir):
         if older < cycle:
             entry.unlink()

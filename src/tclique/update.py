@@ -122,7 +122,7 @@ class BatchState:
                 raise ConfigError(f"tail link {(t, u, v)} is not canonical (u < v)")
             if not (self.t_boundary - self.delta <= t <= self.t_boundary):
                 raise ConfigError(
-                    f"tail link {(t, u, v)} outside ({self.t_boundary - self.delta},"
+                    f"tail link {(t, u, v)} outside [{self.t_boundary - self.delta},"
                     f" {self.t_boundary}]"
                 )
 

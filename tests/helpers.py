@@ -4,8 +4,8 @@ Holds the deterministic random-stream corpus used by the acceptance tests,
 a stream built from per-pair timestamps, functions that run `update_batch`
 cycle by cycle (to look at the collection around the sub-clique sweep or
 after every drain, or to leave a state directory as an interrupted online
-run would), a `WorkSets` that checks every family member it is asked to
-admit and a `drain` that checks every root it is given, three worklist
+run would), a `WorkSets` that checks every family member `drain` asks its
+`seen` about and a `drain` that checks every root it is given, three worklist
 fixed points with plain moves to hold the engine against (one with the
 engine's jumping interval move, settled targets and dominance rule, one
 that still works each target as a root, one with the stepwise interval
@@ -253,12 +253,26 @@ def staged_cycles(
     return cycles
 
 
+class CheckingSet(set):
+    """A `seen` set that passes every clique it is asked about to `check`
+    first: `drain` asks it about each family member as the member comes off
+    the family stack, before it enters it."""
+
+    def __init__(self, check) -> None:
+        super().__init__()
+        self.check = check
+
+    def __contains__(self, clique) -> bool:
+        self.check(clique)
+        return super().__contains__(clique)
+
+
 class CheckingWorkSets(WorkSets):
-    """`WorkSets` that asserts every family member (everything
-    `WorkSets.admit` is asked) is well formed (at least two strictly sorted
-    vertices, ta <= tb) and a valid (delta,gamma)-clique: the checks the
-    engine's plain `Clique` gives up. `checked_drain` asks the same of the
-    roots.
+    """`WorkSets` that asserts every family member (everything `drain` asks
+    `seen`, a `CheckingSet` it installs) is well formed (at least two
+    strictly sorted vertices, ta <= tb) and a valid (delta,gamma)-clique:
+    the checks the engine's plain `Clique` gives up. `checked_drain` asks
+    the same of the roots.
 
     Validity is checked on the working stream, or, when `reference` is set
     (in a subclass), on that stream for the cliques that end before the
@@ -267,6 +281,10 @@ class CheckingWorkSets(WorkSets):
     """
 
     reference: LinkStream | None = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.seen = CheckingSet(self._check)
 
     def _check(self, clique: Clique) -> None:
         vertices, ta, tb = clique
@@ -279,10 +297,6 @@ class CheckingWorkSets(WorkSets):
         assert is_delta_gamma_clique(
             vertices, (ta, tb), stream, self.delta, self.gamma
         ), f"enqueued invalid clique {clique}"
-
-    def admit(self, clique):
-        self._check(clique)
-        return super().admit(clique)
 
 
 def checked_drain(worksets: CheckingWorkSets, roots) -> None:

@@ -29,6 +29,7 @@ from tclique.expand import (
     drain,
 )
 from helpers import (
+    CheckingSet,
     CheckingWorkSets,
     checked_drain,
     cycle_outcomes,
@@ -58,17 +59,30 @@ def item(vertices, ta, tb, candidates=()):
     return WorkItem(make_clique(vertices, ta, tb), cands)
 
 
+class AskedSet(CheckingSet):
+    """A `CheckingSet` that also appends every clique it is asked about to
+    `asked`."""
+
+    def __init__(self, check, asked) -> None:
+        super().__init__(check)
+        self.asked = asked
+
+    def __contains__(self, clique):
+        self.asked.append(clique)
+        return super().__contains__(clique)
+
+
 @dataclass
 class OneFamily(CheckingWorkSets):
-    """A checking WorkSets whose `asked` lists the family members `admit` is
-    asked, in order. Given one root, `drain` works its family alone: the
-    interval moves' targets are settled, never worked."""
+    """A checking WorkSets whose `asked` lists the family members `drain`
+    asks `seen` about, in order. Given one root, `drain` works its family
+    alone: the interval moves' targets are settled, never worked."""
 
     asked: list = field(default_factory=list)
 
-    def admit(self, clique):
-        self.asked.append(clique)
-        return super().admit(clique)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.seen = AskedSet(self._check, self.asked)
 
 
 def work_family(stream, delta, gamma, root, seen=()):
@@ -422,13 +436,14 @@ def test_expand_vertex_siblings_share_one_pool():
 
 def test_expand_vertex_answers_a_pair_from_the_family_table(monkeypatch):
     # {1,2,3} and {1,2,4} both test the pair (3, 4): the root's table
-    # answers the second, which still counts as a check
+    # answers the second, which still counts as a check; the root narrows
+    # its candidates by 1, then by 2
     stream = linked_at_zero((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
     reads = kernel_reads(stream, monkeypatch)
     ws = work_family(stream, 2, 1, item([1, 2], 0, 0, candidates={3, 4}))
     assert ws.asked == [((1, 2, 3), 0, 0), ((1, 2, 3, 4), 0, 0), ((1, 2, 4), 0, 0)]
     assert ws.pair_checks == 4 + 1 + 0 + 1
-    assert reads == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
+    assert reads == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
 
 def test_a_family_enters_each_of_its_cliques_once():
@@ -491,17 +506,19 @@ def test_every_move_runs_after_an_earlier_one_grows(f1_stream):
 
 def test_debug_mode_rejects_invalid_enqueue(f1_stream):
     # the checking WorkSets and drain of the tests: a valid family member or
-    # root passes, an invalid or malformed one fails its assertion
+    # root passes, an invalid or malformed one fails its assertion (`seen`
+    # checks each clique it is asked about, as `drain` asks of a member)
     ws = fresh_ws(f1_stream, 3, 2)
-    assert ws.admit(make_clique([1, 2], 1, 5))
+    assert make_clique([1, 2], 1, 5) not in ws.seen
+    ws.seen.add(make_clique([1, 2], 1, 5))
     checked_drain(ws, [item([1, 2], 2, 5)])
     with pytest.raises(AssertionError, match="invalid"):
-        ws.admit(make_clique([2, 3], 1, 5))
+        assert make_clique([2, 3], 1, 5) not in ws.seen
     with pytest.raises(AssertionError, match="invalid"):
         checked_drain(ws, [item([2, 3], 1, 5)])
     for malformed in (((1,), 1, 5), ((2, 1), 1, 5), ((1, 1), 1, 5), ((1, 2), 5, 1)):
         with pytest.raises(AssertionError):
-            ws.admit(Clique(*malformed))
+            assert Clique(*malformed) not in ws.seen
         for candidates in (frozenset(), None):
             with pytest.raises(AssertionError):
                 checked_drain(ws, [WorkItem(Clique(*malformed), candidates)])
@@ -573,6 +590,30 @@ def test_drain_matches_reference_drain_on_a_group_contact_stream(monkeypatch):
     reference = drain_snapshots(stream, 360, 2, plan, reference_drain, monkeypatch)
     assert engine == reference
     assert max(len(verts) for seen, _, _ in engine for verts, _, _ in seen) >= 4
+
+
+def test_triangle_roots_match_reference_drain_on_the_corpus(corpus):
+    # seeds have two vertices, so only here does a root narrow its candidates
+    # by three: every valid triangle at every delta-long span that starts in
+    # the observation, with the static scan's candidates, drained at once
+    n_roots = n_members = 0
+    for idx, (stream, delta, gamma) in enumerate(corpus):
+        roots = []
+        for triangle in combinations(stream.vertices, 3):
+            for ta in range(stream.t_start, stream.t_end + 1):
+                root = Clique(triangle, ta, ta + delta)
+                if is_delta_gamma_clique(triangle, (ta, ta + delta), stream, delta, gamma):
+                    candidates = static_scan_candidates(root, stream, gamma)
+                    roots.append(WorkItem(root, tuple(sorted(candidates))))
+        engine, reference = fresh_ws(stream, delta, gamma), WorkSets(stream, delta, gamma)
+        checked_drain(engine, list(roots))
+        reference_drain(reference, roots)
+        assert engine.seen == reference.seen - {root.clique for root in roots}, idx
+        assert engine.new_maximal == reference.new_maximal, idx
+        assert engine.next_frontier == reference.next_frontier, idx
+        n_roots += len(roots)
+        n_members += len(engine.seen)
+    assert n_roots > 4_000 and n_members > 1_500
 
 
 def outcomes(snapshots):

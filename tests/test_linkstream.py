@@ -22,7 +22,7 @@ from tclique import (
     parse_links,
 )
 from tclique.cliques import gap_index, pair_closure
-from tclique.expand import WorkItem, WorkSets, clique_closure, expand_vertex_set
+from tclique.expand import WorkItem, WorkSets, clique_closure, drain
 from tclique.linkstream import format_link, parse_link
 from conftest import load_fixture
 from helpers import links_from_pairs, plain_closure, random_stream
@@ -252,8 +252,8 @@ def test_gamma_occurrence_queries_agree_with_slicing(pairs, a, b, gamma, delta):
     # jump, each pair alone and then every vertex pair of the stream at once
     # (unlinked ones pin the end), against the iterated list-sliced right
     # move; on a valid span the closure against the iterated stepwise moves,
-    # and each vertex as the one growth of a root made of the rest, whose
-    # closure the root's vertex move finds; the spans start inside the
+    # and each vertex as the one growth of a root made of the rest, which
+    # `drain` files at that closure; the spans start inside the
     # observation, as the engine's do
     stream = links_from_pairs(pairs, observation=(0, 20))
     ta, tb = min(a, b), max(a, b)
@@ -280,9 +280,10 @@ def test_gamma_occurrence_queries_agree_with_slicing(pairs, a, b, gamma, delta):
     if len(vertices) < 3:
         return
     for w in vertices:
-        root = WorkItem(Clique(tuple(v for v in vertices if v != w), ta, tb), frozenset({w}))
-        growths = expand_vertex_set(root, WorkSets(stream, delta, gamma), clique_closure(root, ws))
-        assert growths == ((w, expected),)
+        root = WorkItem(Clique(tuple(v for v in vertices if v != w), ta, tb), (w,))
+        family = WorkSets(stream, delta, gamma)
+        drain(family, [root])
+        assert Clique(vertices, *expected) in family.new_maximal
 
 
 def closure(stream, pair, span, gamma, delta=3):

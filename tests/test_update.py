@@ -3,6 +3,7 @@
 import hashlib
 import io
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -229,6 +230,14 @@ def test_tail_links_must_be_canonical():
     for link in ((4, 2, 1), (4, 2, 2)):
         with pytest.raises(ConfigError, match="not canonical"):
             BatchState(3, 2, 0, 5, NO_INPUT, 0, NO_INPUT, set(), (link,))
+
+
+def test_tail_links_must_lie_in_the_closed_delta_window():
+    # the tail is the links of [boundary - delta, boundary], both ends in
+    BatchState(4, 2, 0, 10, NO_INPUT, 0, NO_INPUT, set(), ((6, 1, 2), (10, 1, 2)))
+    for t in (5, 11):
+        with pytest.raises(ConfigError, match=re.escape(f"tail link ({t}, 1, 2) outside [6, 10]")):
+            BatchState(4, 2, 0, 10, NO_INPUT, 0, NO_INPUT, set(), ((t, 1, 2),))
 
 
 def test_input_digest_chains_the_batches_consumed(handoff_stream):
