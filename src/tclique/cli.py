@@ -3,18 +3,23 @@
 `tclique run` parses a link stream, slices it into batches, runs the
 incremental clique engine, and writes the final clique list plus an optional
 per-cycle CSV report. `tclique oracle` runs the exhaustive reference
-enumeration on small inputs. Exit codes: 0 success, 1 usage error, 2 data or
-state error, 3 verification mismatch or a result that fails certification.
+enumeration on small inputs. `tclique sweep` runs the engine over a grid of
+(delta, gamma) values and tabulates result sizes and runtimes in a CSV. The
+three read their input through the same flags and reader. Exit codes: 0
+success, 1 usage error, 2 data or state error, 3 verification mismatch or a
+result that fails certification.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
+import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .cliques import format_clique, sort_cliques
+from .cliques import Clique, format_clique, sort_cliques
 from .errors import (
     ConfigError,
     OracleBoundsError,
@@ -23,7 +28,7 @@ from .errors import (
     StateError,
     VerificationError,
 )
-from .linkstream import FormatSpec, parse_links
+from .linkstream import FormatSpec, LinkStream, parse_links
 from .oracle import brute_force_enumerate
 from .partition import PartitionPlan
 from .pipeline import (
@@ -46,6 +51,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _positive(text: str) -> int:
+    """argparse type of the delta and gamma values: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return value
+
+
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="link stream file")
     p.add_argument(
@@ -65,8 +81,6 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="shift timestamps so the earliest becomes 0",
     )
-    p.add_argument("--delta", type=int, required=True, help="window length")
-    p.add_argument("--gamma", type=int, required=True, help="links per window")
     p.add_argument(
         "--t-start",
         type=int,
@@ -81,6 +95,26 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_batch_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--scheme",
+        choices=("ut", "ulc", "explicit"),
+        default="ut",
+        help="batch boundary scheme (default ut)",
+    )
+    p.add_argument(
+        "--partitions",
+        type=int,
+        default=1,
+        help="batch count for ut/ulc schemes (default 1)",
+    )
+    p.add_argument(
+        "--boundaries",
+        default=None,
+        help="comma-separated boundaries for --scheme explicit",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tclique",
@@ -89,24 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="incremental enumeration over batches")
-    _add_input_flags(run)
-    run.add_argument(
-        "--scheme",
-        choices=("ut", "ulc", "explicit"),
-        default="ut",
-        help="batch boundary scheme (default ut)",
-    )
-    run.add_argument(
-        "--partitions",
-        type=int,
-        default=1,
-        help="batch count for ut/ulc schemes (default 1)",
-    )
-    run.add_argument(
-        "--boundaries",
-        default=None,
-        help="comma-separated boundaries for --scheme explicit",
-    )
+    oracle = sub.add_parser("oracle", help="exhaustive reference enumeration")
+    for p in (run, oracle):
+        _add_input_flags(p)
+        p.add_argument("--delta", type=_positive, required=True, help="window length")
+        p.add_argument("--gamma", type=_positive, required=True, help="links per window")
+    _add_batch_flags(run)
     run.add_argument(
         "--mode",
         choices=("offline", "online"),
@@ -121,19 +143,41 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="check the result against exhaustive enumeration (small inputs)",
     )
-
-    oracle = sub.add_parser("oracle", help="exhaustive reference enumeration")
-    _add_input_flags(oracle)
     oracle.add_argument("--out", default=None, help="write the clique list here")
+
+    sweep = sub.add_parser("sweep", help="result sizes and runtimes over a (delta, gamma) grid")
+    _add_input_flags(sweep)
+    _add_batch_flags(sweep)
+    sweep.add_argument(
+        "--deltas", type=_positive, nargs="+", default=[2, 4, 8],
+        help="window lengths (default 2 4 8)",
+    )
+    sweep.add_argument(
+        "--gammas", type=_positive, nargs="+", default=[1, 2, 3],
+        help="links per window (default 1 2 3)",
+    )
+    sweep.add_argument(
+        "--out", default="sweep.csv", help="write the CSV here (default sweep.csv)"
+    )
     return parser
 
 
-def _load_stream(args: argparse.Namespace):
+def _load_stream(args: argparse.Namespace) -> LinkStream:
     spec = FormatSpec(
         column_order=args.format, delimiter=args.delimiter, rebase=args.rebase
     )
     with open(args.input, "r", encoding="utf-8") as fh:
         return parse_links(fh, spec, (args.t_start, args.t_end))
+
+
+def _print_input_summary(stream: LinkStream) -> None:
+    dropped = stream.dropped_self_loops
+    print(
+        f"{stream.n_links} links, {stream.n_vertices} vertices, "
+        f"{stream.n_static_edges} static edges, observation "
+        f"[{stream.t_start},{stream.t_end}]"
+        + (f", {dropped} self-loops dropped" if dropped else "")
+    )
 
 
 def _make_plan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> PartitionPlan:
@@ -152,18 +196,20 @@ def _make_plan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Par
     return PartitionPlan(args.scheme, partitions=args.partitions)
 
 
-def _validate_common(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if args.delta <= 0:
-        parser.error("--delta must be positive")
-    if args.gamma <= 0:
-        parser.error("--gamma must be positive")
+def _maxima(cliques: Sequence[Clique]) -> tuple[int, list[Clique], int, list[Clique]]:
+    """The longest span with the cliques that have it, and the largest vertex
+    set size with the cliques that have it; 0 and no cliques for no cliques."""
+    if not cliques:
+        return 0, [], 0, []
+    temporal, cardinal = stats_maximum_cliques(cliques)
+    return temporal[0].tb - temporal[0].ta, temporal, len(cardinal[0].vertices), cardinal
 
 
-def _print_maxima(cliques) -> None:
+def _print_maxima(cliques: Sequence[Clique]) -> None:
     if not cliques:
         print("no cliques found")
         return
-    temporal, cardinal = stats_maximum_cliques(cliques)
+    span, temporal, size, cardinal = _maxima(cliques)
 
     def _head(items):
         text = "; ".join(format_clique(c) for c in items[:5])
@@ -171,27 +217,18 @@ def _print_maxima(cliques) -> None:
             text += f" (+{len(items) - 5} more)"
         return text
 
-    span = temporal[0].tb - temporal[0].ta
-    size = len(cardinal[0].vertices)
     print(f"longest interval ({span}): {_head(temporal)}")
     print(f"largest vertex set ({size}): {_head(cardinal)}")
 
 
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _validate_common(args, parser)
     if args.mode == "online" and not args.state_dir:
         parser.error("--mode online needs --state-dir")
     if args.state_dir and args.mode != "online":
         parser.error("--state-dir only applies to --mode online")
     plan = _make_plan(args, parser)
     stream = _load_stream(args)
-    dropped = stream.dropped_self_loops
-    print(
-        f"{stream.n_links} links, {stream.n_vertices} vertices, "
-        f"{stream.n_static_edges} static edges, observation "
-        f"[{stream.t_start},{stream.t_end}]"
-        + (f", {dropped} self-loops dropped" if dropped else "")
-    )
+    _print_input_summary(stream)
     report = run_pipeline(
         stream,
         args.delta,
@@ -215,7 +252,6 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _validate_common(args, parser)
     stream = _load_stream(args)
     cliques = sort_cliques(brute_force_enumerate(stream, args.delta, args.gamma))
     print(f"{len(cliques)} maximal cliques")
@@ -228,13 +264,45 @@ def _cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0
 
 
+SWEEP_COLUMNS = (
+    "delta", "gamma", "n_maximal", "longest_span", "largest_vertex_set", "cycles", "wall_seconds",
+)
+
+
+def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    plan = _make_plan(args, parser)
+    stream = _load_stream(args)
+    _print_input_summary(stream)
+    rows = []
+    for delta in args.deltas:
+        for gamma in args.gammas:
+            begin = time.perf_counter()
+            report = run_pipeline(stream, delta, gamma, plan)
+            wall = time.perf_counter() - begin
+            final = report.final
+            longest, _, largest, _ = _maxima(final)
+            rows.append((
+                delta, gamma, len(final), longest, largest, len(report.rows), f"{wall:.4f}",
+            ))
+            print(f"delta={delta:4d} gamma={gamma:2d}  "
+                  f"maximal={len(final):6d}  span<= {longest:5d}  "
+                  f"|Z|<= {largest:2d}  {wall:8.3f}s")
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SWEEP_COLUMNS)
+        writer.writerows(rows)
+    print(f"wrote {len(rows)} rows to {args.out}")
+    return 0
+
+
+_COMMANDS = {"run": _cmd_run, "oracle": _cmd_oracle, "sweep": _cmd_sweep}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "run":
-            return _cmd_run(args, parser)
-        return _cmd_oracle(args, parser)
+        return _COMMANDS[args.command](args, parser)
     except SystemExit as exc:  # argparse --help (0) or usage error (1)
         return int(exc.code or 0)
     except (ParseError, PartitionError, StateError, ConfigError) as exc:

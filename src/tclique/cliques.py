@@ -209,8 +209,11 @@ def is_delta_gamma_clique(
     delta: int,
     gamma: int,
 ) -> bool:
-    """Engine validity check; agrees with the direct definition everywhere.
-    It reads the bad times of its own pairs only, with no gap index."""
+    """Gap-based validity check for tests and library callers; agrees with the
+    direct definition everywhere. It reads the bad times of its own pairs
+    only, with no gap index. The engine does not call it: its moves read
+    `pair_closure`, and certification calls `pair_valid` with finalize's gap
+    index."""
     verts = sorted(set(vertices))
     if len(verts) < 2:
         raise ValueError("a clique needs at least two vertices")

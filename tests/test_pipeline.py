@@ -1,4 +1,4 @@
-"""Pipeline runs, persistence, reports, stats, the CLI, and the scripts."""
+"""Pipeline runs, persistence, reports, stats, and the CLI."""
 
 import copy
 import csv
@@ -6,8 +6,6 @@ import dataclasses
 import io
 import os
 import random
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -32,7 +30,7 @@ from tclique import (
     stats_maximum_cliques,
     verify_against_oracle,
 )
-from tclique.cli import main
+from tclique.cli import build_parser, main
 from conftest import DATA_DIR, load_fixture
 from tclique.update import EMPTY_DIGEST, chain_closed_digest
 from helpers import (
@@ -45,8 +43,6 @@ from helpers import (
     state_files,
     traced_peak,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_offline_and_online_results_are_byte_identical(handoff_stream, tmp_path):
@@ -727,6 +723,9 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     assert main(["run", "--input", f1, "--delta", "0", "--gamma", "2"]) == 1
     assert main(["run", "--input", f1, "--delta", "3", "--gamma", "2",
                  "--partitions", "0"]) == 1
+    assert main(["sweep", "--input", f1, "--deltas", "0"]) == 1
+    assert main(["sweep", "--input", f1, "--gammas", "2", "-1"]) == 1
+    assert main(["sweep", "--input", f1, "--partitions", "0"]) == 1
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
 
@@ -773,6 +772,7 @@ def test_a_run_leaves_the_input_stream_unchanged(tmp_path):
 def test_cli_data_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.txt")
     assert main(["run", "--input", missing, "--delta", "3", "--gamma", "2"]) == 2
+    assert main(["sweep", "--input", missing, "--out", str(tmp_path / "sweep.csv")]) == 2
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2 x\n")
     assert main(["run", "--input", str(bad), "--delta", "3", "--gamma", "2"]) == 2
@@ -799,31 +799,80 @@ def test_cli_verify_refuses_oversized_instances(tmp_path, capsys):
 def test_cli_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert main(["run", "--help"]) == 0
+    assert main(["sweep", "--help"]) == 0
     capsys.readouterr()
 
 
-# -- scripts ------------------------------------------------------------------------------
+def test_cli_subcommands_parse_the_input_and_batch_flags_alike():
+    # each input and batch flag has one definition, so every subcommand
+    # hands the one stream reader and the one plan maker the same values
+    parser = build_parser()
+    params = {"run": ["--delta", "3", "--gamma", "2"], "oracle": ["--delta", "3", "--gamma", "2"],
+              "sweep": []}
+
+    def parsed(command, flags, names):
+        args = vars(parser.parse_args([command, "--input", "links.txt", *params[command], *flags]))
+        return {name: args[name] for name in names}
+
+    inputs = ("input", "format", "delimiter", "rebase", "t_start", "t_end")
+    for flags, expected in [
+        ([], ("links.txt", "tuv", "whitespace", False, None, None)),
+        (["--format", "uvt", "--delimiter", "comma", "--rebase", "--t-start", "-1",
+          "--t-end", "9"], ("links.txt", "uvt", "comma", True, -1, 9)),
+    ]:
+        for command in ("run", "oracle", "sweep"):
+            assert parsed(command, flags, inputs) == dict(zip(inputs, expected)), command
+    batches = ("scheme", "partitions", "boundaries")
+    for flags, expected in [
+        ([], ("ut", 1, None)),
+        (["--scheme", "ulc", "--partitions", "4"], ("ulc", 4, None)),
+        (["--scheme", "explicit", "--boundaries", "3,5"], ("explicit", 1, "3,5")),
+    ]:
+        for command in ("run", "sweep"):
+            assert parsed(command, flags, batches) == dict(zip(batches, expected)), command
 
 
-def test_sweep_parameters_script_writes_its_csv(tmp_path):
+@pytest.mark.parametrize(
+    "batches, cycles", [([], "1"), (["--partitions", "3"], "3")], ids=["one-batch", "three-batches"]
+)
+def test_cli_sweep_writes_its_csv(tmp_path, capsys, batches, cycles):
     out = tmp_path / "sweep.csv"
-    done = subprocess.run(
-        [
-            sys.executable, str(REPO_ROOT / "scripts" / "sweep_parameters.py"),
-            str(DATA_DIR / "handoff.txt"), "--deltas", "2", "4", "--gammas", "1", "2",
-            "--out", str(out),
-        ],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
+    assert main([
+        "sweep", "--input", str(DATA_DIR / "handoff.txt"), "--format", "uvt",
+        "--deltas", "2", "4", "--gammas", "1", "2", *batches, "--out", str(out),
+    ]) == 0
+    assert f"wrote 4 rows to {out}" in capsys.readouterr().out
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["delta"], r["gamma"]) for r in rows] == [
         ("2", "1"), ("2", "2"), ("4", "1"), ("4", "2"),
     ]
-    # the script reads the file with its own observation window, [1, 20]
+    # no --t-start/--t-end: the observation is the links' own, [1, 20]
     stream = load_fixture("handoff.txt")
     for r in rows:
         expected = enumerate_maximal_cliques(stream, int(r["delta"]), int(r["gamma"]))
+        temporal, cardinal = stats_maximum_cliques(expected)
         assert int(r["n_maximal"]) == len(expected)
-        assert r["cycles"] == "1"
+        assert int(r["longest_span"]) == temporal[0].tb - temporal[0].ta
+        assert int(r["largest_vertex_set"]) == len(cardinal[0].vertices)
+        assert r["cycles"] == cycles
+
+
+def test_cli_sweep_reads_its_input_as_run_does(tmp_path, capsys):
+    # neither is given --format, so both read the handoff links as t u v
+    handoff = load_fixture("handoff.txt")
+    links = tmp_path / "tuv.txt"
+    links.write_text("".join(f"{t} {u} {v}\n" for t, u, v in handoff.links))
+    result = tmp_path / "result.txt"
+    table = tmp_path / "sweep.csv"
+    assert main(["run", "--input", str(links), "--delta", "4", "--gamma", "2",
+                 "--out", str(result)]) == 0
+    run_summary = capsys.readouterr().out.splitlines()[0]
+    assert main(["sweep", "--input", str(links), "--deltas", "4", "--gammas", "2",
+                 "--out", str(table)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == run_summary
+    with open(table, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    with open(result) as fh:
+        found = load_result(fh)
+    assert int(row["n_maximal"]) == len(found) == len(enumerate_maximal_cliques(handoff, 4, 2))
