@@ -2,23 +2,23 @@
 
 Offline mode feeds every batch of the plan through the update cycle in
 process, keeping each cycle's closed cliques in a list; online mode appends
-them to closed.txt and then writes a checksummed state file, keeping only
-the newest one, and can resume a run from the newest state found in the
-state directory and the closed cliques it counts. Both finish by finalizing
-the closed cliques and the last frontier against the bounded observation
-window, so their results are identical by construction.
+them to closed.txt and then replaces the one checksummed state file,
+state_latest.txt, and can resume a run from that state, after the plan's
+batch that ends at the state's boundary, with the closed cliques it counts.
+Both finish by finalizing the closed cliques and the last frontier against
+the bounded observation window, so their results are identical by
+construction.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-import re
 import resource
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from .cliques import Clique, format_clique, parse_clique, sort_cliques
 from .errors import ConfigError, StateError, VerificationError
@@ -39,8 +39,8 @@ from .update import (
     update_batch,
 )
 
-_STATE_FILE = re.compile(r"state_(\d{4,})\.txt")
 _CLOSED_FILE = "closed.txt"
+_STATE_FILE = "state_latest.txt"
 
 REPORT_COLUMNS = (
     "cycle",
@@ -99,13 +99,12 @@ def run_pipeline(
     """Run the batch loop over `stream` per `plan` and finalize.
 
     Online mode appends each cycle's closed cliques to state_dir/closed.txt,
-    then writes state_NNNN.txt and deletes the older state files, so only the
-    newest state is kept. A later invocation resumes after the newest state
-    found there (its parameters, boundary and input digest must match the
-    plan's first batches), reading back the closed cliques it counts; once
-    those checks pass it deletes any older state a run that died left.
-    Offline mode refuses a state directory (ConfigError), as it writes no
-    state a later run could resume from.
+    then atomically replaces state_dir/state_latest.txt, so the directory
+    holds those two files only. A later invocation resumes from that state
+    after the plan's batch whose boundary is the state's (its parameters and
+    the input digest of the batches up to there must match), reading back
+    the closed cliques it counts. Offline mode refuses a state directory
+    (ConfigError), as it writes no state a later run could resume from.
     """
     say = log or (lambda _msg: None)
     if mode not in ("offline", "online"):
@@ -122,14 +121,13 @@ def run_pipeline(
     if mode == "online":
         state_dir = Path(state_dir)
         state_dir.mkdir(parents=True, exist_ok=True)
-        resumed = _load_latest_state(state_dir)
-        if resumed is not None:
-            idx, loaded = resumed
-            _check_resume(loaded, delta, gamma, stream.t_start, batches, idx)
-            state, start_idx = loaded, idx
-            say(f"resuming after cycle {idx} (boundary {loaded.t_boundary})")
+        path = state_dir / _STATE_FILE
+        if path.exists():
+            with open(path, "r", encoding="utf-8") as fh:
+                state = load_state(fh)
+            start_idx = _check_resume(state, delta, gamma, stream.t_start, batches, plan)
+            say(f"resuming after cycle {start_idx} (boundary {state.t_boundary})")
         closed = _resume_closed(state_dir / _CLOSED_FILE, state)
-        _remove_states_before(state_dir, start_idx)
 
     rows: list[CycleRow] = []
     for i in range(start_idx, len(batches)):
@@ -147,7 +145,7 @@ def run_pipeline(
         if mode == "online":
             with open(state_dir / _CLOSED_FILE, "a", encoding="utf-8") as fh:
                 fh.write(render_result(cycle_closed))
-            _write_state_file(state, state_dir, i + 1)
+            _write_state_file(state, state_dir)
 
     begin = time.perf_counter()
     final = finalize(state, closed, stream)
@@ -160,31 +158,18 @@ def run_pipeline(
     return RunReport(rows, True, final, state, finalize_seconds)
 
 
-def _state_files(state_dir: Path) -> Iterator[tuple[int, Path]]:
-    """(cycle, path) of every state_NNNN.txt in the directory: four digits
-    or more, as `_write_state_file` names cycle 10,000 on."""
-    for entry in state_dir.iterdir():
-        m = _STATE_FILE.fullmatch(entry.name)
-        if m:
-            yield int(m.group(1)), entry
-
-
-def _load_latest_state(state_dir: Path) -> Optional[tuple[int, BatchState]]:
-    best = max(_state_files(state_dir), default=None)
-    if best is None:
-        return None
-    with open(best[1], "r", encoding="utf-8") as fh:
-        return best[0], load_state(fh)
-
-
 def _check_resume(
     loaded: BatchState,
     delta: int,
     gamma: int,
     t_start: int,
     batches: Sequence[tuple[int, tuple[Link, ...]]],
-    idx: int,
-) -> None:
+    plan: PartitionPlan,
+) -> int:
+    """The number of batches `loaded` has consumed: the position of its
+    boundary among the plan's. ConfigError if its parameters differ, its
+    boundary is not one of the plan's, or the links of those batches are
+    not the ones it was built from."""
     if (loaded.delta, loaded.gamma) != (delta, gamma):
         raise ConfigError(
             f"state was built with delta={loaded.delta} gamma={loaded.gamma}, "
@@ -194,11 +179,13 @@ def _check_resume(
         raise ConfigError(
             f"state starts at {loaded.t_start}, stream at {t_start}"
         )
-    if idx > len(batches) or batches[idx - 1][0] != loaded.t_boundary:
+    boundaries = [boundary for boundary, _ in batches]
+    if loaded.t_boundary not in boundaries:
         raise ConfigError(
-            f"state boundary {loaded.t_boundary} (cycle {idx}) does not match "
-            f"the partition plan"
+            f"state boundary {loaded.t_boundary} is not a boundary of the "
+            f"partition plan {plan}"
         )
+    idx = boundaries.index(loaded.t_boundary) + 1
     digest = EMPTY_DIGEST
     for _, chunk in batches[:idx]:
         digest = chain_input_digest(digest, chunk)
@@ -207,6 +194,7 @@ def _check_resume(
             f"the links of the first {idx} batches differ from those the "
             f"state was built from"
         )
+    return idx
 
 
 def _resume_closed(path: Path, state: BatchState) -> list[Clique]:
@@ -232,27 +220,15 @@ def _resume_closed(path: Path, state: BatchState) -> list[Clique]:
     return cliques
 
 
-def _write_state_file(state: BatchState, state_dir: Path, cycle: int) -> None:
-    """Atomically write state_{cycle}.txt, then delete the previous cycle's
-    (it survives until the replace has succeeded). That is the one older
-    state file the directory can hold: a resume keeps only the state it
-    loads (`_remove_states_before`), and each cycle deletes its
-    predecessor's."""
-    path = state_dir / f"state_{cycle:04d}.txt"
+def _write_state_file(state: BatchState, state_dir: Path) -> None:
+    """Write state_latest.tmp and replace state_latest.txt with it, so the
+    directory holds the previous state or this one, whole, at every
+    moment."""
+    path = state_dir / _STATE_FILE
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
         save_state(state, fh)
     os.replace(tmp, path)
-    (state_dir / f"state_{cycle - 1:04d}.txt").unlink(missing_ok=True)
-
-
-def _remove_states_before(state_dir: Path, cycle: int) -> None:
-    """Delete the state files of the cycles before `cycle`, on a resume:
-    also those that a run which died between a state's replace and the
-    deletion of its predecessor left."""
-    for older, entry in _state_files(state_dir):
-        if older < cycle:
-            entry.unlink()
 
 
 def enumerate_maximal_cliques(

@@ -563,7 +563,7 @@ def prefill_state_dir(
     """Leave `state_dir` as an online run interrupted after `n_batches`
     cycles would: update_batch over the plan's first n_batches batches, their
     closed cliques appended to closed.txt cycle by cycle, and the state saved
-    as state_{n_batches:04d}.txt."""
+    as state_latest.txt."""
     state = initial_state(delta, gamma, stream.t_start)
     state_dir = Path(state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
@@ -571,7 +571,7 @@ def prefill_state_dir(
         for boundary, chunk in partition_links(stream, plan)[:n_batches]:
             state, closed, _ = update_batch(state, chunk, boundary)
             fh.write(render_result(closed))
-    with open(state_dir / f"state_{n_batches:04d}.txt", "w", encoding="utf-8") as fh:
+    with open(state_dir / "state_latest.txt", "w", encoding="utf-8") as fh:
         save_state(state, fh)
 
 

@@ -259,5 +259,5 @@ def test_acceptance_state_round_trip_and_resume(handoff_stream, tmp_path):
     )
     assert [row.cycle for row in resumed.rows] == [2, 3, 4]
     assert resumed_out.read_bytes() == straight.read_bytes()
-    assert state_files(state_dir) == ["closed.txt", "state_0004.txt"]
+    assert state_files(state_dir) == ["closed.txt", "state_latest.txt"]
     print("\nACCEPTANCE state round-trip and resume: PASS (100 states + interruption)")

@@ -6,7 +6,6 @@ import dataclasses
 import io
 import os
 import random
-from pathlib import Path
 
 import pytest
 
@@ -56,7 +55,7 @@ def test_offline_and_online_results_are_byte_identical(handoff_stream, tmp_path)
     )
     assert off_out.read_bytes() == on_out.read_bytes()
     # only the newest state file is kept
-    assert state_files(tmp_path / "state") == ["closed.txt", "state_0002.txt"]
+    assert state_files(tmp_path / "state") == ["closed.txt", "state_latest.txt"]
 
 
 def test_online_run_keeps_only_the_newest_state_file(handoff_stream, tmp_path):
@@ -67,7 +66,7 @@ def test_online_run_keeps_only_the_newest_state_file(handoff_stream, tmp_path):
     )
     k = len(report.rows)
     assert k > 2
-    assert state_files(state_dir) == ["closed.txt", f"state_{k:04d}.txt"]
+    assert state_files(state_dir) == ["closed.txt", "state_latest.txt"]
     # rerunning resumes from the kept state, with no batch left to run
     again = run_pipeline(
         handoff_stream, 4, 2, PartitionPlan("ut", 6),
@@ -92,7 +91,7 @@ def test_interrupted_online_run_resumes_to_the_same_bytes(handoff_stream, tmp_pa
     assert resumed.completed
     assert [row.cycle for row in resumed.rows] == [3, 4]  # only the remaining cycles
     assert resumed_out.read_bytes() == whole.read_bytes()
-    assert state_files(state_dir) == ["closed.txt", "state_0004.txt"]
+    assert state_files(state_dir) == ["closed.txt", "state_latest.txt"]
 
 
 def test_resume_rejects_parameter_mismatch(handoff_stream, tmp_path):
@@ -129,14 +128,14 @@ def test_cli_resume_refuses_a_changed_input(handoff_stream, tmp_path, capsys):
         assert main(argv) == code, name
     assert "differ from those the state was built from" in capsys.readouterr().err
     # left as it was
-    assert state_files(state_dir) == ["closed.txt", "state_0002.txt"]
+    assert state_files(state_dir) == ["closed.txt", "state_latest.txt"]
     assert (state_dir / "closed.txt").read_text() == closed
 
 
 def test_cli_refuses_a_v1_state(handoff_stream, tmp_path, capsys):
     state_dir = tmp_path / "state"
     prefill_state_dir(handoff_stream, 4, 2, HANDOFF_PLAN, state_dir, 2)
-    path = state_dir / "state_0002.txt"
+    path = state_dir / "state_latest.txt"
     path.write_text(as_v1_state(path.read_text()))
     argv = HANDOFF_ONLINE + ["--input", str(DATA_DIR / "handoff.txt"), "--state-dir", str(state_dir)]
     assert main(argv) == 2
@@ -146,7 +145,7 @@ def test_cli_refuses_a_v1_state(handoff_stream, tmp_path, capsys):
 def test_cli_refuses_a_v2_state(handoff_stream, tmp_path, capsys):
     state_dir = tmp_path / "state"
     prefill_state_dir(handoff_stream, 4, 2, HANDOFF_PLAN, state_dir, 2)
-    path = state_dir / "state_0002.txt"
+    path = state_dir / "state_latest.txt"
     path.write_text(as_v2_state(path.read_text()))
     argv = HANDOFF_ONLINE + ["--input", str(DATA_DIR / "handoff.txt"), "--state-dir", str(state_dir)]
     assert main(argv) == 2
@@ -213,35 +212,27 @@ def die_online(stream, plan, state_dir, point, cycle, monkeypatch) -> None:
     """Run `plan` online into `state_dir` until it dies at `point` of `cycle`:
     after the closed.txt append ("closed appended"; "torn line" then also
     cuts the last three bytes off that append), after the temporary state
-    write ("temp written"), after its replace ("replaced"), or before the
-    deletion of the older state ("before unlink")."""
-    real_write, real_replace, real_unlink = (
-        tclique.pipeline._write_state_file, os.replace, Path.unlink
-    )
-    at = []  # the cycle whose state is being written
+    write ("temp written"), or after its replace ("replaced")."""
+    real_write, real_replace = tclique.pipeline._write_state_file, os.replace
+    at = []  # one entry per cycle whose state is being written
 
     def die_at(*here):
-        if point in here and at[-1] == cycle:
+        if point in here and len(at) == cycle:
             raise Died(f"{point} in cycle {cycle}")
 
-    def write_state_file(state, directory, n):
-        at.append(n)
+    def write_state_file(state, directory):
+        at.append(state.t_boundary)
         die_at("closed appended", "torn line")
-        real_write(state, directory, n)
+        real_write(state, directory)
 
     def replace(src, dst):
         die_at("temp written")
         real_replace(src, dst)
         die_at("replaced")
 
-    def unlink(path, *args, **kwargs):
-        die_at("before unlink")
-        real_unlink(path, *args, **kwargs)
-
     with monkeypatch.context() as patch:
         patch.setattr(tclique.pipeline, "_write_state_file", write_state_file)
         patch.setattr(os, "replace", replace)
-        patch.setattr(Path, "unlink", unlink)
         with pytest.raises(Died):
             run_pipeline(stream, 4, 2, plan, mode="online", state_dir=state_dir)
     if point == "torn line":
@@ -249,13 +240,12 @@ def die_online(stream, plan, state_dir, point, cycle, monkeypatch) -> None:
         closed.write_bytes(closed.read_bytes()[:-3])  # every line is longer
 
 
-# cycle 1 of HANDOFF_PLAN closes no clique, so it has no line to tear, and
-# no older state to delete
+# cycle 1 of HANDOFF_PLAN closes no clique, so it has no line to tear
 CRASH_POINTS = [
     (point, cycle)
-    for point in ("closed appended", "torn line", "temp written", "replaced", "before unlink")
+    for point in ("closed appended", "torn line", "temp written", "replaced")
     for cycle in (1, 2, 3, 4)
-    if cycle > 1 or point in ("closed appended", "temp written", "replaced")
+    if cycle > 1 or point != "torn line"
 ]
 
 
@@ -265,9 +255,9 @@ def test_online_run_resumes_from_every_crash_point(
 ):
     """Rerun after a death at any point of any cycle, an online run writes
     the offline result bytes and the closed.txt of a run that never died,
-    and leaves closed.txt and the newest state only: a death between a
-    state's replace and the deletion of the older one leaves both, and the
-    resume deletes the older one once its checks pass."""
+    and leaves closed.txt and state_latest.txt only: a death after the
+    temporary state write leaves state_latest.tmp, which the rerun's cycle
+    writes again and replaces."""
     whole = tmp_path / "whole.txt"
     run_pipeline(handoff_stream, 4, 2, HANDOFF_PLAN, out_path=whole)
     straight = tmp_path / "straight"
@@ -282,31 +272,112 @@ def test_online_run_resumes_from_every_crash_point(
     )
     assert out.read_bytes() == whole.read_bytes()
     assert (state_dir / "closed.txt").read_bytes() == (straight / "closed.txt").read_bytes()
-    assert state_files(state_dir) == ["closed.txt", "state_0004.txt"]
+    assert state_files(state_dir) == ["closed.txt", "state_latest.txt"]
 
 
-def test_a_refused_resume_keeps_an_older_state(handoff_stream, tmp_path, monkeypatch):
+def test_resume_is_keyed_by_the_state_boundary(handoff_stream, tmp_path, capsys):
+    """A state left after 2 cycles of (5, 11, 16) ends at 11: a plan that
+    holds 11 resumes after it, one that reaches 11 through another split is
+    refused by the input digest, and one without 11 by the boundary."""
+    whole = tmp_path / "whole.txt"
+    run_pipeline(handoff_stream, 4, 2, HANDOFF_PLAN, out_path=whole)
+
+    state_dir = tmp_path / "finer"
+    prefill_state_dir(handoff_stream, 4, 2, HANDOFF_PLAN, state_dir, 2)
+    out = tmp_path / "finer.txt"
+    resumed = run_pipeline(
+        handoff_stream, 4, 2, PartitionPlan("explicit", boundaries=(5, 11, 13, 16)),
+        mode="online", state_dir=state_dir, out_path=out,
+    )
+    assert [row.cycle for row in resumed.rows] == [3, 4, 5]
+    assert out.read_bytes() == whole.read_bytes()
+
+    state_dir = tmp_path / "resplit"
+    prefill_state_dir(handoff_stream, 4, 2, HANDOFF_PLAN, state_dir, 2)
+    with pytest.raises(ConfigError, match="the first 3 batches differ"):
+        run_pipeline(
+            handoff_stream, 4, 2, PartitionPlan("explicit", boundaries=(3, 5, 11, 16)),
+            mode="online", state_dir=state_dir,
+        )
+    argv = [("3,5,11,16" if arg == "5,11,16" else arg) for arg in HANDOFF_ONLINE] + [
+        "--input", str(DATA_DIR / "handoff.txt"), "--state-dir", str(state_dir),
+    ]
+    assert main(argv) == 2
+    assert "differ from those the state was built from" in capsys.readouterr().err
+
+    with pytest.raises(ConfigError, match=r"boundary 11 .*boundaries=\(9, 16\)"):
+        run_pipeline(
+            handoff_stream, 4, 2, PartitionPlan("explicit", boundaries=(9, 16)),
+            mode="online", state_dir=state_dir,
+        )
+
+
+@pytest.mark.parametrize(
+    "refusal, error, message",
+    [
+        ("delta", ConfigError, "delta=4 gamma=2, run asks for delta=5"),
+        ("changed input", ConfigError, "differ from those the state was built from"),
+        ("boundary", ConfigError, "not a boundary of the partition plan"),
+        ("closed digest", StateError, "does not match the state's closed digest"),
+        ("v2 state", StateError, "only v3 states are read"),
+    ],
+    ids=["delta", "changed-input", "boundary", "closed-digest", "v2-state"],
+)
+def test_a_refused_resume_changes_nothing(refusal, error, message, handoff_stream, tmp_path):
+    """A state after 2 cycles, and closed.txt with the lines of an unsaved
+    third cycle past its count: each refusal raises its error and leaves
+    every file byte for byte, closed.txt uncut."""
     state_dir = tmp_path / "state"
-    die_online(handoff_stream, HANDOFF_PLAN, state_dir, "replaced", 4, monkeypatch)
+    prefill_state_dir(handoff_stream, 4, 2, HANDOFF_PLAN, tmp_path / "after_3", 3)
+    prefill_state_dir(handoff_stream, 4, 2, HANDOFF_PLAN, state_dir, 2)
+    closed = state_dir / "closed.txt"
+    unsaved = (tmp_path / "after_3" / "closed.txt").read_text()
+    assert unsaved.startswith(closed.read_text()) and unsaved != closed.read_text()
+    closed.write_text(unsaved)
+    stream, delta, plan = handoff_stream, 4, HANDOFF_PLAN
+    if refusal == "delta":
+        delta = 5
+    elif refusal == "changed input":  # 1 2 6 moves to 5, in batch 1
+        assert (6, 1, 2) in stream.links
+        stream = LinkStream(
+            ((5, 1, 2) if link == (6, 1, 2) else link for link in stream.links),
+            observation=(1, 21),
+        )
+    elif refusal == "boundary":
+        plan = PartitionPlan("explicit", boundaries=(9, 16))
+    elif refusal == "closed digest":
+        closed.write_text("1,2 [0,1]\n" + unsaved.split("\n", 1)[1])
+    else:
+        path = state_dir / "state_latest.txt"
+        path.write_text(as_v2_state(path.read_text()))
     before = {name: (state_dir / name).read_bytes() for name in state_files(state_dir)}
-    assert list(before) == ["closed.txt", "state_0003.txt", "state_0004.txt"]
-    with pytest.raises(ConfigError, match="delta"):
-        run_pipeline(handoff_stream, 5, 2, HANDOFF_PLAN, mode="online", state_dir=state_dir)
+    assert list(before) == ["closed.txt", "state_latest.txt"]
+    with pytest.raises(error, match=message):
+        run_pipeline(stream, delta, 2, plan, mode="online", state_dir=state_dir)
     assert {name: (state_dir / name).read_bytes() for name in state_files(state_dir)} == before
 
 
-def test_state_files_past_cycle_9999_keep_only_the_newest(tmp_path):
-    # 10,003 links of one pair in 10,002 online batches: state_10000.txt on
-    # are found, so each cycle deletes the one before, and a rerun resumes
-    # after the last cycle instead of running them all again
-    stream = LinkStream((t, 1, 2) for t in range(10_003))
-    plan = PartitionPlan("ut", 10_002)
+def test_state_directory_holds_two_files_before_every_cycle(tmp_path, monkeypatch):
+    """Aim 3's bound at every cycle, not only at the end of a run: before
+    each cycle after the first, the directory holds closed.txt and
+    state_latest.txt and nothing else."""
+    stream = group_contact_stream(seed=7, n_meetings=40)
     state_dir = tmp_path / "state"
-    report = run_pipeline(stream, 4, 2, plan, mode="online", state_dir=state_dir)
-    assert len(report.rows) == 10_002
-    assert state_files(state_dir) == ["closed.txt", "state_10002.txt"]
-    again = run_pipeline(stream, 4, 2, plan, mode="online", state_dir=state_dir)
-    assert again.rows == [] and again.final == report.final
+    real_update = tclique.pipeline.update_batch
+    cycles = []
+
+    def update_batch(state, chunk, boundary):
+        if cycles:
+            assert state_files(state_dir) == ["closed.txt", "state_latest.txt"], len(cycles)
+        cycles.append(boundary)
+        return real_update(state, chunk, boundary)
+
+    monkeypatch.setattr(tclique.pipeline, "update_batch", update_batch)
+    report = run_pipeline(
+        stream, 360, 2, PartitionPlan("ut", 30), mode="online", state_dir=state_dir
+    )
+    assert len(cycles) == len(report.rows) == 30
+    assert state_files(state_dir) == ["closed.txt", "state_latest.txt"]
 
 
 def test_resume_refuses_a_closed_file_that_does_not_match(handoff_stream, tmp_path, capsys):
@@ -357,7 +428,7 @@ def test_cli_resume_exits_3_when_a_closed_clique_fails_certification(
     contained one is not dropped silently."""
     state_dir = tmp_path / "state"
     prefill_state_dir(handoff_stream, 4, 2, HANDOFF_PLAN, state_dir, 2)
-    path = state_dir / "state_0002.txt"
+    path = state_dir / "state_latest.txt"
     with open(path, encoding="utf-8") as fh:
         state = load_state(fh)
     closed_lines = (state_dir / "closed.txt").read_text().splitlines()
@@ -393,7 +464,7 @@ def test_cli_resume_exits_3_when_a_forged_frontier_clique_fails_certification(
     or index error and then refused by finalize's certification."""
     state_dir = tmp_path / "state"
     prefill_state_dir(handoff_stream, 4, 2, HANDOFF_PLAN, state_dir, 2)
-    path = state_dir / "state_0002.txt"
+    path = state_dir / "state_latest.txt"
     with open(path, encoding="utf-8") as fh:
         state = load_state(fh)
     clique = parse_clique(forged)
