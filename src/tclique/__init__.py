@@ -29,7 +29,7 @@ from .errors import (
 )
 from .expand import WorkSets, seed_cliques
 from .linkstream import FormatSpec, LinkStream, parse_links
-from .oracle import OracleConfig, brute_force_enumerate, check_maximality
+from .oracle import brute_force_enumerate, check_maximality
 from .partition import PartitionPlan, partition_links, plan_boundaries
 from .pipeline import (
     RunReport,
@@ -62,7 +62,6 @@ __all__ = [
     "FormatSpec",
     "LinkStream",
     "OracleBoundsError",
-    "OracleConfig",
     "ParseError",
     "PartitionError",
     "PartitionPlan",

@@ -20,14 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .cliques import Clique, format_clique, sort_cliques
-from .errors import (
-    ConfigError,
-    OracleBoundsError,
-    ParseError,
-    PartitionError,
-    StateError,
-    VerificationError,
-)
+from .errors import OracleBoundsError, TcliqueError, VerificationError
 from .linkstream import FormatSpec, LinkStream, parse_links
 from .oracle import brute_force_enumerate
 from .partition import PartitionPlan
@@ -52,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive(text: str) -> int:
-    """argparse type of the delta and gamma values: a positive integer."""
+    """argparse type of counts (delta, gamma, partitions): a positive integer."""
     try:
         value = int(text)
     except ValueError:
@@ -104,7 +97,7 @@ def _add_batch_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--partitions",
-        type=int,
+        type=_positive,
         default=1,
         help="batch count for ut/ulc schemes (default 1)",
     )
@@ -130,12 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=_positive, required=True, help="links per window")
     _add_batch_flags(run)
     run.add_argument(
-        "--mode",
-        choices=("offline", "online"),
-        default="offline",
-        help="offline: all batches in process; online: state file per cycle",
+        "--state-dir",
+        default=None,
+        help="run online: keep the state here after each cycle and resume from it",
     )
-    run.add_argument("--state-dir", default=None, help="state directory (online)")
     run.add_argument("--out", default=None, help="write the final clique list here")
     run.add_argument("--report", default=None, help="write the per-cycle CSV here")
     run.add_argument(
@@ -191,8 +182,6 @@ def _make_plan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Par
         return PartitionPlan("explicit", boundaries=bounds)
     if args.boundaries:
         parser.error("--boundaries only applies to --scheme explicit")
-    if args.partitions < 1:
-        parser.error("--partitions must be at least 1")
     return PartitionPlan(args.scheme, partitions=args.partitions)
 
 
@@ -222,10 +211,6 @@ def _print_maxima(cliques: Sequence[Clique]) -> None:
 
 
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.mode == "online" and not args.state_dir:
-        parser.error("--mode online needs --state-dir")
-    if args.state_dir and args.mode != "online":
-        parser.error("--state-dir only applies to --mode online")
     plan = _make_plan(args, parser)
     stream = _load_stream(args)
     _print_input_summary(stream)
@@ -234,7 +219,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         args.delta,
         args.gamma,
         plan,
-        mode=args.mode,
+        mode="online" if args.state_dir else "offline",
         state_dir=Path(args.state_dir) if args.state_dir else None,
         out_path=Path(args.out) if args.out else None,
         report_path=Path(args.report) if args.report else None,
@@ -305,18 +290,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args, parser)
     except SystemExit as exc:  # argparse --help (0) or usage error (1)
         return int(exc.code or 0)
-    except (ParseError, PartitionError, StateError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
+    except VerificationError as exc:  # before TcliqueError, its base
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return VERIFY_ERROR
     except OracleBoundsError as exc:
         print(f"error: instance too large for exhaustive checking: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except (ValueError, OSError) as exc:
+    except (TcliqueError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except VerificationError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return VERIFY_ERROR
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ validity is memoized per call but always computed by the direct checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .cliques import Clique, _pair_valid_direct, make_clique
@@ -18,12 +17,9 @@ from .errors import OracleBoundsError
 from .linkstream import LinkStream
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Refusal bounds for the exhaustive enumeration."""
-
-    max_vertices: int = 8
-    max_span: int = 40
+# refusal bounds of the exhaustive enumeration
+MAX_VERTICES = 8
+MAX_SPAN = 40
 
 
 class _PairValidity:
@@ -49,27 +45,16 @@ class _PairValidity:
         return all(self.valid(pair, ta, tb) for pair in combinations(verts, 2))
 
 
-def _check_bounds(stream: LinkStream, config: OracleConfig) -> None:
+def brute_force_enumerate(stream: LinkStream, delta: int, gamma: int) -> set[Clique]:
+    """All maximal (delta,gamma)-cliques of the stream, by exhaustion;
+    OracleBoundsError beyond MAX_VERTICES vertices or a MAX_SPAN span."""
     t_start, t_end = stream.observation
-    if stream.n_vertices > config.max_vertices:
+    if stream.n_vertices > MAX_VERTICES:
         raise OracleBoundsError(
-            f"{stream.n_vertices} vertices exceed the bound {config.max_vertices}"
+            f"{stream.n_vertices} vertices exceed the bound {MAX_VERTICES}"
         )
-    if t_end - t_start > config.max_span:
-        raise OracleBoundsError(
-            f"span {t_end - t_start} exceeds the bound {config.max_span}"
-        )
-
-
-def brute_force_enumerate(
-    stream: LinkStream,
-    delta: int,
-    gamma: int,
-    config: OracleConfig = OracleConfig(),
-) -> set[Clique]:
-    """All maximal (delta,gamma)-cliques of the stream, by exhaustion."""
-    _check_bounds(stream, config)
-    t_start, t_end = stream.observation
+    if t_end - t_start > MAX_SPAN:
+        raise OracleBoundsError(f"span {t_end - t_start} exceeds the bound {MAX_SPAN}")
     vertices = stream.vertices
     pv = _PairValidity(stream, delta, gamma)
 

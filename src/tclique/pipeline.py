@@ -82,7 +82,6 @@ class RunReport:
     completed: bool
     final: list[Clique]
     state: BatchState
-    finalize_seconds: float = 0.0
 
 
 def run_pipeline(
@@ -103,16 +102,15 @@ def run_pipeline(
     holds those two files only. A later invocation resumes from that state
     after the plan's batch whose boundary is the state's (its parameters and
     the input digest of the batches up to there must match), reading back
-    the closed cliques it counts. Offline mode refuses a state directory
-    (ConfigError), as it writes no state a later run could resume from.
+    the closed cliques it counts. A run is online exactly when it has a
+    state directory; `mode` must agree (ConfigError), as offline writes no
+    state a later run could resume from.
     """
     say = log or (lambda _msg: None)
     if mode not in ("offline", "online"):
         raise ConfigError(f"unknown mode {mode!r}")
-    if mode == "online" and state_dir is None:
-        raise ConfigError("online mode needs a state directory")
-    if mode == "offline" and state_dir is not None:
-        raise ConfigError("a state directory needs online mode: offline writes no state")
+    if (mode == "online") != (state_dir is not None):
+        raise ConfigError("a run is online exactly when it has a state directory")
 
     batches = partition_links(stream, plan)
     state = initial_state(delta, gamma, stream.t_start)
@@ -155,7 +153,7 @@ def run_pipeline(
         Path(out_path).write_text(render_result(final))
     if report_path is not None:
         _write_report(Path(report_path), rows, final, stream, finalize_seconds)
-    return RunReport(rows, True, final, state, finalize_seconds)
+    return RunReport(rows, True, final, state)
 
 
 def _check_resume(

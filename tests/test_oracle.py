@@ -5,7 +5,6 @@ import pytest
 from tclique import (
     LinkStream,
     OracleBoundsError,
-    OracleConfig,
     brute_force_enumerate,
     check_maximality,
     contains,
@@ -56,10 +55,6 @@ def test_bounds_refusal():
     wide = LinkStream([(0, 1, 2), (100, 1, 2)])
     with pytest.raises(OracleBoundsError):
         brute_force_enumerate(wide, 2, 1)
-    # explicit generous bounds lift the refusal
-    assert brute_force_enumerate(
-        wide, 2, 1, OracleConfig(max_vertices=8, max_span=200)
-    )
 
 
 def test_empty_result_on_sparse_stream():

@@ -110,7 +110,7 @@ def test_resume_rejects_parameter_mismatch(handoff_stream, tmp_path):
 
 HANDOFF_ONLINE = [
     "run", "--format", "uvt", "--delta", "4", "--gamma", "2", "--t-end", "21",
-    "--scheme", "explicit", "--boundaries", "5,11,16", "--mode", "online",
+    "--scheme", "explicit", "--boundaries", "5,11,16",
 ]
 HANDOFF_PLAN = PartitionPlan("explicit", boundaries=(5, 11, 16))
 
@@ -728,20 +728,29 @@ def test_cli_oracle_subcommand(tmp_path, capsys):
     ]
 
 
-def test_cli_run_online_and_observation_override(tmp_path):
+def test_cli_run_online_and_observation_override(tmp_path, capsys):
+    # --state-dir alone makes a run online: it keeps the state and a rerun
+    # of the same command resumes after the last cycle
     out_a = tmp_path / "a.txt"
     out_b = tmp_path / "b.txt"
+    state_dir = tmp_path / "st"
     base = [
         "run", "--input", str(DATA_DIR / "handoff.txt"), "--format", "uvt",
         "--delta", "4", "--gamma", "2", "--t-end", "21",
         "--scheme", "explicit", "--boundaries", "11",
     ]
+    online = base + ["--out", str(out_b), "--state-dir", str(state_dir)]
     assert main(base + ["--out", str(out_a)]) == 0
-    assert main(base + [
-        "--out", str(out_b), "--mode", "online", "--state-dir", str(tmp_path / "st"),
-    ]) == 0
+    assert main(online) == 0
+    assert state_files(state_dir) == ["closed.txt", "state_latest.txt"]
     assert out_a.read_bytes() == out_b.read_bytes()
     assert "1,2 [12,21]" in out_a.read_text().splitlines()
+    capsys.readouterr()
+    assert main(online) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "resuming after cycle 2 (boundary 20)" in lines
+    assert not [line for line in lines if line.startswith("cycle")]
+    assert out_a.read_bytes() == out_b.read_bytes()
 
 
 @pytest.mark.parametrize("window", [[], ["--t-end", "9"]])
@@ -785,8 +794,10 @@ def test_cli_run_builds_as_many_streams_with_a_window(monkeypatch, capsys):
 def test_cli_usage_errors_exit_1(tmp_path, capsys):
     f1 = str(DATA_DIR / "f1.txt")
     assert main(["run", "--input", f1]) == 1  # missing --delta/--gamma
+    capsys.readouterr()
     assert main(["run", "--input", f1, "--delta", "3", "--gamma", "2",
-                 "--mode", "online"]) == 1  # no --state-dir
+                 "--mode", "online"]) == 1  # --state-dir alone makes a run online
+    assert "unrecognized arguments: --mode online" in capsys.readouterr().err
     assert main(["run", "--input", f1, "--delta", "3", "--gamma", "2",
                  "--scheme", "explicit"]) == 1  # no --boundaries
     assert main(["run", "--input", f1, "--delta", "3", "--gamma", "2",
@@ -801,21 +812,11 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_state_dir_needs_online_mode(tmp_path, capsys):
-    # an offline run writes no state, so it could not be resumed from the
-    # directory: naming one without --mode online is a usage error
-    state_dir = tmp_path / "st"
-    assert main(["run", "--input", str(DATA_DIR / "f1.txt"), "--format", "uvt",
-                 "--delta", "3", "--gamma", "2", "--state-dir", str(state_dir)]) == 1
-    assert "--state-dir only applies to --mode online" in capsys.readouterr().err
-    assert not state_dir.exists()
-
-
 def test_offline_run_refuses_a_state_dir(handoff_stream, tmp_path):
-    # the library call refuses what the CLI refuses: an offline run writes
-    # no state, so nothing could resume from the directory
+    # an offline run writes no state, so nothing could resume from the
+    # directory; the CLI works the mode out from --state-dir
     state_dir = tmp_path / "st"
-    with pytest.raises(ConfigError, match="state directory needs online mode"):
+    with pytest.raises(ConfigError, match="online exactly when it has a state directory"):
         run_pipeline(handoff_stream, 4, 2, PartitionPlan("ut", 2), state_dir=state_dir)
     assert not state_dir.exists()
 
