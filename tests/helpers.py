@@ -9,7 +9,8 @@ run would), a `WorkSets` that checks every family member `drain` asks its
 fixed points with plain moves to hold the engine against (one with the
 engine's jumping interval move, settled targets and dominance rule, one
 that still works each target as a root, one with the stepwise interval
-moves of earlier versions), the benchmark's contact stream, a
+moves of earlier versions), the benchmark's contact stream, a line-by-line
+link parser to hold `parse_links`'s block reading against, a
 static-neighbour scan to hold the sliding window count's candidate sets
 against, `count_in`-literal seed anchors and
 a clique-by-clique maximality certificate to hold the engine's index
@@ -34,7 +35,9 @@ import tclique.update
 from tclique import (
     BatchState,
     Clique,
+    FormatSpec,
     LinkStream,
+    ParseError,
     PartitionPlan,
     enumerate_maximal_cliques,
     initial_state,
@@ -493,17 +496,24 @@ def rooted_reference_drain(worksets: WorkSets, roots) -> None:
             worksets.next_frontier.add(clique)
 
 
-def traced_peak(run, *args) -> int:
-    """The tracemalloc peak, in bytes, of run(*args). A full collection
-    first empties the free lists, whose blocks tracemalloc would otherwise
-    not see being reused, so the peak repeats exactly."""
+def traced_memory(run, *args) -> tuple[int, int]:
+    """(held, peak): the bytes tracemalloc sees allocated once run(*args)
+    has returned, its result still referenced, and the most it saw at once
+    meanwhile. A full collection first empties the free lists, whose blocks
+    tracemalloc would otherwise not see being reused, so both repeat
+    exactly."""
     gc.collect()
     tracemalloc.start()
     try:
-        run(*args)
-        return tracemalloc.get_traced_memory()[1]
+        kept = run(*args)  # referenced until the memory is read
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+
+
+def traced_peak(run, *args) -> int:
+    """The tracemalloc peak, in bytes, of run(*args)."""
+    return traced_memory(run, *args)[1]
 
 
 def drain_snapshots(
@@ -608,6 +618,43 @@ def as_v1_state(text: str) -> str:
 def state_files(state_dir: Path) -> list[str]:
     """Names of the files in a state directory, sorted."""
     return sorted(entry.name for entry in Path(state_dir).iterdir())
+
+
+def reference_parse_links(
+    lines, spec: FormatSpec = FormatSpec(), observation=None
+) -> LinkStream:
+    """`parse_links` one line at a time, as it read every input before it
+    read plain lines in blocks: the same stream, self-loop count and
+    ParseError message. A field is an optional sign and ASCII digits."""
+
+    def decimal(field: str) -> bool:
+        text = field.strip()
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        return digits.isascii() and digits.isdigit()
+
+    links = []
+    dropped = 0
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        fields = text.split(",") if spec.delimiter == "comma" else text.split()
+        if len(fields) != 3:
+            raise ParseError(f"line {lineno}: expected 3 fields, got {len(fields)}")
+        if not all(map(decimal, fields)):
+            raise ParseError(f"line {lineno}: non-integer field in {text!r}")
+        a, b, c = (int(f) for f in fields)
+        t, u, v = (a, b, c) if spec.column_order == "tuv" else (c, a, b)
+        if u == v:
+            dropped += 1
+        else:
+            links.append((t, min(u, v), max(u, v)))
+    if not links:
+        raise ParseError("no links found in input")
+    if spec.rebase:
+        base = min(t for t, _, _ in links)
+        links = [(t - base, u, v) for t, u, v in links]
+    return LinkStream(links, observation=observation, dropped_self_loops=dropped)
 
 
 def group_contact_stream(seed: int, n_meetings: int) -> LinkStream:
