@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--state-dir",
         default=None,
-        help="run online: keep the state here after each cycle and resume from it",
+        help="run online: keep the state here, written after the last cycle and "
+        "once per second of cycle work, and resume from it",
     )
     run.add_argument("--out", default=None, help="write the final clique list here")
     run.add_argument("--report", default=None, help="write the per-cycle CSV here")

@@ -1,10 +1,11 @@
 """End-to-end runs: batch loop, state files, result/report writers, stats.
 
 Offline mode feeds every batch of the plan through the update cycle in
-process, keeping each cycle's closed cliques in a list; online mode appends
-them to closed.txt and then replaces the one checksummed state file,
-state_latest.txt, and can resume a run from that state, after the plan's
-batch that ends at the state's boundary, with the closed cliques it counts.
+process, keeping each cycle's closed cliques in a list; online mode, after
+the last cycle and once per second of cycle work, appends them to closed.txt
+and then replaces the one checksummed state file, state_latest.txt, and can
+resume a run from that state, after the plan's batch that ends at the
+state's boundary, with the closed cliques it counts.
 Both finish by finalizing the closed cliques and the last frontier against
 the bounded observation window, so their results are identical by
 construction.
@@ -41,6 +42,9 @@ from .update import (
 
 _CLOSED_FILE = "closed.txt"
 _STATE_FILE = "state_latest.txt"
+# Seconds of cycle work between two online checkpoints: a process that dies
+# redoes about this much work when it is run again.
+_CHECKPOINT_S = 1.0
 
 REPORT_COLUMNS = (
     "cycle",
@@ -97,14 +101,18 @@ def run_pipeline(
 ) -> RunReport:
     """Run the batch loop over `stream` per `plan` and finalize.
 
-    Online mode appends each cycle's closed cliques to state_dir/closed.txt,
-    then atomically replaces state_dir/state_latest.txt, so the directory
-    holds those two files only. A later invocation resumes from that state
-    after the plan's batch whose boundary is the state's (its parameters and
-    the input digest of the batches up to there must match), reading back
-    the closed cliques it counts. A run is online exactly when it has a
-    state directory; `mode` must agree (ConfigError), as offline writes no
-    state a later run could resume from.
+    Online mode writes a checkpoint after the last cycle and once per second
+    of cycle work: after any cycle that brings the summed cycle wall times
+    since the previous checkpoint to _CHECKPOINT_S. A checkpoint appends the
+    closed cliques of each cycle since the previous one to
+    state_dir/closed.txt, cycle by cycle, then atomically replaces
+    state_dir/state_latest.txt, so the directory holds those two files
+    only. A later invocation resumes from that state (a run that died redoes
+    the cycles after it) after the plan's batch whose boundary is the
+    state's (its parameters and the input digest of the batches up to there
+    must match), reading back the closed cliques it counts. A run is online
+    exactly when it has a state directory; `mode` must agree (ConfigError),
+    as offline writes no state a later run could resume from.
     """
     say = log or (lambda _msg: None)
     if mode not in ("offline", "online"):
@@ -128,6 +136,8 @@ def run_pipeline(
         closed = _resume_closed(state_dir / _CLOSED_FILE, state)
 
     rows: list[CycleRow] = []
+    unsaved: list[list[Clique]] = []  # each cycle's closed cliques since the last checkpoint
+    unsaved_s = 0.0
     for i in range(start_idx, len(batches)):
         boundary, chunk = batches[i]
         begin = time.perf_counter()
@@ -141,9 +151,13 @@ def run_pipeline(
         )
         closed.extend(cycle_closed)
         if mode == "online":
-            with open(state_dir / _CLOSED_FILE, "a", encoding="utf-8") as fh:
-                fh.write(render_result(cycle_closed))
-            _write_state_file(state, state_dir)
+            unsaved.append(cycle_closed)
+            unsaved_s += wall
+            if unsaved_s >= _CHECKPOINT_S or i == len(batches) - 1:
+                with open(state_dir / _CLOSED_FILE, "a", encoding="utf-8") as fh:
+                    fh.write("".join(map(render_result, unsaved)))
+                _write_state_file(state, state_dir)
+                unsaved, unsaved_s = [], 0.0
 
     begin = time.perf_counter()
     final = finalize(state, closed, stream)
@@ -220,8 +234,9 @@ def _resume_closed(path: Path, state: BatchState) -> list[Clique]:
 
 def _write_state_file(state: BatchState, state_dir: Path) -> None:
     """Write state_latest.tmp and replace state_latest.txt with it, so the
-    directory holds the previous state or this one, whole, at every
-    moment."""
+    directory holds the previous checkpoint's state or this one, whole, at
+    every moment. Called after the last cycle and once per second of cycle
+    work."""
     path = state_dir / _STATE_FILE
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:

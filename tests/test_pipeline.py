@@ -4,8 +4,10 @@ import copy
 import csv
 import dataclasses
 import io
+import math
 import os
 import random
+import types
 
 import pytest
 
@@ -24,6 +26,7 @@ from tclique import (
     load_state,
     make_clique,
     parse_clique,
+    partition_links,
     render_result,
     run_pipeline,
     stats_maximum_cliques,
@@ -209,19 +212,28 @@ class Died(Exception):
 
 
 def die_online(stream, plan, state_dir, point, cycle, monkeypatch) -> None:
-    """Run `plan` online into `state_dir` until it dies at `point` of `cycle`:
-    after the closed.txt append ("closed appended"; "torn line" then also
-    cuts the last three bytes off that append), after the temporary state
-    write ("temp written"), or after its replace ("replaced")."""
+    """Run `plan` online into `state_dir` until it dies at `point` of the
+    plan's cycle `cycle`: inside its update ("in update_batch"), or at the
+    checkpoint after it, after the closed.txt append ("closed appended";
+    "torn line" then also cuts the last three bytes off that append), after
+    the temporary state write ("temp written"), or after its replace
+    ("replaced")."""
+    real_update = tclique.pipeline.update_batch
     real_write, real_replace = tclique.pipeline._write_state_file, os.replace
-    at = []  # one entry per cycle whose state is being written
+    boundaries = [boundary for boundary, _ in partition_links(stream, plan)]
+    at = []  # the cycle of each update and checkpoint begun, in order
 
     def die_at(*here):
-        if point in here and len(at) == cycle:
+        if point in here and at[-1] == cycle:
             raise Died(f"{point} in cycle {cycle}")
 
+    def update_batch(state, chunk, boundary):
+        at.append(boundaries.index(boundary) + 1)
+        die_at("in update_batch")
+        return real_update(state, chunk, boundary)
+
     def write_state_file(state, directory):
-        at.append(state.t_boundary)
+        at.append(boundaries.index(state.t_boundary) + 1)
         die_at("closed appended", "torn line")
         real_write(state, directory)
 
@@ -231,6 +243,7 @@ def die_online(stream, plan, state_dir, point, cycle, monkeypatch) -> None:
         die_at("replaced")
 
     with monkeypatch.context() as patch:
+        patch.setattr(tclique.pipeline, "update_batch", update_batch)
         patch.setattr(tclique.pipeline, "_write_state_file", write_state_file)
         patch.setattr(os, "replace", replace)
         with pytest.raises(Died):
@@ -253,11 +266,13 @@ CRASH_POINTS = [
 def test_online_run_resumes_from_every_crash_point(
     point, cycle, handoff_stream, tmp_path, monkeypatch
 ):
-    """Rerun after a death at any point of any cycle, an online run writes
-    the offline result bytes and the closed.txt of a run that never died,
-    and leaves closed.txt and state_latest.txt only: a death after the
-    temporary state write leaves state_latest.tmp, which the rerun's cycle
-    writes again and replaces."""
+    """Rerun after a death at any write point of any cycle, an online run
+    writes the offline result bytes and the closed.txt of a run that never
+    died, and leaves closed.txt and state_latest.txt only: a death after the
+    temporary state write leaves state_latest.tmp, which the rerun's
+    checkpoint writes again and replaces. Every cycle is a checkpoint here,
+    so every cycle has every write point."""
+    monkeypatch.setattr(tclique.pipeline, "_CHECKPOINT_S", 0)
     whole = tmp_path / "whole.txt"
     run_pipeline(handoff_stream, 4, 2, HANDOFF_PLAN, out_path=whole)
     straight = tmp_path / "straight"
@@ -273,6 +288,112 @@ def test_online_run_resumes_from_every_crash_point(
     assert out.read_bytes() == whole.read_bytes()
     assert (state_dir / "closed.txt").read_bytes() == (straight / "closed.txt").read_bytes()
     assert state_files(state_dir) == ["closed.txt", "state_latest.txt"]
+
+
+@pytest.mark.parametrize("done, cycle", [(0, 3), (2, 4)], ids=["fresh", "resumed"])
+def test_online_run_resumes_from_a_death_between_checkpoints(
+    done, cycle, handoff_stream, tmp_path, monkeypatch
+):
+    """At the default spacing, HANDOFF_PLAN's four short cycles make one
+    checkpoint, after the last cycle. A death inside cycle 3 of a fresh run,
+    or inside cycle 4 of a run resumed after 2 cycles, writes nothing, and
+    the rerun redoes the cycles since the start or the resume: it writes the
+    offline result bytes and the closed.txt of a run that never died, and
+    leaves closed.txt and state_latest.txt only."""
+    whole = tmp_path / "whole.txt"
+    run_pipeline(handoff_stream, 4, 2, HANDOFF_PLAN, out_path=whole)
+    straight = tmp_path / "straight"
+    run_pipeline(handoff_stream, 4, 2, HANDOFF_PLAN, mode="online", state_dir=straight)
+
+    state_dir = tmp_path / "state"
+    before = {"closed.txt": b""}
+    if done:
+        prefill_state_dir(handoff_stream, 4, 2, HANDOFF_PLAN, state_dir, done)
+        before = {name: (state_dir / name).read_bytes() for name in state_files(state_dir)}
+    die_online(handoff_stream, HANDOFF_PLAN, state_dir, "in update_batch", cycle, monkeypatch)
+    assert {name: (state_dir / name).read_bytes() for name in state_files(state_dir)} == before
+    out = tmp_path / "resumed.txt"
+    resumed = run_pipeline(
+        handoff_stream, 4, 2, HANDOFF_PLAN, mode="online", state_dir=state_dir,
+        out_path=out,
+    )
+    assert [row.cycle for row in resumed.rows] == list(range(done + 1, 5))
+    assert out.read_bytes() == whole.read_bytes()
+    assert (state_dir / "closed.txt").read_bytes() == (straight / "closed.txt").read_bytes()
+    assert state_files(state_dir) == ["closed.txt", "state_latest.txt"]
+
+
+def test_checkpoint_spacing_changes_no_byte(tmp_path, monkeypatch):
+    """A checkpoint after every cycle or only after the last one: the same
+    state_latest.txt, closed.txt, result file and report counters, from 30
+    state writes or from 1."""
+    stream = group_contact_stream(seed=7, n_meetings=40)
+    real_write = tclique.pipeline._write_state_file
+    writes = []
+
+    def write_state_file(state, directory):
+        writes.append(state.t_boundary)
+        real_write(state, directory)
+
+    monkeypatch.setattr(tclique.pipeline, "_write_state_file", write_state_file)
+    runs = {}
+    for spacing in (0, math.inf):
+        monkeypatch.setattr(tclique.pipeline, "_CHECKPOINT_S", spacing)
+        writes.clear()
+        work = tmp_path / f"spacing_{spacing}"
+        run_pipeline(
+            stream, 360, 2, PartitionPlan("ut", 30), mode="online",
+            state_dir=work / "state", out_path=work / "out.txt",
+            report_path=work / "report.csv",
+        )
+        with open(work / "report.csv", newline="") as fh:
+            counters = [
+                {k: v for k, v in row.items() if k not in ("wall_seconds", "peak_rss_kb")}
+                for row in csv.DictReader(fh)
+            ]
+        assert state_files(work / "state") == ["closed.txt", "state_latest.txt"]
+        runs[spacing] = [
+            len(writes),
+            (work / "state" / "state_latest.txt").read_bytes(),
+            (work / "state" / "closed.txt").read_bytes(),
+            (work / "out.txt").read_bytes(),
+            counters,
+        ]
+    assert runs[0][0] == 30 and runs[math.inf][0] == 1
+    assert runs[0][2] and len(runs[0][4]) == 31
+    assert runs[0][1:] == runs[math.inf][1:]
+
+
+def test_checkpoints_fall_once_per_second_of_cycle_work(tmp_path, monkeypatch):
+    """With every cycle timed at 0.3 s on a stub clock, the default spacing
+    writes a checkpoint after every fourth cycle (1.2 s of work since the
+    previous one) and after the last, and each leaves closed.txt holding
+    exactly the lines its state counts."""
+    stream = group_contact_stream(seed=7, n_meetings=40)
+    plan = PartitionPlan("ut", 30)
+    boundaries = [boundary for boundary, _ in partition_links(stream, plan)]
+    state_dir = tmp_path / "state"
+    clock = [0.0]
+    real_update = tclique.pipeline.update_batch
+    real_write = tclique.pipeline._write_state_file
+    checkpoints = []
+
+    def update_batch(state, chunk, boundary):
+        clock[0] += 0.3
+        return real_update(state, chunk, boundary)
+
+    def write_state_file(state, directory):
+        real_write(state, directory)
+        checkpoints.append(boundaries.index(state.t_boundary) + 1)
+        lines = (directory / "closed.txt").read_text().splitlines()
+        assert len(lines) == state.closed, checkpoints[-1]
+
+    stub_time = types.SimpleNamespace(perf_counter=lambda: clock[0])
+    monkeypatch.setattr(tclique.pipeline, "time", stub_time)
+    monkeypatch.setattr(tclique.pipeline, "update_batch", update_batch)
+    monkeypatch.setattr(tclique.pipeline, "_write_state_file", write_state_file)
+    run_pipeline(stream, 360, 2, plan, mode="online", state_dir=state_dir)
+    assert checkpoints == [4, 8, 12, 16, 20, 24, 28, 30]
 
 
 def test_resume_is_keyed_by_the_state_boundary(handoff_stream, tmp_path, capsys):
@@ -358,26 +479,33 @@ def test_a_refused_resume_changes_nothing(refusal, error, message, handoff_strea
 
 
 def test_state_directory_holds_two_files_before_every_cycle(tmp_path, monkeypatch):
-    """Aim 3's bound at every cycle, not only at the end of a run: before
-    each cycle after the first, the directory holds closed.txt and
-    state_latest.txt and nothing else."""
+    """Aim 3's bound at every cycle, not only at the end of a run, at both
+    ends of the checkpoint spacing. With a checkpoint after every cycle,
+    the directory holds closed.txt and state_latest.txt and nothing else
+    before each cycle after the first; with one after the last cycle only,
+    it holds nothing but the empty closed.txt before every cycle."""
     stream = group_contact_stream(seed=7, n_meetings=40)
-    state_dir = tmp_path / "state"
     real_update = tclique.pipeline.update_batch
-    cycles = []
+    for spacing in (0, math.inf):
+        monkeypatch.setattr(tclique.pipeline, "_CHECKPOINT_S", spacing)
+        state_dir = tmp_path / f"spacing_{spacing}"
+        cycles = []
 
-    def update_batch(state, chunk, boundary):
-        if cycles:
-            assert state_files(state_dir) == ["closed.txt", "state_latest.txt"], len(cycles)
-        cycles.append(boundary)
-        return real_update(state, chunk, boundary)
+        def update_batch(state, chunk, boundary):
+            if spacing == math.inf:
+                assert state_files(state_dir) == ["closed.txt"], len(cycles)
+                assert (state_dir / "closed.txt").read_bytes() == b"", len(cycles)
+            elif cycles:
+                assert state_files(state_dir) == ["closed.txt", "state_latest.txt"], len(cycles)
+            cycles.append(boundary)
+            return real_update(state, chunk, boundary)
 
-    monkeypatch.setattr(tclique.pipeline, "update_batch", update_batch)
-    report = run_pipeline(
-        stream, 360, 2, PartitionPlan("ut", 30), mode="online", state_dir=state_dir
-    )
-    assert len(cycles) == len(report.rows) == 30
-    assert state_files(state_dir) == ["closed.txt", "state_latest.txt"]
+        monkeypatch.setattr(tclique.pipeline, "update_batch", update_batch)
+        report = run_pipeline(
+            stream, 360, 2, PartitionPlan("ut", 30), mode="online", state_dir=state_dir
+        )
+        assert len(cycles) == len(report.rows) == 30
+        assert state_files(state_dir) == ["closed.txt", "state_latest.txt"]
 
 
 def test_resume_refuses_a_closed_file_that_does_not_match(handoff_stream, tmp_path, capsys):
