@@ -328,13 +328,16 @@ def clique_closure(item: WorkItem, worksets: WorkSets) -> Span:
     pairs = combinations(vertices, 2)
     if item.candidates is not None:
         t_start = stream.t_start
-        ends = [
-            pair_closure(
+        lo, hi = t_start, None  # every pair's left end is clamped at t_start
+        for pair in pairs:
+            p_lo, p_hi = pair_closure(
                 occurrences.get(pair, ()), gaps.get(pair, ()), ta, tb, delta, gamma, t_start
             )
-            for pair in pairs
-        ]
-        return max(lo for lo, _ in ends), min(hi for _, hi in ends)
+            if p_lo > lo:
+                lo = p_lo
+            if hi is None or p_hi < hi:
+                hi = p_hi
+        return lo, hi
     right = None
     for pair in pairs:
         occ = occurrences.get(pair, ())
@@ -432,7 +435,10 @@ def drain(worksets: WorkSets, roots: list[WorkItem]) -> None:
                         e_hi = e_hi if e_hi < w_hi else w_hi
                         growths.append((w, (e_lo if e_lo > lo else lo, e_hi if e_hi < hi else hi)))
             if closure[0] != ta or closure[1] != tb:
-                if all(ends != closure for _, ends in growths):
+                for _, ends in growths:
+                    if ends == closure:
+                        break
+                else:
                     add_maximal(Clique(vertices, *closure))
                 if closure[1] >= boundary:
                     add_frontier(Clique(vertices, *closure))

@@ -333,9 +333,15 @@ def contained_cliques(cliques: Collection[Clique]) -> list[Clique]:
             postings.setdefault(vertex, []).append(outer)
     found = []
     for clique in cliques:
-        outers = min((postings.get(v, ()) for v in clique.vertices), key=len)
-        if any(contains(outer, clique) for outer in outers):
-            found.append(clique)
+        outers = None
+        for vertex in clique.vertices:  # the first of the shortest lists
+            posting = postings[vertex]
+            if outers is None or len(posting) < len(outers):
+                outers = posting
+        for outer in outers:
+            if contains(outer, clique):
+                found.append(clique)
+                break
     return found
 
 
@@ -411,12 +417,14 @@ def _certify_maximal(
 
     The clique must be valid on its span, and no strictly larger clique may
     be: not the span widened by one at either end, inside the observation,
-    nor the clique with one vertex w more. Every test reads the clique's
-    pairs with `pair_valid`, from one list of their occurrences and their
-    entries in `gaps`, the stream's gap index at (delta, gamma): the pairs
-    over [ta, tb], over [ta-1, tb] and over [ta, tb+1]. The clique being
-    valid, a vertex w more needs only the pairs (w, z) for the members z at
-    [ta, tb], and only the w in `pool`, the first member's partners with
+    nor the clique with one vertex w more. Every test reads pairs with
+    `pair_valid`, from their occurrences and their entries in `gaps`, the
+    stream's gap index at (delta, gamma). One pass over the clique's pairs
+    tests each over [ta, tb], and over [ta-1, tb] and [ta, tb+1] while the
+    widened span may still hold: up to its first failing pair, and not at
+    all when it leaves the observation. The clique being valid, a vertex w
+    more needs only the pairs (w, z) for the members z at [ta, tb], and
+    only the w in `pool`, the first member's partners with
     gamma links in [ta, ta+delta] (`LinkStream.window_partners` at ta). No
     other w can extend it: a pair valid on [ta, tb] has gamma links in its
     first window [ta, min(ta+delta, tb)], which lies inside [ta, ta+delta].
@@ -426,22 +434,25 @@ def _certify_maximal(
     verts, ta, tb = clique
     t_start, t_end = stream.observation
     occurrences = stream.pair_occurrences
-    pairs = [(occurrences.get(p, ()), gaps.get(p, ())) for p in combinations(verts, 2)]
-
-    def valid_at(a: int, b: int) -> bool:
-        return all(pair_valid(occ, bad, a, b, delta, gamma) for occ, bad in pairs)
-
-    if not valid_at(ta, tb):
-        return False
-    if ta > t_start and valid_at(ta - 1, tb):
-        return False
-    if tb < t_end and valid_at(ta, tb + 1):
+    left, right = ta > t_start, tb < t_end
+    for pair in combinations(verts, 2):
+        occ, bad = occurrences.get(pair, ()), gaps.get(pair, ())
+        if not pair_valid(occ, bad, ta, tb, delta, gamma):
+            return False
+        if left and not pair_valid(occ, bad, ta - 1, tb, delta, gamma):
+            left = False
+        if right and not pair_valid(occ, bad, ta, tb + 1, delta, gamma):
+            right = False
+    if left or right:
         return False
     for w in pool:
-        if w not in verts and all(
-            pair_valid(occurrences.get(p, ()), gaps.get(p, ()), ta, tb, delta, gamma)
-            for p in ((w, z) if w < z else (z, w) for z in verts)
-        ):
+        if w in verts:
+            continue
+        for z in verts:
+            pair = (w, z) if w < z else (z, w)
+            if not pair_valid(occurrences.get(pair, ()), gaps.get(pair, ()), ta, tb, delta, gamma):
+                break
+        else:
             return False
     return True
 

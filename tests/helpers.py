@@ -142,28 +142,35 @@ def reference_seed_anchors(
     return found
 
 
-def reference_certify_maximal(
+REFUSALS = ("span", "left", "right", "vertex")
+
+
+def reference_refusal(
     clique: Clique, stream: LinkStream, delta: int, gamma: int
-) -> bool:
-    """The maximality certificate checked clique by clique: the clique, the
-    span widened by one at either end inside the observation, and the clique
-    with each vertex w more that has gamma contacts of every member in the
-    span (`static_scan_candidates`, counted by `count_in`), each through
+) -> str | None:
+    """The maximality certificate checked clique by clique, naming the first
+    of its steps (`REFUSALS`) that refuses the clique, or None when it is
+    maximal: the clique on its span, the span widened by one at the left or
+    the right end inside the observation, and the clique with each vertex w
+    more that has gamma contacts of every member in the span
+    (`static_scan_candidates`, counted by `count_in`), each through
     `is_delta_gamma_clique` over all of its pairs. The reference for the
     engine's certificate, which tests only the pairs an extension adds and
     takes its vertices from the sliding window count."""
     verts, ta, tb = clique
     t_start, t_end = stream.observation
     if not is_delta_gamma_clique(verts, (ta, tb), stream, delta, gamma):
-        return False
+        return "span"
     if ta - 1 >= t_start and is_delta_gamma_clique(verts, (ta - 1, tb), stream, delta, gamma):
-        return False
+        return "left"
     if tb + 1 <= t_end and is_delta_gamma_clique(verts, (ta, tb + 1), stream, delta, gamma):
-        return False
-    return not any(
+        return "right"
+    if any(
         is_delta_gamma_clique(sorted({*verts, w}), (ta, tb), stream, delta, gamma)
         for w in sorted(static_scan_candidates(clique, stream, gamma))
-    )
+    ):
+        return "vertex"
+    return None
 
 
 def offline_keys(stream: LinkStream, delta: int, gamma: int) -> frozenset[Clique]:

@@ -17,6 +17,7 @@ from tclique import (
     sort_cliques,
 )
 from tclique.cliques import _pair_valid_direct, gap_index, pair_closure, pair_valid
+from tclique.expand import WorkItem, WorkSets, clique_closure
 from helpers import corpus_entry, links_from_pairs, plain_closure
 
 
@@ -389,11 +390,13 @@ def test_pair_closure_edge_cases():
 
 def test_clique_closure_is_the_fixed_point_of_the_stepwise_moves():
     # the intersection of the pair closures is where the stepwise right and
-    # left moves of earlier versions stop, iterated from a valid span
+    # left moves of earlier versions stop, iterated from a valid span, and
+    # `clique_closure` of an item with candidates finds it
     rng = random.Random(31)
     compared = 0
     for index in range(120):
         stream, delta, gamma = corpus_entry(index)
+        worksets = WorkSets(stream, delta, gamma)
         t_start, t_end = stream.observation
         vertices = stream.vertices
         for _ in range(15):
@@ -409,6 +412,9 @@ def test_clique_closure_is_the_fixed_point_of_the_stepwise_moves():
                 for pair in combinations(members, 2)
             ]
             intersection = (max(lo for lo, _ in ends), min(hi for _, hi in ends))
-            assert intersection == plain_closure(stream, members, (ta, tb), delta, gamma)
+            closure = plain_closure(stream, members, (ta, tb), delta, gamma)
+            assert intersection == closure
+            item = WorkItem(Clique(members, ta, tb), ())
+            assert clique_closure(item, worksets) == closure
             compared += 1
     assert compared > 100

@@ -4,6 +4,7 @@ import hashlib
 import io
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -56,7 +57,8 @@ from helpers import (
     random_boundaries,
     random_state,
     random_stream,
-    reference_certify_maximal,
+    REFUSALS,
+    reference_refusal,
     run_batches,
     signed,
     staged_cycles,
@@ -761,30 +763,35 @@ def certificate_probes(
 
 def assert_certificates_agree(
     stream: LinkStream, delta: int, gamma: int, results, rng: random.Random
-) -> int:
+) -> Counter:
     """Hold the certificate's verdict to the reference's on every probe of
-    every result; returns how many probes passed both."""
+    every result; returns how many probes the reference found maximal (under
+    None) and how many each of its steps refused first (`REFUSALS`)."""
     gaps = gap_index(stream, delta, gamma)
-    n_maximal = 0
+    outcomes = Counter()
     for result in results:
         for probe in certificate_probes(result, stream, rng):
-            verdict = certify(probe, stream, delta, gamma, gaps)
-            assert verdict == reference_certify_maximal(probe, stream, delta, gamma), probe
-            n_maximal += verdict
-    return n_maximal
+            refusal = reference_refusal(probe, stream, delta, gamma)
+            assert certify(probe, stream, delta, gamma, gaps) == (refusal is None), probe
+            outcomes[refusal] += 1
+    return outcomes
 
 
 def test_certificate_verdicts_match_the_reference(corpus, corpus_oracles):
     # every corpus result is certified, and so is nothing the reference
-    # refuses among its perturbations and random cliques
-    n_results = n_maximal = 0
+    # refuses among its perturbations and random cliques; every step of the
+    # certificate refuses some probe first, so a certificate that skips one
+    # disagrees somewhere
+    n_results = 0
+    outcomes = Counter()
     for idx, ((stream, delta, gamma), results) in enumerate(zip(corpus, corpus_oracles)):
         gaps = gap_index(stream, delta, gamma)
         assert all(certify(c, stream, delta, gamma, gaps) for c in results)
         rng = random.Random(50_000 + idx)
-        n_maximal += assert_certificates_agree(stream, delta, gamma, results, rng)
+        outcomes += assert_certificates_agree(stream, delta, gamma, results, rng)
         n_results += len(results)
-    assert n_results > 100 and n_maximal > n_results
+    assert n_results > 100 and outcomes[None] > n_results
+    assert all(outcomes[step] > 0 for step in REFUSALS), outcomes
 
 
 @pytest.mark.slow
